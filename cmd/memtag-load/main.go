@@ -180,22 +180,22 @@ func (cfg *loadCfg) budget(want int) int {
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:7070", "memtag-serve address")
-		conns    = flag.Int("conns", 8, "concurrent connections")
-		pipeline = flag.Int("pipeline", 32, "in-flight requests per connection")
-		requests = flag.Uint64("requests", 0, "stop after this many total requests (0 = use -duration)")
-		duration = flag.Duration("duration", 10*time.Second, "run length when -requests is 0")
-		rate     = flag.Float64("rate", 0, "aggregate open-loop send rate in req/s (0 = closed loop)")
-		mixFlag  = flag.String("mix", "get:40,put:25,del:10,sadd:10,srem:5,shas:5,resv:3,bill:1,cancel:1", "op mix, percentages summing to 100")
-		keyRange = flag.Uint64("range", 16384, "KV/set key range")
-		resRange = flag.Uint64("res-range", 1024, "reservation resource-id range")
-		dist     = flag.String("dist", "uniform", "key distribution: uniform, zipfian or hotset")
-		theta    = flag.Float64("theta", 0, "zipfian theta (0 = default 0.99)")
-		hotKeys  = flag.Int("hot-keys", 0, "hotset: percent of keys that are hot (0 = default 10)")
-		hotTraf  = flag.Int("hot-traffic", 0, "hotset: percent of traffic to hot keys (0 = default 90)")
-		stormEv  = flag.Duration("storm-every", 0, "hot-key storm interval (0 = no storms)")
-		stormDur = flag.Duration("storm-duration", 100*time.Millisecond, "hot-key storm length")
-		churnEv  = flag.Duration("churn-every", 0, "re-dial each connection this often (0 = never)")
+		addr       = flag.String("addr", "127.0.0.1:7070", "memtag-serve address")
+		conns      = flag.Int("conns", 8, "concurrent connections")
+		pipeline   = flag.Int("pipeline", 32, "in-flight requests per connection")
+		requests   = flag.Uint64("requests", 0, "stop after this many total requests (0 = use -duration)")
+		duration   = flag.Duration("duration", 10*time.Second, "run length when -requests is 0")
+		rate       = flag.Float64("rate", 0, "aggregate open-loop send rate in req/s (0 = closed loop)")
+		mixFlag    = flag.String("mix", "get:40,put:25,del:10,sadd:10,srem:5,shas:5,resv:3,bill:1,cancel:1", "op mix, percentages summing to 100")
+		keyRange   = flag.Uint64("range", 16384, "KV/set key range")
+		resRange   = flag.Uint64("res-range", 1024, "reservation resource-id range")
+		dist       = flag.String("dist", "uniform", "key distribution: uniform, zipfian or hotset")
+		theta      = flag.Float64("theta", 0, "zipfian theta (0 = default 0.99)")
+		hotKeys    = flag.Int("hot-keys", 0, "hotset: percent of keys that are hot (0 = default 10)")
+		hotTraf    = flag.Int("hot-traffic", 0, "hotset: percent of traffic to hot keys (0 = default 90)")
+		stormEv    = flag.Duration("storm-every", 0, "hot-key storm interval (0 = no storms)")
+		stormDur   = flag.Duration("storm-duration", 100*time.Millisecond, "hot-key storm length")
+		churnEv    = flag.Duration("churn-every", 0, "re-dial each connection this often (0 = never)")
 		jsonOut    = flag.String("json", "", "write the SLO report as JSON to this file (\"-\" = stdout)")
 		minRate    = flag.Float64("min-rate", 0, "exit nonzero if achieved req/s falls below this")
 		seed       = flag.Int64("seed", 1, "rng seed")

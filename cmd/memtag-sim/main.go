@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/list"
 	"repro/internal/machine"
 	"repro/internal/workload"
@@ -41,7 +42,7 @@ func main() {
 // paper examines to attribute speedups to reduced coherence messaging.
 type printTracer struct{ mu sync.Mutex }
 
-func (p *printTracer) Trace(e machine.Event) {
+func (p *printTracer) Trace(e core.Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	target := ""

@@ -51,7 +51,7 @@ var reclaimPolicy = policyOff
 // memory backends expose; opClocked is the per-thread clock both backends'
 // threads implement (simulated cycles on machine, logical ticks on vtags).
 type telemetryBackend interface{ SetTelemetry(s *telemetry.Set) }
-type tracerBackend interface{ SetTracer(tr machine.Tracer) }
+type tracerBackend interface{ SetTracer(tr core.Tracer) }
 type opClocked interface{ OpClock() (clock, fails uint64) }
 
 type structDef struct {
@@ -412,7 +412,7 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 	if traceOutPath != "" {
 		if trb, ok := mem.(tracerBackend); ok {
 			tcol = telemetry.NewTraceCollector(threads)
-			trb.SetTracer(machine.TraceTo(tcol))
+			trb.SetTracer(tcol)
 		}
 	}
 

@@ -292,7 +292,7 @@ func (e *SetExperiment) TraceCell(variant string, threads int, w io.Writer) erro
 	}
 	workload.Prefill(m, s, cfg)
 	col := telemetry.NewTraceCollector(threads)
-	m.SetTracer(machine.TraceTo(col))
+	m.SetTracer(col)
 	cfg.Trace = col
 	workload.Run(m, s, cfg)
 	m.SetTracer(nil)

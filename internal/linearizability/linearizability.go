@@ -337,8 +337,8 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i uint64)   { b[i/64] |= 1 << (i % 64) }
-func (b bitset) clear(i uint64) { b[i/64] &^= 1 << (i % 64) }
+func (b bitset) set(i uint64)      { b[i/64] |= 1 << (i % 64) }
+func (b bitset) clear(i uint64)    { b[i/64] &^= 1 << (i % 64) }
 func (b bitset) get(i uint64) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 func (b bitset) hashWith(state uint64) uint64 {

@@ -76,22 +76,22 @@ func (g *ghost) invalidateAllLocked(d *dirEntry, l core.Line) {
 			d.taggers.Remove(c)
 			other.evicted.Store(true)
 			other.stats.RemoteTagEvictions.Add(1)
-			g.emit(EvTagEvicted, c, l)
+			g.emit(core.EvTagEvicted, c, l)
 		}
 		other.stats.InvalidationsReceived.Add(1)
-		g.emit(EvInvalidation, c, l)
+		g.emit(core.EvInvalidation, c, l)
 	}
 	d.sharers.Clear()
 	d.owner = -1
 }
 
 // emit delivers an event attributed to the ghost agent (core -1, cycle 0).
-func (g *ghost) emit(kind EventKind, target int, line core.Line) {
+func (g *ghost) emit(kind core.EventKind, target int, line core.Line) {
 	tr := g.m.tracer
 	if tr == nil {
 		return
 	}
-	tr.Trace(Event{Kind: kind, Core: -1, Target: target, Line: uint64(line)})
+	tr.Trace(core.Event{Kind: kind, Core: -1, Target: target, Line: uint64(line)})
 }
 
 // AddTag is unsupported: the ghost has no L1 for tags to live in.

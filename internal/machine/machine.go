@@ -62,7 +62,7 @@ type Machine struct {
 	sockMask       []core.CoreSet
 	threads        []*Thread
 	clock          clockSync
-	tracer         Tracer
+	tracer         core.Tracer
 	gate           Gate
 	// issuing counts in-flight memory/tag operations when the memtagcheck
 	// build tag enables the quiescence guard (see guard_on.go); Snapshot

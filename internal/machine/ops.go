@@ -122,7 +122,7 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		if t.tel != nil {
 			t.tel.NoteTagOccupancy(len(t.tags))
 		}
-		t.emit(EvTagAdd, -1, l)
+		t.emit(core.EvTagAdd, -1, l)
 		t.charge(cfg.TagOpCycles, 0)
 		t.drainEvictions()
 	}
@@ -171,7 +171,7 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 		}
 		t.stats.TagRemoves++
 		t.charge(cfg.TagOpCycles, 0)
-		t.emit(EvTagRemove, -1, l)
+		t.emit(core.EvTagRemove, -1, l)
 	}
 }
 
@@ -193,14 +193,14 @@ func (t *Thread) Validate() bool {
 		if t.tel != nil {
 			t.tel.NoteValidate(false)
 		}
-		t.emit(EvValidateFail, -1, 0)
+		t.emit(core.EvValidateFail, -1, 0)
 		return false
 	}
 	t.noteValidatedTags()
 	if t.tel != nil {
 		t.tel.NoteValidate(true)
 	}
-	t.emit(EvValidateOK, -1, 0)
+	t.emit(core.EvValidateOK, -1, 0)
 	return true
 }
 
@@ -305,13 +305,13 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 			if t.tel != nil {
 				t.tel.NoteIAS(false)
 			}
-			t.emit(EvIASFail, -1, target)
+			t.emit(core.EvIASFail, -1, target)
 		} else {
 			t.stats.VASFails++
 			if t.tel != nil {
 				t.tel.NoteVAS(false)
 			}
-			t.emit(EvVASFail, -1, target)
+			t.emit(core.EvVASFail, -1, target)
 		}
 		return false
 	}
@@ -340,12 +340,12 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 		if t.tel != nil {
 			t.tel.NoteIAS(true)
 		}
-		t.emit(EvCommitIAS, -1, target)
+		t.emit(core.EvCommitIAS, -1, target)
 	} else {
 		if t.tel != nil {
 			t.tel.NoteVAS(true)
 		}
-		t.emit(EvCommitVAS, -1, target)
+		t.emit(core.EvCommitVAS, -1, target)
 	}
 	return true
 }

@@ -125,7 +125,7 @@ func (t *Thread) sendInvalidationLocked(d *dirEntry, c int, l core.Line) {
 		d.taggers.Remove(c)
 		other.evicted.Store(true)
 		other.stats.RemoteTagEvictions.Add(1)
-		t.emit(EvTagEvicted, c, l)
+		t.emit(core.EvTagEvicted, c, l)
 	}
 	other.stats.InvalidationsReceived.Add(1)
 	t.stats.InvalidationsSent++
@@ -133,7 +133,7 @@ func (t *Thread) sendInvalidationLocked(d *dirEntry, c int, l core.Line) {
 	if t.m.sockets > 1 && other.socket != t.socket {
 		t.chargeSocketHop()
 	}
-	t.emit(EvInvalidation, c, l)
+	t.emit(core.EvInvalidation, c, l)
 }
 
 // chargeSocketHop prices one cross-socket message or transfer.
@@ -228,7 +228,7 @@ func (t *Thread) tagEvictSelf(l core.Line) {
 		if tl == l {
 			t.evicted.Store(true)
 			t.stats.SpuriousEvictions++
-			t.emit(EvTagEvicted, -1, l)
+			t.emit(core.EvTagEvicted, -1, l)
 			return
 		}
 	}
@@ -248,7 +248,7 @@ func (t *Thread) ForceTagEviction(l core.Line) bool {
 	}
 	t.evicted.Store(true)
 	t.stats.SpuriousEvictions++
-	t.emit(EvTagEvicted, -1, l)
+	t.emit(core.EvTagEvicted, -1, l)
 	return true
 }
 
@@ -307,11 +307,11 @@ func (t *Thread) touchLineLocked(l core.Line, d *dirEntry, write bool) {
 			// Write miss served by a remote cache (plus the invalidations
 			// already charged).
 			t.chargeRemoteFill(served)
-			t.emit(EvRemoteFill, -1, l)
+			t.emit(core.EvRemoteFill, -1, l)
 			t.fillLocal(l)
 		} else {
 			t.chargeMemFill(l)
-			t.emit(EvMemFill, -1, l)
+			t.emit(core.EvMemFill, -1, l)
 			t.fillLocal(l)
 		}
 		return
@@ -391,7 +391,7 @@ func (t *Thread) chargeLocalHit(l core.Line) {
 	if t.l1.Lookup(l) {
 		t.stats.L1Hits++
 		t.charge(cfg.L1HitCycles, cfg.EnergyL1)
-		t.emit(EvL1Hit, -1, l)
+		t.emit(core.EvL1Hit, -1, l)
 		return
 	}
 	// By inclusion the line is in L2 (or the model lost it to staleness;
@@ -399,6 +399,6 @@ func (t *Thread) chargeLocalHit(l core.Line) {
 	t.l2.Lookup(l)
 	t.stats.L2Hits++
 	t.charge(cfg.L2HitCycles, cfg.EnergyL2)
-	t.emit(EvL2Hit, -1, l)
+	t.emit(core.EvL2Hit, -1, l)
 	t.fillLocal(l)
 }

@@ -1,130 +1,26 @@
 package machine
 
-import (
-	"fmt"
+import "repro/internal/core"
 
-	"repro/internal/core"
-	"repro/internal/telemetry"
-)
-
-// Event tracing: the paper validates its claims by examining simulator
-// traces ("Examination of the simulator traces confirms that this
-// performance improvement comes because of reduced coherence messaging").
-// A Tracer receives every coherence-relevant event; it costs nothing when
-// unset.
-
-// EventKind enumerates traced events.
-type EventKind int
-
-const (
-	// EvL1Hit: an access served by the core's L1.
-	EvL1Hit EventKind = iota
-	// EvL2Hit: an access served by the core's L2.
-	EvL2Hit
-	// EvRemoteFill: a miss served by another core's cache.
-	EvRemoteFill
-	// EvMemFill: a miss served by simulated DRAM.
-	EvMemFill
-	// EvInvalidation: an invalidation message (core = sender; Target =
-	// receiver).
-	EvInvalidation
-	// EvTagAdd: a line was tagged.
-	EvTagAdd
-	// EvTagRemove: a line was untagged.
-	EvTagRemove
-	// EvTagEvicted: a tagged line was invalidated or displaced (Target =
-	// -1 for self-inflicted capacity evictions).
-	EvTagEvicted
-	// EvValidateOK / EvValidateFail: outcome of a validation.
-	EvValidateOK
-	// EvValidateFail is a failed validation.
-	EvValidateFail
-	// EvCommitVAS / EvCommitIAS: successful VAS/IAS commits.
-	EvCommitVAS
-	// EvCommitIAS is a successful IAS.
-	EvCommitIAS
-	// EvVASFail / EvIASFail: failed VAS/IAS commits (validation failed at
-	// commit time: overflow or a recorded eviction).
-	EvVASFail
-	// EvIASFail is a failed IAS.
-	EvIASFail
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	names := [...]string{
-		"L1Hit", "L2Hit", "RemoteFill", "MemFill", "Invalidation",
-		"TagAdd", "TagRemove", "TagEvicted", "ValidateOK", "ValidateFail",
-		"CommitVAS", "CommitIAS", "VASFail", "IASFail",
-	}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return "Unknown"
-}
-
-// Event is one traced occurrence.
-type Event struct {
-	Kind   EventKind
-	Core   int
-	Target int // receiving core for invalidations/tag evictions, else -1
-	Line   uint64
-	Cycle  uint64 // issuing core's simulated clock
-}
-
-// String renders one event in the fixed-width form used when a harness
-// prints an interleaving ("cycle 1042 core 2 TagEvicted line 17 -> 0").
-func (e Event) String() string {
-	s := fmt.Sprintf("cycle %6d core %2d %-12s line %d", e.Cycle, e.Core, e.Kind, e.Line)
-	if e.Target >= 0 {
-		s += fmt.Sprintf(" -> core %d", e.Target)
-	}
-	return s
-}
-
-// Tracer receives events synchronously from simulated cores. It must be
-// safe for concurrent use (cores run on separate goroutines) and fast —
-// it executes inside the coherence critical sections.
-type Tracer interface {
-	Trace(Event)
-}
-
-// SetTracer installs (or removes, with nil) the machine's tracer. Only
-// call while quiescent.
-func (m *Machine) SetTracer(tr Tracer) { m.tracer = tr }
+// SetTracer installs (or removes, with nil) the machine's tracer (see
+// core.Tracer). Only call while quiescent.
+func (m *Machine) SetTracer(tr core.Tracer) { m.tracer = tr }
 
 // emit delivers an event if a tracer is installed. The guard is kept small
 // enough to inline so that, with no tracer, hot-path call sites pay one
 // predictable branch instead of a function call.
-func (t *Thread) emit(kind EventKind, target int, line core.Line) {
+func (t *Thread) emit(kind core.EventKind, target int, line core.Line) {
 	if t.m.tracer != nil {
 		t.emitSlow(kind, target, line)
 	}
 }
 
-func (t *Thread) emitSlow(kind EventKind, target int, line core.Line) {
-	t.m.tracer.Trace(Event{
+func (t *Thread) emitSlow(kind core.EventKind, target int, line core.Line) {
+	t.m.tracer.Trace(core.Event{
 		Kind:   kind,
 		Core:   t.id,
 		Target: target,
 		Line:   uint64(line),
 		Cycle:  t.stats.Cycles,
-	})
-}
-
-// TraceTo adapts a telemetry.TraceCollector to the machine's Tracer
-// interface, feeding the Perfetto exporter: install with
-// m.SetTracer(machine.TraceTo(col)).
-func TraceTo(c *telemetry.TraceCollector) Tracer { return traceAdapter{c} }
-
-type traceAdapter struct{ c *telemetry.TraceCollector }
-
-func (a traceAdapter) Trace(e Event) {
-	a.c.Add(telemetry.TraceEvent{
-		Name:   e.Kind.String(),
-		Core:   e.Core,
-		Target: e.Target,
-		Line:   e.Line,
-		Cycle:  e.Cycle,
 	})
 }

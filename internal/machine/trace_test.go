@@ -3,25 +3,27 @@ package machine
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // recordingTracer captures events for assertions.
 type recordingTracer struct {
 	mu     sync.Mutex
-	counts map[EventKind]int
+	counts map[core.EventKind]int
 }
 
 func newRecordingTracer() *recordingTracer {
-	return &recordingTracer{counts: map[EventKind]int{}}
+	return &recordingTracer{counts: map[core.EventKind]int{}}
 }
 
-func (r *recordingTracer) Trace(e Event) {
+func (r *recordingTracer) Trace(e core.Event) {
 	r.mu.Lock()
 	r.counts[e.Kind]++
 	r.mu.Unlock()
 }
 
-func (r *recordingTracer) count(k EventKind) int {
+func (r *recordingTracer) count(k core.EventKind) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counts[k]
@@ -48,39 +50,39 @@ func TestTracerSeesCoherenceStory(t *testing.T) {
 	}
 	t1.ClearTagSet()
 
-	wants := map[EventKind]int{
-		EvMemFill:      1,
-		EvTagAdd:       2,
-		EvValidateOK:   1,
-		EvValidateFail: 1,
-		EvTagEvicted:   1,
-		EvCommitVAS:    1,
+	wants := map[core.EventKind]int{
+		core.EvMemFill:      1,
+		core.EvTagAdd:       2,
+		core.EvValidateOK:   1,
+		core.EvValidateFail: 1,
+		core.EvTagEvicted:   1,
+		core.EvCommitVAS:    1,
 	}
 	for k, min := range wants {
 		if got := tr.count(k); got < min {
 			t.Errorf("%v: %d events, want >= %d", k, got, min)
 		}
 	}
-	if tr.count(EvInvalidation) == 0 {
+	if tr.count(core.EvInvalidation) == 0 {
 		t.Error("no invalidation events recorded")
 	}
 
 	// Removing the tracer stops delivery.
 	m.SetTracer(nil)
-	before := tr.count(EvL1Hit)
+	before := tr.count(core.EvL1Hit)
 	t0.Load(a)
-	if tr.count(EvL1Hit) != before {
+	if tr.count(core.EvL1Hit) != before {
 		t.Error("events delivered after tracer removal")
 	}
 }
 
 func TestEventKindNames(t *testing.T) {
-	for k := EvL1Hit; k <= EvCommitIAS; k++ {
+	for k := core.EvL1Hit; k <= core.EvCommitIAS; k++ {
 		if k.String() == "Unknown" {
 			t.Fatalf("event kind %d unnamed", k)
 		}
 	}
-	if EventKind(99).String() != "Unknown" {
+	if core.EventKind(99).String() != "Unknown" {
 		t.Fatal("out-of-range kind not Unknown")
 	}
 }

@@ -165,7 +165,7 @@ type Counterexample struct {
 	Err       error
 	// Trace is the tail of the machine trace (TraceLimit events);
 	// TraceDropped counts earlier events that no longer fit.
-	Trace        []machine.Event
+	Trace        []core.Event
 	TraceDropped int
 }
 
@@ -199,7 +199,7 @@ func (cx *Counterexample) String() string {
 }
 
 // FormatTrace renders machine events one per line.
-func FormatTrace(events []machine.Event) string {
+func FormatTrace(events []core.Event) string {
 	var b strings.Builder
 	for _, e := range events {
 		b.WriteString("  ")
@@ -338,7 +338,7 @@ func Explore(newSetup func() Setup, cfg Config) Result {
 // Replay re-executes a recorded decision sequence (e.g. a counterexample's
 // Choices) against a fresh Setup and returns the resulting trace and check
 // error.
-func Replay(newSetup func() Setup, choices []Choice, cfg Config) ([]machine.Event, error) {
+func Replay(newSetup func() Setup, choices []Choice, cfg Config) ([]core.Event, error) {
 	c := cfg.withDefaults()
 	rec := runOne(newSetup(), &replayStrat{choices: choices}, c)
 	return rec.trace, rec.err
@@ -513,7 +513,7 @@ type execRecord struct {
 	truncated    bool
 	sleepBlocked bool
 	traceHash    uint64
-	trace        []machine.Event
+	trace        []core.Event
 	traceDropped int
 }
 
@@ -674,7 +674,7 @@ type traceCollector struct {
 	hash  uint64
 	total int
 	limit int
-	ring  []machine.Event
+	ring  []core.Event
 	next  int
 }
 
@@ -682,8 +682,8 @@ func newTraceCollector(limit int) *traceCollector {
 	return &traceCollector{hash: 14695981039346656037, limit: limit}
 }
 
-// Trace implements machine.Tracer.
-func (c *traceCollector) Trace(e machine.Event) {
+// Trace implements core.Tracer.
+func (c *traceCollector) Trace(e core.Event) {
 	c.mu.Lock()
 	h := c.hash
 	for _, v := range [5]uint64{uint64(e.Kind), uint64(int64(e.Core)), uint64(int64(e.Target)), e.Line, e.Cycle} {
@@ -700,7 +700,7 @@ func (c *traceCollector) Trace(e machine.Event) {
 	c.mu.Unlock()
 }
 
-func (c *traceCollector) snapshot() (hash uint64, tail []machine.Event, dropped int) {
+func (c *traceCollector) snapshot() (hash uint64, tail []core.Event, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tail = append(tail, c.ring[c.next:]...)

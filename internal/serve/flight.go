@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -131,28 +132,12 @@ type DumpExemplar struct {
 
 // DumpStats is the stats.json document of a post-mortem bundle.
 type DumpStats struct {
-	Reason           string         `json:"reason"`
-	UptimeNS         int64          `json:"uptime_ns"`
-	Workers          int            `json:"workers"`
-	Requests         uint64         `json:"requests"`
-	Errors           uint64         `json:"errors"`
-	ConnsAccepted    uint64         `json:"conns_accepted"`
-	Ops              uint64         `json:"ops"`
-	Fails            uint64         `json:"fails"`
-	SpansRecorded    uint64         `json:"spans_recorded"`
-	SpansKept        uint64         `json:"spans_kept"`
+	Reason string `json:"reason"`
+	counters
 	Dumps            uint64         `json:"dumps"`
 	Engine           EngineStats    `json:"engine"`
 	ReclaimViolation string         `json:"reclaim_violation,omitempty"`
 	Exemplars        []DumpExemplar `json:"exemplars,omitempty"`
-}
-
-// windowsDump is the windows.json document: the merged telemetry windows
-// at dump time, same shape as the JSON /metrics windows section.
-type windowsDump struct {
-	WindowNS      uint64                   `json:"window_ns"`
-	StreamRetries int                      `json:"stream_retries"`
-	Windows       []telemetry.StreamWindow `json:"windows"`
 }
 
 // TriggerDump writes a post-mortem bundle (trace.json, windows.json,
@@ -173,64 +158,27 @@ func (s *Server) TriggerDump(reason string) (string, error) {
 	}
 
 	spans := s.flight.Snapshot()
-	tf, err := os.Create(filepath.Join(dir, "trace.json"))
-	if err != nil {
-		return "", err
-	}
-	if err := telemetry.WriteSpanTrace(tf, spans, CmdName, len(s.eng.workers)); err != nil {
-		tf.Close()
-		return "", err
-	}
-	if err := tf.Close(); err != nil {
-		return "", err
-	}
-
-	windows, retries := s.stream.ReadMergedWindows()
-	if err := writeJSONFile(filepath.Join(dir, "windows.json"), &windowsDump{
-		WindowNS:      s.stream.Every(),
-		StreamRetries: retries,
-		Windows:       windows,
+	if err := writeFile(filepath.Join(dir, "trace.json"), func(w io.Writer) error {
+		return telemetry.WriteSpanTrace(w, spans, CmdName, len(s.eng.workers))
 	}); err != nil {
 		return "", err
 	}
-
-	s.dumps.Add(1)
-	if err := writeJSONFile(filepath.Join(dir, "stats.json"), s.dumpStats(reason)); err != nil {
+	if err := writeJSONFile(filepath.Join(dir, "windows.json"), s.windows()); err != nil {
 		return "", err
 	}
-	return dir, nil
-}
 
-// dumpStats assembles the stats.json document. Caller holds dumpMu (the
-// dump counter must already include this dump).
-func (s *Server) dumpStats(reason string) *DumpStats {
-	ops, fails := s.stream.Totals()
-	recorded, kept := s.flight.Totals()
-	st := &DumpStats{
-		Reason:        reason,
-		UptimeNS:      int64(time.Since(s.start)),
-		Workers:       len(s.eng.workers),
-		Requests:      s.requests.Load(),
-		Errors:        s.errors.Load(),
-		ConnsAccepted: s.accepted.Load(),
-		Ops:           ops,
-		Fails:         fails,
-		SpansRecorded: recorded,
-		SpansKept:     kept,
-		Dumps:         s.dumps.Load(),
-		Engine:        s.eng.Stats(),
-	}
+	// stats.json counts its own bundle; Dumps() follows once the bundle is
+	// whole on disk, so a caller that saw the count move can read the files.
+	c := s.counters()
+	st := &DumpStats{Reason: reason, counters: c, Dumps: c.dumps + 1, Engine: c.engine, Exemplars: c.exemplars}
 	if msg := s.vioMsg.Load(); msg != nil {
 		st.ReclaimViolation = *msg
 	}
-	for i := 0; i < s.flight.NumCores(); i++ {
-		if id, lat, ok := s.flight.Exemplar(i); ok {
-			st.Exemplars = append(st.Exemplars, DumpExemplar{
-				Worker: i, TraceID: traceID(id), LatencyNS: lat,
-			})
-		}
+	if err := writeJSONFile(filepath.Join(dir, "stats.json"), st); err != nil {
+		return "", err
 	}
-	return st
+	s.dumps.Add(1)
+	return dir, nil
 }
 
 // traceID renders a span/request ID the way the Prometheus exemplars do,
@@ -238,12 +186,17 @@ func (s *Server) dumpStats(reason string) *DumpStats {
 func traceID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 func writeJSONFile(path string, v any) error {
+	return writeFile(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
+}
+
+// writeFile creates path, fills it with write, and reports the first error
+// of the three steps, Close included.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(v); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -48,6 +48,40 @@ func httpGet(t *testing.T, url, accept string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// checkPromHistogram asserts the request-latency histogram in one text
+// scrape is a valid Prometheus histogram — le buckets cumulative, the last
+// finite bucket equal to +Inf equal to _count — and returns that count.
+func checkPromHistogram(t *testing.T, text string) uint64 {
+	t.Helper()
+	const name = "memtag_request_duration_ns"
+	var prev, count uint64
+	buckets := 0
+	for _, line := range strings.Split(text, "\n") {
+		var v uint64
+		switch {
+		case strings.HasPrefix(line, name+"_bucket{le="):
+			fmt.Sscanf(strings.SplitN(line, "} ", 2)[1], "%d", &v)
+			if v < prev {
+				t.Errorf("bucket counts not cumulative: %q after %d", line, prev)
+			}
+			if strings.Contains(line, `le="+Inf"`) && v != prev {
+				t.Errorf("+Inf bucket %d != last finite bucket %d", v, prev)
+			}
+			prev = v
+			buckets++
+		case strings.HasPrefix(line, name+"_count "):
+			fmt.Sscanf(strings.TrimPrefix(line, name+"_count "), "%d", &count)
+			if count != prev {
+				t.Errorf("_count %d != +Inf bucket %d", count, prev)
+			}
+		}
+	}
+	if buckets == 0 {
+		t.Errorf("no %s buckets in scrape:\n%s", name, text)
+	}
+	return count
+}
+
 // TestPprofGate pins the profiling surface's default absence: /debug/pprof
 // 404s unless Config.Pprof is set.
 func TestPprofGate(t *testing.T) {
@@ -127,23 +161,8 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 
-	// Bucket counts are cumulative and end at _count.
-	var lastBucket uint64
-	prev := uint64(0)
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, "memtag_request_duration_ns_bucket{le=") {
-			continue
-		}
-		fields := strings.Fields(strings.SplitN(line, "} ", 2)[1])
-		var v uint64
-		fmt.Sscanf(fields[0], "%d", &v)
-		if v < prev {
-			t.Fatalf("bucket counts not cumulative: %q after %d", line, prev)
-		}
-		prev, lastBucket = v, v
-	}
-	if lastBucket != 21 {
-		t.Fatalf("final bucket = %d, want 21", lastBucket)
+	if count := checkPromHistogram(t, text); count != 21 {
+		t.Fatalf("histogram count = %d, want 21", count)
 	}
 
 	// More traffic, second scrape: counters are monotonic.
@@ -202,7 +221,7 @@ func TestFlightDumpBundle(t *testing.T) {
 		t.Fatal("no exemplars in stats.json despite a kept span")
 	}
 
-	var wins windowsDump
+	var wins windowsBlock
 	raw, err = os.ReadFile(filepath.Join(dir, "windows.json"))
 	if err != nil {
 		t.Fatalf("windows.json: %v", err)
@@ -346,8 +365,11 @@ func TestScrapeDuringDrain(t *testing.T) {
 		}
 		pbody, err := io.ReadAll(presp.Body)
 		presp.Body.Close()
-		if err == nil && !strings.Contains(string(pbody), "memtag_requests_total") {
-			t.Errorf("prometheus scrape torn:\n%s", pbody)
+		if err == nil {
+			if !strings.Contains(string(pbody), "memtag_requests_total") {
+				t.Errorf("prometheus scrape torn:\n%s", pbody)
+			}
+			checkPromHistogram(t, string(pbody))
 		}
 		scrapes++
 		return true

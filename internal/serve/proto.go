@@ -363,7 +363,7 @@ func AppendRequest(b []byte, req *Request) []byte {
 	return append(b, '\n')
 }
 
-func appendOK(b []byte) []byte            { return append(b, "OK\n"...) }
+func appendOK(b []byte) []byte { return append(b, "OK\n"...) }
 func appendOKVal(b []byte, v uint64) []byte {
 	b = append(b, "OK "...)
 	b = appendUint(b, v)

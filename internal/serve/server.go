@@ -344,13 +344,13 @@ func (s *Server) Summarize() Summary {
 	for _, w := range s.eng.workers {
 		h.Merge(&w.lat)
 	}
-	ops, fails := s.stream.Totals()
+	c := s.counters()
 	return Summary{
-		Requests: s.requests.Load(),
-		Errors:   s.errors.Load(),
-		Accepted: s.accepted.Load(),
-		Ops:      ops,
-		Fails:    fails,
+		Requests: c.Requests,
+		Errors:   c.Errors,
+		Accepted: c.ConnsAccepted,
+		Ops:      c.Ops,
+		Fails:    c.Fails,
 		P50NS:    h.Quantile(0.50),
 		P99NS:    h.Quantile(0.99),
 		MaxNS:    h.Max(),

@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync/atomic"
-
 // FlightRecorder is the always-on black box for the served path: a
 // lock-free per-core ring of the most recent request spans (tail-sampled
 // ones marked), readable by any goroutine at any time. Workers publish
@@ -9,62 +7,32 @@ import "sync/atomic"
 // violation, SIGQUIT) snapshots the rings into a trace without stopping
 // traffic.
 //
-// The protocol is the Stream's per-slot seqlock, reused wholesale: spans
-// are packed into fixed arrays of atomic words, the writer brackets each
-// publish with an odd/even sequence bump, and readers retry a torn copy.
-// Publication is allocation-free (the serve allocs tests pin the whole
-// span-record + flight-tick path at 0 allocs/op); only Snapshot allocates.
+// Spans are packed into fixed-width seqRing records (layout: DESIGN.md,
+// "Telemetry core"), so a reader never sees a torn span. Publication is
+// allocation-free (the serve allocs tests pin the whole span-record +
+// flight-tick path at 0 allocs/op); only Snapshot allocates.
 //
 // Each core additionally exposes its most recent *tail-sampled* span as an
 // exemplar (request/trace ID + latency), which the Prometheus exposition
 // attaches to the matching latency bucket — the link that lets a scrape's
 // p99 outlier be joined to its span in the dump.
+type FlightRecorder struct {
+	cores []flightCore
+}
 
 // flightSlotWords is the packed span size: a fixed header plus two words
-// per recorded attempt.
-//
-//	w0  ID
-//	w1  Start
-//	w2  End
-//	w3  Decode
-//	w4  Queue
-//	w5  Tick
-//	w6  Op | Err<<8 | Kept<<16 | Worker<<32
-//	w7  Fails | Overflows<<32
-//	w8  NAttempts
-//	w9+2i  attempt i Start
-//	w10+2i attempt i (End-Start)&^(3<<62) | Cause<<62-ish packing below
-//
-// Attempt durations are clipped to 2^56-1 ns (~2.3 years), leaving the top
-// byte for the cause and overflow flag.
-const flightSlotWords = 9 + 2*spanMaxAttempts
-
-const attemptDurMask = (uint64(1) << 56) - 1
-
-type flightSlot struct {
-	seq   atomic.Uint64
-	words [flightSlotWords]atomic.Uint64
-}
+// per recorded attempt. Attempt durations are clipped to 2^56-1 ns (~2.3
+// years), leaving the top byte for the cause and overflow flag.
+const (
+	flightSlotWords = 9 + 2*spanMaxAttempts
+	attemptDurMask  = uint64(1)<<56 - 1
+)
 
 type flightCore struct {
-	published atomic.Uint64 // spans published so far (ring head); cumulative
-	kept      atomic.Uint64 // tail-sampled spans published
-
-	// Exemplar: the most recent tail-sampled span, seqlock-published.
-	exSeq atomic.Uint64
-	exID  atomic.Uint64
-	exLat atomic.Uint64
-
-	ring []flightSlot
+	ring seqRing // recent spans; ring.head counts spans recorded
+	ex   seqRing // depth 1: the latest tail-sampled span's {ID, latency}; ex.head counts spans kept
 
 	_ [64]byte // keep adjacent cores' hot atomics off one line
-}
-
-// FlightRecorder is created with NewFlightRecorder; see the package-level
-// discussion above.
-type FlightRecorder struct {
-	depth int
-	cores []flightCore
 }
 
 // NewFlightRecorder creates a recorder for n cores retaining depth spans
@@ -73,15 +41,13 @@ func NewFlightRecorder(n, depth int) *FlightRecorder {
 	if depth < 2 {
 		depth = 2
 	}
-	f := &FlightRecorder{depth: depth, cores: make([]flightCore, n)}
+	f := &FlightRecorder{cores: make([]flightCore, n)}
 	for i := range f.cores {
-		f.cores[i].ring = make([]flightSlot, depth)
+		f.cores[i].ring = newSeqRing(depth, flightSlotWords)
+		f.cores[i].ex = newSeqRing(1, 2)
 	}
 	return f
 }
-
-// Depth returns the per-core ring capacity in spans.
-func (f *FlightRecorder) Depth() int { return f.depth }
 
 // NumCores returns the number of per-core rings.
 func (f *FlightRecorder) NumCores() int { return len(f.cores) }
@@ -91,9 +57,7 @@ func (f *FlightRecorder) NumCores() int { return len(f.cores) }
 // requests). Allocation-free.
 func (f *FlightRecorder) Record(i int, sp *Span) {
 	c := &f.cores[i]
-	slot := &c.ring[int(c.published.Load()%uint64(f.depth))]
-	slot.seq.Add(1) // odd: publish in flight
-	w := &slot.words
+	w := c.ring.begin()
 	w[0].Store(sp.ID)
 	w[1].Store(sp.Start)
 	w[2].Store(sp.End)
@@ -121,14 +85,12 @@ func (f *FlightRecorder) Record(i int, sp *Span) {
 		w[9+2*j].Store(a.Start)
 		w[10+2*j].Store(packed)
 	}
-	slot.seq.Add(1) // even: consistent
-	c.published.Add(1)
+	c.ring.commit()
 	if sp.Kept != 0 {
-		c.kept.Add(1)
-		c.exSeq.Add(1)
-		c.exID.Store(sp.ID)
-		c.exLat.Store(sp.Latency())
-		c.exSeq.Add(1)
+		e := c.ex.begin()
+		e[0].Store(sp.ID)
+		e[1].Store(sp.Latency())
+		c.ex.commit()
 	}
 }
 
@@ -139,44 +101,29 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// copyFlightSlot snapshots one slot under its seqlock into sp, reporting
-// whether a consistent copy was obtained within the retry budget.
-func copyFlightSlot(slot *flightSlot, sp *Span) bool {
-	for attempt := 0; attempt < streamRetryLimit; attempt++ {
-		s1 := slot.seq.Load()
-		if s1%2 != 0 {
-			continue
-		}
-		var w [flightSlotWords]uint64
-		for k := range w {
-			w[k] = slot.words[k].Load()
-		}
-		if slot.seq.Load() != s1 {
-			continue
-		}
-		*sp = Span{
-			ID: w[0], Start: w[1], End: w[2], Decode: w[3], Queue: w[4], Tick: w[5],
-			Op: uint8(w[6]), Err: w[6]>>8&1 != 0, Kept: uint8(w[6] >> 16),
-			Worker:    int32(uint32(w[6] >> 32)),
-			Fails:     uint32(w[7]), Overflows: uint32(w[7] >> 32),
-			NAttempts: uint32(w[8]),
-		}
-		n := int(sp.NAttempts)
-		if n > spanMaxAttempts {
-			n = spanMaxAttempts
-		}
-		for j := 0; j < n; j++ {
-			packed := w[10+2*j]
-			sp.Attempts[j] = AttemptRec{
-				Start:    w[9+2*j],
-				End:      w[9+2*j] + packed&attemptDurMask,
-				Cause:    uint8(packed >> 56 & 3),
-				Overflow: packed>>58&1 != 0,
-			}
-		}
-		return true
+// unpackSpan is Record's inverse over a consistent copy of a span record.
+func unpackSpan(w *[flightSlotWords]uint64) Span {
+	sp := Span{
+		ID: w[0], Start: w[1], End: w[2], Decode: w[3], Queue: w[4], Tick: w[5],
+		Op: uint8(w[6]), Err: w[6]>>8&1 != 0, Kept: uint8(w[6] >> 16),
+		Worker: int32(uint32(w[6] >> 32)),
+		Fails:  uint32(w[7]), Overflows: uint32(w[7] >> 32),
+		NAttempts: uint32(w[8]),
 	}
-	return false
+	n := int(sp.NAttempts)
+	if n > spanMaxAttempts {
+		n = spanMaxAttempts
+	}
+	for j := 0; j < n; j++ {
+		packed := w[10+2*j]
+		sp.Attempts[j] = AttemptRec{
+			Start:    w[9+2*j],
+			End:      w[9+2*j] + packed&attemptDurMask,
+			Cause:    uint8(packed >> 56 & 3),
+			Overflow: packed>>58&1 != 0,
+		}
+	}
+	return sp
 }
 
 // Snapshot reads every core's retained spans, oldest first per core, cores
@@ -185,17 +132,12 @@ func copyFlightSlot(slot *flightSlot, sp *Span) bool {
 // consistent. The dump path — it allocates.
 func (f *FlightRecorder) Snapshot() []Span {
 	var out []Span
-	var sp Span
+	var w [flightSlotWords]uint64
 	for i := range f.cores {
 		c := &f.cores[i]
-		head := c.published.Load()
-		lo := uint64(0)
-		if head > uint64(f.depth) {
-			lo = head - uint64(f.depth)
-		}
-		for w := lo; w < head; w++ {
-			if copyFlightSlot(&c.ring[int(w%uint64(f.depth))], &sp) {
-				out = append(out, sp)
+		for r, hi := c.ring.span(); r < hi; r++ {
+			if ok, _ := c.ring.read(r, w[:]); ok {
+				out = append(out, unpackSpan(&w))
 			}
 		}
 	}
@@ -205,29 +147,24 @@ func (f *FlightRecorder) Snapshot() []Span {
 // Exemplar returns core i's most recent tail-sampled span's request ID and
 // latency, and whether the core has one. Safe at any time.
 func (f *FlightRecorder) Exemplar(i int) (id, latencyNS uint64, ok bool) {
-	c := &f.cores[i]
-	for attempt := 0; attempt < streamRetryLimit; attempt++ {
-		s1 := c.exSeq.Load()
-		if s1 == 0 {
-			return 0, 0, false
-		}
-		if s1%2 != 0 {
-			continue
-		}
-		id, latencyNS = c.exID.Load(), c.exLat.Load()
-		if c.exSeq.Load() == s1 {
-			return id, latencyNS, true
-		}
+	ex := &f.cores[i].ex
+	_, kept := ex.span()
+	if kept == 0 {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	var w [2]uint64
+	if ok, _ = ex.read(kept-1, w[:]); !ok {
+		return 0, 0, false
+	}
+	return w[0], w[1], true
 }
 
 // Totals returns the cumulative spans recorded and tail-sampled across all
 // cores; both are monotonic. Safe at any time.
 func (f *FlightRecorder) Totals() (recorded, kept uint64) {
 	for i := range f.cores {
-		recorded += f.cores[i].published.Load()
-		kept += f.cores[i].kept.Load()
+		recorded += f.cores[i].ring.head.Load()
+		kept += f.cores[i].ex.head.Load()
 	}
 	return recorded, kept
 }

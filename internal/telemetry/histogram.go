@@ -26,10 +26,10 @@ import (
 	"strings"
 )
 
-// histBuckets is the number of histogram buckets: bucket i counts values v
+// NumBuckets is the number of histogram buckets: bucket i counts values v
 // with bits.Len64(v) == i, i.e. bucket 0 holds the value 0 and bucket i>0
 // holds [2^(i-1), 2^i). 65 buckets cover the full uint64 range.
-const histBuckets = 65
+const NumBuckets = 65
 
 // Histogram is a fixed-size power-of-two-bucket histogram. Observe is
 // allocation-free and costs a handful of instructions, so it can run on the
@@ -40,7 +40,7 @@ type Histogram struct {
 	sum     uint64
 	max     uint64
 	min     uint64 // valid when count > 0
-	buckets [histBuckets]uint64
+	buckets [NumBuckets]uint64
 }
 
 // Observe records one value.
@@ -53,20 +53,13 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	h.count++
 	h.sum += v
-	h.buckets[bucketOf(v)]++
+	h.buckets[BucketIndex(v)]++
 }
 
-// bucketOf returns the bucket index holding v: bits.Len64(v), i.e. bucket 0
-// holds 0 and bucket b>0 holds [2^(b-1), 2^b).
-func bucketOf(v uint64) int { return bits.Len64(v) }
-
-// NumBuckets is the histogram bucket count (the size callers need for
-// cumulative-bucket output arrays).
-const NumBuckets = histBuckets
-
-// BucketIndex is the exported bucketOf: the bucket index holding v. The
-// Prometheus exposition uses it to place exemplars.
-func BucketIndex(v uint64) int { return bucketOf(v) }
+// BucketIndex returns the bucket index holding v: bits.Len64(v), i.e. bucket 0
+// holds 0 and bucket b>0 holds [2^(b-1), 2^b). The Prometheus exposition
+// uses it to place exemplars.
+func BucketIndex(v uint64) int { return bits.Len64(v) }
 
 // BucketUpper returns bucket b's inclusive upper value bound (2^b - 1;
 // bucket 0 holds only the value 0). The Prometheus exposition uses it as

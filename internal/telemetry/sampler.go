@@ -67,9 +67,6 @@ func NewSampler(n int, every uint64, maxWindows int) *Sampler {
 	return s
 }
 
-// Interval returns the requested (finest) window width.
-func (s *Sampler) Interval() uint64 { return s.every }
-
 // Enroll marks the start of core i's sampled phase: the current clock
 // becomes its window-0 origin and the failure counter baseline.
 func (s *Sampler) Enroll(i int, clock, fails uint64) {

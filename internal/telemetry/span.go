@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"strconv"
 	"time"
 )
 
@@ -127,8 +125,8 @@ type SpanRecorder struct {
 	fr    *FlightRecorder
 	core  int
 
-	cur    Span
-	inReq  bool
+	cur     Span
+	inReq   bool
 	attOpen bool
 }
 
@@ -238,15 +236,8 @@ const spanPid = 2
 func WriteSpanTrace(w io.Writer, spans []Span, opName func(uint8) string, workers int) error {
 	var evs []jsonEvent
 
-	addMeta := func(pid, tid int, name string) {
-		evs = append(evs, jsonEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": name},
-		})
-	}
 	for i := 0; i < workers; i++ {
-		addMeta(spanPid, tidFor(i), fmt.Sprintf("worker %d", i))
-		addMeta(tracePid, tidFor(i), fmt.Sprintf("core %d", i))
+		evs = append(evs, threadName(spanPid, tidFor(i), "worker "+strconv.Itoa(i)), coreTrack(i))
 	}
 
 	attemptName := func(a *AttemptRec) string {
@@ -326,15 +317,5 @@ func WriteSpanTrace(w io.Writer, spans []Span, opName func(uint8) string, worker
 		)
 	}
 
-	// Global stable sort by ts, metadata first — per-track monotonicity is
-	// what tracecheck verifies.
-	sort.SliceStable(evs, func(i, j int) bool {
-		mi, mj := evs[i].Ph == "M", evs[j].Ph == "M"
-		if mi != mj {
-			return mi
-		}
-		return evs[i].Ts < evs[j].Ts
-	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ns"})
+	return writeTrace(w, evs)
 }

@@ -165,40 +165,88 @@ func TestFlightExemplar(t *testing.T) {
 	}
 }
 
-// TestFlightConcurrentRecordSnapshot hammers one core's ring from its
-// writer while snapshotting from another goroutine; under -race this pins
-// the seqlock protocol, and every returned span must be internally
-// consistent (ID == Start by construction).
-func TestFlightConcurrentRecordSnapshot(t *testing.T) {
-	fr := NewFlightRecorder(1, 8)
-	r := NewSpanRecorder(fr, 0, time.Now(), TailPolicy{})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := uint64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			r.Begin(i, 1, i, 0, 0, 0)
-			r.TxAttemptStart()
-			r.TxAttemptEnd(true, false)
-			r.End(i+1, false)
-		}
-	}()
-	for n := 0; n < 200; n++ {
-		for _, sp := range fr.Snapshot() {
-			if sp.ID != sp.Start {
-				t.Errorf("torn span escaped the seqlock: ID=%d Start=%d", sp.ID, sp.Start)
-			}
-		}
-		_, _, _ = fr.Exemplar(0)
+// patSpan is a span whose every packed word is a function of its ID and
+// worker, so a copy mixing two spans' words cannot equal patSpan of its own
+// ID — the flight ring's torn-read oracle, like patLat for windows.
+func patSpan(id uint64, worker int) Span {
+	sp := Span{
+		ID: id, Op: uint8(id), Worker: int32(worker), Err: id%2 == 1, Kept: uint8(id % 3),
+		Start: id * 3, End: id*3 + id%1000, Decode: id * 5, Queue: id * 7, Tick: id * 11,
+		Fails: uint32(id * 13), Overflows: uint32(id * 17), NAttempts: uint32(id % (spanMaxAttempts + 1)),
 	}
-	close(stop)
+	for j := 0; j < int(sp.NAttempts); j++ {
+		start := id*19 + uint64(j)
+		sp.Attempts[j] = AttemptRec{
+			Start: start, End: start + id%97,
+			Cause: uint8((id + uint64(j)) % 3), Overflow: (id+uint64(j))%2 == 0,
+		}
+	}
+	return sp
+}
+
+// TestFlightConcurrentRecordSnapshot is the -race stress for the flight
+// rings and exemplars: four cores publish patterned spans flat out while
+// four readers snapshot them, and every escaped span and exemplar must
+// match the pattern word for word.
+func TestFlightConcurrentRecordSnapshot(t *testing.T) {
+	const cores, readers, passes = 4, 4, 200
+	fr := NewFlightRecorder(cores, 8)
+	var writers, wg sync.WaitGroup
+	stop := make(chan struct{})
+	var wrote [cores]uint64
+	for w := 0; w < cores; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for id := uint64(1); ; id++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sp := patSpan(id, w)
+				fr.Record(w, &sp)
+				wrote[w] = id
+			}
+		}(w)
+	}
+	var seen [readers]int
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; n < passes; n++ {
+				for _, sp := range fr.Snapshot() {
+					seen[r]++
+					if sp != patSpan(sp.ID, int(sp.Worker)) {
+						t.Errorf("torn span escaped the ring: %+v", sp)
+						return
+					}
+				}
+				for w := 0; w < cores; w++ {
+					id, lat, ok := fr.Exemplar(w)
+					if want := patSpan(id, w); ok && (want.Kept == 0 || lat != want.Latency()) {
+						t.Errorf("torn exemplar escaped the ring: id %d latency %d", id, lat)
+						return
+					}
+				}
+			}
+		}(r)
+	}
 	wg.Wait()
+	close(stop)
+	writers.Wait()
+	if seen[0]+seen[1]+seen[2]+seen[3] == 0 {
+		t.Fatal("readers never observed a span (vacuous stress)")
+	}
+	var wantRecorded, wantKept uint64
+	for _, n := range wrote {
+		wantRecorded += n
+		wantKept += n - n/3 // patSpan keeps every ID not divisible by 3
+	}
+	if recorded, kept := fr.Totals(); recorded != wantRecorded || kept != wantKept {
+		t.Fatalf("Totals = %d recorded, %d kept; want %d, %d", recorded, kept, wantRecorded, wantKept)
+	}
 }
 
 // traceShape parses a span trace and indexes it for structural asserts.

@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync/atomic"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // Stream is the mid-run view: per-core time-resolved windows (ops, fails
 // and a latency histogram each) that concurrent readers may snapshot WHILE
@@ -10,54 +13,41 @@ import "sync/atomic"
 // for a network service whose /metrics endpoint must report p99s during
 // the run.
 //
-// The reader-writer protocol is a per-slot seqlock over a bounded ring of
-// published windows:
+// The live window accumulates in writer-private plain fields (never read by
+// anyone else); when the clock crosses a window boundary the writer
+// publishes it as one seqRing record, and readers copy records out of the
+// ring, so every escaped snapshot is a window the writer committed whole.
+// The per-op cost stays a histogram observe plus two uncontended atomic
+// adds for the cumulative totals.
 //
-//   - Each core accumulates the live window in writer-private plain fields
-//     (never read by anyone else), so the per-op cost stays a histogram
-//     observe plus two uncontended atomic adds for the cumulative totals.
-//   - When the clock crosses a window boundary the writer publishes the
-//     window into its ring: bump the slot's sequence to odd, store every
-//     field with atomic stores, bump back to even. Publishing is the only
-//     place the shared slots are written, and it is allocation-free.
-//   - A reader copies a slot with atomic loads bracketed by two sequence
-//     reads, retrying on a mismatch (a publish raced the copy) and giving
-//     up on a slot after streamRetryLimit attempts. Every escaped snapshot
-//     is therefore a consistent window — the torn-read stress test pins
-//     exactly that — and because all shared accesses are atomic the
-//     protocol is clean under the race detector, not just in theory.
-//
-// Cumulative per-core op/fail totals are plain atomic counters readable at
-// any instant; they are monotonic, which the soak tests assert across
-// scrapes. The quiescent Core/Sampler contract is untouched: a Stream is an
-// additional sink, not a replacement, and attaching one keeps the hot path
-// at 0 allocs/op (pinned by budget tests here and in internal/serve).
+// Operations are counted once: an op is one latency observation, so the
+// cumulative op total, the cumulative histogram's count and a window's
+// Ops/Count are all the sum of the respective buckets. A reader therefore
+// never sees a count that disagrees with its own buckets, mid-run included.
+// The cumulative per-core counters are plain monotonic atomics readable at
+// any instant, which the soak tests assert across scrapes. The quiescent
+// Core/Sampler contract is untouched: a Stream is an additional sink, not a
+// replacement, and attaching one keeps the hot path at 0 allocs/op (pinned
+// by budget tests here and in internal/serve).
 type Stream struct {
 	every uint64
 	depth int
 	cores []streamCore
 }
 
-// streamRetryLimit bounds seqlock retries per slot before the reader skips
-// it: a slot that stays odd means its writer is mid-publish (or parked by a
-// test hook), and a metrics scrape must not spin on it.
-const streamRetryLimit = 8
-
 // StreamWindow is one consistent published window of one core (or, from
 // ReadMergedWindows, of all cores folded together).
 type StreamWindow struct {
 	// Start/End bound the window in the writer's clock units (the serve
-	// layer feeds host nanoseconds since server start; workload.Run feeds
-	// the backend op clock).
+	// layer feeds host nanoseconds since server start).
 	Start uint64 `json:"start"`
 	End   uint64 `json:"end"`
 	// Ops/Fails are the operations completed and validation/commit
 	// failures burned in the window.
 	Ops   uint64 `json:"ops"`
 	Fails uint64 `json:"fails"`
-	// Count/Sum/Max mirror the window latency histogram's aggregates
-	// (Count == Ops whenever every op ticks exactly once — the torn-read
-	// oracle relies on that).
+	// Count/Sum/Max are the window latency histogram's aggregates (Count
+	// == Ops: every op is one observation).
 	Count uint64 `json:"count"`
 	Sum   uint64 `json:"sum"`
 	Max   uint64 `json:"max"`
@@ -66,37 +56,27 @@ type StreamWindow struct {
 	P99 float64 `json:"p99"`
 }
 
-// streamSlot is one published window. All fields are atomics so concurrent
-// snapshot copies are race-clean; seq is the slot's seqlock (odd while a
-// publish is in flight).
-type streamSlot struct {
-	seq        atomic.Uint64
-	start, end atomic.Uint64
-	ops, fails atomic.Uint64
-	count, sum atomic.Uint64
-	max, min   atomic.Uint64
-	buckets    [histBuckets]atomic.Uint64
-}
+// windowWords is the size of a published window record: start, end, fails,
+// the latency histogram's sum, max and min, then its buckets.
+const windowWords = 6 + NumBuckets
 
 // streamCore is one core's streaming state: a writer-private live window
 // plus the shared ring and cumulative totals.
 type streamCore struct {
 	// Writer-private accumulation; only the owning goroutine touches these.
-	enrolled           bool
-	winStart           uint64
-	liveOps, liveFails uint64
-	live               Histogram
+	enrolled  bool
+	winStart  uint64
+	liveFails uint64
+	live      Histogram
 
 	// Shared with readers.
-	ops, fails atomic.Uint64 // cumulative, monotonic
-	published  atomic.Uint64 // windows published so far (ring head)
-	ring       []streamSlot
+	ring seqRing // published windows
 
-	// Cumulative latency histogram (count, sum, power-of-two buckets), all
-	// monotonic atomics: the Prometheus le-bucket exposition reads these
+	// Cumulative, monotonic: failures, and the latency histogram (sum and
+	// power-of-two buckets) the Prometheus le-bucket exposition reads
 	// mid-run, where the quiescence-only plain histograms would race.
-	cumCount, cumSum atomic.Uint64
-	cumBuckets       [histBuckets]atomic.Uint64
+	fails, cumSum atomic.Uint64
+	cumBuckets    [NumBuckets]atomic.Uint64
 
 	_ [64]byte // keep adjacent cores' hot atomics off one line
 }
@@ -113,7 +93,7 @@ func NewStream(n int, every uint64, depth int) *Stream {
 	}
 	s := &Stream{every: every, depth: depth, cores: make([]streamCore, n)}
 	for i := range s.cores {
-		s.cores[i].ring = make([]streamSlot, depth)
+		s.cores[i].ring = newSeqRing(depth, windowWords)
 	}
 	return s
 }
@@ -123,9 +103,6 @@ func (s *Stream) Every() uint64 { return s.every }
 
 // Depth returns the per-core ring capacity in windows.
 func (s *Stream) Depth() int { return s.depth }
-
-// NumCores returns the number of per-core streams.
-func (s *Stream) NumCores() int { return len(s.cores) }
 
 // Tick records one completed operation for core i: the clock at completion,
 // the op's latency, and the failures it burned. It must only be called by
@@ -140,7 +117,7 @@ func (s *Stream) Tick(i int, clock, latency, fails uint64) {
 		c.winStart = clock - clock%s.every
 	}
 	for clock-c.winStart >= s.every {
-		if c.liveOps == 0 && c.liveFails == 0 {
+		if c.live.count == 0 {
 			// Fast-forward an idle gap: anything older than the ring can
 			// hold would be overwritten unread, so publish at most depth
 			// empty windows.
@@ -151,84 +128,63 @@ func (s *Stream) Tick(i int, clock, latency, fails uint64) {
 		}
 		c.publish(s)
 	}
-	c.liveOps++
 	c.liveFails += fails
 	c.live.Observe(latency)
-	c.ops.Add(1)
 	if fails != 0 {
 		c.fails.Add(fails)
 	}
-	c.cumCount.Add(1)
 	c.cumSum.Add(latency)
-	c.cumBuckets[bucketOf(latency)].Add(1)
+	c.cumBuckets[BucketIndex(latency)].Add(1)
 }
 
 // Flush publishes core i's live window even though its interval has not
 // elapsed, so a final scrape after shutdown sees the run's tail. Writer-
 // side: same ownership rule as Tick.
 func (s *Stream) Flush(i int) {
-	c := &s.cores[i]
-	if !c.enrolled || (c.liveOps == 0 && c.liveFails == 0) {
-		return
+	if c := &s.cores[i]; c.live.count != 0 {
+		c.publish(s)
 	}
-	c.publish(s)
 }
 
-// publish moves the live window into the ring under the slot's seqlock.
+// publish moves the live window into the ring.
 func (c *streamCore) publish(s *Stream) {
-	slot := &c.ring[int(c.published.Load()%uint64(s.depth))]
-	slot.seq.Add(1) // odd: publish in flight
-	slot.start.Store(c.winStart)
-	slot.end.Store(c.winStart + s.every)
-	slot.ops.Store(c.liveOps)
-	slot.fails.Store(c.liveFails)
-	slot.count.Store(c.live.count)
-	slot.sum.Store(c.live.sum)
-	slot.max.Store(c.live.max)
-	slot.min.Store(c.live.Min())
-	for b := range slot.buckets {
-		slot.buckets[b].Store(c.live.buckets[b])
+	w := c.ring.begin()
+	w[0].Store(c.winStart)
+	w[1].Store(c.winStart + s.every)
+	w[2].Store(c.liveFails)
+	w[3].Store(c.live.sum)
+	w[4].Store(c.live.max)
+	w[5].Store(c.live.Min())
+	for b, n := range c.live.buckets {
+		w[6+b].Store(n)
 	}
-	slot.seq.Add(1) // even: consistent
-	c.published.Add(1)
+	c.ring.commit()
 	c.winStart += s.every
-	c.liveOps, c.liveFails = 0, 0
+	c.liveFails = 0
 	c.live.Reset()
 }
 
-// slotCopy is a reader's consistent copy of one slot.
+// slotCopy is a reader's consistent copy of one published window.
 type slotCopy struct {
-	start, end, ops, fails uint64
-	hist                   Histogram
+	start, end, fails uint64
+	hist              Histogram
 }
 
-// copySlot snapshots a slot under its seqlock. It reports whether a
-// consistent copy was obtained within the retry budget and how many
+// readWindow copies published window i out of the ring. It reports whether
+// a consistent copy was obtained within the retry budget and how many
 // retries were burned.
-func copySlot(slot *streamSlot, out *slotCopy) (ok bool, retries int) {
-	for attempt := 0; attempt < streamRetryLimit; attempt++ {
-		s1 := slot.seq.Load()
-		if s1%2 != 0 {
-			retries++
-			continue
-		}
-		out.start = slot.start.Load()
-		out.end = slot.end.Load()
-		out.ops = slot.ops.Load()
-		out.fails = slot.fails.Load()
-		out.hist.count = slot.count.Load()
-		out.hist.sum = slot.sum.Load()
-		out.hist.max = slot.max.Load()
-		out.hist.min = slot.min.Load()
-		for b := range out.hist.buckets {
-			out.hist.buckets[b] = slot.buckets[b].Load()
-		}
-		if slot.seq.Load() == s1 {
-			return true, retries
-		}
-		retries++
+func (c *streamCore) readWindow(i uint64, out *slotCopy) (ok bool, retries int) {
+	var w [windowWords]uint64
+	if ok, retries = c.ring.read(i, w[:]); !ok {
+		return false, retries
 	}
-	return false, retries
+	out.start, out.end, out.fails = w[0], w[1], w[2]
+	out.hist = Histogram{sum: w[3], max: w[4], min: w[5]}
+	for b := range out.hist.buckets {
+		out.hist.buckets[b] = w[6+b]
+		out.hist.count += w[6+b]
+	}
+	return true, retries
 }
 
 // window renders a slot copy as a StreamWindow.
@@ -236,7 +192,7 @@ func (sc *slotCopy) window() StreamWindow {
 	return StreamWindow{
 		Start: sc.start,
 		End:   sc.end,
-		Ops:   sc.ops,
+		Ops:   sc.hist.Count(),
 		Fails: sc.fails,
 		Count: sc.hist.Count(),
 		Sum:   sc.hist.Sum(),
@@ -255,14 +211,9 @@ func (s *Stream) ReadCore(i int, buf []StreamWindow) ([]StreamWindow, int) {
 	c := &s.cores[i]
 	buf = buf[:0]
 	retries := 0
-	head := c.published.Load()
-	lo := uint64(0)
-	if head > uint64(s.depth) {
-		lo = head - uint64(s.depth)
-	}
 	var sc slotCopy
-	for w := lo; w < head; w++ {
-		ok, r := copySlot(&c.ring[int(w%uint64(s.depth))], &sc)
+	for w, hi := c.ring.span(); w < hi; w++ {
+		ok, r := c.readWindow(w, &sc)
 		retries += r
 		if ok {
 			buf = append(buf, sc.window())
@@ -273,17 +224,19 @@ func (s *Stream) ReadCore(i int, buf []StreamWindow) ([]StreamWindow, int) {
 
 // CumulativeLatency sums the cores' cumulative latency histograms into
 // buckets (power-of-two, index = bits.Len64(latency)) and returns the total
-// count and sum. Every counter read is an atomic load of a monotonic
-// counter, so repeated scrapes never see a bucket, the count, or the sum
-// regress — exactly the contract a Prometheus counter histogram needs.
-// Safe at any time; buckets must have NumBuckets entries.
+// count and sum. The count is the sum of the buckets as read, so it always
+// equals the last cumulative bucket; every counter read is an atomic load
+// of a monotonic counter, so repeated scrapes never see a bucket, the
+// count, or the sum regress — exactly the contract a Prometheus counter
+// histogram needs. Safe at any time; buckets must have NumBuckets entries.
 func (s *Stream) CumulativeLatency(buckets *[NumBuckets]uint64) (count, sum uint64) {
 	for i := range s.cores {
 		c := &s.cores[i]
-		count += c.cumCount.Load()
 		sum += c.cumSum.Load()
 		for b := range buckets {
-			buckets[b] += c.cumBuckets[b].Load()
+			n := c.cumBuckets[b].Load()
+			buckets[b] += n
+			count += n
 		}
 	}
 	return count, sum
@@ -294,8 +247,11 @@ func (s *Stream) CumulativeLatency(buckets *[NumBuckets]uint64) (count, sum uint
 // tests assert it never regresses across scrapes. Safe at any time.
 func (s *Stream) Totals() (ops, fails uint64) {
 	for i := range s.cores {
-		ops += s.cores[i].ops.Load()
-		fails += s.cores[i].fails.Load()
+		c := &s.cores[i]
+		for b := range c.cumBuckets {
+			ops += c.cumBuckets[b].Load()
+		}
+		fails += c.fails.Load()
 	}
 	return ops, fails
 }
@@ -306,55 +262,30 @@ func (s *Stream) Totals() (ops, fails uint64) {
 // before computing quantiles. Windows come back sorted by Start. This is
 // the /metrics scrape path; unlike ReadCore it allocates.
 func (s *Stream) ReadMergedWindows() ([]StreamWindow, int) {
-	type agg struct {
-		ops, fails uint64
-		end        uint64
-		hist       Histogram
-	}
-	merged := map[uint64]*agg{}
+	merged := map[uint64]*slotCopy{}
 	retries := 0
 	var sc slotCopy
 	for i := range s.cores {
 		c := &s.cores[i]
-		head := c.published.Load()
-		lo := uint64(0)
-		if head > uint64(s.depth) {
-			lo = head - uint64(s.depth)
-		}
-		for w := lo; w < head; w++ {
-			ok, r := copySlot(&c.ring[int(w%uint64(s.depth))], &sc)
+		for w, hi := c.ring.span(); w < hi; w++ {
+			ok, r := c.readWindow(w, &sc)
 			retries += r
 			if !ok {
 				continue
 			}
-			a := merged[sc.start]
-			if a == nil {
-				a = &agg{end: sc.end}
-				merged[sc.start] = a
+			if a := merged[sc.start]; a != nil {
+				a.fails += sc.fails
+				a.hist.Merge(&sc.hist)
+			} else {
+				first := sc
+				merged[sc.start] = &first
 			}
-			a.ops += sc.ops
-			a.fails += sc.fails
-			a.hist.Merge(&sc.hist)
 		}
 	}
 	out := make([]StreamWindow, 0, len(merged))
-	for start, a := range merged {
-		out = append(out, StreamWindow{
-			Start: start,
-			End:   a.end,
-			Ops:   a.ops,
-			Fails: a.fails,
-			Count: a.hist.Count(),
-			Sum:   a.hist.Sum(),
-			Max:   a.hist.Max(),
-			P50:   a.hist.Quantile(0.50),
-			P99:   a.hist.Quantile(0.99),
-		})
+	for _, a := range merged {
+		out = append(out, a.window())
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Start > out[j].Start; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out, retries
 }

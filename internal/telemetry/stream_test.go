@@ -173,7 +173,7 @@ func TestStreamTornSlotSkipped(t *testing.T) {
 		t.Fatalf("baseline: windows=%d retries=%d, want 2, 0", len(wins), retries)
 	}
 
-	s.BeginTornPublishForTest(0) // window 1's slot now looks mid-publish
+	s.cores[0].ring.tearNewest() // window 1's slot now looks mid-publish
 	wins, retries = s.ReadCore(0, wins)
 	if len(wins) != 1 {
 		t.Fatalf("torn: windows = %d, want 1 (torn slot skipped)", len(wins))
@@ -181,15 +181,15 @@ func TestStreamTornSlotSkipped(t *testing.T) {
 	if wins[0].Start != 0 {
 		t.Fatalf("torn: surviving window start = %d, want 0", wins[0].Start)
 	}
-	if retries < StreamRetryLimit {
-		t.Fatalf("torn: retries = %d, want >= %d", retries, StreamRetryLimit)
+	if retries < seqRetryLimit {
+		t.Fatalf("torn: retries = %d, want >= %d", retries, seqRetryLimit)
 	}
 	merged, mretries := s.ReadMergedWindows()
-	if len(merged) != 1 || mretries < StreamRetryLimit {
+	if len(merged) != 1 || mretries < seqRetryLimit {
 		t.Fatalf("torn merged: windows=%d retries=%d", len(merged), mretries)
 	}
 
-	s.EndTornPublishForTest(0)
+	s.cores[0].ring.tearNewest() // heal
 	wins, retries = s.ReadCore(0, wins)
 	if len(wins) != 2 || retries != 0 {
 		t.Fatalf("healed: windows=%d retries=%d, want 2, 0", len(wins), retries)
@@ -294,6 +294,45 @@ func TestStreamConcurrentReaders(t *testing.T) {
 	}
 	t.Logf("readers saw %d consistent windows, %d+%d+%d+%d seqlock retries",
 		windowsSeen, sawRetries[0], sawRetries[1], sawRetries[2], sawRetries[3])
+}
+
+// TestStreamCumulativeCountMatchesBuckets pins the mid-run shape of the
+// cumulative histogram: on every read, with the writer ticking flat out,
+// the count is exactly the bucket total — what makes the Prometheus
+// exposition's _count, +Inf bucket and last finite bucket agree under load,
+// not just at quiescence.
+func TestStreamCumulativeCountMatchesBuckets(t *testing.T) {
+	s := NewStream(1, 1000, 4)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for c := uint64(0); !done.Load(); c++ {
+			s.Tick(0, c, c%4096, 0)
+		}
+	}()
+	var last uint64
+	for n := 0; n < 20000; n++ {
+		var buckets [NumBuckets]uint64
+		count, _ := s.CumulativeLatency(&buckets)
+		var total uint64
+		for _, b := range buckets {
+			total += b
+		}
+		if count != total {
+			t.Fatalf("read %d: count %d != bucket total %d", n, count, total)
+		}
+		if count < last {
+			t.Fatalf("read %d: count regressed: %d after %d", n, count, last)
+		}
+		last = count
+	}
+	done.Store(true)
+	wg.Wait()
+	if ops, _ := s.Totals(); ops < last {
+		t.Fatalf("quiescent total ops %d below a mid-run count %d", ops, last)
+	}
 }
 
 func TestStreamAllocFree(t *testing.T) {

@@ -46,23 +46,20 @@ func (c *Core) NoteVAS(ok bool) { noteStreak(&c.VASStreak, &c.vasRun, ok) }
 func (c *Core) NoteIAS(ok bool) { noteStreak(&c.IASStreak, &c.iasRun, ok) }
 
 // noteStreak folds one outcome into a failure-streak histogram: failures
-// extend the open run one at a time (each failure is observed as a streak
-// of its current length only when the run closes), successes close it.
+// extend the open run one at a time, successes close it, and a closed run is
+// recorded as one observation of its length. With this encoding every
+// individual failure contributes exactly 1 to the histogram's sum, so
+// sum(streaks) == backend failure counter.
 func noteStreak(h *Histogram, run *uint64, ok bool) {
 	if !ok {
 		*run++
 		return
 	}
 	if *run > 0 {
-		observeStreak(h, *run)
+		h.Observe(*run)
 		*run = 0
 	}
 }
-
-// observeStreak records a closed failure run as one observation of its
-// length. With this encoding every individual failure contributes exactly 1
-// to the histogram's sum, so sum(streaks) == backend failure counter.
-func observeStreak(h *Histogram, n uint64) { h.Observe(n) }
 
 // NoteTagOccupancy records the tag-set size after a successful tag insert.
 func (c *Core) NoteTagOccupancy(n int) { c.TagOccupancy.Observe(uint64(n)) }
@@ -78,15 +75,15 @@ func (c *Core) NoteFreeListLines(n uint64) { c.FreeListLines.Observe(n) }
 // backend failure counters. Call once, at quiescence, before reading.
 func (c *Core) Flush() {
 	if c.valRun > 0 {
-		observeStreak(&c.ValidateStreak, c.valRun)
+		c.ValidateStreak.Observe(c.valRun)
 		c.valRun = 0
 	}
 	if c.vasRun > 0 {
-		observeStreak(&c.VASStreak, c.vasRun)
+		c.VASStreak.Observe(c.vasRun)
 		c.vasRun = 0
 	}
 	if c.iasRun > 0 {
-		observeStreak(&c.IASStreak, c.iasRun)
+		c.IASStreak.Observe(c.iasRun)
 		c.iasRun = 0
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
+
+	"repro/internal/core"
 )
 
-// Perfetto export: the machine backend's Tracer event stream plus per-op
+// Perfetto export: a backend's core.Tracer event stream plus per-op
 // begin/end spans, converted to the Chrome trace-event JSON format that
 // ui.perfetto.dev (and chrome://tracing) load directly. Each simulated core
 // is one track; structure operations are duration slices on their core's
@@ -21,50 +24,38 @@ import (
 // non-measured mode: collection allocates (growing buffers), unlike the
 // histogram/sampler path.
 
-// TraceEvent is one backend event in exporter-neutral form. Name is the
-// backend's event-kind name (machine.EventKind.String()); Target >= 0
-// marks a cross-core message.
-type TraceEvent struct {
-	Name   string
-	Core   int
-	Target int // receiving core, or -1
-	Line   uint64
-	Cycle  uint64
-}
-
 // opSpan is one structure operation's begin/end on a core's track.
 type opSpan struct {
 	name       string
-	core       int
 	start, end uint64
 }
 
 // TraceCollector buffers events and op spans for export. Create one with
-// NewTraceCollector, install it as the backend's tracer (for the machine
-// backend via machine.TraceTo), feed op spans from the workload driver,
-// and WriteJSON at quiescence.
+// NewTraceCollector, install it as the backend's tracer (it is a
+// core.Tracer), feed op spans from the workload driver, and WriteJSON at
+// quiescence.
 type TraceCollector struct {
-	perCore [][]TraceEvent // single-writer: core i's goroutine appends to perCore[i]
+	perCore [][]core.Event // single-writer: core i's goroutine appends to perCore[i]
 	spans   [][]opSpan
 
 	// mu guards the overflow buffers for agents outside the core set (the
 	// ghost coherence agent reports core -1).
 	mu       sync.Mutex
-	overflow []TraceEvent
+	overflow []core.Event
 }
 
 // NewTraceCollector creates a collector for n cores.
 func NewTraceCollector(n int) *TraceCollector {
 	return &TraceCollector{
-		perCore: make([][]TraceEvent, n),
+		perCore: make([][]core.Event, n),
 		spans:   make([][]opSpan, n),
 	}
 }
 
-// Add records one backend event. Events with Core in [0, n) are buffered
-// without locking (the emitter is that core's goroutine); others (the
-// ghost agent's core -1) take the overflow mutex.
-func (c *TraceCollector) Add(ev TraceEvent) {
+// Trace records one backend event (core.Tracer). Events with Core in
+// [0, n) are buffered without locking (the emitter is that core's
+// goroutine); others (the ghost agent's core -1) take the overflow mutex.
+func (c *TraceCollector) Trace(ev core.Event) {
 	if ev.Core >= 0 && ev.Core < len(c.perCore) {
 		c.perCore[ev.Core] = append(c.perCore[ev.Core], ev)
 		return
@@ -83,7 +74,7 @@ func (c *TraceCollector) OpSpan(core int, name string, start, end uint64) {
 	if end < start {
 		end = start
 	}
-	c.spans[core] = append(c.spans[core], opSpan{name: name, core: core, start: start, end: end})
+	c.spans[core] = append(c.spans[core], opSpan{name: name, start: start, end: end})
 }
 
 // Events returns the number of buffered backend events.
@@ -124,71 +115,25 @@ const tracePid = 1
 // (core -1) is tid 0.
 func tidFor(core int) int { return core + 1 }
 
-// WriteJSON converts the buffered events and spans to Chrome trace-event
-// JSON and writes it. Events are globally sorted by timestamp (metadata
-// first), so timestamps are monotonic on every track — the property the CI
-// schema validator checks.
-func (c *TraceCollector) WriteJSON(w io.Writer) error {
-	var evs []jsonEvent
+// threadName is the metadata event that labels one track.
+func threadName(pid, tid int, name string) jsonEvent {
+	return jsonEvent{
+		Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+		Args: map[string]any{"name": name},
+	}
+}
 
-	// Track-name metadata so Perfetto labels each core.
-	addMeta := func(tid int, name string) {
-		evs = append(evs, jsonEvent{
-			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tid,
-			Args: map[string]any{"name": name},
-		})
-	}
-	for i := range c.perCore {
-		addMeta(tidFor(i), coreName(i))
-	}
-	if len(c.overflow) > 0 {
-		addMeta(tidFor(-1), "ghost agent")
-	}
+// coreTrack labels core i's machine-domain track.
+func coreTrack(i int) jsonEvent {
+	return threadName(tracePid, tidFor(i), "core "+strconv.Itoa(i))
+}
 
-	// Op spans as complete ("X") duration events.
-	for core := range c.spans {
-		for _, sp := range c.spans[core] {
-			evs = append(evs, jsonEvent{
-				Name: sp.name, Cat: "op", Ph: "X",
-				Ts: sp.start, Dur: sp.end - sp.start,
-				Pid: tracePid, Tid: tidFor(core),
-			})
-		}
-	}
-
-	// Backend events: instants everywhere; cross-core messages additionally
-	// get a flow arrow from sender track to receiver track.
-	flowID := 0
-	emit := func(ev TraceEvent) {
-		evs = append(evs, jsonEvent{
-			Name: ev.Name, Cat: "coherence", Ph: "i",
-			Ts: ev.Cycle, Pid: tracePid, Tid: tidFor(ev.Core),
-			Args: map[string]any{"line": ev.Line},
-		})
-		if ev.Target >= 0 {
-			flowID++
-			evs = append(evs, jsonEvent{
-				Name: ev.Name, Cat: "coherence", Ph: "s",
-				Ts: ev.Cycle, Pid: tracePid, Tid: tidFor(ev.Core), ID: flowID,
-			})
-			evs = append(evs, jsonEvent{
-				Name: ev.Name, Cat: "coherence", Ph: "f", BP: "e",
-				Ts: ev.Cycle + 1, Pid: tracePid, Tid: tidFor(ev.Target), ID: flowID,
-			})
-		}
-	}
-	for core := range c.perCore {
-		for _, ev := range c.perCore[core] {
-			emit(ev)
-		}
-	}
-	for _, ev := range c.overflow {
-		emit(ev)
-	}
-
-	// Global timestamp sort (metadata events stay first at ts 0; the sort
-	// is stable so same-ts events keep their emission order, which keeps a
-	// flow start before its finish when both land on the same microsecond).
+// writeTrace is the tail both exporters share: sort globally by timestamp
+// with metadata first — so timestamps are monotonic on every track, the
+// property bench/tracecheck verifies — and encode. The sort is stable, so
+// same-ts events keep their emission order, which keeps a flow start before
+// its finish when both land on the same microsecond.
+func writeTrace(w io.Writer, evs []jsonEvent) error {
 	sort.SliceStable(evs, func(i, j int) bool {
 		mi, mj := evs[i].Ph == "M", evs[j].Ph == "M"
 		if mi != mj {
@@ -196,15 +141,62 @@ func (c *TraceCollector) WriteJSON(w io.Writer) error {
 		}
 		return evs[i].Ts < evs[j].Ts
 	})
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ns"})
+	return json.NewEncoder(w).Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ns"})
 }
 
-func coreName(i int) string {
-	const digits = "0123456789"
-	if i < 10 {
-		return "core " + string(digits[i])
+// WriteJSON converts the buffered events and spans to Chrome trace-event
+// JSON and writes it.
+func (c *TraceCollector) WriteJSON(w io.Writer) error {
+	var evs []jsonEvent
+
+	// Track-name metadata so Perfetto labels each core.
+	for i := range c.perCore {
+		evs = append(evs, coreTrack(i))
 	}
-	return "core " + string(digits[i/10]) + string(digits[i%10])
+	if len(c.overflow) > 0 {
+		evs = append(evs, threadName(tracePid, tidFor(-1), "ghost agent"))
+	}
+
+	// Op spans as complete ("X") duration events.
+	for i := range c.spans {
+		for _, sp := range c.spans[i] {
+			evs = append(evs, jsonEvent{
+				Name: sp.name, Cat: "op", Ph: "X",
+				Ts: sp.start, Dur: sp.end - sp.start,
+				Pid: tracePid, Tid: tidFor(i),
+			})
+		}
+	}
+
+	// Backend events: instants everywhere; cross-core messages additionally
+	// get a flow arrow from sender track to receiver track.
+	flowID := 0
+	emit := func(ev core.Event) {
+		name := ev.Kind.String()
+		evs = append(evs, jsonEvent{
+			Name: name, Cat: "coherence", Ph: "i",
+			Ts: ev.Cycle, Pid: tracePid, Tid: tidFor(ev.Core),
+			Args: map[string]any{"line": ev.Line},
+		})
+		if ev.Target >= 0 {
+			flowID++
+			evs = append(evs, jsonEvent{
+				Name: name, Cat: "coherence", Ph: "s",
+				Ts: ev.Cycle, Pid: tracePid, Tid: tidFor(ev.Core), ID: flowID,
+			})
+			evs = append(evs, jsonEvent{
+				Name: name, Cat: "coherence", Ph: "f", BP: "e",
+				Ts: ev.Cycle + 1, Pid: tracePid, Tid: tidFor(ev.Target), ID: flowID,
+			})
+		}
+	}
+	for i := range c.perCore {
+		for _, ev := range c.perCore[i] {
+			emit(ev)
+		}
+	}
+	for _, ev := range c.overflow {
+		emit(ev)
+	}
+	return writeTrace(w, evs)
 }

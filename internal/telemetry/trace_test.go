@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestTraceCollectorWriteJSON(t *testing.T) {
 	c := NewTraceCollector(2)
 	c.OpSpan(0, "Insert", 100, 250)
 	c.OpSpan(1, "Contains", 120, 180)
-	c.Add(TraceEvent{Name: "TagAdd", Core: 0, Target: -1, Line: 17, Cycle: 110})
-	c.Add(TraceEvent{Name: "Invalidation", Core: 0, Target: 1, Line: 17, Cycle: 200})
-	c.Add(TraceEvent{Name: "TagEvicted", Core: -1, Target: 1, Line: 9, Cycle: 0}) // ghost
+	c.Trace(core.Event{Kind: core.EvTagAdd, Core: 0, Target: -1, Line: 17, Cycle: 110})
+	c.Trace(core.Event{Kind: core.EvInvalidation, Core: 0, Target: 1, Line: 17, Cycle: 200})
+	c.Trace(core.Event{Kind: core.EvTagEvicted, Core: -1, Target: 1, Line: 9, Cycle: 0}) // ghost
 
 	if c.Events() != 3 {
 		t.Fatalf("Events() = %d, want 3", c.Events())
@@ -69,11 +71,22 @@ func TestTraceCollectorWriteJSON(t *testing.T) {
 			t.Errorf("flow %d: sequence %v, want [s f]", id, seq)
 		}
 	}
+
+	// The machine scales to 512 cores; track names must too.
+	wide := NewTraceCollector(128)
+	wide.Trace(core.Event{Kind: core.EvTagAdd, Core: 127, Target: -1, Line: 1, Cycle: 1})
+	buf.Reset()
+	if err := wide.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"name":"core 127"`)) {
+		t.Error("128-core export does not name the track of core 127")
+	}
 }
 
 func TestTraceCollectorGhostOverflow(t *testing.T) {
 	c := NewTraceCollector(1)
-	c.Add(TraceEvent{Name: "Invalidation", Core: -1, Target: 0, Line: 1, Cycle: 5})
+	c.Trace(core.Event{Kind: core.EvInvalidation, Core: -1, Target: 0, Line: 1, Cycle: 5})
 	if len(c.overflow) != 1 {
 		t.Fatal("ghost event not routed to the overflow buffer")
 	}

@@ -15,12 +15,12 @@ type tagEventRecorder struct {
 	events []string
 }
 
-func (r *tagEventRecorder) Trace(e machine.Event) {
+func (r *tagEventRecorder) Trace(e core.Event) {
 	switch e.Kind {
-	case machine.EvTagAdd, machine.EvTagRemove, machine.EvTagEvicted,
-		machine.EvValidateOK, machine.EvValidateFail,
-		machine.EvCommitVAS, machine.EvCommitIAS,
-		machine.EvVASFail, machine.EvIASFail:
+	case core.EvTagAdd, core.EvTagRemove, core.EvTagEvicted,
+		core.EvValidateOK, core.EvValidateFail,
+		core.EvCommitVAS, core.EvCommitIAS,
+		core.EvVASFail, core.EvIASFail:
 		r.events = append(r.events, fmt.Sprintf("%s line=%d", e.Kind, e.Line))
 	}
 }

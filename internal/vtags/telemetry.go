@@ -2,17 +2,16 @@ package vtags
 
 import (
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/telemetry"
 )
 
 // Observability for the emulation. The vtags backend has no cost model, so
 // its clock is logical: every memory/tag operation advances the thread's
 // tick counter by one, and per-op "latency" reads as memory operations per
-// structure operation. Tracing reuses the machine backend's Event/Tracer
+// structure operation. Tracing speaks the shared core.Event/core.Tracer
 // vocabulary so the same Perfetto exporter (and the backend-differential
 // parity test) consumes both: the emulation emits exactly the tag-relevant
-// subset of machine.EventKind — TagAdd/TagRemove/TagEvicted, Validate*,
+// subset of core.EventKind — TagAdd/TagRemove/TagEvicted, Validate*,
 // Commit*/VAS/IAS failures — with ticks in the Cycle field. Conflicts are
 // not traced at *detection* (a failed Validate names no line): on hardware
 // the TagEvicted event belongs to the writer that invalidated the line,
@@ -21,7 +20,7 @@ import (
 
 // SetTracer installs (or removes, with nil) a tracer receiving the
 // emulation's tag events. Only call while quiescent.
-func (m *Memory) SetTracer(tr machine.Tracer) { m.tracer = tr }
+func (m *Memory) SetTracer(tr core.Tracer) { m.tracer = tr }
 
 // SetTelemetry attaches (or with nil detaches) per-thread telemetry
 // recorders: thread i writes into s.Core(i) from its own goroutine. Only
@@ -47,14 +46,14 @@ func (t *Thread) OpClock() (clock, fails uint64) { return t.ticks, t.fails }
 
 // emit delivers a tag event if a tracer is installed; like the machine's
 // emit, the guard is small enough to inline so untraced runs pay a branch.
-func (t *Thread) emit(kind machine.EventKind, target int, line core.Line) {
+func (t *Thread) emit(kind core.EventKind, target int, line core.Line) {
 	if t.m.tracer != nil {
 		t.emitSlow(kind, target, line)
 	}
 }
 
-func (t *Thread) emitSlow(kind machine.EventKind, target int, line core.Line) {
-	t.m.tracer.Trace(machine.Event{
+func (t *Thread) emitSlow(kind core.EventKind, target int, line core.Line) {
+	t.m.tracer.Trace(core.Event{
 		Kind:   kind,
 		Core:   t.id,
 		Target: target,

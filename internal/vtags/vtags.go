@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/reclaim"
 	"repro/internal/telemetry"
@@ -49,7 +48,7 @@ type Memory struct {
 	maxTags int
 	// tracer, when non-nil, receives the tag-relevant subset of the
 	// machine backend's events (see telemetry.go).
-	tracer machine.Tracer
+	tracer core.Tracer
 
 	// tagOverflows counts tag-set overflow latches (AddTag past maxTags);
 	// tagEvictions counts eviction latches (ForceTagEviction plus RemoveTag
@@ -272,7 +271,7 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		if t.tel != nil {
 			t.tel.NoteTagOccupancy(len(t.tags))
 		}
-		t.emit(machine.EvTagAdd, -1, l)
+		t.emit(core.EvTagAdd, -1, l)
 	}
 	return true
 }
@@ -299,7 +298,7 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 				if t.rec != nil {
 					t.rec.Retract(l)
 				}
-				t.emit(machine.EvTagRemove, -1, l)
+				t.emit(core.EvTagRemove, -1, l)
 				break
 			}
 		}
@@ -333,10 +332,10 @@ func (t *Thread) Validate() bool {
 	}
 	if ok {
 		t.noteValidatedTags()
-		t.emit(machine.EvValidateOK, -1, 0)
+		t.emit(core.EvValidateOK, -1, 0)
 	} else {
 		t.fails++
-		t.emit(machine.EvValidateFail, -1, 0)
+		t.emit(core.EvValidateFail, -1, 0)
 	}
 	return ok
 }
@@ -373,7 +372,7 @@ func (t *Thread) ForceTagEviction(l core.Line) bool {
 		t.m.tagEvictions.Add(1)
 	}
 	t.evicted = true // latch failure, like a recorded eviction
-	t.emit(machine.EvTagEvicted, -1, l)
+	t.emit(core.EvTagEvicted, -1, l)
 	return true
 }
 
@@ -468,9 +467,9 @@ func (t *Thread) noteCommit(ok, invalidateTags bool, target core.Line) {
 			t.tel.NoteIAS(ok)
 		}
 		if ok {
-			t.emit(machine.EvCommitIAS, -1, target)
+			t.emit(core.EvCommitIAS, -1, target)
 		} else {
-			t.emit(machine.EvIASFail, -1, target)
+			t.emit(core.EvIASFail, -1, target)
 		}
 		return
 	}
@@ -478,9 +477,9 @@ func (t *Thread) noteCommit(ok, invalidateTags bool, target core.Line) {
 		t.tel.NoteVAS(ok)
 	}
 	if ok {
-		t.emit(machine.EvCommitVAS, -1, target)
+		t.emit(core.EvCommitVAS, -1, target)
 	} else {
-		t.emit(machine.EvVASFail, -1, target)
+		t.emit(core.EvVASFail, -1, target)
 	}
 }
 

@@ -65,11 +65,6 @@ type Config struct {
 	// Sampler, when non-nil, is enrolled at phase start and ticked once
 	// per completed operation, producing the run's time-series windows.
 	Sampler *telemetry.Sampler
-	// Stream, when non-nil, is ticked once per completed operation with
-	// the backend clock, the op's clock delta and its failure delta —
-	// unlike Sampler its windows are readable mid-run (seqlock protocol).
-	// Allocation-free; requires OpClock like Telemetry.
-	Stream *telemetry.Stream
 	// Trace, when non-nil, receives one op span per structure operation
 	// for the Perfetto export. Unlike Telemetry/Sampler this allocates
 	// (growing buffers); leave nil for measured runs.
@@ -170,7 +165,7 @@ func Run(mem core.Memory, s intset.Set, cfg Config) Counts {
 			}
 			// Per-op telemetry reads the backend clock around each op.
 			var oc opClocked
-			if cfg.Telemetry != nil || cfg.Sampler != nil || cfg.Trace != nil || cfg.Stream != nil {
+			if cfg.Telemetry != nil || cfg.Sampler != nil || cfg.Trace != nil {
 				oc, _ = th.(opClocked)
 			}
 			var tel *telemetry.Core
@@ -204,9 +199,6 @@ func Run(mem core.Memory, s intset.Set, cfg Config) Counts {
 					}
 					if cfg.Sampler != nil {
 						cfg.Sampler.Tick(w, c1, f1)
-					}
-					if cfg.Stream != nil {
-						cfg.Stream.Tick(w, c1, c1-c0, f1-f0)
 					}
 					if cfg.Trace != nil {
 						cfg.Trace.OpSpan(w, opName(op), c0, c1)
