@@ -330,6 +330,91 @@ func BenchmarkMicro_SnapshotTaggedVsDoubleCollect(b *testing.B) {
 	})
 }
 
+// vtagsBatch is the number of calls one iteration of the vtags rung makes.
+// CI runs the bench lane at -benchtime 1x, where a single 5-100 ns call
+// reads as timer noise (LoadL1Hit: 186-347 ns in bench/baseline.txt); a
+// fixed batch per iteration, reported per call, is what makes the rung
+// gateable.
+const vtagsBatch = 1 << 14
+
+// reportPerCall overrides ns/op with the cost of one call of the batch.
+func reportPerCall(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/vtagsBatch, "ns/op")
+}
+
+// BenchmarkMicro_VtagsValidate is the bottom rung of the served-path ladder:
+// one Validate over a tag set of n distinct lines on the vtags backend. The
+// slope, ns per tag, is the number to watch — it is what every tagged
+// tx.Read pays per line already in its read set.
+func BenchmarkMicro_VtagsValidate(b *testing.B) {
+	for _, n := range []int{1, 8, 16, 32} {
+		b.Run(map[int]string{1: "tags=1", 8: "tags=8", 16: "tags=16", 32: "tags=32"}[n], func(b *testing.B) {
+			m := vtags.New(1<<20, 1)
+			th := m.Thread(0)
+			base := m.Alloc(core.WordsPerLine * n)
+			th.AddTag(base, core.LineSize*n)
+			ok := th.TagCount() == n
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < vtagsBatch; j++ {
+					ok = th.Validate() && ok
+				}
+			}
+			reportPerCall(b)
+			if !ok {
+				b.Fatal("quiet tag set failed validation")
+			}
+		})
+	}
+}
+
+// BenchmarkMicro_VtagsAddTag is the other per-read primitive. hit re-tags
+// the newest of 16 held lines — a tree node's child pointer after its key —
+// which adds nothing; miss fills an empty set with 32 distinct lines and
+// clears it, so the mean call scans 15.5 entries, resolves the line's state
+// and appends.
+func BenchmarkMicro_VtagsAddTag(b *testing.B) {
+	const lines = 32
+	setup := func() (core.Thread, core.Addr) {
+		m := vtags.New(1<<20, 1)
+		return m.Thread(0), m.Alloc(core.WordsPerLine * lines)
+	}
+	b.Run("hit", func(b *testing.B) {
+		th, base := setup()
+		th.AddTag(base, core.LineSize*16)
+		newest := base + 15*core.LineSize + core.WordSize
+		ok := true
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < vtagsBatch; j++ {
+				ok = th.AddTag(newest, core.WordSize) && ok
+			}
+		}
+		reportPerCall(b)
+		if !ok || th.TagCount() != 16 {
+			b.Fatalf("re-tag changed the set: ok=%v, %d tags", ok, th.TagCount())
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		th, base := setup()
+		th.Store(base, 0) // install the line-state chunk outside the timer
+		ok := true
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < vtagsBatch/lines; j++ {
+				for l := 0; l < lines; l++ {
+					ok = th.AddTag(base+core.Addr(l*core.LineSize), core.WordSize) && ok
+				}
+				th.ClearTagSet()
+			}
+		}
+		reportPerCall(b)
+		if !ok {
+			b.Fatal("AddTag within the tag budget failed")
+		}
+	})
+}
+
 // BenchmarkHostOverhead measures how many *simulated* operations each
 // backend completes per host second — the figure of merit for the host-time
 // engineering work (see EXPERIMENTS.md, "Host-time engineering"). Each

@@ -349,7 +349,7 @@ func (t *HoHTree) cleanupPass(th core.Thread, key uint64, guard func() bool) boo
 		leaf, flagged, kc := t.ly.readMeta(th, l)
 		if l != t.sentinel {
 			if flagged {
-				t.fixFlag(th, gp, p, l, idxP, idxL, guard)
+				t.fixFlag(th, key, gp, p, l, idxP, idxL, guard)
 				return false
 			}
 			deg := kc
@@ -363,7 +363,7 @@ func (t *HoHTree) cleanupPass(th core.Thread, key uint64, guard func() bool) boo
 						return false
 					}
 				} else {
-					t.fixDegree(th, gp, p, l, idxP, idxL, guard)
+					t.fixDegree(th, key, gp, p, l, idxP, idxL, guard)
 					return false
 				}
 			}
@@ -391,8 +391,50 @@ func (t *HoHTree) checkChild(th core.Thread, parent core.Addr, idx int, child co
 	return core.Addr(th.Load(t.ly.ptrAddr(parent, idx))) == child
 }
 
+// tagAncestor tags gp, the node whose child slot a fix step will swing,
+// reporting false if the step must be abandoned. cleanupPass found gp by an
+// untagged descent, so gp may already have been replaced by a copy that
+// still points at p. Without a pool a fix that lands on such a gp is
+// harmless. With one it is not: the fix would retire p and its children
+// while they are reachable through the copy. So with a pool gp is reached by
+// a tagged hand-over-hand descent toward key instead: gp was then in the tree
+// when tagged, every IAS bumps each node it detaches, and the fix's own IAS
+// validates gp — hence gp is still in the tree when the fix commits. On
+// success gp is the only line left tagged.
+func (t *HoHTree) tagAncestor(th core.Thread, key uint64, gp core.Addr) bool {
+	nb := t.ly.nodeBytes()
+	if t.pool == nil || gp == t.sentinel {
+		th.AddTag(gp, nb)
+		return true
+	}
+	prev, cur := core.NilAddr, t.sentinel
+	th.AddTag(cur, nb)
+	for {
+		if !th.Validate() {
+			return false
+		}
+		if !prev.IsNil() {
+			th.RemoveTag(prev, nb)
+		}
+		if cur == gp {
+			return true
+		}
+		leaf, _, kc := t.ly.readMeta(th, cur)
+		if leaf {
+			return false
+		}
+		keys := make([]uint64, kc)
+		for i := range keys {
+			keys[i] = th.Load(t.ly.keyAddr(cur, i))
+		}
+		next := core.Addr(th.Load(t.ly.ptrAddr(cur, childIndex(keys, key))))
+		th.AddTag(next, nb)
+		prev, cur = cur, next
+	}
+}
+
 // fixFlag is the tagged version of RootUntag / AbsorbChild / PropagateFlag.
-func (t *HoHTree) fixFlag(th core.Thread, gp, p, l core.Addr, idxP, idxL int, guard func() bool) {
+func (t *HoHTree) fixFlag(th core.Thread, key uint64, gp, p, l core.Addr, idxP, idxL int, guard func() bool) {
 	nb := t.ly.nodeBytes()
 	defer th.ClearTagSet()
 	if p == t.sentinel {
@@ -419,8 +461,7 @@ func (t *HoHTree) fixFlag(th core.Thread, gp, p, l core.Addr, idxP, idxL int, gu
 		}
 		return
 	}
-	th.AddTag(gp, nb)
-	if !t.checkChild(th, gp, idxP, p) {
+	if !t.tagAncestor(th, key, gp) || !t.checkChild(th, gp, idxP, p) {
 		return
 	}
 	th.AddTag(p, nb)
@@ -490,11 +531,10 @@ func (t *HoHTree) fixRootAbsorb(th core.Thread, p, l core.Addr, guard func() boo
 // here; the explicit pointer re-checks after tagging plus the IAS
 // validation give the same protection the LLX/SCX version gets from
 // finalized-node detection.
-func (t *HoHTree) fixDegree(th core.Thread, gp, p, l core.Addr, idxP, idxL int, guard func() bool) {
+func (t *HoHTree) fixDegree(th core.Thread, key uint64, gp, p, l core.Addr, idxP, idxL int, guard func() bool) {
 	nb := t.ly.nodeBytes()
 	defer th.ClearTagSet()
-	th.AddTag(gp, nb)
-	if !t.checkChild(th, gp, idxP, p) {
+	if !t.tagAncestor(th, key, gp) || !t.checkChild(th, gp, idxP, p) {
 		return
 	}
 	th.AddTag(p, nb)
@@ -511,7 +551,7 @@ func (t *HoHTree) fixDegree(th core.Thread, gp, p, l core.Addr, idxP, idxL int, 
 	if sFlagged {
 		// Clear our partial tag set before fixing the sibling's flag.
 		th.ClearTagSet()
-		t.fixFlag(th, gp, p, s, idxP, si, guard)
+		t.fixFlag(th, key, gp, p, s, idxP, si, guard)
 		return
 	}
 	leftIdx := idxL

@@ -180,6 +180,9 @@ type Handle struct {
 	// the owner and are never compacted, so concurrent scans see a stable
 	// (if conservative) view.
 	ann []atomic.Uint64
+	// annHigh bounds the owner's own sweeps: every slot at or above it is
+	// empty. Owner-private — scanners still read all of ann.
+	annHigh int
 }
 
 // Enter marks the start of a structure operation: the thread publishes the
@@ -206,23 +209,27 @@ func (h *Handle) Exit() {
 // Announce records that the owner thread tagged line l. Called by the
 // backend from AddTag.
 func (h *Handle) Announce(l core.Line) {
-	for i := range h.ann {
+	for i := range h.ann[:h.annHigh] {
 		if h.ann[i].Load() == 0 {
 			h.ann[i].Store(uint64(l) + 1)
 			return
 		}
 	}
-	// The backend's tag set is bounded by maxTags, so a full table means
-	// announcements leaked; fail loudly rather than silently dropping a
-	// safety signal.
-	panic("reclaim: tag announcement table full")
+	if h.annHigh == len(h.ann) {
+		// The backend's tag set is bounded by maxTags, so a full table means
+		// announcements leaked; fail loudly rather than silently dropping a
+		// safety signal.
+		panic("reclaim: tag announcement table full")
+	}
+	h.ann[h.annHigh].Store(uint64(l) + 1)
+	h.annHigh++
 }
 
 // Retract drops the announcement for line l, if present. Called by the
 // backend from RemoveTag.
 func (h *Handle) Retract(l core.Line) {
 	v := uint64(l) + 1
-	for i := range h.ann {
+	for i := range h.ann[:h.annHigh] {
 		if h.ann[i].Load() == v {
 			h.ann[i].Store(0)
 			return
@@ -233,11 +240,12 @@ func (h *Handle) Retract(l core.Line) {
 // RetractAll drops every announcement. Called by the backend from
 // ClearTagSet.
 func (h *Handle) RetractAll() {
-	for i := range h.ann {
+	for i := range h.ann[:h.annHigh] {
 		if h.ann[i].Load() != 0 {
 			h.ann[i].Store(0)
 		}
 	}
+	h.annHigh = 0
 }
 
 // GuardActive reports whether the use-after-free guard is on, so backends

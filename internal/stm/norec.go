@@ -329,8 +329,13 @@ func (tx *Tx) spinSeq() uint64 {
 
 // Read is TXRead: return the transactionally consistent value at a.
 func (tx *Tx) Read(a core.Addr) uint64 {
-	if i, ok := tx.wIndex[a]; ok {
-		return tx.writes[i].val
+	// Read-your-own-writes. wIndex is empty exactly when writes is, and every
+	// GET and the read-only prefix of every update would otherwise pay a map
+	// probe per read for a map known to be empty.
+	if len(tx.writes) != 0 {
+		if i, ok := tx.wIndex[a]; ok {
+			return tx.writes[i].val
+		}
 	}
 	if tx.useTags {
 		if !tx.th.AddTag(a, core.WordSize) {

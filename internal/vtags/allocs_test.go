@@ -87,6 +87,11 @@ func TestHotPathAllocFreeWithTelemetry(t *testing.T) {
 		}
 		th.ClearTagSet()
 	})
+	assertZeroAllocs(t, "RemoveTag+telemetry", func() {
+		th.AddTag(a, core.LineSize)
+		th.RemoveTag(a, core.LineSize)
+		th.ClearTagSet()
+	})
 	assertZeroAllocs(t, "VAS+telemetry", func() {
 		th.AddTag(a, core.LineSize)
 		v := th.Load(a)

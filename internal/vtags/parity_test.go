@@ -2,6 +2,7 @@ package vtags_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -35,8 +36,9 @@ type tagThread interface {
 // runParityWorkload drives one thread through a deterministic script
 // covering every tag-event-producing path: multi-line tagging, successful
 // and failing validation, VAS/IAS commits and their failures (via forced
-// eviction and overflow), and tag removal.
-func runParityWorkload(th tagThread, base core.Addr, maxTags int) {
+// eviction and overflow), tag removal, and re-tagging a line already in the
+// set. It returns the TagCount observed after each re-tag step.
+func runParityWorkload(th tagThread, base core.Addr, maxTags int) (counts []int) {
 	lineAddr := func(i int) core.Addr { return base + core.Addr(i*core.LineSize) }
 
 	// Happy path: tag two lines, validate, VAS into one, untag, IAS.
@@ -67,6 +69,24 @@ func runParityWorkload(th tagThread, base core.Addr, maxTags int) {
 	th.AddTag(lineAddr(3), core.LineSize)
 	th.Validate()
 	th.ClearTagSet()
+
+	// Re-tagging a held line — the same word, a second word of the newest
+	// line (a tree node's key, then its child pointer), an older line, and a
+	// span that is half held — adds only the lines not yet in the set.
+	th.AddTag(lineAddr(0), core.WordSize)
+	th.AddTag(lineAddr(1), core.WordSize)
+	counts = append(counts, th.TagCount())
+	th.AddTag(lineAddr(1), core.WordSize)
+	th.AddTag(lineAddr(1)+3*core.WordSize, core.WordSize)
+	th.AddTag(lineAddr(0), core.LineSize)
+	counts = append(counts, th.TagCount())
+	th.AddTag(lineAddr(1), core.LineSize*2)
+	counts = append(counts, th.TagCount())
+	th.Validate()
+	th.VAS(lineAddr(1), 12)
+	th.Validate()
+	th.ClearTagSet()
+	return counts
 }
 
 // TestBackendTagEventParity pins tracing parity between the two backends:
@@ -100,8 +120,11 @@ func TestBackendTagEventParity(t *testing.T) {
 		vth.Store(vbase+core.Addr(i*core.LineSize), 1)
 	}
 
-	runParityWorkload(mth, mbase, maxTags)
-	runParityWorkload(vth, vbase, maxTags)
+	mcounts := runParityWorkload(mth, mbase, maxTags)
+	vcounts := runParityWorkload(vth, vbase, maxTags)
+	if want := []int{2, 2, 3}; !slices.Equal(mcounts, want) || !slices.Equal(vcounts, want) {
+		t.Errorf("TagCount across re-tags: machine %v, vtags %v, want %v", mcounts, vcounts, want)
+	}
 
 	// Compare kinds only alongside line offsets from each backend's base:
 	// absolute lines differ between address spaces.

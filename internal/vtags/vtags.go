@@ -33,8 +33,13 @@ import (
 // and installed on first touch, mirroring mem.Space: emulated spaces are
 // sized generously but sparsely touched, and zeroing per-line state for
 // the whole space dominated Memory construction cost.
+//
+// version counts the writes to the line: every Store, successful CAS and
+// VAS/IAS bump adds exactly 1 while holding mu, so it only grows and its
+// parity means nothing. Readers (AddTag, Validate, RemoveTag) load it
+// without the lock; "unchanged since AddTag" is the whole tag check.
 type lineState struct {
-	version uint64 // even = unlocked, odd = write in progress
+	version atomic.Uint64
 	mu      sync.Mutex
 }
 
@@ -103,11 +108,16 @@ func newThread(m *Memory, id int) *Thread {
 		id:      id,
 		arena:   mem.NewArena(m.space),
 		tags:    make([]tagEntry, 0, m.maxTags),
-		lockBuf: make([]core.Line, 0, m.maxTags+1),
+		lockBuf: make([]tagEntry, 0, m.maxTags+1),
 	}
 }
 
-// lineAt returns line l's state, installing its chunk on first touch.
+// lineAt returns line l's state, installing its chunk on first touch: two
+// dependent loads (chunk pointer, then the state) plus the index arithmetic.
+// Only AddTag, Store, CAS and an untagged commit target pay it; a chunk is
+// installed once (CAS from nil) and never replaced or freed while the Memory
+// lives, so the pointer is stable and tagEntry caches it — every later
+// per-tag step is one dependent load through the entry.
 func (m *Memory) lineAt(l core.Line) *lineState {
 	ci := uint64(l) / mem.ChunkLines
 	c := m.lines[ci].Load()
@@ -157,16 +167,6 @@ func (m *Memory) SetReclaim(d *reclaim.Domain) {
 	}
 }
 
-// lineVersion reads a line's version with acquire semantics.
-func (m *Memory) lineVersion(l core.Line) uint64 {
-	return atomic.LoadUint64(&m.lineAt(l).version)
-}
-
-// bumpLineLocked advances a line's version; the caller holds the line lock.
-func (m *Memory) bumpLineLocked(l core.Line) {
-	atomic.AddUint64(&m.lineAt(l).version, 1)
-}
-
 // Thread is one emulated core's handle.
 type Thread struct {
 	m  *Memory
@@ -180,7 +180,7 @@ type Thread struct {
 	tags []tagEntry
 	// lockBuf is scratch for the sorted line set locked by commit, reused
 	// across attempts (the machine backend's Thread.lockSet analogue).
-	lockBuf  []core.Line
+	lockBuf  []tagEntry
 	overflow bool
 	// evicted latches a conflict or forced eviction observed on a line
 	// whose tag has since been dropped (RemoveTag) or targeted
@@ -201,10 +201,16 @@ type Thread struct {
 	rec *reclaim.Handle
 }
 
+// tagEntry is one tagged line: the line state resolved at AddTag time (see
+// lineAt for why the pointer stays valid) and the version recorded then.
 type tagEntry struct {
-	line    core.Line
+	ls      *lineState
 	version uint64
+	line    core.Line
 }
+
+// current reports whether the line is unwritten since the tag was recorded.
+func (e *tagEntry) current() bool { return e.ls.version.Load() == e.version }
 
 var _ core.Thread = (*Thread)(nil)
 
@@ -226,7 +232,7 @@ func (t *Thread) Store(a core.Addr, v uint64) {
 	ls := t.m.lineAt(a.Line())
 	ls.mu.Lock()
 	t.m.space.AtomicWrite(a, v)
-	atomic.AddUint64(&ls.version, 1)
+	ls.version.Add(1)
 	t.retagLocked(a.Line())
 	ls.mu.Unlock()
 }
@@ -239,7 +245,7 @@ func (t *Thread) CAS(a core.Addr, old, new uint64) bool {
 	ok := t.m.space.Read(a) == old
 	if ok {
 		t.m.space.AtomicWrite(a, new)
-		atomic.AddUint64(&ls.version, 1)
+		ls.version.Add(1)
 		t.retagLocked(a.Line())
 	}
 	ls.mu.Unlock()
@@ -254,7 +260,7 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		return true
 	}
 	for l := first; l <= last; l++ {
-		if t.tagged(l) {
+		if t.tagIndex(l) >= 0 {
 			continue
 		}
 		if len(t.tags) >= t.m.maxTags {
@@ -264,7 +270,8 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 			t.overflow = true
 			return false
 		}
-		t.tags = append(t.tags, tagEntry{line: l, version: t.m.lineVersion(l)})
+		ls := t.m.lineAt(l)
+		t.tags = append(t.tags, tagEntry{ls: ls, version: ls.version.Load(), line: l})
 		if t.rec != nil {
 			t.rec.Announce(l)
 		}
@@ -288,7 +295,7 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 	for l := first; l <= last; l++ {
 		for i, e := range t.tags {
 			if e.line == l {
-				if t.m.lineVersion(l) != e.version {
+				if !e.current() {
 					if !t.evicted {
 						t.m.tagEvictions.Add(1)
 					}
@@ -305,28 +312,34 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 	}
 }
 
-func (t *Thread) tagged(l core.Line) bool {
-	for _, e := range t.tags {
-		if e.line == l {
-			return true
+// tagIndex returns the position of l's entry in the tag set, or -1. It
+// scans newest-first: the common re-tag is of the line tagged last (a tree
+// node's key and child pointer share a line), which then hits at once.
+func (t *Thread) tagIndex(l core.Line) int {
+	for i := len(t.tags) - 1; i >= 0; i-- {
+		if t.tags[i].line == l {
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// tagsCurrent reports whether every tagged line still has its recorded
+// version.
+func (t *Thread) tagsCurrent() bool {
+	for i := range t.tags {
+		if !t.tags[i].current() {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate reports whether every tagged line still has its recorded
 // version.
 func (t *Thread) Validate() bool {
 	t.ticks++
-	ok := !t.overflow && !t.evicted
-	if ok {
-		for _, e := range t.tags {
-			if t.m.lineVersion(e.line) != e.version {
-				ok = false
-				break
-			}
-		}
-	}
+	ok := !t.overflow && !t.evicted && t.tagsCurrent()
 	if t.tel != nil {
 		t.tel.NoteValidate(ok)
 	}
@@ -365,7 +378,7 @@ func (t *Thread) TagCount() int { return len(t.tags) }
 // traversal window already slid past it — is left alone and false is
 // reported.
 func (t *Thread) ForceTagEviction(l core.Line) bool {
-	if !t.tagged(l) {
+	if t.tagIndex(l) < 0 {
 		return false
 	}
 	if !t.evicted {
@@ -407,49 +420,41 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	// Reuse the per-thread lock buffer and sort it closure-free: the set
 	// is bounded by maxTags+1, so insertion sort over the reused buffer
 	// beats rebuilding a slice and sort.Slice on every commit attempt.
-	lines := t.lockBuf[:0]
-	for _, e := range t.tags {
-		lines = append(lines, e.line)
+	locks := append(t.lockBuf[:0], t.tags...)
+	ti := t.tagIndex(target)
+	var tls *lineState
+	if ti >= 0 {
+		tls = t.tags[ti].ls
+	} else {
+		tls = t.m.lineAt(target)
+		locks = append(locks, tagEntry{ls: tls, line: target})
 	}
-	if !t.tagged(target) {
-		lines = append(lines, target)
+	sortByLine(locks)
+	t.lockBuf = locks
+	for i := range locks {
+		locks[i].ls.mu.Lock()
 	}
-	insertionSortLines(lines)
-	t.lockBuf = lines
-	for _, l := range lines {
-		t.m.lineAt(l).mu.Lock()
-	}
-	ok := true
-	for _, e := range t.tags {
-		if t.m.lineVersion(e.line) != e.version {
-			ok = false
-			break
-		}
-	}
+	ok := t.tagsCurrent()
 	if ok {
 		t.noteValidatedTags()
 		t.m.space.AtomicWrite(a, v)
+		// All bumps happen under the lines' locks, so Add's result is the
+		// version our own tag must now record: our later validations don't
+		// fail on our own write.
 		if invalidateTags {
 			for i := range t.tags {
-				t.m.bumpLineLocked(t.tags[i].line)
-				t.tags[i].version = t.m.lineVersion(t.tags[i].line)
+				e := &t.tags[i]
+				e.version = e.ls.version.Add(1)
 			}
-			if !t.tagged(target) {
-				t.m.bumpLineLocked(target)
+			if ti < 0 {
+				tls.version.Add(1)
 			}
-		} else {
-			t.m.bumpLineLocked(target)
-			// Our own tag on the target (if any) tracks the new version so
-			// our later validations don't fail on our own write.
-			for i := range t.tags {
-				if t.tags[i].line == target {
-					t.tags[i].version = t.m.lineVersion(target)
-				}
-			}
+		} else if nv := tls.version.Add(1); ti >= 0 {
+			t.tags[ti].version = nv
 		}
 	}
-	for i := len(lines) - 1; i >= 0; i-- {
-		t.m.lineAt(lines[i]).mu.Unlock()
+	for i := len(locks) - 1; i >= 0; i-- {
+		locks[i].ls.mu.Unlock()
 	}
 	t.noteCommit(ok, invalidateTags, target)
 	return ok
@@ -483,14 +488,14 @@ func (t *Thread) noteCommit(ok, invalidateTags bool, target core.Line) {
 	}
 }
 
-// insertionSortLines sorts a small line slice in place. The commit lock set
-// is bounded by maxTags+1, where insertion sort beats sort.Slice and avoids
-// the closure allocation on every attempt.
-func insertionSortLines(s []core.Line) {
+// sortByLine sorts a small lock set in place by line number, the global
+// lock order. The set is bounded by maxTags+1, where insertion sort beats
+// sort.Slice and avoids the closure allocation on every attempt.
+func sortByLine(s []tagEntry) {
 	for i := 1; i < len(s); i++ {
 		v := s[i]
 		j := i - 1
-		for j >= 0 && s[j] > v {
+		for j >= 0 && s[j].line > v.line {
 			s[j+1] = s[j]
 			j--
 		}
@@ -502,10 +507,7 @@ func insertionSortLines(s []core.Line) {
 // line l, if any: like hardware, a core's own write does not invalidate its
 // own tag. The caller holds l's lock.
 func (t *Thread) retagLocked(l core.Line) {
-	for i := range t.tags {
-		if t.tags[i].line == l {
-			t.tags[i].version = t.m.lineVersion(l)
-			return
-		}
+	if i := t.tagIndex(l); i >= 0 {
+		t.tags[i].version = t.tags[i].ls.version.Load()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 )
 
 func TestLoadStoreCAS(t *testing.T) {
@@ -229,5 +230,51 @@ func TestConcurrentIASCounter(t *testing.T) {
 	wg.Wait()
 	if got := m.Thread(0).Load(ctr); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
+	}
+}
+
+// TestTagOnRacedFirstTouch guards the line-state pointer a tag entry caches.
+// Thread A tags a line in a chunk nobody has touched while thread B stores
+// into the same chunk, so the two race to install it; whichever install
+// loses, A's entry must point at the state B's stores bump. A later store to
+// the tagged line must therefore fail A's validation, and a store to a
+// neighbouring line must not.
+func TestTagOnRacedFirstTouch(t *testing.T) {
+	const chunks = 32
+	const chunkBytes = mem.ChunkLines * core.LineSize
+	m := New((chunks+1)*chunkBytes, 2)
+	ta, tb := m.Thread(0), m.Thread(1)
+	base := m.Alloc(chunks * mem.ChunkLines * core.WordsPerLine)
+
+	for k := 0; k < chunks; k++ {
+		a := base + core.Addr(k*chunkBytes)
+		racing := a // even chunks: B's racing store hits the tagged line itself
+		if k%2 == 1 {
+			racing = a + core.LineSize
+		}
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(2)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			ta.AddTag(a, core.WordSize)
+		}()
+		go func() {
+			defer done.Done()
+			start.Wait()
+			tb.Store(racing, 1)
+		}()
+		start.Done()
+		done.Wait()
+
+		if racing != a && !ta.Validate() {
+			t.Fatalf("chunk %d: a store to the neighbouring line failed the tag", k)
+		}
+		tb.Store(a, 2)
+		if ta.Validate() {
+			t.Fatalf("chunk %d: store to a line tagged during a raced first touch not detected", k)
+		}
+		ta.ClearTagSet()
 	}
 }
