@@ -334,18 +334,25 @@ func BenchmarkMicro_SnapshotTaggedVsDoubleCollect(b *testing.B) {
 // CI runs the bench lane at -benchtime 1x, where a single 5-100 ns call
 // reads as timer noise (LoadL1Hit: 186-347 ns in bench/baseline.txt); a
 // fixed batch per iteration, reported per call, is what makes the rung
-// gateable.
-const vtagsBatch = 1 << 14
+// gateable. At 3 ns a call the batch is just under a millisecond, which is
+// what the lane's flatness check (tags=32 against tags=1) needs.
+const vtagsBatch = 1 << 18
 
-// reportPerCall overrides ns/op with the cost of one call of the batch.
-func reportPerCall(b *testing.B) {
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/vtagsBatch, "ns/op")
+// reportPerCall overrides ns/op with the cost of one call of a batch of the
+// given size.
+func reportPerCall(b *testing.B, batch int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch), "ns/op")
 }
 
 // BenchmarkMicro_VtagsValidate is the bottom rung of the served-path ladder:
-// one Validate over a tag set of n distinct lines on the vtags backend. The
-// slope, ns per tag, is the number to watch — it is what every tagged
-// tx.Read pays per line already in its read set.
+// one Validate over a tag set of n distinct lines on the vtags backend. A
+// quiet tag set costs one load of the thread's dirty flag whatever n is —
+// the CI bench lane checks tags=32 against tags=1 — and it is what every
+// tagged tx.Read pays. dirty prices the other path at 16 tags: before each
+// call a second thread stores a line outside the tag set on which the
+// validating thread still has a sharer bit from earlier, so every Validate
+// finds its flag raised and scans. The store is inside the timed region
+// (one iteration is too short to time the calls apart).
 func BenchmarkMicro_VtagsValidate(b *testing.B) {
 	for _, n := range []int{1, 8, 16, 32} {
 		b.Run(map[int]string{1: "tags=1", 8: "tags=8", 16: "tags=16", 32: "tags=32"}[n], func(b *testing.B) {
@@ -360,23 +367,57 @@ func BenchmarkMicro_VtagsValidate(b *testing.B) {
 					ok = th.Validate() && ok
 				}
 			}
-			reportPerCall(b)
+			reportPerCall(b, vtagsBatch)
 			if !ok {
 				b.Fatal("quiet tag set failed validation")
 			}
 		})
 	}
+	b.Run("dirty", func(b *testing.B) {
+		const n = 16
+		const calls = 1 << 14 // one shared line each
+		m := vtags.New(4<<20, 2)
+		th, writer := m.Thread(0), m.Thread(1)
+		base := m.Alloc(core.WordsPerLine * n)
+		shared := m.Alloc(core.WordsPerLine * calls)
+		th.AddTag(base, core.LineSize*n)
+		ok := th.TagCount() == n
+		for j := 0; j < calls; j++ { // first touch of the shared lines
+			writer.Store(shared+core.Addr(j*core.LineSize), 0)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// A store takes the reader's bit off the line it writes, so the
+			// batch needs a fresh sticky bit per call: tag and untag each
+			// shared line, off the clock.
+			b.StopTimer()
+			for j := 0; j < calls; j++ {
+				a := shared + core.Addr(j*core.LineSize)
+				th.AddTag(a, core.WordSize)
+				th.RemoveTag(a, core.WordSize)
+			}
+			b.StartTimer()
+			for j := 0; j < calls; j++ {
+				writer.Store(shared+core.Addr(j*core.LineSize), uint64(i))
+				ok = th.Validate() && ok
+			}
+		}
+		reportPerCall(b, calls)
+		if !ok {
+			b.Fatal("a store outside the tag set failed validation")
+		}
+	})
 }
 
 // BenchmarkMicro_VtagsAddTag is the other per-read primitive. hit re-tags
 // the newest of 16 held lines — a tree node's child pointer after its key —
-// which adds nothing; miss fills an empty set with 32 distinct lines and
-// clears it, so the mean call scans 15.5 entries, resolves the line's state
-// and appends.
+// which adds nothing; miss fills an empty set with 64 distinct lines and
+// clears it, so the mean call finds 31.5 lines held, proves the line is not
+// among them, resolves its state and appends.
 func BenchmarkMicro_VtagsAddTag(b *testing.B) {
-	const lines = 32
+	const lines = 64
 	setup := func() (core.Thread, core.Addr) {
-		m := vtags.New(1<<20, 1)
+		m := vtags.New(1<<20, 1, vtags.WithMaxTags(lines))
 		return m.Thread(0), m.Alloc(core.WordsPerLine * lines)
 	}
 	b.Run("hit", func(b *testing.B) {
@@ -390,7 +431,7 @@ func BenchmarkMicro_VtagsAddTag(b *testing.B) {
 				ok = th.AddTag(newest, core.WordSize) && ok
 			}
 		}
-		reportPerCall(b)
+		reportPerCall(b, vtagsBatch)
 		if !ok || th.TagCount() != 16 {
 			b.Fatalf("re-tag changed the set: ok=%v, %d tags", ok, th.TagCount())
 		}
@@ -408,7 +449,7 @@ func BenchmarkMicro_VtagsAddTag(b *testing.B) {
 				th.ClearTagSet()
 			}
 		}
-		reportPerCall(b)
+		reportPerCall(b, vtagsBatch)
 		if !ok {
 			b.Fatal("AddTag within the tag budget failed")
 		}

@@ -158,10 +158,22 @@ func (s *List) swing(th core.Thread, owner core.Addr, slot core.Addr, old, new u
 // find locates the insertion window for key on every level, helping unlink
 // marked nodes. It returns the per-level predecessors and successors and
 // whether an unmarked bottom-level node holds key.
+//
+// find never reports key absent while a node holding key is still among the
+// successors it returns — the node the walk stopped at on the bottom level,
+// marked after the walk passed it, or one it stopped at on an upper level
+// before the deleter's top-down marking got there. Such a node is a deleted
+// twin, marked on every level by now, and an Insert(key) given that window
+// would link its new node directly in front of it. Every later find(key)
+// stops at the new node, so the twin's deleter could never reach the twin
+// to unlink it and would retire a tower that is still linked: once
+// recycled under a smaller key, the stale pointer closes a cycle. Walking
+// again unlinks the twin instead.
 func (s *List) find(th core.Thread, key uint64, preds, succs *[MaxLevel]core.Addr) bool {
 retry:
 	for {
 		pred := s.head
+		twinAbove := false
 		for level := MaxLevel - 1; level >= 0; level-- {
 			curr := core.Addr(clearMark(th.Load(nextAddr(pred, level))))
 			for {
@@ -174,18 +186,28 @@ retry:
 					curr = core.Addr(clearMark(nextW))
 					nextW = th.Load(nextAddr(curr, level))
 				}
-				if keyOf(th, curr) < key {
+				k := keyOf(th, curr)
+				if k < key {
 					pred = curr
 					curr = core.Addr(clearMark(nextW))
-				} else {
-					break
+					continue
 				}
+				if k == key && level > 0 {
+					twinAbove = true
+				}
+				break
 			}
 			preds[level] = pred
 			succs[level] = curr
 		}
 		n := succs[0]
-		return keyOf(th, n) == key && !isMarked(th.Load(nextAddr(n, 0)))
+		if keyOf(th, n) == key {
+			if !isMarked(th.Load(nextAddr(n, 0))) {
+				return true
+			}
+		} else if !twinAbove {
+			return false
+		}
 	}
 }
 

@@ -200,8 +200,12 @@ func (tm *TM) Run(th core.Thread, fn func(tx *Tx)) {
 }
 
 // Prepare preallocates one reusable transaction per thread id for
-// RunCached. Call once, while quiescent, before any RunCached call.
+// RunCached. Call while quiescent, before any RunCached call; a TM already
+// prepared for at least that many threads is left as it is.
 func (tm *TM) Prepare(threads int) {
+	if len(tm.cached) >= threads {
+		return
+	}
 	tm.cached = make([]*Tx, threads)
 	for i := range tm.cached {
 		tm.cached[i] = &Tx{tm: tm, wIndex: make(map[core.Addr]int, 8)}
@@ -292,8 +296,13 @@ func (tx *Tx) runHooks(committed bool) {
 // advisory-tags fallback).
 func (tx *Tx) begin() {
 	tx.reads = tx.reads[:0]
-	tx.writes = tx.writes[:0]
-	clear(tx.wIndex) // keep the map: reattempts and cached txs reuse it
+	// wIndex is empty exactly when writes is (the rule Read's probe relies
+	// on), so only an attempt that follows a writing one pays for the clear.
+	// The map itself is kept: reattempts and cached txs reuse it.
+	if len(tx.writes) != 0 {
+		clear(tx.wIndex)
+		tx.writes = tx.writes[:0]
+	}
 	tx.commitHooks = tx.commitHooks[:0]
 	tx.abortHooks = tx.abortHooks[:0]
 	tx.useTags = tx.tm.tagged && tx.tagAborts < tagAbortLimit

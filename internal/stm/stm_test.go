@@ -276,7 +276,12 @@ func TestTaggedValidatesEveryRead(t *testing.T) {
 // TestReadYourOwnWritesAfterReads: Read consults the write set only once it
 // is non-empty, so the first write arriving after a read-only prefix must
 // switch every later read of that address to the buffered value, while
-// addresses never written keep coming from memory.
+// addresses never written keep coming from memory. begin empties the write
+// index only after an attempt that wrote, so writing and read-only
+// transactions alternate on the cached Tx: a read-only one must see memory,
+// not the previous write set, and the writing one after it must start from
+// an empty index (it writes in the opposite order, so a surviving entry
+// would point at the wrong slot).
 func TestReadYourOwnWritesAfterReads(t *testing.T) {
 	const n = 12
 	for _, mk := range []func(core.Memory) *TM{NewNOrec, NewTagged} {
@@ -289,31 +294,51 @@ func TestReadYourOwnWritesAfterReads(t *testing.T) {
 			addrs[i] = mem.Alloc(1)
 			th.Store(addrs[i], uint64(100+i))
 		}
-		// Twice on the cached transaction: the second run starts from a
-		// write set the first one filled and begin emptied.
-		for round := uint64(0); round < 2; round++ {
+		const rounds = 4
+		for round := uint64(0); round < rounds; round++ {
+			// at(j) is the j'th address this round visits: forward on even
+			// rounds, backward on odd ones.
+			at := func(j int) int {
+				if round%2 == 1 {
+					return n - 1 - j
+				}
+				return j
+			}
 			tm.RunCached(th, func(tx *Tx) {
 				for i, a := range addrs {
 					if got, want := tx.Read(a), 100+uint64(i)+round; got != want {
 						t.Fatalf("round %d: read-only prefix read %d at %d, want %d", round, got, i, want)
 					}
 				}
-				for i, a := range addrs {
-					tx.Write(a, 101+uint64(i)+round)
-					if got, want := tx.Read(a), 101+uint64(i)+round; got != want {
+				for j := 0; j < n; j++ {
+					i := at(j)
+					tx.Write(addrs[i], 101+uint64(i)+round)
+					if got, want := tx.Read(addrs[i]), 101+uint64(i)+round; got != want {
 						t.Fatalf("round %d: read %d after writing %d at %d", round, got, want, i)
 					}
-					if i+1 < n {
-						if got, want := tx.Read(addrs[i+1]), 100+uint64(i+1)+round; got != want {
-							t.Fatalf("round %d: unwritten address %d read %d, want %d", round, i+1, got, want)
+					if j+1 < n {
+						next := at(j + 1)
+						if got, want := tx.Read(addrs[next]), 100+uint64(next)+round; got != want {
+							t.Fatalf("round %d: unwritten address %d read %d, want %d", round, next, got, want)
 						}
 					}
 				}
 			})
+			// Two read-only transactions: the first begins after a writing
+			// attempt, the second after a read-only one.
+			for k := 0; k < 2; k++ {
+				tm.RunCached(th, func(tx *Tx) {
+					for i, a := range addrs {
+						if got, want := tx.Read(a), 101+uint64(i)+round; got != want {
+							t.Fatalf("round %d: read-only tx %d read %d at %d, want %d", round, k, got, i, want)
+						}
+					}
+				})
+			}
 		}
 		for i, a := range addrs {
-			if got := th.Load(a); got != 102+uint64(i) {
-				t.Fatalf("tagged=%v: committed %d at %d, want %d", tm.Tagged(), got, i, 102+i)
+			if got := th.Load(a); got != 100+rounds+uint64(i) {
+				t.Fatalf("tagged=%v: committed %d at %d, want %d", tm.Tagged(), got, i, 100+rounds+i)
 			}
 		}
 	}

@@ -26,12 +26,12 @@ func RunTx(m *Manager, th core.Thread, s *history.Shard, fn func(tx *stm.Tx)) {
 	idx := s.BeginTx()
 	attempts := 0
 	var last *stm.Tx
-	m.tm.Run(th, func(tx *stm.Tx) {
+	m.tm.RunCached(th, func(tx *stm.Tx) {
 		attempts++
 		last = tx
 		fn(tx)
 	})
-	// After Run returns, last still holds the committed attempt's
+	// After RunCached returns, last still holds the committed attempt's
 	// footprint (see stm.Tx.ReadSet).
 	last.ReadSet(func(a core.Addr, v uint64) { s.TxRead(idx, uint64(a), v) })
 	last.WriteSet(func(a core.Addr, v uint64) { s.TxWrite(idx, uint64(a), v) })

@@ -64,8 +64,13 @@ type Manager struct {
 	customers *txmap.Map
 }
 
-// NewManager creates an empty reservation system using the given STM.
+// NewManager creates an empty reservation system using the given STM, and
+// prepares the STM's per-thread cached transactions for every thread of mem:
+// Populate, Client and RunTx go through RunCached, so steady-state
+// transactions allocate nothing. (CheckTables reads every table in one
+// transaction and keeps to Run, so that read set is not retained.)
 func NewManager(mem core.Memory, tm *stm.TM) *Manager {
+	tm.Prepare(mem.NumThreads())
 	m := &Manager{mem: mem, tm: tm, customers: txmap.New(mem)}
 	for k := 0; k < numKinds; k++ {
 		m.resources[k] = txmap.New(mem)
@@ -275,15 +280,15 @@ func PaperParams() Params {
 }
 
 // runner executes one transaction body to commit; the default runner is
-// m.tm.Run on the client's thread, and the serializability suite swaps in
-// a recording runner (see RunTx).
+// m.tm.RunCached on the client's thread, and the serializability suite
+// swaps in a recording runner (see RunTx).
 type runner func(fn func(tx *stm.Tx))
 
 // Populate fills the tables as STAMP does: every relation id in [1, r]
 // gets an initial capacity and random price in each resource table, and
 // every id becomes a customer.
 func Populate(m *Manager, th core.Thread, p Params, seed int64) {
-	populateWith(m, th, p, seed, func(fn func(tx *stm.Tx)) { m.tm.Run(th, fn) })
+	populateWith(m, th, p, seed, func(fn func(tx *stm.Tx)) { m.tm.RunCached(th, fn) })
 }
 
 func populateWith(m *Manager, th core.Thread, p Params, seed int64, run runner) {
@@ -309,7 +314,7 @@ func populateWith(m *Manager, th core.Thread, p Params, seed int64, run runner) 
 // STAMP mix, deterministic in seed. It returns the number of transactions
 // executed.
 func Client(m *Manager, th core.Thread, p Params, seed int64) int {
-	return clientWith(m, th, p, seed, func(fn func(tx *stm.Tx)) { m.tm.Run(th, fn) })
+	return clientWith(m, th, p, seed, func(fn func(tx *stm.Tx)) { m.tm.RunCached(th, fn) })
 }
 
 func clientWith(m *Manager, th core.Thread, p Params, seed int64, run runner) int {

@@ -14,9 +14,14 @@ import (
 // subset of core.EventKind — TagAdd/TagRemove/TagEvicted, Validate*,
 // Commit*/VAS/IAS failures — with ticks in the Cycle field. Conflicts are
 // not traced at *detection* (a failed Validate names no line): on hardware
-// the TagEvicted event belongs to the writer that invalidated the line,
-// and the emulation has no per-line tagger index to attribute it, so only
-// explicit ForceTagEviction emits TagEvicted here.
+// the TagEvicted event belongs to the writer that invalidated the line.
+// The emulation does keep a per-line sharer index now (the mask in
+// lineState.word), and a writer knows whose bits it took, but the index is
+// deliberately imprecise: bits are sticky, so a taken bit says the thread
+// tagged the line at some point, not that it holds a tag now, and threads
+// beyond the mask's width are not in it at all. TagEvicted attribution is
+// therefore still not claimed, and only explicit ForceTagEviction emits
+// TagEvicted here.
 
 // SetTracer installs (or removes, with nil) a tracer receiving the
 // emulation's tag events. Only call while quiescent.
@@ -45,13 +50,16 @@ func (m *Memory) SetTelemetry(s *telemetry.Set) {
 func (t *Thread) OpClock() (clock, fails uint64) { return t.ticks, t.fails }
 
 // emit delivers a tag event if a tracer is installed; like the machine's
-// emit, the guard is small enough to inline so untraced runs pay a branch.
+// emit, the guard is small enough to inline so untraced runs pay a branch
+// (CI greps the compiler's -m output for it). emitSlow must stay out of
+// line for that: inlined into emit it pushes emit over the budget.
 func (t *Thread) emit(kind core.EventKind, target int, line core.Line) {
 	if t.m.tracer != nil {
 		t.emitSlow(kind, target, line)
 	}
 }
 
+//go:noinline
 func (t *Thread) emitSlow(kind core.EventKind, target int, line core.Line) {
 	t.m.tracer.Trace(core.Event{
 		Kind:   kind,

@@ -7,19 +7,50 @@
 // and so the cost of a software emulation can be compared against the
 // hardware model as an ablation.
 //
-// Every cache line has a 64-bit version; writers bump it under a per-line
-// spin mutex. AddTag records (line, version); Validate compares. VAS/IAS
-// lock the tagged lines plus the target in address order, re-check the
-// versions, and commit — IAS additionally bumps the version of every
-// tagged line, which is exactly the "invalidate all tagged lines at other
-// cores" semantics (any other thread's tag on those lines now fails).
+// Every cache line has a 48-bit version; writers bump it under a per-line
+// spin mutex. AddTag records (line, version); a tag is current while the
+// version is unchanged. VAS/IAS lock the tagged lines plus the target in
+// address order, re-check the versions, and commit — IAS additionally bumps
+// the version of every tagged line, which is exactly the "invalidate all
+// tagged lines at other cores" semantics (any other thread's tag on those
+// lines now fails).
+//
+// Validate does not re-read the versions. Like the paper's L1, each thread
+// keeps one flag that *writers* raise, found through a directory: the
+// version shares its atomic word with a sharer mask, one bit per thread.
+// AddTag turns the caller's bit on (a CAS only when it is off); a writer's
+// bump takes every other thread's bit in the same CAS and then raises each
+// taken thread's dirty flag. Validate is one load of that flag; only when it
+// is set does the thread scan its versions, once. Four ordering rules make
+// this exact:
+//
+//  1. A writer stores the data word before it bumps, so a tag sampled after
+//     the bump never covers the old word.
+//  2. Version bump and bit take are one CAS: "my bit is gone" and "my tag is
+//     stale" are the same event, so a current tag always has its bit on.
+//  3. The flags are raised after that CAS and before the line unlocks. A
+//     Validate between the two answers as it would have between the word
+//     store and the bump — a window the writer has always had; nothing the
+//     writer does later can be observed first.
+//  4. Validate clears the flag before it scans, never after: a bump landing
+//     mid-scan re-raises it for the next call instead of being wiped.
+//
+// Sharer bits are sticky — RemoveTag and ClearTagSet leave them on, like a
+// directory that is not told about silent evictions. Deregistering would be
+// a second atomic RMW per tag per transaction; a stale bit instead costs its
+// owner one scan when the line is next written, and can never fail a
+// validation, because the scan only looks at tags the thread still holds.
+// The lines every transaction re-reads (a structure's top levels) keep
+// their bits on, so steady-state readers write nothing.
 //
 // Unlike hardware tags there are no spurious evictions, so validation here
-// fails only on real conflicts. There is also no ABA window: a line whose
-// value was restored still fails validation because its version moved.
+// fails only on real conflicts. There is also no ABA window within 2^48
+// writes to one line during one tag's life: a line whose value was restored
+// still fails validation because its version moved.
 package vtags
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -34,14 +65,24 @@ import (
 // sized generously but sparsely touched, and zeroing per-line state for
 // the whole space dominated Memory construction cost.
 //
-// version counts the writes to the line: every Store, successful CAS and
-// VAS/IAS bump adds exactly 1 while holding mu, so it only grows and its
-// parity means nothing. Readers (AddTag, Validate, RemoveTag) load it
-// without the lock; "unchanged since AddTag" is the whole tag check.
+// word packs the line's version (high 48 bits) with its sharer mask (low
+// sharerBits bits, bit i for thread id i). The version counts the writes to
+// the line: every Store, successful CAS and VAS/IAS bump adds exactly 1
+// while holding mu, wrapping at 2^48 off the top of the word, so its parity
+// means nothing. Readers (AddTag, RemoveTag, a dirty Validate) load the word
+// without the lock; "version unchanged since AddTag" is the whole tag check.
+// Only sharer bits change outside mu, and only from off to on. The struct
+// must stay 16 bytes: it exists once per touched line.
 type lineState struct {
-	version atomic.Uint64
-	mu      sync.Mutex
+	word atomic.Uint64
+	mu   sync.Mutex
 }
+
+const (
+	sharerBits  = 16
+	sharerMask  = 1<<sharerBits - 1
+	versionUnit = 1 << sharerBits
+)
 
 type lineChunk [mem.ChunkLines]lineState
 
@@ -103,13 +144,22 @@ func newThread(m *Memory, id int) *Thread {
 	// The tag set is bounded by maxTags and the commit lock set by
 	// maxTags+1; sizing the reused buffers up front keeps every memory/tag
 	// operation allocation-free.
-	return &Thread{
+	t := &Thread{
 		m:       m,
 		id:      id,
 		arena:   mem.NewArena(m.space),
 		tags:    make([]tagEntry, 0, m.maxTags),
 		lockBuf: make([]tagEntry, 0, m.maxTags+1),
 	}
+	if id >= 0 && id < sharerBits {
+		t.bit = 1 << id
+	} else {
+		// No sharer bit (a spare handle, or more threads than the mask is
+		// wide): no writer can find this thread, so its flag stays raised
+		// and every Validate scans.
+		t.dirty.Store(1)
+	}
+	return t
 }
 
 // lineAt returns line l's state, installing its chunk on first touch: two
@@ -178,6 +228,12 @@ type Thread struct {
 	arena *mem.Arena
 
 	tags []tagEntry
+	// held is a one-word Bloom filter over the tagged lines (bit line%64),
+	// reset by ClearTagSet only: a clear bit proves the line is not tagged,
+	// so the common membership miss skips the O(tags) scan.
+	held uint64
+	// bit is this thread's sharer bit, zero when it has none.
+	bit uint64
 	// lockBuf is scratch for the sorted line set locked by commit, reused
 	// across attempts (the machine backend's Thread.lockSet analogue).
 	lockBuf  []tagEntry
@@ -187,6 +243,10 @@ type Thread struct {
 	// (ForceTagEviction): like the hardware's evicted set, it is not
 	// forgotten until ClearTagSet even though the entry itself is gone.
 	evicted bool
+	// stale latches a version scan that found a moved line. The scan
+	// consumed the dirty flag that prompted it, so without the latch the
+	// next Validate would pass.
+	stale bool
 
 	// ticks is the thread's logical clock: one per memory/tag operation
 	// (the emulation's analogue of the machine's cycle counter). fails
@@ -199,10 +259,19 @@ type Thread struct {
 	// rec, when non-nil, is this thread's reclamation-domain handle; tag
 	// operations mirror the tag set into it. See Memory.SetReclaim.
 	rec *reclaim.Handle
+
+	// dirty is raised by any writer that took this thread's sharer bit off
+	// a line, and lowered only by the owner (Validate). It is the one word
+	// of a Thread other threads write, so it sits on host cache lines of
+	// its own, whatever the allocation's alignment.
+	_     [64]byte
+	dirty atomic.Uint32
+	_     [60]byte
 }
 
 // tagEntry is one tagged line: the line state resolved at AddTag time (see
-// lineAt for why the pointer stays valid) and the version recorded then.
+// lineAt for why the pointer stays valid) and the version recorded then, in
+// place (the line's word with the sharer bits masked off).
 type tagEntry struct {
 	ls      *lineState
 	version uint64
@@ -210,7 +279,7 @@ type tagEntry struct {
 }
 
 // current reports whether the line is unwritten since the tag was recorded.
-func (e *tagEntry) current() bool { return e.ls.version.Load() == e.version }
+func (e *tagEntry) current() bool { return e.ls.word.Load()&^sharerMask == e.version }
 
 var _ core.Thread = (*Thread)(nil)
 
@@ -232,8 +301,7 @@ func (t *Thread) Store(a core.Addr, v uint64) {
 	ls := t.m.lineAt(a.Line())
 	ls.mu.Lock()
 	t.m.space.AtomicWrite(a, v)
-	ls.version.Add(1)
-	t.retagLocked(a.Line())
+	t.bumpLocked(ls, t.tagIndex(a.Line()))
 	ls.mu.Unlock()
 }
 
@@ -245,14 +313,43 @@ func (t *Thread) CAS(a core.Addr, old, new uint64) bool {
 	ok := t.m.space.Read(a) == old
 	if ok {
 		t.m.space.AtomicWrite(a, new)
-		ls.version.Add(1)
-		t.retagLocked(a.Line())
+		t.bumpLocked(ls, t.tagIndex(a.Line()))
 	}
 	ls.mu.Unlock()
 	return ok
 }
 
-// AddTag records the current version of every line of [a, a+size).
+// bumpLocked publishes a write to the line whose mu the caller holds, after
+// the data word is stored: one CAS adds 1 to the version and takes every
+// other thread's sharer bit, then each taken thread's dirty flag is raised.
+// ti is the index of the caller's own tag on the line, or -1. An own tag is
+// re-recorded at the new version with the own bit on — like hardware, a
+// core's write neither invalidates its own tag nor notifies itself — and
+// without one the own bit is left as found. The CAS can lose only to a
+// reader turning its bit on.
+func (t *Thread) bumpLocked(ls *lineState, ti int) {
+	var own uint64
+	if ti >= 0 {
+		own = t.bit
+	}
+	for {
+		w := ls.word.Load()
+		nw := (w+versionUnit)&^sharerMask | w&t.bit | own
+		if !ls.word.CompareAndSwap(w, nw) {
+			continue
+		}
+		if ti >= 0 {
+			t.tags[ti].version = nw &^ sharerMask
+		}
+		for taken := w & sharerMask &^ t.bit; taken != 0; taken &= taken - 1 {
+			t.m.threads[bits.TrailingZeros64(taken)].dirty.Store(1)
+		}
+		return
+	}
+}
+
+// AddTag records the current version of every line of [a, a+size) and makes
+// sure the thread's sharer bit is on at that version.
 func (t *Thread) AddTag(a core.Addr, size int) bool {
 	t.ticks++
 	first, last, ok := core.LineSpan(a, size)
@@ -270,8 +367,16 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 			t.overflow = true
 			return false
 		}
+		// One load gives the version and "is my bit on"; a thread with no bit
+		// never enters the loop. The recorded version is the one the bit was
+		// seen (or turned) on at, so a later bump must take the bit.
 		ls := t.m.lineAt(l)
-		t.tags = append(t.tags, tagEntry{ls: ls, version: ls.version.Load(), line: l})
+		w := ls.word.Load()
+		for w&t.bit != t.bit && !ls.word.CompareAndSwap(w, w|t.bit) {
+			w = ls.word.Load()
+		}
+		t.tags = append(t.tags, tagEntry{ls: ls, version: w &^ sharerMask, line: l})
+		t.held |= 1 << (l % 64)
 		if t.rec != nil {
 			t.rec.Announce(l)
 		}
@@ -312,10 +417,14 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 	}
 }
 
-// tagIndex returns the position of l's entry in the tag set, or -1. It
-// scans newest-first: the common re-tag is of the line tagged last (a tree
-// node's key and child pointer share a line), which then hits at once.
+// tagIndex returns the position of l's entry in the tag set, or -1. The
+// Bloom word answers most misses; otherwise it scans newest-first: the
+// common re-tag is of the line tagged last (a tree node's key and child
+// pointer share a line), which then hits at once.
 func (t *Thread) tagIndex(l core.Line) int {
+	if t.held>>(l%64)&1 == 0 {
+		return -1
+	}
 	for i := len(t.tags) - 1; i >= 0; i-- {
 		if t.tags[i].line == l {
 			return i
@@ -336,15 +445,22 @@ func (t *Thread) tagsCurrent() bool {
 }
 
 // Validate reports whether every tagged line still has its recorded
-// version.
+// version. No writer has taken one of this thread's sharer bits since the
+// last scan unless dirty is set, and a current tag has its bit on, so a
+// clear flag answers for the whole tag set.
 func (t *Thread) Validate() bool {
 	t.ticks++
-	ok := !t.overflow && !t.evicted && t.tagsCurrent()
+	if t.dirty.Load() != 0 {
+		t.rescan()
+	}
+	ok := !t.overflow && !t.evicted && !t.stale
 	if t.tel != nil {
 		t.tel.NoteValidate(ok)
 	}
 	if ok {
-		t.noteValidatedTags()
+		if t.rec != nil {
+			t.noteValidatedTags()
+		}
 		t.emit(core.EvValidateOK, -1, 0)
 	} else {
 		t.fails++
@@ -353,10 +469,24 @@ func (t *Thread) Validate() bool {
 	return ok
 }
 
+// rescan is Validate's slow path: lower the flag, then compare every held
+// tag's version, latching a mismatch. Lowering first is what keeps a bump
+// that lands during the scan from being lost. A thread with no sharer bit
+// keeps its flag up, and so always comes here.
+func (t *Thread) rescan() {
+	if t.bit != 0 {
+		t.dirty.Store(0)
+	}
+	if !t.tagsCurrent() {
+		t.stale = true
+	}
+}
+
 // noteValidatedTags reports a successful validation of the whole tag set
-// to the reclamation guard (use-after-free detection on freed lines).
+// to the reclamation guard (use-after-free detection on freed lines). The
+// caller checks t.rec != nil.
 func (t *Thread) noteValidatedTags() {
-	if t.rec == nil || !t.rec.GuardActive() {
+	if !t.rec.GuardActive() {
 		return
 	}
 	for _, e := range t.tags {
@@ -393,11 +523,14 @@ func (t *Thread) ForceTagEviction(l core.Line) bool {
 // can aim ForceTagEviction at a held tag. i must be < TagCount().
 func (t *Thread) TaggedLine(i int) core.Line { return t.tags[i].line }
 
-// ClearTagSet drops all tags and the overflow/eviction latches.
+// ClearTagSet drops all tags and the overflow/eviction/stale latches. The
+// thread's sharer bits stay where they are (see the package comment).
 func (t *Thread) ClearTagSet() {
 	t.tags = t.tags[:0]
+	t.held = 0
 	t.overflow = false
 	t.evicted = false
+	t.stale = false
 	if t.rec != nil {
 		t.rec.RetractAll()
 	}
@@ -413,7 +546,7 @@ func (t *Thread) IAS(a core.Addr, v uint64) bool { return t.commit(a, v, true) }
 func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	t.ticks++
 	target := a.Line()
-	if t.overflow || t.evicted {
+	if t.overflow || t.evicted || t.stale {
 		t.noteCommit(false, invalidateTags, target)
 		return false
 	}
@@ -434,23 +567,26 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	for i := range locks {
 		locks[i].ls.mu.Lock()
 	}
+	// The re-check under the locks is a scan whatever the dirty flag says:
+	// it must see every bump that completed before the locks were taken.
 	ok := t.tagsCurrent()
 	if ok {
-		t.noteValidatedTags()
+		if t.rec != nil {
+			t.noteValidatedTags()
+		}
 		t.m.space.AtomicWrite(a, v)
-		// All bumps happen under the lines' locks, so Add's result is the
-		// version our own tag must now record: our later validations don't
-		// fail on our own write.
+		// bumpLocked re-records our own tags at the bumped versions, so our
+		// later validations don't fail on our own write, and tells the other
+		// sharers of every line it bumps.
 		if invalidateTags {
 			for i := range t.tags {
-				e := &t.tags[i]
-				e.version = e.ls.version.Add(1)
+				t.bumpLocked(t.tags[i].ls, i)
 			}
 			if ti < 0 {
-				tls.version.Add(1)
+				t.bumpLocked(tls, -1)
 			}
-		} else if nv := tls.version.Add(1); ti >= 0 {
-			t.tags[ti].version = nv
+		} else {
+			t.bumpLocked(tls, ti)
 		}
 	}
 	for i := len(locks) - 1; i >= 0; i-- {
@@ -500,14 +636,5 @@ func sortByLine(s []tagEntry) {
 			j--
 		}
 		s[j+1] = v
-	}
-}
-
-// retagLocked re-records the current version for this thread's own tag on
-// line l, if any: like hardware, a core's own write does not invalidate its
-// own tag. The caller holds l's lock.
-func (t *Thread) retagLocked(l core.Line) {
-	if i := t.tagIndex(l); i >= 0 {
-		t.tags[i].version = t.tags[i].ls.version.Load()
 	}
 }
