@@ -635,7 +635,7 @@ func BenchmarkAblation_FallbackThreshold(b *testing.B) {
 			th := m.Thread(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fb.Run(th, func() bool { return false }, func() {})
+				fb.Run(th, fb.Threshold, func() bool { return false }, func() {})
 			}
 		})
 	}

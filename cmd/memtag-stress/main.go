@@ -85,6 +85,12 @@ func structs() []structDef {
 		}
 		return nil
 	}
+	bstCheck := func(th core.Thread, s intset.Set) error {
+		if c, ok := s.(interface{ Root() core.Addr }); ok {
+			return bst.CheckInvariants(th, c)
+		}
+		return nil
+	}
 	none := func(core.Thread, intset.Set) error { return nil }
 	// Reclamation builders for the structures with retire hooks; the rest
 	// leave the field nil and run unwired under -reclaim.
@@ -129,8 +135,8 @@ func structs() []structDef {
 		{"llx-tree", func(m core.Memory) intset.Set { return abtree.NewLLX(m, 4, 8) }, treeCheck, nil},
 		{"hoh-tree", func(m core.Memory) intset.Set { return abtree.NewHoH(m, 4, 8) }, treeCheck, recHoHTree},
 		{"elided-tree", func(m core.Memory) intset.Set { return abtree.NewElided(m, 4, 8, 0) }, treeCheck, nil},
-		{"llx-bst", func(m core.Memory) intset.Set { return bst.NewLLX(m) }, none, nil},
-		{"hoh-bst", func(m core.Memory) intset.Set { return bst.NewHoH(m) }, none, nil},
+		{"llx-bst", func(m core.Memory) intset.Set { return bst.NewLLX(m) }, bstCheck, nil},
+		{"hoh-bst", func(m core.Memory) intset.Set { return bst.NewHoH(m) }, bstCheck, nil},
 		{"llx-chromatic", func(m core.Memory) intset.Set { return chromatic.NewLLX(m) }, chromCheck, nil},
 		{"hoh-chromatic", func(m core.Memory) intset.Set { return chromatic.NewHoH(m) }, chromCheck, nil},
 		{"skiplist-cas", func(m core.Memory) intset.Set { return skiplist.New(m) }, none, nil},

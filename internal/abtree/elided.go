@@ -5,15 +5,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/intset"
-	"repro/internal/llxscx"
+	"repro/internal/treeupdate"
 )
 
 // Elided realizes the paper's headline composition (Sections 1, 5.1, 7):
 // "MemTags can serve as a natural and efficient fast-path for marking and
-// LLX/SCX-based implementations". It runs the hand-over-hand-tagged
-// (a,b)-tree as the fast path and the LLX/SCX tree as the slow path — on
-// the *same nodes* (both variants share the node layout, with the LLX/SCX
-// info/marked header words reserved in every node).
+// LLX/SCX-based implementations". It runs the template of tree.go through
+// tagged steps as the fast path and through LLX steps as the slow path — on
+// the *same nodes* (the LLX/SCX info/marked header words are reserved in
+// every node).
 //
 // Safety of the composition:
 //
@@ -29,9 +29,10 @@ import (
 //   - Nodes created on either path look quiescent to the other (fresh
 //     nodes have info = 0 and marked = 0).
 type Elided struct {
-	hoh *HoHTree
-	llx *LLXTree
-	fb  *core.Fallback
+	tree
+	fast treeupdate.TaggedSteps // guarded by fb's Mode line, bounded restarts
+	slow treeupdate.LLXSteps
+	fb   *core.Fallback
 
 	// FastCommits / SlowCommits count where updates completed.
 	FastCommits atomic.Uint64
@@ -44,89 +45,46 @@ var _ intset.Set = (*Elided)(nil)
 // number of fast-path attempts per operation before falling back (0
 // selects the default).
 func NewElided(mem core.Memory, a, b, threshold int) *Elided {
-	hoh := NewHoH(mem, a, b)
-	llx := &LLXTree{
-		ly:       hoh.ly,
-		mem:      mem,
-		mgr:      llxscx.New(mem),
-		sentinel: hoh.sentinel, // both paths operate on the same tree
-	}
-	fb := core.NewFallback(mem)
+	e := &Elided{tree: newTree(mem, a, b), fb: core.NewFallback(mem)}
 	if threshold > 0 {
-		fb.Threshold = threshold
+		e.fb.Threshold = threshold
 	}
-	return &Elided{hoh: hoh, llx: llx, fb: fb}
+	e.fast = e.taggedSteps(e.fb)
+	e.slow = treeupdate.NewLLX(mem, e.ly.mutOff(), e.ly.mutWords())
+	return e
 }
 
-// guard joins the Mode line to the current tag set and checks no slow
-// operation is in flight, so the attempt's IAS validates the mode together
-// with the data window.
-func (e *Elided) guard(th core.Thread) func() bool {
-	return func() bool {
-		if !th.AddTag(e.fb.ModeAddr(), core.WordSize) {
-			return false
-		}
-		return th.Load(e.fb.ModeAddr()) == core.ModeFast
+// update runs one operation: fast attempts while no slow operation is in
+// flight, then the whole operation, cleanup included, on the slow path.
+func (e *Elided) update(th core.Thread, key uint64, insert bool) bool {
+	fast, slow := e.fast.On(th), e.slow.On(th)
+	var result, needCleanup bool
+	if !e.fb.Run(th, e.fb.Threshold, func() (done bool) {
+		done, result, needCleanup = e.updateOnce(fast, th, key, insert)
+		return done
+	}, func() {
+		result = e.tree.update(slow, th, key, insert)
+	}) {
+		e.SlowCommits.Add(1)
+		return result
 	}
-}
-
-func (e *Elided) update(th core.Thread,
-	fast func(guard func() bool) (done, result, needCleanup bool),
-	slow func() bool,
-	key uint64) bool {
-
-	g := e.guard(th)
-	for attempt := 0; attempt < e.fb.Threshold; attempt++ {
-		if th.Load(e.fb.ModeAddr()) != core.ModeFast {
-			break
-		}
-		if done, result, needCleanup := fast(g); done {
-			e.FastCommits.Add(1)
-			if needCleanup {
-				e.cleanup(th, key, g)
-			}
-			return result
-		}
+	e.FastCommits.Add(1)
+	if needCleanup {
+		// Remove the violation the update created, preferring guarded
+		// fast-path fixes and falling back to the LLX/SCX rebalancer when
+		// they keep failing.
+		e.fb.Run(th, 4*e.fb.Threshold,
+			func() bool { return e.cleanupPass(fast, th, key) },
+			func() { e.cleanup(slow, th, key) })
 	}
-	e.fb.EnterSlow(th)
-	result := slow()
-	e.fb.ExitSlow(th)
-	e.SlowCommits.Add(1)
 	return result
 }
 
-// cleanup removes the balance violations an update may have created,
-// preferring guarded fast-path fixes and falling back to the LLX/SCX
-// rebalancer when they keep failing.
-func (e *Elided) cleanup(th core.Thread, key uint64, g func() bool) {
-	for attempt := 0; attempt < 4*e.fb.Threshold; attempt++ {
-		if th.Load(e.fb.ModeAddr()) != core.ModeFast {
-			break
-		}
-		if e.hoh.cleanupPass(th, key, g) {
-			return
-		}
-	}
-	e.fb.EnterSlow(th)
-	e.llx.cleanup(th, key)
-	e.fb.ExitSlow(th)
-}
-
 // Insert adds key, reporting whether it was absent.
-func (e *Elided) Insert(th core.Thread, key uint64) bool {
-	return e.update(th,
-		func(g func() bool) (bool, bool, bool) { return e.hoh.insertOnce(th, key, g) },
-		func() bool { return e.llx.Insert(th, key) },
-		key)
-}
+func (e *Elided) Insert(th core.Thread, key uint64) bool { return e.update(th, key, true) }
 
 // Delete removes key, reporting whether it was present.
-func (e *Elided) Delete(th core.Thread, key uint64) bool {
-	return e.update(th,
-		func(g func() bool) (bool, bool, bool) { return e.hoh.deleteOnce(th, key, g) },
-		func() bool { return e.llx.Delete(th, key) },
-		key)
-}
+func (e *Elided) Delete(th core.Thread, key uint64) bool { return e.update(th, key, false) }
 
 // Contains reports whether key is present. The fast search needs no mode
 // check for correctness (it commits nothing; its linearization comes from
@@ -135,30 +93,12 @@ func (e *Elided) Delete(th core.Thread, key uint64) bool {
 // keeps restarting (tags are advisory; searches too need a fallback for
 // progress).
 func (e *Elided) Contains(th core.Thread, key uint64) bool {
-	_, _, l, _, _, ok := e.hoh.locateBounded(th, key, locateRestartBudget)
-	if ok {
-		_, _, kc := e.hoh.ly.readMeta(th, l)
-		found := false
-		for i := 0; i < kc; i++ {
-			if th.Load(e.hoh.ly.keyAddr(l, i)) == key {
-				found = true
-				break
-			}
-		}
-		th.ClearTagSet()
-		return found
+	found, ok := e.contains(e.fast.On(th), th, key)
+	if !ok {
+		found, _ = e.contains(e.slow.On(th), th, key)
 	}
-	return e.llx.Contains(th, key)
+	return found
 }
-
-// Keys enumerates the set while quiescent.
-func (e *Elided) Keys(th core.Thread) []uint64 { return e.hoh.Keys(th) }
-
-// Root returns the shared sentinel (for invariant checks).
-func (e *Elided) Root() core.Addr { return e.hoh.sentinel }
-
-// Layout returns the (a,b) parameters (for invariant checks).
-func (e *Elided) Layout() (a, b int) { return e.hoh.ly.a, e.hoh.ly.b }
 
 // ModeAddr exposes the Mode line for tests.
 func (e *Elided) ModeAddr() core.Addr { return e.fb.ModeAddr() }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/machine"
+	"repro/internal/treeupdate"
 	"repro/internal/vtags"
 )
 
@@ -89,17 +90,22 @@ func TestElidedTreeSlowEntryAbortsFastCommit(t *testing.T) {
 	s.Insert(t0, 10)
 
 	// Hand-roll a fast insert attempt for t1 up to (but excluding) the IAS.
-	_, p, _, _, idxL := s.hoh.locate(t1, 20)
-	if !s.guard(t1)() {
+	a := attempt{tree: &s.tree, th: t1, st: s.fast.On(t1)}
+	a.st.Begin()
+	_, p, l, _, idxL, ok := a.locate(20)
+	if !ok || !a.st.Ready() {
 		t.Fatal("guard failed in FAST mode")
 	}
 	// Slow entry lands before the commit.
 	s.fb.EnterSlow(t0)
-	repl := s.hoh.ly.writeNode(t1, nodeData{leaf: true, keys: []uint64{10, 20}})
-	if t1.IAS(s.hoh.ly.ptrAddr(p, idxL), uint64(repl)) {
+	repl := s.ly.writeNode(t1, nodeData{leaf: true, keys: []uint64{10, 20}})
+	if a.st.Commit(treeupdate.Change{Owner: p, Slot: s.ly.ptrAddr(p, idxL), Old: l, New: repl}) {
 		t.Fatal("fast IAS committed despite in-flight slow operation")
 	}
-	t1.ClearTagSet()
+	a.st.End()
+	if t1.TagCount() != 0 {
+		t.Fatal("a failed commit left tags behind")
+	}
 	s.fb.ExitSlow(t0)
 }
 

@@ -2,377 +2,19 @@ package abtree
 
 import (
 	"repro/internal/core"
-	"repro/internal/intset"
-	"repro/internal/llxscx"
+	"repro/internal/treeupdate"
 )
 
 // LLXTree is the (a,b)-tree synchronized with the LLX/SCX primitives of
 // Brown et al. — the paper's software baseline (Section 5.1, "Using LLX and
 // SCX"). Every structural change LLXes the involved nodes, builds fresh
-// replacements, and commits with one SCX that finalizes the removed nodes.
-type LLXTree struct {
-	ly       layout
-	mem      core.Memory
-	mgr      *llxscx.Manager
-	sentinel core.Addr
-}
-
-var _ intset.Set = (*LLXTree)(nil)
+// replacements, and commits with one SCX that finalizes the removed nodes:
+// the template of tree.go run through treeupdate.LLX.
+type LLXTree struct{ set }
 
 // NewLLX creates an empty tree with parameters a, b (b >= 2a-1).
 func NewLLX(mem core.Memory, a, b int) *LLXTree {
-	ly := layout{a: a, b: b}
-	ly.check()
-	th := mem.Thread(0)
-	leaf := ly.writeNode(th, nodeData{leaf: true})
-	sentinel := ly.writeNode(th, nodeData{ptrs: []core.Addr{leaf}})
-	return &LLXTree{ly: ly, mem: mem, mgr: llxscx.New(mem), sentinel: sentinel}
+	t := &LLXTree{set{tree: newTree(mem, a, b)}}
+	t.steps = treeupdate.NewLLX(mem, t.ly.mutOff(), t.ly.mutWords())
+	return t
 }
-
-// search descends from the sentinel to the leaf covering key, returning the
-// last three nodes on the path and the child indices through which it
-// passed (idxP = p's slot in gp, idxL = l's slot in p). gp is NilAddr when
-// the leaf hangs directly off the sentinel.
-func (t *LLXTree) search(th core.Thread, key uint64) (gp, p, l core.Addr, idxP, idxL int) {
-	gp, p = core.NilAddr, core.NilAddr
-	l = t.sentinel
-	idxP, idxL = -1, -1
-	for {
-		leaf, _, kc := t.ly.readMeta(th, l)
-		if leaf {
-			return gp, p, l, idxP, idxL
-		}
-		keys := make([]uint64, kc)
-		for i := range keys {
-			keys[i] = th.Load(t.ly.keyAddr(l, i))
-		}
-		i := childIndex(keys, key)
-		child := core.Addr(th.Load(t.ly.ptrAddr(l, i)))
-		gp, idxP = p, idxL
-		p, idxL = l, i
-		l = child
-	}
-}
-
-// llxNode performs LLX on n and, on success, returns its contents with
-// child pointers drawn from the LLX snapshot (so they are mutually
-// consistent as of the LLX).
-func (t *LLXTree) llxNode(th core.Thread, n core.Addr) (info uint64, nd nodeData, ok bool) {
-	snap := make([]uint64, t.ly.mutWords())
-	info, st := t.mgr.LLX(th, n, t.ly.mutOff(), t.ly.mutWords(), snap)
-	if st != llxscx.LLXSuccess {
-		return 0, nodeData{}, false
-	}
-	leaf, flagged, kc := t.ly.readMeta(th, n)
-	nd = nodeData{leaf: leaf, flagged: flagged, keys: make([]uint64, kc)}
-	for i := range nd.keys {
-		nd.keys[i] = th.Load(t.ly.keyAddr(n, i))
-	}
-	if !leaf {
-		nd.ptrs = make([]core.Addr, kc+1)
-		for i := range nd.ptrs {
-			nd.ptrs[i] = core.Addr(snap[i])
-		}
-	}
-	return info, nd, true
-}
-
-// Contains reports whether key is present. Searches run exactly as in a
-// sequential (a,b)-tree — no synchronization (leaf contents are immutable).
-func (t *LLXTree) Contains(th core.Thread, key uint64) bool {
-	_, _, l, _, _ := t.search(th, key)
-	_, _, kc := t.ly.readMeta(th, l)
-	for i := 0; i < kc; i++ {
-		if th.Load(t.ly.keyAddr(l, i)) == key {
-			return true
-		}
-	}
-	return false
-}
-
-// Insert adds key, reporting whether it was absent.
-func (t *LLXTree) Insert(th core.Thread, key uint64) bool {
-	for {
-		_, p, l, _, _ := t.search(th, key)
-		infoP, pd, ok := t.llxNode(th, p)
-		if !ok {
-			continue
-		}
-		li := indexOfChild(pd.ptrs, l)
-		if li < 0 {
-			continue
-		}
-		infoL, ld, ok := t.llxNode(th, l)
-		if !ok {
-			continue
-		}
-		if leafContains(ld.keys, key) {
-			return false
-		}
-		var repl core.Addr
-		overflow := len(ld.keys) >= t.ly.b
-		if !overflow {
-			repl = t.ly.writeNode(th, planLeafInsert(ld, key))
-		} else {
-			top, left, right := planLeafSplit(ld, key, p == t.sentinel)
-			top.ptrs[0] = t.ly.writeNode(th, left)
-			top.ptrs[1] = t.ly.writeNode(th, right)
-			repl = t.ly.writeNode(th, top)
-		}
-		deps := []core.Addr{p, l}
-		infos := []uint64{infoP, infoL}
-		fin := []bool{false, true}
-		if t.mgr.SCX(th, deps, infos, fin, t.ly.ptrAddr(p, li), uint64(l), uint64(repl)) {
-			if overflow {
-				t.cleanup(th, key)
-			}
-			return true
-		}
-	}
-}
-
-// Delete removes key, reporting whether it was present.
-func (t *LLXTree) Delete(th core.Thread, key uint64) bool {
-	for {
-		_, p, l, _, _ := t.search(th, key)
-		infoP, pd, ok := t.llxNode(th, p)
-		if !ok {
-			continue
-		}
-		li := indexOfChild(pd.ptrs, l)
-		if li < 0 {
-			continue
-		}
-		infoL, ld, ok := t.llxNode(th, l)
-		if !ok {
-			continue
-		}
-		if !leafContains(ld.keys, key) {
-			return false
-		}
-		nd := planLeafDelete(ld, key)
-		repl := t.ly.writeNode(th, nd)
-		deps := []core.Addr{p, l}
-		infos := []uint64{infoP, infoL}
-		fin := []bool{false, true}
-		if t.mgr.SCX(th, deps, infos, fin, t.ly.ptrAddr(p, li), uint64(l), uint64(repl)) {
-			if len(nd.keys) < t.ly.a && p != t.sentinel {
-				t.cleanup(th, key)
-			}
-			return true
-		}
-	}
-}
-
-// cleanup repeatedly searches toward key and fixes the topmost violation on
-// the path, until the whole path is violation-free (Algorithm 5).
-func (t *LLXTree) cleanup(th core.Thread, key uint64) {
-	for {
-		if t.cleanupPass(th, key) {
-			return
-		}
-	}
-}
-
-// cleanupPass walks the path to key; it returns true if the path was clean,
-// false after attempting (successfully or not) to fix one violation.
-func (t *LLXTree) cleanupPass(th core.Thread, key uint64) bool {
-	gp, p := core.NilAddr, core.NilAddr
-	l := t.sentinel
-	idxP, idxL := -1, -1
-	for {
-		leaf, flagged, kc := t.ly.readMeta(th, l)
-		if l != t.sentinel {
-			if flagged {
-				t.fixFlag(th, gp, p, l, idxP, idxL)
-				return false
-			}
-			deg := kc
-			if !leaf {
-				deg = kc + 1
-			}
-			if deg < t.ly.a {
-				if p == t.sentinel {
-					// Root degree rules: only an internal root with a
-					// single child is a violation (RootAbsorb).
-					if !leaf && deg == 1 {
-						t.fixRootAbsorb(th, p, l)
-						return false
-					}
-				} else {
-					t.fixDegree(th, gp, p, l, idxP, idxL)
-					return false
-				}
-			}
-		}
-		if leaf {
-			return true
-		}
-		keys := make([]uint64, kc)
-		for i := range keys {
-			keys[i] = th.Load(t.ly.keyAddr(l, i))
-		}
-		i := childIndex(keys, key)
-		child := core.Addr(th.Load(t.ly.ptrAddr(l, i)))
-		gp, idxP = p, idxL
-		p, idxL = l, i
-		l = child
-	}
-}
-
-// fixFlag removes a flag violation at l (child idxL of p, which is child
-// idxP of gp): RootUntag, AbsorbChild or PropagateFlag.
-func (t *LLXTree) fixFlag(th core.Thread, gp, p, l core.Addr, idxP, idxL int) {
-	if p == t.sentinel {
-		// RootUntag.
-		infoP, pd, ok := t.llxNode(th, p)
-		if !ok || indexOfChild(pd.ptrs, l) != 0 {
-			return
-		}
-		infoL, ld, ok := t.llxNode(th, l)
-		if !ok || !ld.flagged {
-			return
-		}
-		repl := t.ly.writeNode(th, planRootUntag(ld))
-		t.mgr.SCX(th, []core.Addr{p, l}, []uint64{infoP, infoL}, []bool{false, true},
-			t.ly.ptrAddr(p, 0), uint64(l), uint64(repl))
-		return
-	}
-	infoGP, gpd, ok := t.llxNode(th, gp)
-	if !ok {
-		return
-	}
-	pi := indexOfChild(gpd.ptrs, p)
-	if pi < 0 {
-		return
-	}
-	infoP, pd, ok := t.llxNode(th, p)
-	if !ok {
-		return
-	}
-	li := indexOfChild(pd.ptrs, l)
-	if li < 0 {
-		return
-	}
-	infoL, ld, ok := t.llxNode(th, l)
-	if !ok || !ld.flagged {
-		return
-	}
-	deps := []core.Addr{gp, p, l}
-	infos := []uint64{infoGP, infoP, infoL}
-	fin := []bool{false, true, true}
-	var repl core.Addr
-	if pd.degree()-1+ld.degree() <= t.ly.b {
-		// AbsorbChild.
-		nd := planAbsorbChild(pd, ld, li)
-		assertDegree(t.ly, nd, "AbsorbChild")
-		repl = t.ly.writeNode(th, nd)
-	} else {
-		// PropagateFlag.
-		top, left, right := planPropagateFlag(pd, ld, li, gp == t.sentinel)
-		top.ptrs[0] = t.ly.writeNode(th, left)
-		top.ptrs[1] = t.ly.writeNode(th, right)
-		repl = t.ly.writeNode(th, top)
-	}
-	t.mgr.SCX(th, deps, infos, fin, t.ly.ptrAddr(gp, pi), uint64(p), uint64(repl))
-}
-
-// fixRootAbsorb replaces an internal root having a single child with that
-// child (RootAbsorb).
-func (t *LLXTree) fixRootAbsorb(th core.Thread, p, l core.Addr) {
-	infoP, pd, ok := t.llxNode(th, p)
-	if !ok || indexOfChild(pd.ptrs, l) != 0 {
-		return
-	}
-	infoL, ld, ok := t.llxNode(th, l)
-	if !ok || ld.leaf || len(ld.ptrs) != 1 || ld.flagged {
-		return
-	}
-	t.mgr.SCX(th, []core.Addr{p, l}, []uint64{infoP, infoL}, []bool{false, true},
-		t.ly.ptrAddr(p, 0), uint64(l), uint64(ld.ptrs[0]))
-}
-
-// fixDegree removes a degree violation at l via AbsorbSibling or
-// Distribute. If the chosen sibling carries a flag violation, that is fixed
-// first so merged material never hides a flag.
-func (t *LLXTree) fixDegree(th core.Thread, gp, p, l core.Addr, idxP, idxL int) {
-	infoGP, gpd, ok := t.llxNode(th, gp)
-	if !ok {
-		return
-	}
-	pi := indexOfChild(gpd.ptrs, p)
-	if pi < 0 {
-		return
-	}
-	infoP, pd, ok := t.llxNode(th, p)
-	if !ok {
-		return
-	}
-	li := indexOfChild(pd.ptrs, l)
-	if li < 0 || len(pd.ptrs) < 2 {
-		return
-	}
-	// Pick the adjacent sibling; normalize to (left, right) children.
-	si := li + 1
-	if li > 0 {
-		si = li - 1
-	}
-	s := pd.ptrs[si]
-	_, sFlagged, _ := t.ly.readMeta(th, s)
-	if sFlagged {
-		t.fixFlag(th, gp, p, s, idxP, si)
-		return
-	}
-	leftIdx := li
-	if si < li {
-		leftIdx = si
-	}
-	left, right := pd.ptrs[leftIdx], pd.ptrs[leftIdx+1]
-	infoLeft, leftD, ok := t.llxNode(th, left)
-	if !ok {
-		return
-	}
-	infoRight, rightD, ok := t.llxNode(th, right)
-	if !ok {
-		return
-	}
-	deps := []core.Addr{gp, p, left, right}
-	infos := []uint64{infoGP, infoP, infoLeft, infoRight}
-	fin := []bool{false, true, true, true}
-	var repl core.Addr
-	if leftD.degree()+rightD.degree() <= t.ly.b {
-		pNew, merged := planAbsorbSibling(pd, leftD, rightD, leftIdx)
-		assertDegree(t.ly, merged, "AbsorbSibling")
-		pNew.ptrs[leftIdx] = t.ly.writeNode(th, merged)
-		repl = t.ly.writeNode(th, pNew)
-	} else {
-		pNew, nl, nr := planDistribute(pd, leftD, rightD, leftIdx)
-		assertDegree(t.ly, nl, "Distribute")
-		assertDegree(t.ly, nr, "Distribute")
-		pNew.ptrs[leftIdx] = t.ly.writeNode(th, nl)
-		pNew.ptrs[leftIdx+1] = t.ly.writeNode(th, nr)
-		repl = t.ly.writeNode(th, pNew)
-	}
-	t.mgr.SCX(th, deps, infos, fin, t.ly.ptrAddr(gp, pi), uint64(p), uint64(repl))
-}
-
-// indexOfChild returns the slot of child in ptrs, or -1.
-func indexOfChild(ptrs []core.Addr, child core.Addr) int {
-	for i, p := range ptrs {
-		if p == child {
-			return i
-		}
-	}
-	return -1
-}
-
-// Keys enumerates the set in order while quiescent.
-func (t *LLXTree) Keys(th core.Thread) []uint64 {
-	return collectKeys(th, t.ly, t.sentinel)
-}
-
-// Root returns the sentinel node address (for invariant checks).
-func (t *LLXTree) Root() core.Addr { return t.sentinel }
-
-// Layout returns the tree's (a,b) parameters (for invariant checks).
-func (t *LLXTree) Layout() (a, b int) { return t.ly.a, t.ly.b }

@@ -19,8 +19,12 @@
 //
 // Nodes are immutable except for their child-pointer array: every other
 // change replaces a node with a fresh copy, exactly as in the paper. Both
-// flavours share the node layout and the transformation planning code;
-// they differ only in how a planned change is validated and committed.
+// flavours share the node layout (node.go), the transformation planning
+// (plan.go) and the search, update template and rebalancing rules (tree.go);
+// they differ only in how a planned change is validated and committed, and
+// that difference is a treeupdate.Step: LLXTree runs the template through
+// treeupdate.LLX, HoHTree through treeupdate.Tagged, and Elided through
+// guarded, bounded Tagged attempts and then LLX, on the same nodes.
 package abtree
 
 import (
@@ -28,6 +32,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/llxscx"
+	"repro/internal/treeupdate"
 )
 
 // Node word layout. The first two words are the LLX/SCX header (unused by
@@ -66,7 +71,8 @@ func (ly layout) nodeBytes() int { return ly.nodeWords() * core.WordSize }
 func (ly layout) keyAddr(n core.Addr, i int) core.Addr { return n.Plus(fKeys + i) }
 func (ly layout) ptrAddr(n core.Addr, i int) core.Addr { return n.Plus(fKeys + ly.b + i) }
 
-// mutOff/mutWords describe the mutable region (the child pointers) for LLX.
+// mutOff/mutWords describe the mutable region (the child pointers) for a
+// treeupdate.Step.
 func (ly layout) mutOff() int   { return fKeys + ly.b }
 func (ly layout) mutWords() int { return ly.b }
 
@@ -107,9 +113,15 @@ func (ly layout) readMeta(th core.Thread, n core.Addr) (leaf, flagged bool, keyC
 }
 
 // readNode loads a full node copy. Keys and meta are immutable; pointers
-// are mutable, so the copy is only meaningful under the caller's
-// synchronization (tags, LLX freeze, or quiescence).
+// are mutable, so the copy is only meaningful while quiescent.
 func (ly layout) readNode(th core.Thread, n core.Addr) nodeData {
+	return ly.readHeld(th, n, nil)
+}
+
+// readHeld is readNode for a node held by st: the child pointers come from
+// the step (an LLX snapshot, or loads under the tag), so they are mutually
+// consistent if the step commits. A nil st loads them plainly.
+func (ly layout) readHeld(th core.Thread, n core.Addr, st treeupdate.Step) nodeData {
 	leaf, flagged, kc := ly.readMeta(th, n)
 	nd := nodeData{leaf: leaf, flagged: flagged, keys: make([]uint64, kc)}
 	for i := 0; i < kc; i++ {
@@ -118,7 +130,11 @@ func (ly layout) readNode(th core.Thread, n core.Addr) nodeData {
 	if !leaf {
 		nd.ptrs = make([]core.Addr, kc+1)
 		for i := 0; i <= kc; i++ {
-			nd.ptrs[i] = core.Addr(th.Load(ly.ptrAddr(n, i)))
+			if st != nil {
+				nd.ptrs[i] = core.Addr(st.Mut(n, i))
+			} else {
+				nd.ptrs[i] = core.Addr(th.Load(ly.ptrAddr(n, i)))
+			}
 		}
 	}
 	return nd
@@ -151,14 +167,18 @@ func (ly layout) writeNodeAt(th core.Thread, n core.Addr, nd nodeData) core.Addr
 	return n
 }
 
-// childIndex returns which child of an internal node the search for key
-// descends into: the subtree i covers keys in [keys[i-1], keys[i]).
-func childIndex(keys []uint64, key uint64) int {
-	i := 0
-	for i < len(keys) && key >= keys[i] {
-		i++
+// route is the one step of every descent: it loads internal node n's kc
+// router keys in order, then the child pointer the search for key follows,
+// and returns that child and its slot (subtree i covers keys in
+// [keys[i-1], keys[i])). All kc keys are loaded even once the slot is known,
+// as a search that copies the node would.
+func (ly layout) route(th core.Thread, n core.Addr, kc int, key uint64) (i int, child core.Addr) {
+	for j := 0; j < kc; j++ {
+		if k := th.Load(ly.keyAddr(n, j)); i == j && key >= k {
+			i++
+		}
 	}
-	return i
+	return i, core.Addr(th.Load(ly.ptrAddr(n, i)))
 }
 
 // leafContains reports whether a leaf's key slice contains key.

@@ -36,16 +36,13 @@ func TestFixOnReplacedAncestorRetiresNothing(t *testing.T) {
 	var idx []int // idx[i] is path[i+1]'s slot in path[i]
 	for n := tr.sentinel; ; {
 		path = append(path, n)
-		nd := tr.ly.readNode(th, n)
-		if nd.leaf {
+		leaf, _, kc := tr.ly.readMeta(th, n)
+		if leaf {
 			break
 		}
-		i := 0
-		if n != tr.sentinel {
-			i = childIndex(nd.keys, key)
-		}
+		i, child := tr.ly.route(th, n, kc, key)
 		idx = append(idx, i)
-		n = nd.ptrs[i]
+		n = child
 	}
 	if len(path) < 5 {
 		t.Fatalf("tree too shallow for the scenario: path of %d nodes", len(path))
@@ -59,11 +56,19 @@ func TestFixOnReplacedAncestorRetiresNothing(t *testing.T) {
 	cp := tr.ly.writeNodeAt(th, pool.Alloc(th), tr.ly.readNode(th, gp))
 	th.Store(tr.ly.ptrAddr(ggp, idxGP), uint64(cp))
 
+	// The fix steps as cleanupPass runs them: one attempt on th's step,
+	// inside the step's Begin/End bracket.
+	fix := func(rule func(a *attempt)) {
+		a := attempt{tree: &tr.tree, th: th, st: tr.steps.On(th)}
+		a.st.Begin()
+		rule(&a)
+		a.st.End()
+	}
 	before, keys := pool.Stats().Retired, tr.Keys(th)
-	tr.enter(th)
-	tr.fixDegree(th, key, gp, p, l, idxP, idxL, nil)
-	tr.fixFlag(th, key, gp, p, l, idxP, idxL, nil)
-	tr.leave(th)
+	fix(func(a *attempt) {
+		a.fixDegree(key, gp, p, l, idxP, idxL)
+		a.fixFlag(key, gp, p, l, idxP, idxL)
+	})
 	if got := pool.Stats().Retired; got != before {
 		t.Fatalf("a fix on a replaced ancestor retired %d nodes still reachable through its copy", got-before)
 	}
@@ -75,9 +80,7 @@ func TestFixOnReplacedAncestorRetiresNothing(t *testing.T) {
 	}
 
 	// With gp's copy as the ancestor the same step is legitimate and commits.
-	tr.enter(th)
-	tr.fixDegree(th, key, cp, p, l, idxP, idxL, nil)
-	tr.leave(th)
+	fix(func(a *attempt) { a.fixDegree(key, cp, p, l, idxP, idxL) })
 	if got := pool.Stats().Retired; got != before+3 {
 		t.Fatalf("fix under the live ancestor retired %d nodes, want 3 (p and both siblings)", got-before)
 	}

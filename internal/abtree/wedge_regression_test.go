@@ -68,7 +68,7 @@ func describeNode(th core.Thread, t *LLXTree, label string, n core.Addr) {
 // stale-marked-read bug: without the second marked read in LLX, a
 // finalizing SCX racing an LLX leaves a finalized node reachable through a
 // live copy, permanently wedging every operation on its key range (all
-// inserts/deletes spin in llxNode FINALIZED retries). The test runs the
+// inserts/deletes spin in FINALIZED LLX retries). The test runs the
 // full-contention workload and then asserts both termination and that no
 // finalized node is reachable.
 func TestLLXTreeNoWedgedFinalizedNodes(t *testing.T) {

@@ -30,46 +30,28 @@ var bstBackends = []struct {
 	}},
 }
 
+// forAllBSTs runs f on every variant and backend, then checks the
+// structural invariants of the tree f left behind (every test ends
+// quiescent).
 func forAllBSTs(t *testing.T, threads int, f func(t *testing.T, mem core.Memory, s intset.Set)) {
 	for _, b := range bstBackends {
 		for _, v := range bstVariants {
 			t.Run(fmt.Sprintf("%s/%s", b.name, v.name), func(t *testing.T) {
 				mem := b.mk(threads)
-				f(t, mem, v.mk(mem))
+				s := v.mk(mem)
+				f(t, mem, s)
+				checkBST(t, mem.Thread(0), s)
 			})
 		}
 	}
 }
 
-// checkBST verifies search-order invariants while quiescent: every *real*
-// leaf key (below the sentinel range) must lie inside the routing range
-// that a search would take to reach it. Sentinel-keyed placeholder leaves
-// legitimately cascade down the rightmost spine (as in Ellen et al.'s
-// construction) and are exempt — searches never target them.
-func checkBST(t *testing.T, th core.Thread, root core.Addr) {
+// checkBST fails the test unless the quiescent tree passes CheckInvariants.
+func checkBST(t *testing.T, th core.Thread, s intset.Set) {
 	t.Helper()
-	var walk func(n core.Addr, lo, hi uint64)
-	walk = func(n core.Addr, lo, hi uint64) {
-		k := keyOf(th, n)
-		if isLeaf(th, n) {
-			if k < inf1 && (k < lo || k > hi) {
-				t.Fatalf("leaf key %d outside search range [%d, %d]", k, lo, hi)
-			}
-			return
-		}
-		left := core.Addr(th.Load(n.Plus(fLeft)))
-		right := core.Addr(th.Load(n.Plus(fRight)))
-		walk(left, lo, min(hi, k-1))
-		walk(right, k, hi)
+	if err := CheckInvariants(th, s.(checkable)); err != nil {
+		t.Fatal(err)
 	}
-	walk(root, 0, ^uint64(0))
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestBSTBasic(t *testing.T) {
@@ -105,12 +87,7 @@ func TestBSTGrowShrink(t *testing.T) {
 		for k := uint64(1); k <= 200; k += 2 {
 			s.Delete(th, k*7%211+1)
 		}
-		switch v := s.(type) {
-		case *LLX:
-			checkBST(t, th, v.Root())
-		case *HoH:
-			checkBST(t, th, v.Root())
-		}
+		checkBST(t, th, s)
 	})
 }
 
@@ -149,12 +126,11 @@ func TestHoHBSTDeleteInvalidatesWindow(t *testing.T) {
 	s.Insert(t0, 20)
 
 	// t1 pauses holding tags on the leaf 10 and its parent.
-	gp, p, l := s.locate(t1, 10)
-	_ = gp
+	a := s.begin(t1)
+	_, _, l := a.locate(10)
 	if keyOf(t1, l) != 10 {
 		t.Fatal("locate found wrong leaf")
 	}
-	_ = p
 	if !t1.Validate() {
 		t.Fatal("window invalid before delete")
 	}

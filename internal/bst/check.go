@@ -1,0 +1,83 @@
+package bst
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
+
+// checkable is satisfied by both variants.
+type checkable interface {
+	Root() core.Addr
+}
+
+// CheckInvariants validates a quiescent tree:
+//
+//   - both sentinels are in place: the root is S1 (internal, key inf2) with
+//     S2 (internal, key inf1) on its left and the inf2 leaf on its right, and
+//     S2's right child is an inf1 leaf;
+//   - the tree is leaf-oriented: every internal node has two children, every
+//     path ends in a leaf, and no node is reachable twice;
+//   - search order: every real leaf key (below the sentinel range) lies
+//     inside the routing range a search takes to reach it (left < router,
+//     right >= router), and real keys strictly increase left to right.
+//     Sentinel-keyed placeholder leaves legitimately cascade down the
+//     rightmost spine under S2 (as in Ellen et al.'s construction) and are
+//     exempt — searches never target them.
+//
+// It returns an error describing the first violation found.
+func CheckInvariants(th core.Thread, t checkable) error {
+	s1 := t.Root()
+	child := func(n core.Addr, f int) core.Addr { return core.Addr(th.Load(n.Plus(f))) }
+	if isLeaf(th, s1) || keyOf(th, s1) != inf2 {
+		return fmt.Errorf("root %#x is not the inf2 sentinel", uint64(s1))
+	}
+	s2 := child(s1, fLeft)
+	if s2.IsNil() || isLeaf(th, s2) || keyOf(th, s2) != inf1 {
+		return fmt.Errorf("root's left child %#x is not the inf1 sentinel", uint64(s2))
+	}
+	for _, c := range []struct {
+		n   core.Addr
+		key uint64
+	}{{child(s1, fRight), inf2}, {child(s2, fRight), inf1}} {
+		if c.n.IsNil() || !isLeaf(th, c.n) || keyOf(th, c.n) != c.key {
+			return fmt.Errorf("sentinel leaf %#x missing or not keyed %#x", uint64(c.n), c.key)
+		}
+	}
+
+	seen := map[core.Addr]bool{}
+	var last uint64
+	haveLast := false
+	var walk func(n core.Addr, lo, hi uint64) error
+	walk = func(n core.Addr, lo, hi uint64) error {
+		if n.IsNil() {
+			return fmt.Errorf("internal node with a nil child (range [%d, %d])", lo, hi)
+		}
+		if seen[n] {
+			return fmt.Errorf("node %#x reachable twice", uint64(n))
+		}
+		seen[n] = true
+		k := keyOf(th, n)
+		if isLeaf(th, n) {
+			if k >= inf1 {
+				return nil
+			}
+			if k < lo || k > hi {
+				return fmt.Errorf("leaf key %d outside search range [%d, %d]", k, lo, hi)
+			}
+			if haveLast && k <= last {
+				return fmt.Errorf("leaf key %d not above its predecessor %d", k, last)
+			}
+			last, haveLast = k, true
+			return nil
+		}
+		if k == 0 {
+			return fmt.Errorf("internal node %#x routes on key 0: nothing can be on its left", uint64(n))
+		}
+		if err := walk(child(n, fLeft), lo, min(hi, k-1)); err != nil {
+			return err
+		}
+		return walk(child(n, fRight), max(lo, k), hi)
+	}
+	return walk(s1, 0, ^uint64(0))
+}

@@ -31,12 +31,15 @@
 // Nodes are immutable except their two child pointers; every weight or key
 // change replaces nodes wholesale, and each step's removed nodes are
 // finalized (LLX/SCX) or IAS-invalidated (HoH), the discipline shared with
-// internal/abtree and internal/bst.
+// internal/abtree and internal/bst. The search, the updates and every
+// rebalancing rule are written once (tree.go) against treeupdate.Step; the
+// two flavours are the two steps.
 package chromatic
 
 import (
 	"repro/internal/core"
 	"repro/internal/llxscx"
+	"repro/internal/treeupdate"
 )
 
 // Node layout (words). The LLX/SCX header is reserved in both flavours.
@@ -109,11 +112,20 @@ func isLeaf(th core.Thread, n core.Addr) bool     { return th.Load(n.Plus(fMeta)
 func weightOf(th core.Thread, n core.Addr) uint64 { return th.Load(n.Plus(fWeight)) }
 func keyOf(th core.Thread, n core.Addr) uint64    { return th.Load(n.Plus(fKey)) }
 
-// readNode loads a full copy (children only meaningful under the caller's
-// synchronization; leaf/weight/key are immutable).
-func readNode(th core.Thread, n core.Addr) nodeC {
+// readNode loads a full copy (children only meaningful while quiescent or
+// as a hint; leaf/weight/key are immutable).
+func readNode(th core.Thread, n core.Addr) nodeC { return readHeld(th, n, nil) }
+
+// readHeld is readNode for a node held by st: the two children come from
+// the step (an LLX snapshot, or loads under the tag), so they are consistent
+// if the step commits. A nil st loads them plainly.
+func readHeld(th core.Thread, n core.Addr, st treeupdate.Step) nodeC {
 	nd := nodeC{leaf: isLeaf(th, n), w: weightOf(th, n), key: keyOf(th, n)}
-	if !nd.leaf {
+	switch {
+	case nd.leaf:
+	case st != nil:
+		nd.left, nd.right = core.Addr(st.Mut(n, 0)), core.Addr(st.Mut(n, 1))
+	default:
 		nd.left = core.Addr(th.Load(n.Plus(fLeft)))
 		nd.right = core.Addr(th.Load(n.Plus(fRight)))
 	}

@@ -1,0 +1,553 @@
+package chromatic
+
+import (
+	"repro/internal/core"
+	"repro/internal/intset"
+	"repro/internal/treeupdate"
+)
+
+// set is the tree bound to one flavour's steps: the search, the two updates
+// and every rebalancing rule exist once, below, and run through whichever
+// treeupdate.Step the flavour supplies.
+type set struct {
+	base
+	steps treeupdate.Steps
+}
+
+var _ intset.Set = (*set)(nil)
+
+// LLX is the software-baseline chromatic tree built on LLX/SCX: every
+// structural step freezes its dependencies, finalizes the removed nodes
+// and swings one pointer — the discipline of Brown et al.'s chromatic
+// tree, applied to this package's derived rule set.
+type LLX struct{ set }
+
+// NewLLX creates an empty tree.
+func NewLLX(mem core.Memory) *LLX {
+	return &LLX{set{newBase(mem), treeupdate.NewLLX(mem, fLeft, 2)}}
+}
+
+// HoH is the hand-over-hand-tagged chromatic tree: tagged three-ancestor
+// windows for searches, one IAS per structural step (update or
+// rebalancing), transiently marking every removed node.
+type HoH struct{ set }
+
+// NewHoH creates an empty tree.
+func NewHoH(mem core.Memory) *HoH {
+	// Window: gp, p, l plus the next node during extension = 4 nodes;
+	// rebalancing steps tag up to 6 (PushDown: gp, p, x, s and x's two
+	// children).
+	if mem.MaxTags() < 7 {
+		panic("chromatic: MaxTags below the HoH tagging window")
+	}
+	return &HoH{set{newBase(mem), treeupdate.NewTagged(mem, nodeBytes, fLeft, nil)}}
+}
+
+// Keys enumerates the set while quiescent.
+func (s *set) Keys(th core.Thread) []uint64 { return s.collect(th) }
+
+// Root returns the top sentinel (for invariant checks).
+func (s *set) Root() core.Addr { return s.root }
+
+// S2 returns the second sentinel (for invariant checks).
+func (s *set) S2() core.Addr { return s.s2 }
+
+// attempt is one run of the template by one thread: the step that holds
+// nodes and commits, and the contents of the nodes a snapshotting step has
+// held so far (A1c and A1e hold five: gp, p, x, s and a nephew).
+type attempt struct {
+	*set
+	th   core.Thread
+	st   treeupdate.Step
+	held [5]struct {
+		n  core.Addr
+		nd nodeC
+	}
+	k int
+}
+
+func (s *set) begin(th core.Thread) attempt {
+	a := attempt{set: s, th: th, st: s.steps.On(th)}
+	a.st.Begin()
+	return a
+}
+
+// cached returns the copy a snapshotting hold made of n, if any.
+func (a *attempt) cached(n core.Addr) (nodeC, bool) {
+	for i := 0; i < a.k; i++ {
+		if a.held[i].n == n {
+			return a.held[i].nd, true
+		}
+	}
+	return nodeC{}, false
+}
+
+// hold takes n into the step. An LLX is the read of n as well as its
+// protection, so a snapshotting step copies the node now; under tags the
+// contents are loaded when a rule asks for them.
+func (a *attempt) hold(n core.Addr) bool {
+	if !a.st.Hold(n, 2) {
+		return false
+	}
+	if a.st.Snapshots() {
+		a.held[a.k].n, a.held[a.k].nd = n, readHeld(a.th, n, a.st)
+		a.k++
+	}
+	return true
+}
+
+// holdNode holds n and returns its contents.
+func (a *attempt) holdNode(n core.Addr) (nodeC, bool) {
+	if !a.hold(n) {
+		return nodeC{}, false
+	}
+	return a.node(n), true
+}
+
+// holdLinked holds parent and checks its link to child; see linked.
+func (a *attempt) holdLinked(parent core.Addr, key uint64, child core.Addr) (slot core.Addr, ok bool) {
+	if !a.hold(parent) {
+		return core.NilAddr, false
+	}
+	return a.linked(parent, key, child)
+}
+
+// node returns held node n's contents, consistent if the step commits.
+func (a *attempt) node(n core.Addr) nodeC {
+	if nd, ok := a.cached(n); ok {
+		return nd
+	}
+	return readHeld(a.th, n, a.st)
+}
+
+// linked reports whether held parent still points at child on the side the
+// search for key takes (a child pointer is installed on one side once, so
+// the other need not be looked at). A snapshot already has the router key and
+// both children, so the check is free and slot stays NilAddr; under tags it
+// is the router key's load and the slot's, and the slot is returned for the
+// commit. See slot.
+func (a *attempt) linked(parent core.Addr, key uint64, child core.Addr) (slot core.Addr, ok bool) {
+	if pd, snap := a.cached(parent); snap {
+		side := 1
+		if key < pd.key {
+			side = 0
+		}
+		return core.NilAddr, core.Addr(a.st.Mut(parent, side)) == child
+	}
+	slot = childSlot(a.th, parent, key)
+	return slot, core.Addr(a.st.Mut(parent, int(slot-parent)/core.WordSize-fLeft)) == child
+}
+
+// slot completes linked: the address of parent's child pointer toward key,
+// loading the router key unless linked already did.
+func (a *attempt) slot(slot, parent core.Addr, key uint64) core.Addr {
+	if slot.IsNil() {
+		slot = childSlot(a.th, parent, key)
+	}
+	return slot
+}
+
+func (a *attempt) abandon() {
+	a.st.Abandon()
+	a.k = 0
+}
+
+// end closes the attempt, letting go of whatever is still held.
+func (a *attempt) end() {
+	a.abandon()
+	a.st.End()
+}
+
+// locate descends to the leaf covering key with the last two ancestors.
+// Under tags the step keeps gp, p and l held (the same induction as
+// bst.HoH), restarting on a failed validation.
+func (a *attempt) locate(key uint64) (gp, p, l core.Addr) {
+	for a.st.Seek(a.root) {
+		gp, p, l = core.NilAddr, core.NilAddr, a.root
+		for {
+			if isLeaf(a.th, l) {
+				return gp, p, l
+			}
+			next := core.Addr(a.th.Load(childSlot(a.th, l, key)))
+			if !a.st.Down(gp, next) {
+				break
+			}
+			gp, p, l = p, l, next
+		}
+	}
+	panic("chromatic: unguarded descent gave up")
+}
+
+// Contains reports whether key is present.
+func (s *set) Contains(th core.Thread, key uint64) bool {
+	a := s.begin(th)
+	_, _, l := a.locate(key)
+	found := keyOf(th, l) == key
+	a.end()
+	return found
+}
+
+// Insert adds key, reporting whether it was absent, then rebalances.
+func (s *set) Insert(th core.Thread, key uint64) bool {
+	for {
+		if done, added := s.insertOnce(th, key); done {
+			if added {
+				s.cleanup(th, key)
+			}
+			return added
+		}
+	}
+}
+
+func (s *set) insertOnce(th core.Thread, key uint64) (done, added bool) {
+	a := s.begin(th)
+	defer a.end()
+	_, p, l := a.locate(key)
+	// A snapshotting step searched without holding anything: hold the leaf
+	// and its parent now, as the template's LLX sequence.
+	if a.st.Snapshots() {
+		if _, ok := a.holdLinked(p, key, l); !ok || !a.hold(l) {
+			return false, false
+		}
+	}
+	ld := a.node(l)
+	if ld.key == key {
+		return true, false
+	}
+	if !a.st.Ready() {
+		return false, false
+	}
+	repl := planInsert(th, ld, key)
+	return a.st.Commit(treeupdate.Change{Owner: p, Slot: childSlot(th, p, key), Old: l, New: repl,
+		Removed: treeupdate.Nodes(l)}), true
+}
+
+// Delete removes key, reporting whether it was present, then rebalances.
+func (s *set) Delete(th core.Thread, key uint64) bool {
+	for {
+		if done, removed, unbalanced := s.deleteOnce(th, key); done {
+			if unbalanced {
+				s.cleanup(th, key)
+			}
+			return removed
+		}
+	}
+}
+
+// deleteOnce replaces the leaf's parent by a reweighted copy of the leaf's
+// sibling. The commit removes the window {p, l} plus the absorbed sibling.
+func (s *set) deleteOnce(th core.Thread, key uint64) (done, removed, unbalanced bool) {
+	a := s.begin(th)
+	defer a.end()
+	gp, p, l := a.locate(key)
+	if keyOf(th, l) != key {
+		return true, false, false
+	}
+	late := a.st.Snapshots()
+	if p == s.s2 {
+		// Rotations can leave a single real leaf as the root-child;
+		// deleting it empties the tree: restore the sentinel leaf.
+		if late {
+			if _, ok := a.holdLinked(p, key, l); !ok || !a.hold(l) {
+				return false, false, false
+			}
+		}
+		repl := writeNode(th, nodeC{leaf: true, w: 1, key: inf1})
+		return a.st.Commit(treeupdate.Change{Owner: p, Slot: childSlot(th, p, key), Old: l, New: repl,
+			Removed: treeupdate.Nodes(l)}), true, false
+	}
+	if late {
+		if _, ok := a.holdLinked(gp, key, p); !ok || !a.hold(p) {
+			return false, false, false
+		}
+	}
+	pd := a.node(p)
+	// l's sibling. A snapshot can show that p no longer points at l; under
+	// tags that is left to the commit's validation to catch.
+	sAddr := pd.left
+	switch {
+	case l == pd.left:
+		sAddr = pd.right
+	case l != pd.right && late:
+		return false, false, false
+	}
+	// The sibling is absorbed into a reweighted copy: it is removed too, so
+	// it joins the held set (and thus the commit's invalidation).
+	if late && !a.hold(l) {
+		return false, false, false
+	}
+	sd, ok := a.holdNode(sAddr)
+	if !ok || !a.st.Ready() {
+		return false, false, false
+	}
+	repl := planDelete(th, pd, sd)
+	return a.st.Commit(treeupdate.Change{Owner: gp, Slot: childSlot(th, gp, key), Old: p, New: repl,
+		Removed: treeupdate.Nodes(p, l, sAddr)}), true, true
+}
+
+// cleanup repeatedly searches toward key with an unheld descent, fixing the
+// topmost violation, until the path is clean (the same best-effort
+// discipline as the (a,b)-tree: a fix that lands on an unreachable node is
+// vacuous and the violation is rediscovered).
+func (s *set) cleanup(th core.Thread, key uint64) {
+	for !s.cleanupPass(th, key) {
+	}
+}
+
+// cleanupPass walks the path to key, returning true if it was clean.
+func (s *set) cleanupPass(th core.Thread, key uint64) bool {
+	a := s.begin(th)
+	defer a.end()
+	ggp, gp, p := core.NilAddr, core.NilAddr, s.root
+	x := core.Addr(th.Load(childSlot(th, p, key))) // S2
+	// Descend from S2's real child.
+	ggp, gp, p, x = gp, p, x, core.Addr(th.Load(childSlot(th, x, key)))
+	for {
+		w := weightOf(th, x)
+		if w >= 2 && !s.isResidualOverweight(th, p, x) {
+			if p == s.s2 {
+				// Renormalize the root-child's weight to 1.
+				a.fixRootChild(p, x, key, false)
+			} else {
+				a.fixOverweight(ggp, gp, p, x, key)
+			}
+			return false
+		}
+		if w == 0 && p != s.s2 && weightOf(th, p) == 0 {
+			if gp == s.s2 {
+				// A red root-child with a red child: fixing the red-red
+				// would rewrite the sentinel; instead promote the
+				// root-child to weight 1 (a uniform shift of every real
+				// path, legal at the root).
+				a.fixRootChild(gp, p, key, true)
+			} else {
+				a.fixRedRed(ggp, gp, p, x, key)
+			}
+			return false
+		}
+		if isLeaf(th, x) {
+			return true
+		}
+		ggp, gp, p = gp, p, x
+		x = core.Addr(th.Load(childSlot(th, x, key)))
+	}
+}
+
+// isResidualOverweight reports the one configuration with no
+// weight-preserving local fix: an overweight node whose sibling is a red
+// leaf. The sibling's path sum pins the parent's weight, so x's excess
+// cannot move up; pushing it down and re-raising it cycles (for weight 2
+// the push-down/push-up pair reproduces the configuration exactly), so it
+// is tolerated: path sums stay equal and no path lengthens.
+func (s *set) isResidualOverweight(th core.Thread, p, x core.Addr) bool {
+	if p == s.s2 {
+		return false
+	}
+	pd := readNode(th, p)
+	sib := pd.right
+	if pd.left != x {
+		if pd.right != x {
+			return false
+		}
+		sib = pd.left
+	}
+	return isLeaf(th, sib) && weightOf(th, sib) == 0
+}
+
+// fixRootChild sets the weight of x, the root-child under sentinel p, to 1:
+// from overweight (renormalizing), or, with red set, from red (x's child is
+// red too, so some rebalance is required, and the sentinel above cannot
+// rotate).
+func (a *attempt) fixRootChild(p, x core.Addr, key uint64, red bool) {
+	slot, ok := a.holdLinked(p, key, x)
+	if !ok {
+		return
+	}
+	xd, ok := a.holdNode(x)
+	if !ok || (red && xd.w != 0) || (!red && xd.w < 2) || !a.st.Ready() {
+		return
+	}
+	slot = a.slot(slot, p, key)
+	a.st.Commit(treeupdate.Change{Owner: p, Slot: slot, Old: x, New: planRootWeight(a.th, xd),
+		Removed: treeupdate.Nodes(x)})
+}
+
+// fixRedRed applies BLK / RB1 / RB2 / PUSH for the topmost red-red at x.
+func (a *attempt) fixRedRed(ggp, gp, p, x core.Addr, key uint64) {
+	slot, ok := a.holdLinked(ggp, key, gp)
+	if !ok {
+		return
+	}
+	gpd, ok := a.holdNode(gp)
+	pIsLeft := gpd.left == p
+	if !ok || (!pIsLeft && gpd.right != p) {
+		return
+	}
+	pd, ok := a.holdNode(p)
+	if !ok || (pd.left != x && pd.right != x) {
+		return
+	}
+	if pd.w != 0 || weightOf(a.th, x) != 0 || gpd.w < 1 {
+		return // violation gone or not topmost anymore
+	}
+	uAddr := gpd.right
+	if !pIsLeft {
+		uAddr = gpd.left
+	}
+	c := treeupdate.Change{Owner: ggp, Slot: a.slot(slot, ggp, key), Old: gp}
+	push := false
+	switch {
+	case weightOf(a.th, uAddr) == 0:
+		// BLK: recolour; u is replaced, so hold (and invalidate) it too.
+		ud, ok := a.holdNode(uAddr)
+		if !ok || !a.st.Ready() {
+			return
+		}
+		c.New, c.Removed = planBLK(a.th, gpd, pd, ud, pIsLeft), treeupdate.Nodes(gp, p, uAddr)
+	case (pd.left == x) == pIsLeft:
+		// Outside grandchild: single rotation.
+		if !a.st.Ready() {
+			return
+		}
+		c.New, c.Removed = planRB1(a.th, gpd, pd, x, pIsLeft), treeupdate.Nodes(gp, p)
+	case !isLeaf(a.th, x):
+		// Inside grandchild: double rotation; x is replaced.
+		xd, ok := a.holdNode(x)
+		if !ok || !a.st.Ready() {
+			return
+		}
+		c.New, c.Removed = planRB2(a.th, gpd, pd, xd, pIsLeft), treeupdate.Nodes(gp, p, x)
+	default:
+		// Inside grandchild leaf: no rotation material; push weight into
+		// the uncle instead. u is replaced, so hold (and invalidate) it.
+		ud, ok := a.holdNode(uAddr)
+		if !ok || !a.st.Ready() {
+			return
+		}
+		c.New, c.Removed = planPUSH(a.th, gpd, pd, ud, pIsLeft), treeupdate.Nodes(gp, p, uAddr)
+		push = true
+	}
+	if a.st.Commit(c) && push {
+		// The uncle may now be overweight — off this search path, so
+		// chase it with a cleanup routed into its range.
+		a.cleanup(a.th, sideKey(gpd.key, !pIsLeft))
+	}
+}
+
+// sideKey returns a key that routes to the given side of a node with the
+// given router key (left: any key < router; right: any key >= router).
+func sideKey(router uint64, left bool) uint64 {
+	if left {
+		return router - 1
+	}
+	return router
+}
+
+// fixOverweight removes the overweight at x, dispatching on the sibling's
+// shape so that no step creates a red-red the cleanup cannot see:
+//
+//	w_s >= 2, or w_s == 1 with no red child, or s a leaf  -> A1
+//	w_s == 1, near child red, far child black             -> A1c
+//	w_s == 1, near child black, far child red             -> A1b
+//	w_s == 1, both children red                           -> A1e
+//	s red internal (fix the off-path red-red first if p is red too;
+//	  else rotate: near nephew black -> A2, red -> A3)
+//	s red leaf: internal x -> PushDown (chasing the off-path child);
+//	  leaf x -> residual (tolerated; see isResidualOverweight)
+func (a *attempt) fixOverweight(ggp, gp, p, x core.Addr, key uint64) {
+	slot, ok := a.holdLinked(gp, key, p)
+	if !ok {
+		return
+	}
+	pd, ok := a.holdNode(p)
+	xIsLeft := pd.left == x
+	if !ok || (!xIsLeft && pd.right != x) {
+		return
+	}
+	// Tagging costs an access; a snapshot reads the weight anyway.
+	if !a.st.Snapshots() && weightOf(a.th, x) < 2 {
+		return
+	}
+	xd, ok := a.holdNode(x)
+	if !ok || xd.w < 2 {
+		return
+	}
+	sAddr := pd.right
+	if !xIsLeft {
+		sAddr = pd.left
+	}
+	sd, ok := a.holdNode(sAddr)
+	if !ok {
+		return
+	}
+	c := treeupdate.Change{Owner: gp, Slot: a.slot(slot, gp, key), Old: p, Removed: treeupdate.Nodes(p, x, sAddr)}
+	switch {
+	case sd.w >= 2 || (sd.w == 1 && sd.leaf):
+		if !a.st.Ready() {
+			return
+		}
+		c.New = planA1(a.th, pd, xd, sd, xIsLeft)
+	case sd.w == 1:
+		// Internal sibling of weight 1: inspect its children.
+		cAddr, dAddr := sd.left, sd.right
+		if !xIsLeft {
+			cAddr, dAddr = sd.right, sd.left
+		}
+		wc, wd := weightOf(a.th, cAddr), weightOf(a.th, dAddr)
+		switch {
+		case wc >= 1 && wd >= 1:
+			if !a.st.Ready() {
+				return
+			}
+			c.New = planA1(a.th, pd, xd, sd, xIsLeft)
+		case wc == 0 && wd >= 1:
+			cd, ok := a.holdNode(cAddr)
+			if !ok || !a.st.Ready() {
+				return
+			}
+			c.New, c.Removed[3] = planA1c(a.th, pd, xd, sd, cd, xIsLeft), cAddr
+		case wc >= 1: // wd == 0
+			if !a.st.Ready() {
+				return
+			}
+			c.New = planA1b(a.th, pd, xd, sd, xIsLeft)
+		default: // both red
+			dd, ok := a.holdNode(dAddr)
+			if !ok || !a.st.Ready() {
+				return
+			}
+			c.New, c.Removed[3] = planA1e(a.th, pd, xd, sd, dd, xIsLeft), dAddr
+		}
+	case !sd.leaf: // red internal sibling
+		if pd.w == 0 {
+			// (s, p) is an off-path red-red; rotating now would bury it.
+			// Fix it first, then rediscover the overweight.
+			a.abandon()
+			a.fixRedRed(ggp, gp, p, sAddr, key)
+			return
+		}
+		cAddr := sd.left
+		if !xIsLeft {
+			cAddr = sd.right
+		}
+		// Both rotations keep x: it is not removed.
+		if weightOf(a.th, cAddr) >= 1 {
+			if !a.st.Ready() {
+				return
+			}
+			c.New, c.Removed = planA2(a.th, pd, sd, x, xIsLeft), treeupdate.Nodes(p, sAddr)
+		} else {
+			a.st.Release(x)
+			cd, ok := a.holdNode(cAddr)
+			if !ok || !a.st.Ready() {
+				return
+			}
+			c.New, c.Removed = planA3(a.th, pd, sd, cd, x, xIsLeft), treeupdate.Nodes(p, sAddr, cAddr)
+		}
+	default:
+		// Residual: an overweight node beside a red leaf is locally
+		// irreducible and tolerated (see isResidualOverweight).
+		return
+	}
+	a.st.Commit(c)
+}

@@ -29,8 +29,8 @@ const DefaultFallbackThreshold = 16
 type Fallback struct {
 	mem  Memory
 	mode Addr
-	// Threshold is the number of consecutive fast-path failures after
-	// which Run switches to the slow path.
+	// Threshold is the number of fast-path attempts callers give an
+	// operation before Run switches it to the slow path.
 	Threshold int
 }
 
@@ -83,28 +83,28 @@ func (f *Fallback) ExitSlow(t Thread) {
 	}
 }
 
-// Run executes one operation: it tries fast up to Threshold times while
-// the mode permits, and otherwise runs slow. fast reports whether the
-// attempt committed; it must leave the tag set cleared when it returns
-// false. slow must always complete the operation.
+// Run executes one operation: it makes up to attempts fast attempts (<= 0
+// selects DefaultFallbackThreshold), each only while no slow operation is in
+// flight, and otherwise runs slow between EnterSlow and ExitSlow. fast
+// reports whether the attempt completed the operation. An attempt that
+// commits must call BeginFast once its reads are tagged and before it builds
+// what it will publish, so that its VAS/IAS validates the mode together with
+// the data; every attempt must leave the tag set cleared. slow must always
+// complete the operation.
 //
-// Run returns true if the fast path committed, false if the slow path was
-// taken — useful for measuring fallback trip rates.
-func (f *Fallback) Run(t Thread, fast func() bool, slow func()) bool {
-	threshold := f.Threshold
-	if threshold <= 0 {
-		threshold = DefaultFallbackThreshold
+// The check before each attempt is a plain load; the attempt's own BeginFast,
+// after its search, is what joins the Mode line to the tag set.
+//
+// Run returns true if a fast attempt completed the operation, false if the
+// slow path was taken — useful for measuring fallback trip rates.
+func (f *Fallback) Run(t Thread, attempts int, fast func() bool, slow func()) bool {
+	if attempts <= 0 {
+		attempts = DefaultFallbackThreshold
 	}
-	for attempt := 0; attempt < threshold; attempt++ {
-		if !f.BeginFast(t) {
-			t.ClearTagSet()
-			break
-		}
+	for attempt := 0; attempt < attempts && t.Load(f.mode) == ModeFast; attempt++ {
 		if fast() {
-			t.ClearTagSet()
 			return true
 		}
-		t.ClearTagSet()
 	}
 	f.EnterSlow(t)
 	slow()

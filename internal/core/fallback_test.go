@@ -13,7 +13,7 @@ func TestFallbackFastPathCommit(t *testing.T) {
 	th := m.Thread(0)
 
 	calls := 0
-	fastTaken := fb.Run(th, func() bool {
+	fastTaken := fb.Run(th, fb.Threshold, func() bool {
 		calls++
 		return true
 	}, func() { t.Fatal("slow path should not run") })
@@ -32,7 +32,7 @@ func TestFallbackTripsToSlowPath(t *testing.T) {
 	th := m.Thread(0)
 
 	fastCalls, slowCalls := 0, 0
-	fastTaken := fb.Run(th, func() bool {
+	fastTaken := fb.Run(th, fb.Threshold, func() bool {
 		fastCalls++
 		return false
 	}, func() { slowCalls++ })
@@ -125,7 +125,7 @@ func TestFallbackDefaultThreshold(t *testing.T) {
 	fb.Threshold = 0 // misconfigured: Run must still terminate
 	th := m.Thread(0)
 	fastCalls := 0
-	fb.Run(th, func() bool { fastCalls++; return false }, func() {})
+	fb.Run(th, fb.Threshold, func() bool { fastCalls++; return false }, func() {})
 	if fastCalls != core.DefaultFallbackThreshold {
 		t.Fatalf("fastCalls=%d, want default threshold %d", fastCalls, core.DefaultFallbackThreshold)
 	}

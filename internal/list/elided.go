@@ -45,37 +45,23 @@ func NewElided(mem core.Memory, threshold int) *Elided {
 	return &Elided{vas: NewVAS(mem), fb: fb}
 }
 
-// guard returns the fast-path commit guard: it joins the Mode line to the
-// current tag set and checks the mode is still FAST, so the attempt's
-// VAS/IAS validates the mode together with the data.
-func (s *Elided) guard(th core.Thread) func() bool {
-	return func() bool {
-		if !th.AddTag(s.fb.ModeAddr(), core.WordSize) {
-			return false
-		}
-		return th.Load(s.fb.ModeAddr()) == core.ModeFast
-	}
-}
-
-// update runs one operation: fast attempts, then the slow path.
+// update runs one operation: fast attempts, then the slow path. The guard
+// handed to an attempt is BeginFast: it joins the Mode line to the current
+// tag set and checks the mode is still FAST, so the attempt's VAS/IAS
+// validates the mode together with the data.
 func (s *Elided) update(th core.Thread,
 	fast func(guard func() bool) (done, result bool),
-	slow func() bool) bool {
+	slow func() bool) (result bool) {
 
-	g := s.guard(th)
-	for attempt := 0; attempt < s.fb.Threshold; attempt++ {
-		if th.Load(s.fb.ModeAddr()) != core.ModeFast {
-			break
-		}
-		if done, result := fast(g); done {
-			s.FastCommits.Add(1)
-			return result
-		}
+	guard := func() bool { return s.fb.BeginFast(th) }
+	if s.fb.Run(th, s.fb.Threshold, func() (done bool) {
+		done, result = fast(guard)
+		return done
+	}, func() { result = slow() }) {
+		s.FastCommits.Add(1)
+	} else {
+		s.SlowCommits.Add(1)
 	}
-	s.fb.EnterSlow(th)
-	result := slow()
-	s.fb.ExitSlow(th)
-	s.SlowCommits.Add(1)
 	return result
 }
 

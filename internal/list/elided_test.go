@@ -78,7 +78,7 @@ func TestElidedModeSwitchAbortsFastPath(t *testing.T) {
 	pred, curr := s.vas.locate(t1, 20)
 	t1.AddTag(pred, nodeBytes)
 	t1.AddTag(curr, nodeBytes)
-	if !s.guard(t1)() {
+	if !s.fb.BeginFast(t1) {
 		t.Fatal("guard failed while mode is FAST")
 	}
 	// Concurrent switch to SLOW.

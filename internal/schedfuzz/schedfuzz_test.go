@@ -117,7 +117,7 @@ func TestModeFlipperRestsAtFast(t *testing.T) {
 	th := mem.Thread(0)
 	slowRuns := 0
 	for i := 0; i < 200; i++ {
-		fb.Run(th, func() bool { return false }, func() { slowRuns++ })
+		fb.Run(th, fb.Threshold, func() bool { return false }, func() { slowRuns++ })
 	}
 	stop()
 	if slowRuns != 200 {
