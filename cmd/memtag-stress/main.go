@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/abtree"
 	"repro/internal/bst"
@@ -46,13 +44,6 @@ var (
 const policyOff reclaim.Policy = -1
 
 var reclaimPolicy = policyOff
-
-// telemetryBackend and tracerBackend are the observability hooks both
-// memory backends expose; opClocked is the per-thread clock both backends'
-// threads implement (simulated cycles on machine, logical ticks on vtags).
-type telemetryBackend interface{ SetTelemetry(s *telemetry.Set) }
-type tracerBackend interface{ SetTracer(tr core.Tracer) }
-type opClocked interface{ OpClock() (clock, fails uint64) }
 
 type structDef struct {
 	name  string
@@ -152,7 +143,7 @@ func attachDomain(mem core.Memory) *reclaim.Domain {
 	d := reclaim.NewDomainFor(mem)
 	d.SetChecked(true)
 	d.OnViolation(func(error) {})
-	if sr, ok := mem.(interface{ SetReclaim(*reclaim.Domain) }); ok {
+	if sr, ok := mem.(reclaim.Attacher); ok {
 		sr.SetReclaim(d)
 	}
 	return d
@@ -376,8 +367,9 @@ func exploreOne(sd structDef, threads, ops int, keyRange uint64, seed int64, mod
 	return nil
 }
 
-// stressOne runs one concurrent mixed round and verifies per-key counts,
-// snapshot order, and structural invariants.
+// stressOne runs one concurrent mixed round as a core.RunPhase (on the
+// machine the workers interleave by simulated time, not by host scheduling)
+// and verifies per-key counts, snapshot order, and structural invariants.
 func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, seed int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -396,13 +388,13 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 	}
 
 	// Observability hooks, enabled by -telemetry / -trace-out. Both
-	// backends implement the same interfaces, so stress rounds exercise the
+	// backends offer the same capabilities, so stress rounds exercise the
 	// allocation-free recording path under real concurrency.
 	var tset *telemetry.Set
 	var sampler *telemetry.Sampler
 	var tcol *telemetry.TraceCollector
 	if telemetryOn {
-		if tb, ok := mem.(telemetryBackend); ok {
+		if tb, ok := mem.(telemetry.Attacher); ok {
 			tset = telemetry.NewSet(threads)
 			tb.SetTelemetry(tset)
 			every := sampleEveryN
@@ -416,67 +408,44 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 		}
 	}
 	if traceOutPath != "" {
-		if trb, ok := mem.(tracerBackend); ok {
+		if trb, ok := mem.(core.Traceable); ok {
 			tcol = telemetry.NewTraceCollector(threads)
 			trb.SetTracer(tcol)
 		}
 	}
 
-	type cnt struct{ ins, del int64 }
-	counts := make([][]cnt, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		counts[w] = make([]cnt, keyRange)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := mem.Thread(w)
-			var oc opClocked
-			if tset != nil || tcol != nil {
-				oc, _ = th.(opClocked)
+	counts := intset.NewKeyCounts(threads, keyRange)
+	core.RunPhase(mem, threads, func(w int, th core.Thread) {
+		var oc core.OpClocked
+		if tset != nil || tcol != nil {
+			oc, _ = th.(core.OpClocked)
+		}
+		var tel *telemetry.Core
+		if tset != nil && oc != nil {
+			tel = tset.Core(w)
+			c0, f0 := oc.OpClock()
+			sampler.Enroll(w, c0, f0)
+		}
+		rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
+		for i := 0; i < ops; i++ {
+			var c0, f0 uint64
+			if oc != nil {
+				c0, f0 = oc.OpClock()
 			}
-			var tel *telemetry.Core
-			if tset != nil && oc != nil {
-				tel = tset.Core(w)
-				c0, f0 := oc.OpClock()
-				sampler.Enroll(w, c0, f0)
-			}
-			rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
-			for i := 0; i < ops; i++ {
-				idx := rng.Intn(int(keyRange))
-				k := intset.KeyMin + uint64(idx)
-				op := rng.Intn(3)
-				var c0, f0 uint64
-				if oc != nil {
-					c0, f0 = oc.OpClock()
+			op := counts.Step(w, th, s, rng)
+			if oc != nil {
+				c1, f1 := oc.OpClock()
+				if tel != nil {
+					tel.OpLatency.Observe(c1 - c0)
+					tel.OpRetries.Observe(f1 - f0)
+					sampler.Tick(w, c1, f1)
 				}
-				switch op {
-				case 0:
-					if s.Insert(th, k) {
-						counts[w][idx].ins++
-					}
-				case 1:
-					if s.Delete(th, k) {
-						counts[w][idx].del++
-					}
-				default:
-					s.Contains(th, k)
-				}
-				if oc != nil {
-					c1, f1 := oc.OpClock()
-					if tel != nil {
-						tel.OpLatency.Observe(c1 - c0)
-						tel.OpRetries.Observe(f1 - f0)
-						sampler.Tick(w, c1, f1)
-					}
-					if tcol != nil {
-						tcol.OpSpan(w, [...]string{"Insert", "Delete", "Contains"}[op], c0, c1)
-					}
+				if tcol != nil {
+					tcol.OpSpan(w, [...]string{"Insert", "Delete", "Contains"}[op], c0, c1)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 
 	if tset != nil {
 		tset.Flush()
@@ -490,7 +459,7 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 			agg.OpLatency.Max(), retries, len(sampler.Windows()))
 	}
 	if tcol != nil {
-		if trb, ok := mem.(tracerBackend); ok {
+		if trb, ok := mem.(core.Traceable); ok {
 			trb.SetTracer(nil)
 		}
 		f, ferr := os.Create(traceOutPath)
@@ -523,25 +492,8 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 	}
 
 	th := mem.Thread(0)
-	for idx := uint64(0); idx < keyRange; idx++ {
-		var ins, del int64
-		for w := 0; w < threads; w++ {
-			ins += counts[w][idx].ins
-			del += counts[w][idx].del
-		}
-		net := ins - del
-		if net != 0 && net != 1 {
-			return fmt.Errorf("key %d: net successes %d", intset.KeyMin+idx, net)
-		}
-		if got, want := s.Contains(th, intset.KeyMin+idx), net == 1; got != want {
-			return fmt.Errorf("key %d: contains=%v want %v", intset.KeyMin+idx, got, want)
-		}
-	}
-	if snap, ok := s.(intset.Snapshotter); ok {
-		keys := snap.Keys(th)
-		if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-			return fmt.Errorf("final enumeration unsorted")
-		}
+	if err := counts.Verify(th, s); err != nil {
+		return err
 	}
 	return sd.check(th, s)
 }

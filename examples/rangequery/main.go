@@ -7,15 +7,15 @@ package main
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/list"
 	"repro/internal/machine"
 )
 
 func main() {
-	cfg := machine.DefaultConfig(4)
+	cfg := machine.DefaultConfig(3)
 	cfg.MemBytes = 16 << 20
 	m := machine.New(cfg)
 	s := list.NewHoH(m)
@@ -28,53 +28,44 @@ func main() {
 		s.Insert(t0, uint64(10*i+2))
 	}
 
-	// Enrol writers and reader in lax clock synchronization so their
-	// simulated-time interleaving is realistic even on a small host.
-	m.BeginEpoch()
+	// Writers and reader are one parallel phase: RunPhase aligns the clocks
+	// and enrols all three in lax clock synchronization before any of them
+	// runs, so their simulated-time interleaving is realistic even on a
+	// small host. Workers 0 and 1 write; worker 2 reads, then stops them.
 	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 1; w <= 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := m.Thread(w).(*machine.Thread)
-			th.SetActive(true)
-			defer th.SetActive(false)
-			base := uint64(10 * (w - 1))
+	atomicSnaps, failed, torn := 0, 0, 0
+	core.RunPhase(m, 3, func(w int, th core.Thread) {
+		if w < 2 {
+			base := uint64(10 * w)
 			for !stop.Load() {
 				s.Delete(th, base+1)
 				s.Delete(th, base+2)
 				s.Insert(th, base+1)
 				s.Insert(th, base+2)
 			}
-		}(w)
-	}
-
-	reader := m.Thread(3).(*machine.Thread)
-	reader.SetActive(true)
-	atomicSnaps, failed, torn := 0, 0, 0
-	for i := 0; i < 400; i++ {
-		keys, ok := s.RangeQuery(reader, 1, 100, 6)
-		if !ok {
-			failed++
-			continue
+			return
 		}
-		atomicSnaps++
-		seen := map[uint64]bool{}
-		for _, k := range keys {
-			seen[k] = true
-		}
-		// Untouched pairs must always be complete in an atomic snapshot.
-		for i := 2; i < pairs; i++ {
-			a, b := uint64(10*i+1), uint64(10*i+2)
-			if seen[a] != seen[b] {
-				torn++
+		defer stop.Store(true)
+		for i := 0; i < 400; i++ {
+			keys, ok := s.RangeQuery(th, 1, 100, 6)
+			if !ok {
+				failed++
+				continue
+			}
+			atomicSnaps++
+			seen := map[uint64]bool{}
+			for _, k := range keys {
+				seen[k] = true
+			}
+			// Untouched pairs must always be complete in an atomic snapshot.
+			for i := 2; i < pairs; i++ {
+				a, b := uint64(10*i+1), uint64(10*i+2)
+				if seen[a] != seen[b] {
+					torn++
+				}
 			}
 		}
-	}
-	reader.SetActive(false)
-	stop.Store(true)
-	wg.Wait()
+	})
 
 	fmt.Printf("atomic range snapshots: %d ok, %d retries exhausted, %d torn pairs (must be 0)\n",
 		atomicSnaps, failed, torn)

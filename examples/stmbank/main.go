@@ -7,7 +7,6 @@ package main
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -43,32 +42,24 @@ func main() {
 			t0.Store(addrs[i], initial)
 		}
 
-		m.BeginEpoch()
+		// One parallel phase: clocks aligned, every core enrolled in lax
+		// clock synchronization before the first transfer.
 		before := m.Snapshot()
-		var wg sync.WaitGroup
-		for w := 0; w < cores; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				th := m.Thread(w).(*machine.Thread)
-				th.SetActive(true)
-				defer th.SetActive(false)
-				for i := 0; i < transfers; i++ {
-					src := (w*31 + i*17) % accounts
-					dst := (w*13 + i*7 + 1) % accounts
-					if src == dst {
-						dst = (dst + 1) % accounts
-					}
-					tm.Run(th, func(tx *stm.Tx) {
-						s := tx.Read(addrs[src])
-						d := tx.Read(addrs[dst])
-						tx.Write(addrs[src], s-transferSz)
-						tx.Write(addrs[dst], d+transferSz)
-					})
+		core.RunPhase(m, cores, func(w int, th core.Thread) {
+			for i := 0; i < transfers; i++ {
+				src := (w*31 + i*17) % accounts
+				dst := (w*13 + i*7 + 1) % accounts
+				if src == dst {
+					dst = (dst + 1) % accounts
 				}
-			}(w)
-		}
-		wg.Wait()
+				tm.Run(th, func(tx *stm.Tx) {
+					s := tx.Read(addrs[src])
+					d := tx.Read(addrs[dst])
+					tx.Write(addrs[src], s-transferSz)
+					tx.Write(addrs[dst], d+transferSz)
+				})
+			}
+		})
 		after := m.Snapshot()
 
 		var sum uint64

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -48,20 +47,10 @@ func main() {
 		mgr := vacation.NewManager(m, tm)
 		vacation.Populate(mgr, m.Thread(0), p, 1)
 
-		m.BeginEpoch()
 		before := m.Snapshot()
-		var wg sync.WaitGroup
-		for w := 0; w < *clients; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				th := m.Thread(w).(*machine.Thread)
-				th.SetActive(true)
-				defer th.SetActive(false)
-				vacation.Client(mgr, th, p, int64(100+w))
-			}(w)
-		}
-		wg.Wait()
+		core.RunPhase(m, *clients, func(w int, th core.Thread) {
+			vacation.Client(mgr, th, p, int64(100+w))
+		})
 		after := m.Snapshot()
 
 		if ok, detail := mgr.CheckTables(m.Thread(0)); !ok {

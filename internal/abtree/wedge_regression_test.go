@@ -3,7 +3,6 @@ package abtree
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,15 +89,10 @@ func TestLLXTreeNoWedgedFinalizedNodes(t *testing.T) {
 		done atomic.Bool
 	}
 	states := make([]state, threads)
-	m.BeginEpoch()
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := m.Thread(w).(*machine.Thread)
-			th.SetActive(true)
-			defer th.SetActive(false)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		core.RunPhase(m, threads, func(w int, th core.Thread) {
 			rng := rand.New(rand.NewSource(wl.Seed + int64(w)*7919 + 1))
 			for i := 0; i < wl.OpsPerThread; i++ {
 				k := intset.KeyMin + uint64(rng.Int63n(int64(wl.KeyRange)))
@@ -118,10 +112,8 @@ func TestLLXTreeNoWedgedFinalizedNodes(t *testing.T) {
 				states[w].ops.Add(1)
 			}
 			states[w].done.Store(true)
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+		})
+	}()
 	select {
 	case <-done:
 		th := m.Thread(0)

@@ -243,3 +243,37 @@ func TestHoHChromaticUsesIAS(t *testing.T) {
 		_ = snap
 	}
 }
+
+// TestOverweightUnderRedRootChildKeepsSentinel builds the shape two
+// overlapping updates can leave behind — a red root-child R whose one child
+// is a red internal node S and whose other child X is overweight — and
+// cleans up toward X. fixOverweight hands the off-path red-red (R, S) to
+// fixRedRed with the sentinel S2 as grandparent; rotating there would
+// replace S2, after which the tree the sentinels name is a frozen copy
+// (DESIGN.md §6 item 6).
+func TestOverweightUnderRedRootChildKeepsSentinel(t *testing.T) {
+	for _, v := range chromVariants {
+		t.Run(v.name, func(t *testing.T) {
+			mem := vtags.New(1<<20, 1)
+			th := mem.Thread(0)
+			s := v.mk(mem)
+			c := s.(checkable)
+			pair := func(lo, hi uint64) core.Addr {
+				return writeNode(th, nodeC{w: 1, key: hi, left: mkLeaf(th, 1, lo), right: mkLeaf(th, 1, hi)})
+			}
+			sib := writeNode(th, nodeC{w: 0, key: 5, left: pair(2, 3), right: pair(5, 7)})
+			rc := writeNode(th, nodeC{w: 0, key: 10, left: sib, right: mkLeaf(th, 2, 10)})
+			th.Store(c.S2().Plus(fLeft), uint64(rc))
+
+			s.(interface{ cleanup(core.Thread, uint64) }).cleanup(th, 10) // toward X
+			if got := core.Addr(th.Load(c.Root().Plus(fLeft))); got != c.S2() {
+				t.Fatalf("sentinel S2 was replaced: root's child is %#x, S2 is %#x", uint64(got), uint64(c.S2()))
+			}
+			checkTree(t, th, s)
+			want := []uint64{2, 3, 5, 7, 10}
+			if got := s.(intset.Snapshotter).Keys(th); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("keys = %v, want %v", got, want)
+			}
+		})
+	}
+}

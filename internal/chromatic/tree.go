@@ -314,15 +314,7 @@ func (s *set) cleanupPass(th core.Thread, key uint64) bool {
 			return false
 		}
 		if w == 0 && p != s.s2 && weightOf(th, p) == 0 {
-			if gp == s.s2 {
-				// A red root-child with a red child: fixing the red-red
-				// would rewrite the sentinel; instead promote the
-				// root-child to weight 1 (a uniform shift of every real
-				// path, legal at the root).
-				a.fixRootChild(gp, p, key, true)
-			} else {
-				a.fixRedRed(ggp, gp, p, x, key)
-			}
+			a.fixRedRed(ggp, gp, p, x, key)
 			return false
 		}
 		if isLeaf(th, x) {
@@ -374,6 +366,15 @@ func (a *attempt) fixRootChild(p, x core.Addr, key uint64, red bool) {
 
 // fixRedRed applies BLK / RB1 / RB2 / PUSH for the topmost red-red at x.
 func (a *attempt) fixRedRed(ggp, gp, p, x core.Addr, key uint64) {
+	if gp == a.s2 {
+		// A red root-child with a red child: every rule below would rewrite
+		// the sentinel. Promote the root-child to weight 1 instead (a uniform
+		// shift of every real path, legal at the root). The check lives here
+		// because both callers reach it: the cleanup walk, and fixOverweight
+		// handing over an off-path red-red under a red root-child.
+		a.fixRootChild(gp, p, key, true)
+		return
+	}
 	slot, ok := a.holdLinked(ggp, key, gp)
 	if !ok {
 		return

@@ -2,11 +2,23 @@
 // "Memory Tagging: Minimalist Synchronization for Scalable Concurrent Data
 // Structures" (Alistarh, Brown, Singhal; SPAA 2020).
 //
-// The package is deliberately small: it contains the address model for the
-// simulated, cache-line-granular address space, the Memory/Thread interfaces
-// through which every data structure in this repository issues loads, stores
-// and tag operations, and the HLE-style fallback controller that pairs a
-// tagged fast path with a software slow path.
+// The package holds everything a data structure or a harness may assume
+// about a memory, and nothing about how one is built:
+//
+//   - the address model of the simulated, cache-line-granular space
+//     (core.go) and CoreSet, the fixed-capacity core bitset (coreset.go);
+//   - Memory and Thread, the paper's seven instructions plus Max_Tags,
+//     through which every structure issues loads, stores and tag operations;
+//   - the optional capabilities a harness may assert on a Memory or Thread,
+//     each named once, and RunPhase, the one way to run a parallel phase
+//     over a Memory (capability.go);
+//   - the event vocabulary and Tracer both backends report in (event.go);
+//   - Fallback, the HLE-style controller pairing a tagged fast path with a
+//     software slow path (fallback.go).
+//
+// Tags are advisory: a validation may fail spuriously and never succeeds
+// wrongly. internal/coretest states the contract as executable must and may
+// properties and runs it against every Memory in the tree.
 //
 // Two backends implement the interfaces:
 //
@@ -120,7 +132,11 @@ type Thread interface {
 	// line (and therefore evicting remote tags on it).
 	Store(a Addr, v uint64)
 	// CAS atomically compares the word at a with old and, if equal, writes
-	// new. It reports whether the swap happened.
+	// new. It reports whether the swap happened. A successful CAS evicts
+	// remote tags on the line exactly like Store; a failed one may (the
+	// machine takes the line exclusive before comparing) or may not (vtags
+	// bumps no version), so Validate on another thread may fail after a
+	// remote CAS that failed.
 	CAS(a Addr, old, new uint64) bool
 
 	// AddTag tags every cache line backing the byte range [a, a+size).
@@ -136,7 +152,10 @@ type Thread interface {
 	// Validate reports whether no currently- or previously-tagged line has
 	// been invalidated or evicted since it was tagged (and the tag set
 	// never overflowed). The tag set is retained across validations so
-	// that hand-over-hand tagging can validate repeatedly.
+	// that hand-over-hand tagging can validate repeatedly. It must fail
+	// after a successful remote Store, CAS, VAS or IAS to a tagged line,
+	// and may fail without one (a capacity eviction, a remote CAS that
+	// failed): once failed it keeps failing until ClearTagSet.
 	Validate() bool
 	// VAS (validate-and-swap) atomically validates the tag set and, on
 	// success, stores v at a. It reports whether the swap happened.

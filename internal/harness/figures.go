@@ -208,7 +208,7 @@ func reclaimSkipVariant(name string, policy reclaim.Policy) SetVariant {
 		BuildReclaimed: func(m core.Memory) (intset.Set, *reclaim.Pool) {
 			d := reclaim.NewDomainFor(m)
 			d.SetChecked(true)
-			if sr, ok := m.(interface{ SetReclaim(*reclaim.Domain) }); ok {
+			if sr, ok := m.(reclaim.Attacher); ok {
 				sr.SetReclaim(d)
 			}
 			s := skiplist.NewVAS(m)

@@ -138,7 +138,7 @@ func (e *NUMAExperiment) runOne(backend string, v SetVariant, cores int) NUMAPoi
 	}
 	workload.Prefill(m, s, wcfg)
 	set := telemetry.NewSet(cores)
-	if st, ok := m.(interface{ SetTelemetry(*telemetry.Set) }); ok {
+	if st, ok := m.(telemetry.Attacher); ok {
 		st.SetTelemetry(set)
 	}
 	wcfg.Telemetry = set

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -170,27 +169,11 @@ func (e *VacationExperiment) runOne(mk func(core.Memory) *stm.TM, name string, t
 	mgr := vacation.NewManager(m, tm)
 	vacation.Populate(mgr, m.Thread(0), e.Params, 1+trial)
 
-	m.BeginEpoch()
 	before := m.Snapshot()
 	abortsBefore := tm.Aborts.Load()
-	var ready, wg sync.WaitGroup
-	start := make(chan struct{})
-	ready.Add(threads)
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := m.Thread(w).(*machine.Thread)
-			th.SetActive(true)
-			defer th.SetActive(false)
-			ready.Done()
-			<-start
-			vacation.Client(mgr, th, e.Params, int64(1000+w)+trial*131)
-		}(w)
-	}
-	ready.Wait()
-	close(start)
-	wg.Wait()
+	core.RunPhase(m, threads, func(w int, th core.Thread) {
+		vacation.Client(mgr, th, e.Params, int64(1000+w)+trial*131)
+	})
 	after := m.Snapshot()
 
 	tx := uint64(threads * e.Params.Transactions)

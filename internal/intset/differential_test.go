@@ -23,32 +23,27 @@ type opResult struct {
 
 // runSequence drives one seeded single-thread operation sequence and
 // returns every observable result plus the final snapshot.
-func runSequence(mem core.Memory, s intset.Set, seed int64, ops int) ([]opResult, []uint64) {
-	th := mem.Thread(0)
-	if a, ok := th.(interface{ SetActive(bool) }); ok {
-		a.SetActive(true)
-		defer a.SetActive(false)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	results := make([]opResult, 0, ops)
-	for i := 0; i < ops; i++ {
-		k := intset.KeyMin + uint64(rng.Int63n(48))
-		op := rng.Intn(3)
-		var ok bool
-		switch op {
-		case 0:
-			ok = s.Insert(th, k)
-		case 1:
-			ok = s.Delete(th, k)
-		default:
-			ok = s.Contains(th, k)
+func runSequence(mem core.Memory, s intset.Set, seed int64, ops int) (results []opResult, keys []uint64) {
+	core.RunPhase(mem, 1, func(_ int, th core.Thread) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < ops; i++ {
+			k := intset.KeyMin + uint64(rng.Int63n(48))
+			op := rng.Intn(3)
+			var ok bool
+			switch op {
+			case 0:
+				ok = s.Insert(th, k)
+			case 1:
+				ok = s.Delete(th, k)
+			default:
+				ok = s.Contains(th, k)
+			}
+			results = append(results, opResult{Op: op, Key: k, OK: ok})
 		}
-		results = append(results, opResult{Op: op, Key: k, OK: ok})
-	}
-	var keys []uint64
-	if snap, ok := s.(intset.Snapshotter); ok {
-		keys = snap.Keys(th)
-	}
+		if snap, ok := s.(intset.Snapshotter); ok {
+			keys = snap.Keys(th)
+		}
+	})
 	return results, keys
 }
 

@@ -2,7 +2,6 @@ package intset
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -46,42 +45,11 @@ func RunExplore(newMachine func(threads int) *machine.Machine, build func(core.M
 		m := newMachine(cfg.Threads)
 		s := build(m)
 		rec := history.NewRecorder(cfg.Threads, cfg.OpsPerThread+cfg.Prefill+8)
-		if cfg.Prefill > 0 {
-			th := m.Thread(0)
-			sh := rec.Shard(0)
-			rng := rand.New(rand.NewSource(cfg.Seed ^ 0x9e3779b9))
-			inserted := 0
-			for inserted < cfg.Prefill {
-				k := KeyMin + uint64(rng.Int63n(int64(cfg.KeyRange)))
-				idx := sh.Begin(history.OpInsert, k, 0)
-				ok := s.Insert(th, k)
-				sh.End(idx, ok, 0)
-				if ok {
-					inserted++
-				}
-			}
-		}
+		RecordedPrefill(m.Thread(0), s, rec.Shard(0), cfg.Prefill, cfg.KeyRange, prefillSeed(cfg.Seed), 0)
 		return schedexplore.Setup{
 			Machine: m,
 			Workers: cfg.Threads,
-			Body: func(w int, th core.Thread) {
-				sh := rec.Shard(w)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919 + 1))
-				for i := 0; i < cfg.OpsPerThread; i++ {
-					k := KeyMin + uint64(rng.Int63n(int64(cfg.KeyRange)))
-					switch rng.Intn(3) {
-					case 0:
-						idx := sh.Begin(history.OpInsert, k, 0)
-						sh.End(idx, s.Insert(th, k), 0)
-					case 1:
-						idx := sh.Begin(history.OpDelete, k, 0)
-						sh.End(idx, s.Delete(th, k), 0)
-					default:
-						idx := sh.Begin(history.OpContains, k, 0)
-						sh.End(idx, s.Contains(th, k), 0)
-					}
-				}
-			},
+			Body:    recordedWorkers(s, rec, cfg.Seed, cfg.OpsPerThread, cfg.KeyRange),
 			Check: func() error {
 				if cfg.OnHistory != nil {
 					cfg.OnHistory(rec.Events())

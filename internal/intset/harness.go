@@ -2,7 +2,6 @@ package intset
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -69,44 +68,34 @@ func VerifyAgainstReference(t *testing.T, th core.Thread, s Set, ref Reference, 
 // the final state is exactly predictable, then verifies it.
 func CheckDisjointConcurrent(t *testing.T, mem core.Memory, s Set, threads, opsPerThread int) {
 	t.Helper()
-	if threads > mem.NumThreads() {
-		t.Fatalf("need %d threads, memory has %d", threads, mem.NumThreads())
-	}
 	const stride = 1 << 20
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := mem.Thread(w)
-			base := KeyMin + uint64(w)*stride
-			rng := rand.New(rand.NewSource(int64(w + 1)))
-			// Random inserts/deletes within the private range; a private
-			// reference tracks expected membership.
-			ref := Reference{}
-			for i := 0; i < opsPerThread; i++ {
-				k := base + uint64(rng.Intn(256))
-				if rng.Intn(2) == 0 {
-					if got, want := s.Insert(th, k), ref.Insert(k); got != want {
-						t.Errorf("thread %d: Insert(%d) = %v, want %v", w, k, got, want)
-						return
-					}
-				} else {
-					if got, want := s.Delete(th, k), ref.Delete(k); got != want {
-						t.Errorf("thread %d: Delete(%d) = %v, want %v", w, k, got, want)
-						return
-					}
+	core.RunPhase(mem, threads, func(w int, th core.Thread) {
+		base := KeyMin + uint64(w)*stride
+		rng := rand.New(rand.NewSource(int64(w + 1)))
+		// Random inserts/deletes within the private range; a private
+		// reference tracks expected membership.
+		ref := Reference{}
+		for i := 0; i < opsPerThread; i++ {
+			k := base + uint64(rng.Intn(256))
+			if rng.Intn(2) == 0 {
+				if got, want := s.Insert(th, k), ref.Insert(k); got != want {
+					t.Errorf("thread %d: Insert(%d) = %v, want %v", w, k, got, want)
+					return
 				}
-			}
-			for k := range ref {
-				if !s.Contains(th, k) {
-					t.Errorf("thread %d: key %d lost", w, k)
+			} else {
+				if got, want := s.Delete(th, k), ref.Delete(k); got != want {
+					t.Errorf("thread %d: Delete(%d) = %v, want %v", w, k, got, want)
 					return
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		for k := range ref {
+			if !s.Contains(th, k) {
+				t.Errorf("thread %d: key %d lost", w, k)
+				return
+			}
+		}
+	})
 }
 
 // CheckMixedConcurrent hammers a small shared key range from all threads,
@@ -114,57 +103,14 @@ func CheckDisjointConcurrent(t *testing.T, mem core.Memory, s Set, threads, opsP
 // membership equals the net count (which must be 0 or 1 per key).
 func CheckMixedConcurrent(t *testing.T, mem core.Memory, s Set, threads, opsPerThread int, keyRange uint64) {
 	t.Helper()
-	type coun struct{ ins, del int64 }
-	counts := make([][]coun, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		counts[w] = make([]coun, keyRange)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := mem.Thread(w)
-			rng := rand.New(rand.NewSource(int64(1000 + w)))
-			for i := 0; i < opsPerThread; i++ {
-				idx := rng.Intn(int(keyRange))
-				k := KeyMin + uint64(idx)
-				switch rng.Intn(3) {
-				case 0:
-					if s.Insert(th, k) {
-						counts[w][idx].ins++
-					}
-				case 1:
-					if s.Delete(th, k) {
-						counts[w][idx].del++
-					}
-				default:
-					s.Contains(th, k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	th := mem.Thread(0)
-	for idx := uint64(0); idx < keyRange; idx++ {
-		var ins, del int64
-		for w := 0; w < threads; w++ {
-			ins += counts[w][idx].ins
-			del += counts[w][idx].del
+	counts := NewKeyCounts(threads, keyRange)
+	core.RunPhase(mem, threads, func(w int, th core.Thread) {
+		rng := rand.New(rand.NewSource(int64(1000 + w)))
+		for i := 0; i < opsPerThread; i++ {
+			counts.Step(w, th, s, rng)
 		}
-		net := ins - del
-		if net != 0 && net != 1 {
-			t.Fatalf("key %d: net successful inserts %d (ins=%d del=%d) — success reporting broken", KeyMin+idx, net, ins, del)
-		}
-		if got, want := s.Contains(th, KeyMin+idx), net == 1; got != want {
-			t.Fatalf("key %d: Contains = %v, want %v (ins=%d del=%d)", KeyMin+idx, got, want, ins, del)
-		}
-	}
-	if snap, ok := s.(Snapshotter); ok {
-		keys := snap.Keys(th)
-		for i := 1; i < len(keys); i++ {
-			if keys[i-1] >= keys[i] {
-				t.Fatalf("final snapshot unsorted/duplicated at %d", i)
-			}
-		}
+	})
+	if err := counts.Verify(mem.Thread(0), s); err != nil {
+		t.Fatal(err)
 	}
 }

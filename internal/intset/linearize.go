@@ -1,8 +1,6 @@
 package intset
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -36,18 +34,6 @@ type LinearizeConfig struct {
 // elided (a,b)-tree) that expose their Mode line.
 type modeAddresser interface{ ModeAddr() core.Addr }
 
-// epochAligner mirrors the machine backend's epoch alignment.
-type epochAligner interface{ BeginEpoch() }
-
-// activatable mirrors the machine backend's lax-clock enrolment.
-type activatable interface{ SetActive(bool) }
-
-// spareThreader is implemented by backends (and the schedfuzz wrapper)
-// that expose an auxiliary controller handle outside the counted thread
-// set; the Mode-line flipper runs on it so it does not consume a
-// simulated core.
-type spareThreader interface{ SpareThread() core.Thread }
-
 // RunLinearize executes one recorded stress run and checks the history.
 // newMem must allocate a backend with the requested number of thread
 // handles — exactly one per worker; the Mode-line flipper, when enabled,
@@ -65,73 +51,21 @@ func RunLinearize(newMem func(threads int) core.Memory, build func(core.Memory) 
 
 	// Prefill on thread 0, recorded like any other operations (the checker
 	// must see every effect on the structure).
-	if cfg.Prefill > 0 {
-		th := mem.Thread(0)
-		sh := rec.Shard(0)
-		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x9e3779b9))
-		inserted := 0
-		for inserted < cfg.Prefill {
-			k := KeyMin + uint64(rng.Int63n(int64(cfg.KeyRange)))
-			idx := sh.Begin(history.OpInsert, k, 0)
-			ok := s.Insert(th, k)
-			sh.End(idx, ok, 0)
-			if ok {
-				inserted++
-			}
-		}
-	}
+	RecordedPrefill(mem.Thread(0), s, rec.Shard(0), cfg.Prefill, cfg.KeyRange, prefillSeed(cfg.Seed), 0)
 
-	// Epoch alignment must precede the flipper: BeginEpoch rewrites every
-	// thread's clock, and the flipper drives a thread handle of its own.
-	if ea, ok := mem.(epochAligner); ok {
-		ea.BeginEpoch()
-	}
-
+	// The flipper drives the memory's spare handle, which is no counted
+	// thread: RunPhase's epoch alignment does not touch it.
 	var stopFlipper func()
 	if cfg.FlipMode {
 		if ma, ok := s.(modeAddresser); ok {
-			if sp, ok := mem.(spareThreader); ok {
+			if sp, ok := mem.(core.SpareThreader); ok {
 				if th := sp.SpareThread(); th != nil {
 					stopFlipper = schedfuzz.StartModeFlipper(th, ma.ModeAddr(), cfg.Seed)
 				}
 			}
 		}
 	}
-	var ready, wg sync.WaitGroup
-	start := make(chan struct{})
-	ready.Add(cfg.Threads)
-	for w := 0; w < cfg.Threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := mem.Thread(w)
-			if a, ok := th.(activatable); ok {
-				a.SetActive(true)
-				defer a.SetActive(false)
-			}
-			ready.Done()
-			<-start
-			sh := rec.Shard(w)
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919 + 1))
-			for i := 0; i < cfg.OpsPerThread; i++ {
-				k := KeyMin + uint64(rng.Int63n(int64(cfg.KeyRange)))
-				switch rng.Intn(3) {
-				case 0:
-					idx := sh.Begin(history.OpInsert, k, 0)
-					sh.End(idx, s.Insert(th, k), 0)
-				case 1:
-					idx := sh.Begin(history.OpDelete, k, 0)
-					sh.End(idx, s.Delete(th, k), 0)
-				default:
-					idx := sh.Begin(history.OpContains, k, 0)
-					sh.End(idx, s.Contains(th, k), 0)
-				}
-			}
-		}(w)
-	}
-	ready.Wait()
-	close(start)
-	wg.Wait()
+	core.RunPhase(mem, cfg.Threads, recordedWorkers(s, rec, cfg.Seed, cfg.OpsPerThread, cfg.KeyRange))
 	if stopFlipper != nil {
 		stopFlipper()
 	}

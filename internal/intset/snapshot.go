@@ -1,8 +1,6 @@
 package intset
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -79,77 +77,29 @@ func RunSnapshotLinearize(newMem func(threads int) core.Memory, build func(core.
 
 	rec := history.NewRecorder(cfg.Threads, cfg.OpsPerThread+cfg.Prefill+8)
 
-	if cfg.Prefill > 0 {
-		th := mem.Thread(0)
-		sh := rec.Shard(0)
-		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x9e3779b9))
-		inserted := 0
-		for inserted < cfg.Prefill {
-			off := uint64(rng.Int63n(int64(cfg.KeyRange)))
-			idx := sh.Begin(history.OpInsert, off, 0)
-			ok := s.Insert(th, KeyMin+off)
-			sh.End(idx, ok, 0)
-			if ok {
-				inserted++
+	RecordedPrefill(mem.Thread(0), s, rec.Shard(0), cfg.Prefill, cfg.KeyRange, prefillSeed(cfg.Seed), KeyMin)
+
+	core.RunPhase(mem, cfg.Threads, func(w int, th core.Thread) {
+		sh, rng := rec.Shard(w), workerRand(cfg.Seed, w)
+		for i := 0; i < cfg.OpsPerThread; i++ {
+			if rng.Intn(1000) >= scanPerMil {
+				recordedOp(th, s, sh, rng, cfg.KeyRange, KeyMin)
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				// Whole-set snapshot.
+				idx := sh.Begin(history.OpKeys, 0, cfg.KeyRange-1)
+				keys, ok := s.RangeQuery(th, KeyMin, KeyMin+cfg.KeyRange-1, scanTries)
+				sh.End(idx, ok, maskOf(keys))
+			} else {
+				lo := uint64(rng.Int63n(int64(cfg.KeyRange)))
+				hi := lo + uint64(rng.Int63n(int64(cfg.KeyRange-lo)))
+				idx := sh.Begin(history.OpRange, lo, hi)
+				keys, ok := s.RangeQuery(th, KeyMin+lo, KeyMin+hi, scanTries)
+				sh.End(idx, ok, maskOf(keys))
 			}
 		}
-	}
-
-	if ea, ok := mem.(epochAligner); ok {
-		ea.BeginEpoch()
-	}
-
-	var ready, wg sync.WaitGroup
-	start := make(chan struct{})
-	ready.Add(cfg.Threads)
-	for w := 0; w < cfg.Threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := mem.Thread(w)
-			if a, ok := th.(activatable); ok {
-				a.SetActive(true)
-				defer a.SetActive(false)
-			}
-			ready.Done()
-			<-start
-			sh := rec.Shard(w)
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919 + 1))
-			for i := 0; i < cfg.OpsPerThread; i++ {
-				if rng.Intn(1000) < scanPerMil {
-					if rng.Intn(2) == 0 {
-						// Whole-set snapshot.
-						idx := sh.Begin(history.OpKeys, 0, cfg.KeyRange-1)
-						keys, ok := s.RangeQuery(th, KeyMin, KeyMin+cfg.KeyRange-1, scanTries)
-						sh.End(idx, ok, maskOf(keys))
-					} else {
-						lo := uint64(rng.Int63n(int64(cfg.KeyRange)))
-						hi := lo + uint64(rng.Int63n(int64(cfg.KeyRange-lo)))
-						idx := sh.Begin(history.OpRange, lo, hi)
-						keys, ok := s.RangeQuery(th, KeyMin+lo, KeyMin+hi, scanTries)
-						sh.End(idx, ok, maskOf(keys))
-					}
-					continue
-				}
-				off := uint64(rng.Int63n(int64(cfg.KeyRange)))
-				k := KeyMin + off
-				switch rng.Intn(3) {
-				case 0:
-					idx := sh.Begin(history.OpInsert, off, 0)
-					sh.End(idx, s.Insert(th, k), 0)
-				case 1:
-					idx := sh.Begin(history.OpDelete, off, 0)
-					sh.End(idx, s.Delete(th, k), 0)
-				default:
-					idx := sh.Begin(history.OpContains, off, 0)
-					sh.End(idx, s.Contains(th, k), 0)
-				}
-			}
-		}(w)
-	}
-	ready.Wait()
-	close(start)
-	wg.Wait()
+	})
 
 	opts := []linearizability.Option{}
 	if cfg.MaxIters > 0 {

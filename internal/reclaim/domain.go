@@ -93,6 +93,11 @@ func NewDomain(threads, maxTags int) *Domain {
 // NewDomainFor is NewDomain sized from the memory itself.
 func NewDomainFor(mem core.Memory) *Domain { return NewDomain(mem.NumThreads(), mem.MaxTags()) }
 
+// Attacher is a memory backend whose threads mirror their tag sets into a
+// Domain's handles (thread i into Handle(i)) once told to; nil detaches.
+// Only call while quiescent.
+type Attacher interface{ SetReclaim(d *Domain) }
+
 // Handle returns thread id's registry slot. All non-atomic methods on the
 // returned Handle must be called from the goroutine driving that thread.
 func (d *Domain) Handle(id int) *Handle {

@@ -387,7 +387,7 @@ func (p *Pool) eachLine(a core.Addr, f func(core.Line)) {
 // opClock reads the backend's per-thread clock (simulated cycles on the
 // machine backend, ticks on vtags); zero if the thread has none.
 func opClock(th core.Thread) (uint64, uint64) {
-	if oc, ok := th.(interface{ OpClock() (uint64, uint64) }); ok {
+	if oc, ok := th.(core.OpClocked); ok {
 		return oc.OpClock()
 	}
 	return 0, 0

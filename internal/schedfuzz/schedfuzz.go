@@ -43,8 +43,8 @@ type Config struct {
 	SpinPerMil int
 	// MaxSpin bounds one spin injection.
 	MaxSpin int
-	// EvictPerMil forces a spurious eviction of a held tag (backends
-	// expose ForceTagEviction; unsupported backends are left alone).
+	// EvictPerMil forces a spurious eviction of a held tag (on backends
+	// whose threads are core.TagEvictors; others are left alone).
 	EvictPerMil int
 }
 
@@ -58,23 +58,6 @@ func Default(seed int64) Config {
 func Aggressive(seed int64) Config {
 	return Config{Seed: seed, GoschedPerMil: 120, SpinPerMil: 80, MaxSpin: 256, EvictPerMil: 40}
 }
-
-// forceEvictor is implemented by backend threads that can simulate a
-// targeted spurious tag eviction (vtags.Thread, machine.Thread).
-type forceEvictor interface {
-	TaggedLine(i int) core.Line
-	ForceTagEviction(l core.Line) bool
-}
-
-// spareThreader is implemented by backends with an auxiliary handle for
-// harness controllers (vtags.Memory, machine.Machine).
-type spareThreader interface{ SpareThread() core.Thread }
-
-// activatable mirrors the machine backend's lax-clock enrolment.
-type activatable interface{ SetActive(bool) }
-
-// epochAligner mirrors the machine backend's epoch alignment.
-type epochAligner interface{ BeginEpoch() }
 
 // Memory wraps a backend with schedule fuzzing.
 type Memory struct {
@@ -114,7 +97,7 @@ func (m *Memory) MaxTags() int { return m.inner.MaxTags() }
 // with this fuzzer's injections, or nil when the backend has none (e.g. a
 // deliberately broken checker-test wrapper).
 func (m *Memory) SpareThread() core.Thread {
-	sp, ok := m.inner.(spareThreader)
+	sp, ok := m.inner.(core.SpareThreader)
 	if !ok {
 		return nil
 	}
@@ -127,7 +110,7 @@ func (m *Memory) SpareThread() core.Thread {
 
 // BeginEpoch forwards epoch alignment when the backend supports it.
 func (m *Memory) BeginEpoch() {
-	if a, ok := m.inner.(epochAligner); ok {
+	if a, ok := m.inner.(core.EpochAligner); ok {
 		a.BeginEpoch()
 	}
 }
@@ -165,7 +148,7 @@ func (t *Thread) inject() {
 	}
 	r -= c.SpinPerMil
 	if r < c.EvictPerMil {
-		if fe, ok := t.inner.(forceEvictor); ok {
+		if fe, ok := t.inner.(core.TagEvictor); ok {
 			if n := t.inner.TagCount(); n > 0 {
 				// Aim at a seeded-random held tag: any position in a
 				// hand-over-hand window can be the victim, not just the
@@ -221,7 +204,7 @@ func (t *Thread) TagCount() int { return t.inner.TagCount() }
 
 // SetActive forwards lax-clock enrolment when the backend supports it.
 func (t *Thread) SetActive(on bool) {
-	if a, ok := t.inner.(activatable); ok {
+	if a, ok := t.inner.(core.LaxClocked); ok {
 		a.SetActive(on)
 	}
 }

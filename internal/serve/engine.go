@@ -16,10 +16,6 @@ import (
 	"repro/internal/vtags"
 )
 
-// opClocked is the backend thread's logical clock (vtags: ticks + failure
-// count), diffed around each request for the telemetry fails column.
-type opClocked interface{ OpClock() (clock, fails uint64) }
-
 // Engine owns the storage planes and the worker pool. Connections are
 // bound to workers round-robin; each worker owns one backend thread, and
 // a mutex serializes the requests of the connections sharing it (the
@@ -51,7 +47,7 @@ type Worker struct {
 
 	mu sync.Mutex // serializes this worker's connections
 	th core.Thread
-	oc opClocked // nil if the backend thread has no op clock
+	oc core.OpClocked // the thread's clock and failure count, diffed around each request; nil if it has none
 
 	// Argument/result slots for the preallocated closures.
 	key, val, out uint64
@@ -162,7 +158,7 @@ func newEngine(cfg EngineConfig) (*Engine, error) {
 	e.workers = make([]*Worker, cfg.Workers)
 	for i := range e.workers {
 		w := &Worker{id: i, eng: e, th: e.mem.Thread(i)}
-		w.oc, _ = w.th.(opClocked)
+		w.oc, _ = w.th.(core.OpClocked)
 		if cfg.RecordTx != nil {
 			w.txShard = cfg.RecordTx.Shard(i)
 		}

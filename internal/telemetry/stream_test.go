@@ -220,7 +220,12 @@ func TestStreamConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			buf := make([]StreamWindow, 0, s.Depth())
 			var lastOps uint64
-			for !done.Load() {
+			// The last pass is one that began after the writers finished: on
+			// a loaded two-CPU host they can finish before a reader is first
+			// scheduled, or between its reads and its loop test, and the
+			// windows they left in the rings are still there to check.
+			for last := false; !last; {
+				last = done.Load()
 				for i := 0; i < cores; i++ {
 					var retries int
 					buf, retries = s.ReadCore(i, buf)

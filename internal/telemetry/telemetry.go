@@ -110,6 +110,11 @@ type Set struct {
 // NewSet creates telemetry for n cores.
 func NewSet(n int) *Set { return &Set{cores: make([]Core, n)} }
 
+// Attacher is anything that records into a Set once told to — both memory
+// backends (thread i writes Core(i)) and reclaim.Pool. nil detaches. Only
+// call while quiescent.
+type Attacher interface{ SetTelemetry(s *Set) }
+
 // NumCores returns the number of per-core structs.
 func (s *Set) NumCores() int { return len(s.cores) }
 

@@ -120,8 +120,7 @@ func NewRecordedManager(mem core.Memory, tm *stm.TM, s *history.Shard) *Manager 
 // populate followed by `workers` concurrent recorded clients — on the
 // given memory and STM, then checks strict serializability of the
 // transaction history and the table conservation invariants. It works on
-// any core.Memory backend; threads exposing SetActive (the machine
-// backend's lax clock sync) are enrolled for the measured region.
+// any core.Memory backend; the clients run as one core.RunPhase.
 func RunSerializeSuite(mem core.Memory, tm *stm.TM, p Params, workers int, seed int64) SerializeReport {
 	// Shard w records client w; the extra shard records the init tx and
 	// populate (they run alone before the clients start, so their events
@@ -131,21 +130,9 @@ func RunSerializeSuite(mem core.Memory, tm *stm.TM, p Params, workers int, seed 
 	m := NewRecordedManager(mem, tm, rec.Shard(workers))
 	RecordedPopulate(m, mem.Thread(0), rec.Shard(workers), p, seed)
 
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			th := mem.Thread(w)
-			if sa, ok := th.(interface{ SetActive(bool) }); ok {
-				sa.SetActive(true)
-				defer sa.SetActive(false)
-			}
-			RecordedClient(m, th, rec.Shard(w), p, seed*131+int64(w)+1)
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	core.RunPhase(mem, workers, func(w int, th core.Thread) {
+		RecordedClient(m, th, rec.Shard(w), p, seed*131+int64(w)+1)
+	})
 
 	var rep SerializeReport
 	rep.TablesOK, rep.TablesDetail = m.CheckTables(mem.Thread(0))

@@ -197,7 +197,11 @@ func (m *Memory) Thread(id int) core.Thread { return m.threads[id] }
 // for harness controllers (the fallback Mode-line flipper) that need a
 // coherent participant without consuming one of the workload's handles.
 // The emulation has no per-thread hardware state, so the handle is just
-// another Thread with id -1.
+// another Thread with id -1. The contract (core.SpareThreader) promises
+// only Load/Store/CAS/Alloc on it — the machine's spare panics on tag
+// operations. This one happens to run them, with no sharer bit, which is
+// how sharers_test.go reaches Validate's id >= 16 slow path; nothing
+// outside this package may rely on that.
 func (m *Memory) SpareThread() core.Thread { return newThread(m, -1) }
 
 // Alloc allocates line-aligned words.
@@ -206,14 +210,19 @@ func (m *Memory) Alloc(words int) core.Addr { return m.space.Alloc(words) }
 // MaxTags returns the per-thread tag budget.
 func (m *Memory) MaxTags() int { return m.maxTags }
 
-// SetReclaim attaches a reclamation domain: from here on each thread
-// announces its tagged lines into its domain handle (AddTag/RemoveTag/
-// ClearTagSet), which is what lets reclaim.Pool scans see which retired
-// lines a reader could still validate. Only call while quiescent. Spare
-// threads are not registered and must not run reclaiming structures.
+// SetReclaim attaches (or with nil detaches) a reclamation domain: while
+// attached each thread announces its tagged lines into its domain handle
+// (AddTag/RemoveTag/ClearTagSet), which is what lets reclaim.Pool scans see
+// which retired lines a reader could still validate. Only call while
+// quiescent. Spare threads are not registered and must not run reclaiming
+// structures.
 func (m *Memory) SetReclaim(d *reclaim.Domain) {
 	for i, t := range m.threads {
-		t.rec = d.Handle(i)
+		if d == nil {
+			t.rec = nil
+		} else {
+			t.rec = d.Handle(i)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ package workload
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/history"
@@ -71,11 +70,6 @@ type Config struct {
 	Trace *telemetry.TraceCollector
 }
 
-// opClocked is implemented by both backends' threads: the backend clock
-// (simulated cycles on the machine, logical ticks on vtags) and the
-// cumulative validation/commit failure count, diffed across each op.
-type opClocked interface{ OpClock() (clock, fails uint64) }
-
 // opName names an op code for trace spans.
 func opName(op uint8) string {
 	switch op {
@@ -87,15 +81,6 @@ func opName(op uint8) string {
 		return "Contains"
 	}
 }
-
-// activatable is implemented by machine threads supporting lax clock
-// synchronization; the workload enrols its workers so simulated-core
-// interleaving scales with simulated time.
-type activatable interface{ SetActive(bool) }
-
-// epochAligner is implemented by the machine backend: clocks are aligned
-// before a measured parallel phase.
-type epochAligner interface{ BeginEpoch() }
 
 // Counts aggregates what the threads did.
 type Counts struct {
@@ -115,122 +100,89 @@ func Prefill(mem core.Memory, s intset.Set, cfg Config) Counts {
 		keys := intset.Prefill(mem.Thread(0), s, cfg.PrefillSize, cfg.KeyRange, cfg.Seed)
 		return Counts{TotalFill: len(keys)}
 	}
-	th := mem.Thread(0)
-	sh := cfg.History.Shard(0)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	filled := 0
-	for filled < cfg.PrefillSize {
-		k := intset.KeyMin + uint64(rng.Int63n(int64(cfg.KeyRange)))
-		idx := sh.Begin(history.OpInsert, k, 0)
-		ok := s.Insert(th, k)
-		sh.End(idx, ok, 0)
-		if ok {
-			filled++
-		}
-	}
+	filled := intset.RecordedPrefill(mem.Thread(0), s, cfg.History.Shard(0), cfg.PrefillSize, cfg.KeyRange, cfg.Seed, 0)
 	return Counts{TotalFill: filled}
 }
 
-// Run executes the workload with one goroutine per thread and returns the
-// aggregated counts. The caller is responsible for prefilling and for
-// snapshotting machine statistics before/after.
+// Run executes the workload as one core.RunPhase — one goroutine per
+// thread, clocks aligned and every worker enrolled in lax clock
+// synchronization before the first operation — and returns the aggregated
+// counts. The caller is responsible for prefilling and for snapshotting
+// machine statistics before/after.
 func Run(mem core.Memory, s intset.Set, cfg Config) Counts {
 	results := make([]Counts, cfg.Threads)
-	if be, ok := mem.(epochAligner); ok {
-		be.BeginEpoch()
-	}
-	// All workers enrol in lax clock synchronization before any of them
-	// issues an operation, so no thread can race ahead while others have
-	// not yet been scheduled (critical on hosts with few CPUs).
-	var ready, wg sync.WaitGroup
-	start := make(chan struct{})
-	ready.Add(cfg.Threads)
 	makeDraw := newKeyDraw(&cfg)
-	for w := 0; w < cfg.Threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := mem.Thread(w)
-			if a, ok := th.(activatable); ok {
-				a.SetActive(true)
-				defer a.SetActive(false)
+	core.RunPhase(mem, cfg.Threads, func(w int, th core.Thread) {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919 + 1))
+		draw := makeDraw(rng)
+		var sh *history.Shard
+		if cfg.History != nil {
+			sh = cfg.History.Shard(w)
+		}
+		// Per-op telemetry reads the backend clock around each op.
+		var oc core.OpClocked
+		if cfg.Telemetry != nil || cfg.Sampler != nil || cfg.Trace != nil {
+			oc, _ = th.(core.OpClocked)
+		}
+		var tel *telemetry.Core
+		if cfg.Telemetry != nil && oc != nil {
+			tel = cfg.Telemetry.Core(w)
+		}
+		if cfg.Sampler != nil && oc != nil {
+			c0, f0 := oc.OpClock()
+			cfg.Sampler.Enroll(w, c0, f0)
+		}
+		// do runs one structure operation, recorded when a history
+		// shard or telemetry is attached.
+		do := func(op uint8, k uint64, exec func() bool) bool {
+			var c0, f0 uint64
+			if oc != nil {
+				c0, f0 = oc.OpClock()
 			}
-			ready.Done()
-			<-start
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919 + 1))
-			draw := makeDraw(rng)
-			var sh *history.Shard
-			if cfg.History != nil {
-				sh = cfg.History.Shard(w)
+			var ok bool
+			if sh == nil {
+				ok = exec()
+			} else {
+				idx := sh.Begin(op, k, 0)
+				ok = exec()
+				sh.End(idx, ok, 0)
 			}
-			// Per-op telemetry reads the backend clock around each op.
-			var oc opClocked
-			if cfg.Telemetry != nil || cfg.Sampler != nil || cfg.Trace != nil {
-				oc, _ = th.(opClocked)
-			}
-			var tel *telemetry.Core
-			if cfg.Telemetry != nil && oc != nil {
-				tel = cfg.Telemetry.Core(w)
-			}
-			if cfg.Sampler != nil && oc != nil {
-				c0, f0 := oc.OpClock()
-				cfg.Sampler.Enroll(w, c0, f0)
-			}
-			// do runs one structure operation, recorded when a history
-			// shard or telemetry is attached.
-			do := func(op uint8, k uint64, exec func() bool) bool {
-				var c0, f0 uint64
-				if oc != nil {
-					c0, f0 = oc.OpClock()
+			if oc != nil {
+				c1, f1 := oc.OpClock()
+				if tel != nil {
+					tel.OpLatency.Observe(c1 - c0)
+					tel.OpRetries.Observe(f1 - f0)
 				}
-				var ok bool
-				if sh == nil {
-					ok = exec()
-				} else {
-					idx := sh.Begin(op, k, 0)
-					ok = exec()
-					sh.End(idx, ok, 0)
+				if cfg.Sampler != nil {
+					cfg.Sampler.Tick(w, c1, f1)
 				}
-				if oc != nil {
-					c1, f1 := oc.OpClock()
-					if tel != nil {
-						tel.OpLatency.Observe(c1 - c0)
-						tel.OpRetries.Observe(f1 - f0)
-					}
-					if cfg.Sampler != nil {
-						cfg.Sampler.Tick(w, c1, f1)
-					}
-					if cfg.Trace != nil {
-						cfg.Trace.OpSpan(w, opName(op), c0, c1)
-					}
+				if cfg.Trace != nil {
+					cfg.Trace.OpSpan(w, opName(op), c0, c1)
 				}
-				return ok
 			}
-			c := &results[w]
-			for i := 0; i < cfg.OpsPerThread; i++ {
-				k := draw()
-				op := rng.Intn(100)
-				switch {
-				case op < cfg.Mix.InsertPct:
-					if do(history.OpInsert, k, func() bool { return s.Insert(th, k) }) {
-						c.Inserts++
-					}
-				case op < cfg.Mix.InsertPct+cfg.Mix.DeletePct:
-					if do(history.OpDelete, k, func() bool { return s.Delete(th, k) }) {
-						c.Deletes++
-					}
-				default:
-					if do(history.OpContains, k, func() bool { return s.Contains(th, k) }) {
-						c.Hits++
-					}
+			return ok
+		}
+		c := &results[w]
+		for i := 0; i < cfg.OpsPerThread; i++ {
+			k := draw()
+			op := rng.Intn(100)
+			switch {
+			case op < cfg.Mix.InsertPct:
+				if do(history.OpInsert, k, func() bool { return s.Insert(th, k) }) {
+					c.Inserts++
 				}
-				c.Ops++
+			case op < cfg.Mix.InsertPct+cfg.Mix.DeletePct:
+				if do(history.OpDelete, k, func() bool { return s.Delete(th, k) }) {
+					c.Deletes++
+				}
+			default:
+				if do(history.OpContains, k, func() bool { return s.Contains(th, k) }) {
+					c.Hits++
+				}
 			}
-		}(w)
-	}
-	ready.Wait()
-	close(start)
-	wg.Wait()
+			c.Ops++
+		}
+	})
 	var total Counts
 	for _, c := range results {
 		total.Ops += c.Ops
