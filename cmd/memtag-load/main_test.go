@@ -33,10 +33,12 @@ func flakyServer(t *testing.T, kill int) (addr string, served *atomic.Uint64, st
 					if _, err := br.ReadBytes('\n'); err != nil {
 						return
 					}
+					// Count before writing: the client may read this reply
+					// and return before a post-write increment lands.
+					served.Add(1)
 					if _, err := c.Write([]byte("T\n")); err != nil {
 						return
 					}
-					served.Add(1)
 				}
 				// kill responses served: die abruptly, mid-pipeline.
 			}(conn)

@@ -13,16 +13,16 @@ import (
 )
 
 // Cache is a set-associative cache presence model with LRU replacement.
+//
+// Each set is ways consecutive keys kept in recency order, most recently
+// used first. A key is the line number plus one, so the zero key marks an
+// empty way and line 0 stays representable; empty ways always sit at the
+// tail. An 8-way set is therefore one 64-byte host line, and the LRU victim
+// is simply the last key.
 type Cache struct {
-	sets  [][]entry
-	ways  int
-	clock uint64
-}
-
-type entry struct {
-	line  core.Line
-	valid bool
-	used  uint64
+	keys []uint64
+	ways int
+	mask uint64 // number of sets - 1
 }
 
 // New creates a cache model of totalBytes capacity with the given
@@ -40,101 +40,102 @@ func New(totalBytes, ways int) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cachemodel: number of sets %d is not a power of two", nSets))
 	}
-	sets := make([][]entry, nSets)
-	backing := make([]entry, nSets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	return &Cache{sets: sets, ways: ways}
+	return &Cache{keys: make([]uint64, linesTotal), ways: ways, mask: uint64(nSets - 1)}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.mask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
 // CapacityLines returns the total number of lines the cache can hold.
-func (c *Cache) CapacityLines() int { return len(c.sets) * c.ways }
+func (c *Cache) CapacityLines() int { return len(c.keys) }
 
-func (c *Cache) set(l core.Line) []entry {
-	return c.sets[uint64(l)&uint64(len(c.sets)-1)]
+// set returns line l's set and its key.
+func (c *Cache) set(l core.Line) (set []uint64, key uint64) {
+	i := int(uint64(l)&c.mask) * c.ways
+	return c.keys[i : i+c.ways : i+c.ways], uint64(l) + 1
+}
+
+// find returns the way holding key, or -1. Valid keys form a prefix of the
+// set, so the scan stops at the first empty way.
+func find(set []uint64, key uint64) int {
+	for i, k := range set {
+		if k == key {
+			return i
+		}
+		if k == 0 {
+			break
+		}
+	}
+	return -1
+}
+
+// toFront moves the key at way i to the most recently used position.
+func toFront(set []uint64, i int) {
+	k := set[i]
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = k
 }
 
 // Lookup reports whether line l is resident, updating its LRU position on a
 // hit.
 func (c *Cache) Lookup(l core.Line) bool {
-	c.clock++
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].line == l {
-			set[i].used = c.clock
-			return true
-		}
+	set, key := c.set(l)
+	i := find(set, key)
+	if i < 0 {
+		return false
 	}
-	return false
+	toFront(set, i)
+	return true
 }
 
 // Contains reports whether line l is resident without touching LRU state.
 func (c *Cache) Contains(l core.Line) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].line == l {
-			return true
-		}
-	}
-	return false
+	set, key := c.set(l)
+	return find(set, key) >= 0
 }
 
 // Insert makes line l resident. If the set is full, the least recently used
 // entry is displaced and returned with evicted=true. Inserting a line that
 // is already resident only refreshes its LRU position.
 func (c *Cache) Insert(l core.Line) (victim core.Line, evicted bool) {
-	c.clock++
-	set := c.set(l)
-	freeIdx, lruIdx := -1, 0
-	for i := range set {
-		if set[i].valid && set[i].line == l {
-			set[i].used = c.clock
-			return 0, false
-		}
-		if !set[i].valid {
-			if freeIdx < 0 {
-				freeIdx = i
-			}
-		} else if set[i].used < set[lruIdx].used || !set[lruIdx].valid {
-			lruIdx = i
-		}
-	}
-	if freeIdx >= 0 {
-		set[freeIdx] = entry{line: l, valid: true, used: c.clock}
+	set, key := c.set(l)
+	if i := find(set, key); i >= 0 {
+		toFront(set, i)
 		return 0, false
 	}
-	victim = set[lruIdx].line
-	set[lruIdx] = entry{line: l, valid: true, used: c.clock}
-	return victim, true
+	last := len(set) - 1
+	tail := set[last]
+	set[last] = key
+	toFront(set, last)
+	if tail == 0 {
+		return 0, false
+	}
+	return core.Line(tail - 1), true
 }
 
 // Remove invalidates line l if resident and reports whether it was.
 func (c *Cache) Remove(l core.Line) bool {
-	set := c.set(l)
-	for i := range set {
-		if set[i].valid && set[i].line == l {
-			set[i].valid = false
-			return true
-		}
+	set, key := c.set(l)
+	i := find(set, key)
+	if i < 0 {
+		return false
 	}
-	return false
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
+	return true
 }
 
 // ResidentLines returns the number of currently resident lines (for tests).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, e := range set {
-			if e.valid {
-				n++
-			}
+	for _, k := range c.keys {
+		if k != 0 {
+			n++
 		}
 	}
 	return n

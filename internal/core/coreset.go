@@ -4,9 +4,9 @@ import "math/bits"
 
 // MaxCores is the largest number of simulated cores any backend supports.
 // The paper's Graphite evaluation stops at 64 flat cores; the simulator
-// scales past it (sharded hot state, two-level topology), with CoreSet as
-// the directory's sharer/tagger representation. 512 keeps the set at eight
-// words — small enough to embed by value in every directory entry, large
+// scales past it (sharded hot state, two-level topology). The machine's
+// directory sizes its sharer/tagger sets to the configured core count and
+// reports them as CoreSets; 512 keeps a CoreSet at eight words, large
 // enough for the NUMA sweeps.
 const MaxCores = 512
 
@@ -31,18 +31,6 @@ func (s *CoreSet) Add(c int) {
 // Remove deletes core c.
 func (s *CoreSet) Remove(c int) {
 	s[uint(c)>>6] &^= 1 << (uint(c) & 63)
-}
-
-// Clear empties the set.
-func (s *CoreSet) Clear() {
-	*s = CoreSet{}
-}
-
-// Only resets the set to contain exactly core c (the "sharers = 1<<me"
-// idiom of exclusive ownership).
-func (s *CoreSet) Only(c int) {
-	*s = CoreSet{}
-	s.Add(c)
 }
 
 // Empty reports whether no core is in the set.
@@ -86,16 +74,6 @@ func (s *CoreSet) Next(from int) int {
 		}
 	}
 	return -1
-}
-
-// Intersects reports whether the two sets share any core.
-func (s *CoreSet) Intersects(o *CoreSet) bool {
-	for i, w := range s {
-		if w&o[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ContainsAll reports whether o is a subset of s.

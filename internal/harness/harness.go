@@ -8,6 +8,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -238,6 +239,7 @@ func (e *SetExperiment) runOne(v SetVariant, threads int, seed int64) Point {
 			pool.SetTelemetry(set)
 		}
 	}
+	settleHeap()
 	// Measure only the timed phase: snapshot after prefill.
 	before := m.Snapshot()
 	counts := workload.Run(m, s, cfg)
@@ -265,6 +267,14 @@ func (e *SetExperiment) runOne(v SetVariant, threads int, seed int64) Point {
 	}
 	return p
 }
+
+// settleHeap collects before a cell's timed phase, so the next GC is paced
+// from this cell's own live heap rather than from wherever the previous
+// cell left it. With one host CPU the simulated cores' interleaving is then
+// a function of the seed alone unless the phase itself allocates past the
+// collector's goal: a collection inside the phase reorders the run queue,
+// and with it the simulated schedule.
+func settleHeap() { runtime.GC() }
 
 // TraceCell runs a single (variant, thread count) cell with the Perfetto
 // collector attached — backend coherence/tag events plus per-op spans —

@@ -142,6 +142,7 @@ func (e *NUMAExperiment) runOne(backend string, v SetVariant, cores int) NUMAPoi
 		st.SetTelemetry(set)
 	}
 	wcfg.Telemetry = set
+	settleHeap()
 	var before machine.Stats
 	if mach != nil {
 		before = mach.Snapshot()

@@ -169,6 +169,7 @@ func (e *VacationExperiment) runOne(mk func(core.Memory) *stm.TM, name string, t
 	mgr := vacation.NewManager(m, tm)
 	vacation.Populate(mgr, m.Thread(0), e.Params, 1+trial)
 
+	settleHeap()
 	before := m.Snapshot()
 	abortsBefore := tm.Aborts.Load()
 	core.RunPhase(m, threads, func(w int, th core.Thread) {

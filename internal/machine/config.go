@@ -39,9 +39,9 @@ func (p Protocol) String() string {
 // paper's Graphite setup: 1 GHz in-order tiles, private 32 KB L1 and 256 KB
 // inclusive L2 per core, MESI coherence, 64 B lines.
 type Config struct {
-	// Cores is the number of simulated cores (1..core.MaxCores; the
-	// directory tracks sharers in a core.CoreSet, so the machine scales
-	// past the paper's 64-core ceiling).
+	// Cores is the number of simulated cores (1..core.MaxCores, past the
+	// paper's 64-core ceiling). It also sizes the directory: each line's
+	// sharer and tagger sets are ceil(Cores/64) words.
 	Cores int
 	// Sockets splits the cores contiguously across that many sockets for
 	// the two-level (NUMA) cost model: cross-socket cache-to-cache

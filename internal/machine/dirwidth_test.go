@@ -1,0 +1,154 @@
+package machine
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mem"
+)
+
+// dirWidths are machine sizes on both sides of each 64-core word boundary
+// of the directory's core sets.
+var dirWidths = []int{8, 64, 65, 128, 512}
+
+// edgeCores returns the cores 0, 63, 64, 127, 511 and cores-1 that exist on
+// a machine of the given size: the first and last bit of each mask word.
+func edgeCores(cores int) []int {
+	var out []int
+	for _, c := range []int{0, 63, 64, 127, 511} {
+		if c < cores {
+			out = append(out, c)
+		}
+	}
+	if last := cores - 1; out[len(out)-1] != last {
+		out = append(out, last)
+	}
+	return out
+}
+
+func setOf(cs ...int) (s core.CoreSet) {
+	for _, c := range cs {
+		s.Add(c)
+	}
+	return s
+}
+
+// wantLine fails unless the directory holds exactly the given state for
+// line a; comparing whole CoreSets also catches a stray bit in another
+// mask word.
+func wantLine(t *testing.T, m *Machine, a core.Addr, step string, sharers core.CoreSet, owner int, taggers core.CoreSet) {
+	t.Helper()
+	gs, gotOwner, gt := m.DebugLine(a.Line())
+	if gs != sharers || gotOwner != owner || gt != taggers {
+		t.Fatalf("%s: directory (sharers %v, owner %d, taggers %v), want (%v, %d, %v)",
+			step, gs, gotOwner, gt, sharers, owner, taggers)
+	}
+}
+
+// TestDirectoryWidths drives each word-boundary core through the sharer,
+// owner, tagger, invalidation and IAS transitions on machines whose core
+// sets are one to eight words wide, checking every state via DebugLine.
+func TestDirectoryWidths(t *testing.T) {
+	for _, cores := range dirWidths {
+		cfg := DefaultConfig(cores)
+		cfg.MemBytes = 1 << 20
+		m := New(cfg)
+		cs := edgeCores(cores)
+		all := setOf(cs...)
+		for _, actor := range cs {
+			a, b := m.Alloc(1), m.Alloc(1)
+			th := m.threads[actor]
+
+			for _, c := range cs {
+				m.threads[c].Load(a)
+			}
+			wantLine(t, m, a, "all load", all, -1, core.CoreSet{})
+			for _, c := range cs {
+				m.threads[c].AddTag(a, core.WordSize)
+			}
+			wantLine(t, m, a, "all tag", all, -1, all)
+
+			// A store invalidates every other sharer and its tag.
+			th.Store(a, 1)
+			wantLine(t, m, a, "store", setOf(actor), actor, setOf(actor))
+			for _, c := range cs {
+				if ok := m.threads[c].Validate(); ok != (c == actor) {
+					t.Fatalf("%d cores, actor %d: core %d Validate = %v after the store", cores, actor, c, ok)
+				}
+				m.threads[c].ClearTagSet()
+			}
+			wantLine(t, m, a, "clear tags", setOf(actor), actor, core.CoreSet{})
+
+			// A reader downgrades the owner.
+			reader := cs[0]
+			if reader == actor {
+				reader = cs[len(cs)-1]
+			}
+			m.threads[reader].Load(a)
+			wantLine(t, m, a, "downgrade", setOf(actor, reader), -1, core.CoreSet{})
+
+			// IAS on b invalidates every tagged line at all other cores.
+			for _, c := range cs {
+				m.threads[c].Load(a)
+				m.threads[c].AddTag(a, core.WordSize)
+			}
+			th.AddTag(b, core.WordSize)
+			if !th.IAS(b, 2) {
+				t.Fatalf("%d cores, actor %d: uncontended IAS failed", cores, actor)
+			}
+			wantLine(t, m, a, "IAS tagged line", setOf(actor), actor, setOf(actor))
+			wantLine(t, m, b, "IAS target", setOf(actor), actor, setOf(actor))
+			for _, c := range cs {
+				if ok := m.threads[c].Validate(); ok != (c == actor) {
+					t.Fatalf("%d cores, actor %d: core %d Validate = %v after the IAS", cores, actor, c, ok)
+				}
+				m.threads[c].ClearTagSet()
+			}
+
+			// A coherent agent's store empties the line's sets.
+			for _, c := range cs {
+				m.threads[c].Load(a)
+			}
+			m.SpareThread().Store(a, 3)
+			wantLine(t, m, a, "spare store", core.CoreSet{}, -1, core.CoreSet{})
+		}
+	}
+}
+
+// TestDirectoryFootprint touches 64 Ki lines and charges the heap growth
+// to them: at 8 cores a line costs at most 100 B (64 of them data), and
+// the directory's share grows by one sharer and one tagger word per 64
+// cores, no faster.
+func TestDirectoryFootprint(t *testing.T) {
+	const lines = 16 * mem.ChunkLines
+	for _, cores := range dirWidths {
+		cfg := DefaultConfig(cores)
+		cfg.MemBytes = 2 * lines * core.LineSize
+		m := New(cfg)
+		ghost := m.SpareThread()
+		before := heapAlloc()
+		for l := 0; l < lines; l++ {
+			ghost.Load(core.Addr((mem.ChunkLines + l) * core.LineSize))
+		}
+		perLine := float64(heapAlloc()-before) / lines
+		runtime.KeepAlive(m)
+
+		words := (cores + 63) / 64
+		dirPerLine := perLine - core.LineSize
+		t.Logf("%3d cores (%d-word sets): %.1f B/line, %.1f of them directory", cores, words, perLine, dirPerLine)
+		if cores == 8 && perLine > 100 {
+			t.Errorf("8 cores: %.1f B per touched line, want <= 100", perLine)
+		}
+		if limit := float64(20 + 16*words); dirPerLine > limit {
+			t.Errorf("%d cores: %.1f directory B per line, want <= %.0f (20 + 16 per set word)", cores, dirPerLine, limit)
+		}
+	}
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

@@ -69,11 +69,12 @@ func (g *ghost) CAS(a core.Addr, old, new uint64) bool {
 // their tags on it. The caller holds d.mu. Messages are attributed to core
 // -1 in the trace; no core is charged (the agent is outside the cost
 // model).
-func (g *ghost) invalidateAllLocked(d *dirEntry, l core.Line) {
-	for c := d.sharers.Next(0); c >= 0; c = d.sharers.Next(c + 1) {
+func (g *ghost) invalidateAllLocked(d dirEntry, l core.Line) {
+	sharers, taggers := d.sharers(), d.taggers()
+	for c := sharers.next(0); c >= 0; c = sharers.next(c + 1) {
 		other := g.m.threads[c]
-		if d.taggers.Contains(c) {
-			d.taggers.Remove(c)
+		if taggers.has(c) {
+			taggers.remove(c)
 			other.evicted.Store(true)
 			other.stats.RemoteTagEvictions.Add(1)
 			g.emit(core.EvTagEvicted, c, l)
@@ -81,7 +82,7 @@ func (g *ghost) invalidateAllLocked(d *dirEntry, l core.Line) {
 		other.stats.InvalidationsReceived.Add(1)
 		g.emit(core.EvInvalidation, c, l)
 	}
-	d.sharers.Clear()
+	clear(sharers)
 	d.owner = -1
 }
 

@@ -21,6 +21,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -28,38 +29,62 @@ import (
 	"repro/internal/mem"
 )
 
-// dirEntry is the coherence authority for one cache line.
+// dirEntry is the coherence authority for one cache line: a view of the
+// line's slot in its directory chunk. The lock and owner live in the
+// chunk's record array; the two core sets share a window of the chunk's
+// mask array, each as wide as the machine's core count needs. The view is
+// a pointer and a slice, 32 bytes: the compiler keeps a struct that size
+// in registers, and copies a larger one through the stack on every access.
 type dirEntry struct {
+	*dirRecord
+	masks []uint64 // sharers, then taggers
+}
+
+// sharers is the set of cores holding the line anywhere in their private
+// hierarchy (L1 or L2).
+func (d dirEntry) sharers() coreBits {
+	w := len(d.masks) / 2
+	return d.masks[:w:w]
+}
+
+// taggers is the set of cores currently tagging the line.
+func (d dirEntry) taggers() coreBits { return d.masks[len(d.masks)/2:] }
+
+// dirRecord is the fixed-size part of a line's directory state.
+type dirRecord struct {
 	mu sync.Mutex
-	// sharers is the set of cores holding the line anywhere in their
-	// private hierarchy (L1 or L2). A core.CoreSet rather than a uint64
-	// mask, so the directory scales past 64 cores.
-	sharers core.CoreSet
 	// owner is the core holding the line in Modified/Exclusive state, or
 	// -1. Invariant: owner >= 0 implies sharers == {owner}.
 	owner int16
-	// taggers is the set of cores currently tagging this line.
-	taggers core.CoreSet
 }
 
-// dirChunk mirrors one mem.Space chunk's worth of directory entries.
+// dirChunk mirrors one mem.Space chunk's worth of directory state.
 // Directory chunks are installed on first touch, like the space's word
 // chunks: experiments configure large address spaces but touch few lines,
 // and zeroing one directory entry per possible line dominated Machine
 // construction cost.
-type dirChunk [mem.ChunkLines]dirEntry
+type dirChunk struct {
+	// masks holds 2*w words per line, w = Machine.setWords: the line's
+	// sharer set, then its tagger set.
+	masks   []uint64
+	records [mem.ChunkLines]dirRecord
+}
 
 // Machine is a simulated multicore with memory tagging.
 type Machine struct {
 	cfg   Config
 	space *mem.Space
 	dir   []atomic.Pointer[dirChunk]
+	// setWords is w = ceil(Cores/64), the width in words of every core set
+	// the machine keeps: the directory's sharer and tagger masks cost 16*w
+	// bytes per touched line.
+	setWords int
 	// sockets/coresPerSocket realize Config.Sockets (1 when flat); sockMask
 	// holds each socket's core membership, precomputed so the coherence
 	// pricing can test "any sharer on my socket?" with a word-wise AND.
 	sockets        int
 	coresPerSocket int
-	sockMask       []core.CoreSet
+	sockMask       []coreBits
 	threads        []*Thread
 	clock          clockSync
 	tracer         core.Tracer
@@ -81,18 +106,22 @@ func New(cfg Config) *Machine {
 	}
 	space := mem.NewSpace(cfg.MemBytes)
 	m := &Machine{
-		cfg:   cfg,
-		space: space,
-		dir:   make([]atomic.Pointer[dirChunk], (space.NumLines()+mem.ChunkLines-1)/mem.ChunkLines),
+		cfg:      cfg,
+		space:    space,
+		dir:      make([]atomic.Pointer[dirChunk], (space.NumLines()+mem.ChunkLines-1)/mem.ChunkLines),
+		setWords: (cfg.Cores + 63) / 64,
 	}
 	m.sockets = cfg.Sockets
 	if m.sockets < 1 {
 		m.sockets = 1
 	}
 	m.coresPerSocket = cfg.Cores / m.sockets
-	m.sockMask = make([]core.CoreSet, m.sockets)
+	m.sockMask = make([]coreBits, m.sockets)
+	for s := range m.sockMask {
+		m.sockMask[s] = make(coreBits, m.setWords)
+	}
 	for c := 0; c < cfg.Cores; c++ {
-		m.sockMask[c/m.coresPerSocket].Add(c)
+		m.sockMask[c/m.coresPerSocket].add(c)
 	}
 	m.clock.shards = make([]clockShard, (cfg.Cores+clockShardCores-1)/clockShardCores)
 	m.threads = make([]*Thread, cfg.Cores)
@@ -129,7 +158,9 @@ func (m *Machine) MaxTags() int { return m.cfg.MaxTags }
 // AllocatedBytes reports how much simulated memory has been handed out.
 func (m *Machine) AllocatedBytes() int { return m.space.AllocatedBytes() }
 
-func (m *Machine) dirAt(l core.Line) *dirEntry {
+// dirAt returns line l's directory entry, installing its chunk on first
+// touch.
+func (m *Machine) dirAt(l core.Line) dirEntry {
 	ci := uint64(l) / mem.ChunkLines
 	if ci >= uint64(len(m.dir)) {
 		panic(fmt.Sprintf("machine: line %d out of range (%d lines)", l, m.space.NumLines()))
@@ -138,15 +169,17 @@ func (m *Machine) dirAt(l core.Line) *dirEntry {
 	if c == nil {
 		c = m.installDirChunk(ci)
 	}
-	return &c[uint64(l)%mem.ChunkLines]
+	i := int(uint64(l) % mem.ChunkLines)
+	w := m.setWords
+	return dirEntry{dirRecord: &c.records[i], masks: c.masks[2*w*i : 2*w*(i+1)]}
 }
 
 // installDirChunk materializes directory chunk ci with every entry
 // unowned, losing the race gracefully if another core installs it first.
 func (m *Machine) installDirChunk(ci uint64) *dirChunk {
-	fresh := new(dirChunk)
-	for i := range fresh {
-		fresh[i].owner = -1
+	fresh := &dirChunk{masks: make([]uint64, 2*m.setWords*mem.ChunkLines)}
+	for i := range fresh.records {
+		fresh.records[i].owner = -1
 	}
 	if m.dir[ci].CompareAndSwap(nil, fresh) {
 		return fresh
@@ -161,5 +194,69 @@ func (m *Machine) DebugLine(l core.Line) (sharers core.CoreSet, owner int, tagge
 	d := m.dirAt(l)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.sharers, int(d.owner), d.taggers
+	copy(sharers[:], d.sharers())
+	copy(taggers[:], d.taggers())
+	return sharers, int(d.owner), taggers
+}
+
+// coreBits is a set of core ids in w = ceil(Cores/64) words: one line's
+// sharer or tagger mask in a directory chunk, or one socket's membership.
+// It is a view, so assigning one shares the words; directory sets are
+// mutated only under their line's mutex.
+type coreBits []uint64
+
+func (s coreBits) has(c int) bool { return s[c>>6]&(1<<(c&63)) != 0 }
+func (s coreBits) add(c int)      { s[c>>6] |= 1 << (c & 63) }
+func (s coreBits) remove(c int)   { s[c>>6] &^= 1 << (c & 63) }
+
+// only resets the set to exactly {c} (exclusive ownership).
+func (s coreBits) only(c int) {
+	clear(s)
+	s.add(c)
+}
+
+func (s coreBits) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// anyOther reports whether s holds a core other than self, restricted to
+// the cores of within when within is non-nil.
+func (s coreBits) anyOther(self int, within coreBits) bool {
+	for i, w := range s {
+		if i == self>>6 {
+			w &^= 1 << (self & 63)
+		}
+		if within != nil {
+			w &= within[i]
+		}
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// next returns the smallest member >= from, or -1 when there is none.
+// Removing members below from while iterating is safe:
+//
+//	for c := s.next(0); c >= 0; c = s.next(c + 1)
+func (s coreBits) next(from int) int {
+	wi := from >> 6
+	if wi >= len(s) {
+		return -1
+	}
+	if w := s[wi] >> (from & 63); w != 0 {
+		return from + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(s); wi++ {
+		if s[wi] != 0 {
+			return wi<<6 + bits.TrailingZeros64(s[wi])
+		}
+	}
+	return -1
 }

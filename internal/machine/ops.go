@@ -112,7 +112,7 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		d := t.m.dirAt(l)
 		d.mu.Lock()
 		t.touchForTagLocked(l, d)
-		d.taggers.Add(t.id)
+		d.taggers().add(t.id)
 		d.mu.Unlock()
 		t.tags = append(t.tags, l)
 		if t.rec != nil {
@@ -163,7 +163,7 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 		t.recAccess(l, false)
 		d := t.m.dirAt(l)
 		d.mu.Lock()
-		d.taggers.Remove(t.id)
+		d.taggers().remove(t.id)
 		d.mu.Unlock()
 		t.tags = append(t.tags[:idx], t.tags[idx+1:]...)
 		if t.rec != nil {
@@ -216,7 +216,7 @@ func (t *Thread) ClearTagSet() {
 	for _, l := range t.tags {
 		d := t.m.dirAt(l)
 		d.mu.Lock()
-		d.taggers.Remove(t.id)
+		d.taggers().remove(t.id)
 		d.mu.Unlock()
 	}
 	t.tags = t.tags[:0]

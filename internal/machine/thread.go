@@ -115,14 +115,14 @@ func (t *Thread) charge(cycles uint64, energy float64) {
 // any tag c holds on it. The caller holds d.mu and charges message costs.
 // Under a two-level topology a message to a core on another socket pays
 // the socket hop on top of the per-sharer fan-out cost.
-func (t *Thread) sendInvalidationLocked(d *dirEntry, c int, l core.Line) {
-	d.sharers.Remove(c)
+func (t *Thread) sendInvalidationLocked(d dirEntry, c int, l core.Line) {
+	d.sharers().remove(c)
 	if int(d.owner) == c {
 		d.owner = -1
 	}
 	other := t.m.threads[c]
-	if d.taggers.Contains(c) {
-		d.taggers.Remove(c)
+	if d.taggers().has(c) {
+		d.taggers().remove(c)
 		other.evicted.Store(true)
 		other.stats.RemoteTagEvictions.Add(1)
 		t.emit(core.EvTagEvicted, c, l)
@@ -167,14 +167,9 @@ func (t *Thread) chargeMemFill(l core.Line) {
 }
 
 // sharerOnMySocket reports whether any core of set other than this one is
-// on this core's socket (i.e. could serve a fill without a hop). The set
-// is passed by value: the local copy is mutated, never the directory's.
-func (t *Thread) sharerOnMySocket(set core.CoreSet) bool {
-	if t.m.sockets == 1 {
-		return true
-	}
-	set.Remove(t.id)
-	return set.Intersects(&t.m.sockMask[t.socket])
+// on this core's socket (i.e. could serve a fill without a hop).
+func (t *Thread) sharerOnMySocket(set coreBits) bool {
+	return t.m.sockets == 1 || set.anyOther(t.id, t.m.sockMask[t.socket])
 }
 
 // chargeInvRound prices one invalidation round's base latency; the
@@ -188,14 +183,15 @@ func (t *Thread) chargeInvRound(hadSharers bool) {
 
 // invalidateOthersLocked makes this core the exclusive owner of the line,
 // invalidating every other sharer. The caller holds d.mu.
-func (t *Thread) invalidateOthersLocked(d *dirEntry, l core.Line) {
-	others := d.sharers
-	others.Remove(t.id)
-	t.chargeInvRound(!others.Empty())
-	for c := others.Next(0); c >= 0; c = others.Next(c + 1) {
-		t.sendInvalidationLocked(d, c, l)
+func (t *Thread) invalidateOthersLocked(d dirEntry, l core.Line) {
+	sharers := d.sharers()
+	t.chargeInvRound(sharers.anyOther(t.id, nil))
+	for c := sharers.next(0); c >= 0; c = sharers.next(c + 1) {
+		if c != t.id {
+			t.sendInvalidationLocked(d, c, l)
+		}
 	}
-	d.sharers.Only(t.id)
+	sharers.only(t.id)
 	d.owner = int16(t.id)
 }
 
@@ -264,28 +260,26 @@ func (t *Thread) drainEvictions() {
 		t.pendingEvicts = t.pendingEvicts[:len(t.pendingEvicts)-1]
 		d := t.m.dirAt(l)
 		d.mu.Lock()
-		if d.sharers.Contains(t.id) {
-			d.sharers.Remove(t.id)
+		if d.sharers().has(t.id) {
+			d.sharers().remove(t.id)
 			if int(d.owner) == t.id {
 				d.owner = -1
 				t.stats.Writebacks++
 			}
 		}
-		if d.taggers.Contains(t.id) {
-			// The local tag check already failed validation; just keep the
-			// directory consistent.
-			d.taggers.Remove(t.id)
-		}
+		// A tag here already failed the local check; just keep the
+		// directory consistent.
+		d.taggers().remove(t.id)
 		d.mu.Unlock()
 	}
 }
 
 // touchLineLocked performs the coherence transaction for one access to line
 // l and charges its cost. The caller holds d.mu.
-func (t *Thread) touchLineLocked(l core.Line, d *dirEntry, write bool) {
+func (t *Thread) touchLineLocked(l core.Line, d dirEntry, write bool) {
 	t.recAccess(l, write)
 	cfg := &t.m.cfg
-	present := d.sharers.Contains(t.id)
+	present := d.sharers().has(t.id)
 
 	if write {
 		if int(d.owner) == t.id {
@@ -295,10 +289,8 @@ func (t *Thread) touchLineLocked(l core.Line, d *dirEntry, write bool) {
 		// Need exclusivity: invalidate every other sharer. Whether the fill
 		// (if any) can be served on-socket is decided by the pre-invalidation
 		// sharer set.
-		others := d.sharers
-		others.Remove(t.id)
-		othersHadIt := !others.Empty()
-		served := t.m.sockets == 1 || others.Intersects(&t.m.sockMask[t.socket])
+		othersHadIt := d.sharers().anyOther(t.id, nil)
+		served := t.sharerOnMySocket(d.sharers())
 		t.invalidateOthersLocked(d, l)
 		if present {
 			// Upgrade from Shared: data already local.
@@ -334,16 +326,16 @@ func (t *Thread) touchLineLocked(l core.Line, d *dirEntry, write bool) {
 			t.stats.Writebacks++
 			t.charge(cfg.WritebackCycles, cfg.EnergyWriteback)
 		}
-	} else if !d.sharers.Empty() && cfg.Protocol != MESI {
+	} else if !d.sharers().empty() && cfg.Protocol != MESI {
 		// Clean cache-to-cache transfer from the Forward-state sharer
 		// (MESIF) or the Owned sharer (MOESI); served on-socket when any
 		// sharer is local.
-		t.chargeRemoteFill(t.sharerOnMySocket(d.sharers))
+		t.chargeRemoteFill(t.sharerOnMySocket(d.sharers()))
 	} else {
 		// Strict MESI serves clean lines from memory.
 		t.chargeMemFill(l)
 	}
-	d.sharers.Add(t.id)
+	d.sharers().add(t.id)
 	t.fillLocal(l)
 }
 
@@ -353,10 +345,10 @@ func (t *Thread) touchLineLocked(l core.Line, d *dirEntry, write bool) {
 // to each core's load buffer"). A line that is not resident is fetched like
 // a normal read (the transition-to-tagged state serves the miss), and that
 // fill is charged.
-func (t *Thread) touchForTagLocked(l core.Line, d *dirEntry) {
+func (t *Thread) touchForTagLocked(l core.Line, d dirEntry) {
 	t.recAccess(l, false)
 	cfg := &t.m.cfg
-	if d.sharers.Contains(t.id) {
+	if d.sharers().has(t.id) {
 		if t.l1.Lookup(l) {
 			return // resident in L1: tagging is free
 		}
@@ -375,12 +367,12 @@ func (t *Thread) touchForTagLocked(l core.Line, d *dirEntry) {
 			t.stats.Writebacks++
 			t.charge(cfg.WritebackCycles, cfg.EnergyWriteback)
 		}
-	} else if !d.sharers.Empty() && cfg.Protocol != MESI {
-		t.chargeRemoteFill(t.sharerOnMySocket(d.sharers))
+	} else if !d.sharers().empty() && cfg.Protocol != MESI {
+		t.chargeRemoteFill(t.sharerOnMySocket(d.sharers()))
 	} else {
 		t.chargeMemFill(l)
 	}
-	d.sharers.Add(t.id)
+	d.sharers().add(t.id)
 	t.fillLocal(l)
 }
 
