@@ -46,7 +46,7 @@ func benchScale() harness.Scale {
 func benchSetExperiment(b *testing.B, e *harness.SetExperiment, tagged, baseline string) {
 	b.Helper()
 	// Fan experiment cells over the host CPUs; results are identical to a
-	// serial run (see internal/harness/parallel.go).
+	// serial run (DESIGN.md, "Experiment harness").
 	e.Workers = runtime.GOMAXPROCS(0)
 	e.Telemetry = true
 	top := e.Threads[len(e.Threads)-1]

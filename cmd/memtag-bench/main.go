@@ -21,10 +21,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -34,83 +36,59 @@ import (
 	"repro/internal/workload"
 )
 
-// workers is the resolved -parallel value: 1 = serial (default),
-// 0 on the command line means "one worker per host CPU".
-var workers = 1
+var (
+	fig         = flag.String("fig", "all", "figure to run: 2, 4, 5, 6, 7, 8, skip, bst, chromatic, stmset, elision, reclaim, numa, or all")
+	full        = flag.Bool("full", false, "paper scale (1-64 simulated cores, more ops, 3 trials; numa adds 512 cores)")
+	threads     = flag.String("threads", "", "override thread counts, e.g. 1,2,4,8 (-fig elision runs the largest)")
+	coresFlag   = flag.String("cores", "", "override the -fig numa core counts, e.g. 64,128,256,512")
+	sockets     = flag.Int("sockets", 0, "override the -fig numa socket count (0: one socket per 64 cores)")
+	dist        = flag.String("dist", "uniform", "key distribution for -fig numa: uniform, zipfian or hotset")
+	ops         = flag.Int("ops", 0, "override operations per thread")
+	trials      = flag.Int("trials", 0, "override trial count")
+	parallel    = flag.Int("parallel", 1, "host workers for experiment cells: 1 serial, 0 one per host CPU, N a fixed pool (results identical for any value)")
+	jsonDir     = flag.String("json", "", "directory to write BENCH_<name>.json result files into (empty: no JSON)")
+	telemetryOn = flag.Bool("telemetry", false, "record per-op latency/retry histograms and sampler windows (adds latency rows to tables and op_lat_*/windows fields to JSON)")
+	sampleEvery = flag.Uint64("sample-every", 0, "telemetry sampler interval in backend clock units (0: harness default)")
+	traceOut    = flag.String("trace-out", "", "write a Perfetto trace-event JSON of one cell (last variant, largest thread count) to this file; use with a single -fig")
+	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+)
 
-// jsonDir is the directory BENCH_<name>.json files are written to;
-// empty disables JSON output.
-var jsonDir = ""
+// workers is the resolved -parallel value.
+var workers int
 
-// telemetryOn enables per-op latency/retry telemetry and interval sampling
-// on every set experiment; sampleEvery overrides the sampler interval.
-var telemetryOn = false
-var sampleEvery = uint64(0)
-
-// traceOut, when set, writes a Perfetto trace of one cell (the last
-// variant at the largest thread count) of each figure run; with several
-// figures the last one wins, so pair it with a single -fig.
-var traceOut = ""
-
-// numaCores/numaSockets/numaDist are the resolved -cores/-sockets/-dist
-// overrides for the -fig numa sweep.
-var numaCores []int
-var numaSockets = 0
-var numaDist = workload.DistUniform
-
-// opsOverride is the explicit -ops value (0: figure defaults).
-var opsOverride = 0
+// fatalf reports a failure and exits with code.
+func fatalf(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "memtag-bench: "+format+"\n", args...)
+	os.Exit(code)
+}
 
 func main() {
-	fig := flag.String("fig", "all", "figure to run: 2, 4, 5, 6, 7, 8, skip, bst, chromatic, stmset, elision, reclaim, numa, or all")
-	full := flag.Bool("full", false, "paper scale (1-64 simulated cores, more ops, 3 trials; numa adds 512 cores)")
-	threads := flag.String("threads", "", "override thread counts, e.g. 1,2,4,8")
-	coresFlag := flag.String("cores", "", "override the -fig numa core counts, e.g. 64,128,256,512")
-	socketsFlag := flag.Int("sockets", 0, "override the -fig numa socket count (0: one socket per 64 cores)")
-	dist := flag.String("dist", "uniform", "key distribution for -fig numa: uniform, zipfian or hotset")
-	ops := flag.Int("ops", 0, "override operations per thread")
-	trials := flag.Int("trials", 0, "override trial count")
-	parallel := flag.Int("parallel", 1, "host workers for experiment cells: 1 serial, 0 one per host CPU, N a fixed pool (results identical for any value)")
-	jsonOut := flag.String("json", "", "directory to write BENCH_<name>.json result files into (empty: no JSON)")
-	telemetry := flag.Bool("telemetry", false, "record per-op latency/retry histograms and sampler windows (adds latency rows to tables and op_lat_*/windows fields to JSON)")
-	sample := flag.Uint64("sample-every", 0, "telemetry sampler interval in backend clock units (0: harness default)")
-	trace := flag.String("trace-out", "", "write a Perfetto trace-event JSON of one cell (last variant, largest thread count) to this file; use with a single -fig")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
-
 	switch {
 	case *parallel == 0:
 		workers = runtime.GOMAXPROCS(0)
 	case *parallel > 0:
 		workers = *parallel
 	default:
-		fmt.Fprintf(os.Stderr, "memtag-bench: bad -parallel %d\n", *parallel)
-		os.Exit(2)
+		fatalf(2, "bad -parallel %d", *parallel)
 	}
-	jsonDir = *jsonOut
-	telemetryOn = *telemetry
-	sampleEvery = *sample
-	traceOut = *trace
+	var numaCores []int
 	if *coresFlag != "" {
 		numaCores = parseThreads(*coresFlag)
 	}
-	numaSockets = *socketsFlag
-	var err error
-	if numaDist, err = workload.ParseKeyDist(*dist); err != nil {
-		fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-		os.Exit(2)
+	numaDist, err := workload.ParseKeyDist(*dist)
+	if err != nil {
+		fatalf(2, "%v", err)
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-			os.Exit(1)
+			fatalf(1, "%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-			os.Exit(1)
+			fatalf(1, "%v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -127,7 +105,6 @@ func main() {
 	}
 	if *ops > 0 {
 		sc.OpsPerThread = *ops
-		opsOverride = *ops
 	}
 	if *trials > 0 {
 		sc.Trials = *trials
@@ -138,19 +115,17 @@ func main() {
 		figs = []string{"2", "4", "5", "6", "7", "8", "skip", "bst", "chromatic", "stmset", "elision", "reclaim", "numa"}
 	}
 	for _, f := range figs {
-		run(strings.TrimSpace(f), sc, *full)
+		run(strings.TrimSpace(f), sc, numaCores, numaDist)
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-			os.Exit(1)
+			fatalf(1, "%v", err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-			os.Exit(1)
+			fatalf(1, "%v", err)
 		}
 		f.Close()
 	}
@@ -161,126 +136,94 @@ func parseThreads(s string) []int {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 || n > core.MaxCores {
-			fmt.Fprintf(os.Stderr, "memtag-bench: bad thread count %q\n", part)
-			os.Exit(2)
+			fatalf(2, "bad thread count %q", part)
 		}
 		out = append(out, n)
 	}
 	return out
 }
 
-func run(fig string, sc harness.Scale, full bool) {
-	switch fig {
-	case "2":
-		runSet(harness.Fig2(sc))
-	case "4":
-		runSet(harness.Fig4(sc))
-	case "5":
-		runSet(harness.Fig5(sc))
-	case "6":
-		runSet(harness.Fig6(sc))
-	case "7":
-		runSet(harness.Fig7(sc))
-	case "skip":
-		runSet(harness.SkipExperiment(sc))
-	case "reclaim":
-		runSet(harness.ReclaimExperiment(sc))
-	case "bst":
-		runSet(harness.BSTExperiment(sc))
-	case "stmset":
-		runSet(harness.StmSetExperiment(sc))
-	case "chromatic":
-		runSet(harness.ChromaticExperiment(sc))
+// setFigures are the set-structure experiments by -fig name.
+var setFigures = map[string]func(harness.Scale) *harness.SetExperiment{
+	"2": harness.Fig2, "4": harness.Fig4, "5": harness.Fig5, "6": harness.Fig6, "7": harness.Fig7,
+	"skip": harness.SkipExperiment, "reclaim": harness.ReclaimExperiment, "bst": harness.BSTExperiment,
+	"stmset": harness.StmSetExperiment, "chromatic": harness.ChromaticExperiment,
+}
+
+func run(id string, sc harness.Scale, numaCores []int, numaDist workload.KeyDist) {
+	switch id {
+	case "8":
+		e := harness.Fig8(!*full)
+		e.Workers, e.Threads = workers, sc.Threads
+		runFigure(e.Name+" — Figure 8", e.Name, e.Title, e.Run, e.Print)
 	case "elision":
-		e := harness.NewElisionExperiment(!full)
+		e := harness.NewElisionExperiment(!*full)
 		e.Workers = workers
-		fmt.Printf("# %s — fallback ablation\n", e.Name)
-		start := time.Now()
-		points := e.Run()
-		harness.PrintElision(os.Stdout, e.Title, points)
-		writeJSON(e.Name, e.Title, time.Since(start), points)
-		fmt.Println()
+		if *threads != "" {
+			e.Threads = slices.Max(sc.Threads)
+		}
+		runFigure(e.Name+" — fallback ablation", e.Name, e.Title, e.Run, e.Print)
 	case "numa":
-		e := harness.NUMASweep(!full)
-		e.Workers = workers
+		e := harness.NUMASweep(!*full)
+		e.Workers, e.Sockets, e.Dist = workers, *sockets, numaDist
 		if len(numaCores) > 0 {
 			e.Cores = numaCores
 		}
-		if numaSockets > 0 {
-			e.SocketsFor = func(int) int { return numaSockets }
+		if *ops > 0 {
+			e.OpsPerThread = *ops
 		}
-		e.Dist = numaDist
-		if opsOverride > 0 {
-			e.OpsPerThread = opsOverride
-		}
-		fmt.Printf("# %s — beyond the paper (%s keys)\n", e.Name, e.Dist)
-		start := time.Now()
-		points := e.Run()
-		harness.PrintNUMA(os.Stdout, e.Title, points)
-		writeJSON(e.Name, e.Title, time.Since(start), points)
-		fmt.Println()
-	case "8":
-		e := harness.Fig8(!full)
-		e.Workers = workers
-		if len(sc.Threads) > 0 {
-			e.Threads = sc.Threads
-		}
-		fmt.Printf("# %s — %s\n", e.Name, "Figure 8")
-		start := time.Now()
-		points := e.Run()
-		harness.PrintVacation(os.Stdout, e.Title, points)
-		writeJSON(e.Name, e.Title, time.Since(start), points)
-		fmt.Println()
+		runFigure(fmt.Sprintf("%s — beyond the paper (%s keys)", e.Name, e.Dist), e.Name, e.Title, e.Run, e.Print)
 	default:
-		fmt.Fprintf(os.Stderr, "memtag-bench: unknown figure %q\n", fig)
-		os.Exit(2)
-	}
-}
-
-func runSet(e *harness.SetExperiment) {
-	e.Workers = workers
-	e.Telemetry = telemetryOn
-	e.SampleEvery = sampleEvery
-	fmt.Printf("# %s — %s\n", e.Name, e.Figure)
-	start := time.Now()
-	points := e.Run()
-	harness.PrintTable(os.Stdout, e.Title, points)
-	writeJSON(e.Name, e.Title, time.Since(start), points)
-	if traceOut != "" {
-		writeTrace(e)
-	}
-	// Headline comparisons at the largest thread count.
-	n := e.Threads[len(e.Threads)-1]
-	base := e.Variants[0].Name
-	for _, v := range e.Variants[1:] {
-		if s := harness.Speedup(points, v.Name, base, n); s > 0 {
-			fmt.Printf("speedup %s vs %s @%d threads: %.2fx\n", v.Name, base, n, s)
+		mk, ok := setFigures[id]
+		if !ok {
+			fatalf(2, "unknown figure %q", id)
+		}
+		e := mk(sc)
+		e.Workers, e.Telemetry, e.SampleEvery = workers, *telemetryOn, *sampleEvery
+		points := runFigure(e.Name+" — "+e.Figure, e.Name, e.Title, e.Run, e.Print)
+		if *traceOut != "" {
+			writeTrace(e)
+		}
+		// Headline comparisons at the largest thread count.
+		n := e.Threads[len(e.Threads)-1]
+		base := e.Variants[0].Name
+		for _, v := range e.Variants[1:] {
+			if s := harness.Speedup(points, v.Name, base, n); s > 0 {
+				fmt.Printf("speedup %s vs %s @%d threads: %.2fx\n", v.Name, base, n, s)
+			}
 		}
 	}
 	fmt.Println()
 }
 
+// runFigure is every figure's path: heading, run, table, BENCH JSON.
+func runFigure[P any](heading, name, title string, run func() []P, print func(io.Writer, []P)) []P {
+	fmt.Printf("# %s\n", heading)
+	start := time.Now()
+	points := run()
+	print(os.Stdout, points)
+	writeJSON(name, title, time.Since(start), points)
+	return points
+}
+
 // writeTrace re-runs one cell of the experiment — the last variant
 // (conventionally the tagged one) at the largest thread count — with the
 // backend tracer and per-op spans attached, and writes the Perfetto
-// trace-event JSON to traceOut.
+// trace-event JSON to -trace-out.
 func writeTrace(e *harness.SetExperiment) {
 	variant := e.Variants[len(e.Variants)-1].Name
 	threads := e.Threads[len(e.Threads)-1]
-	f, err := os.Create(traceOut)
+	f, err := os.Create(*traceOut)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
 	if err := e.TraceCell(variant, threads, f); err != nil {
-		fmt.Fprintf(os.Stderr, "memtag-bench: trace: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "trace: %v", err)
 	}
 	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
-	fmt.Printf("wrote %s (%s @%d threads; open at ui.perfetto.dev)\n", traceOut, variant, threads)
+	fmt.Printf("wrote %s (%s @%d threads; open at ui.perfetto.dev)\n", *traceOut, variant, threads)
 }
 
 // benchResult is the schema of a BENCH_<name>.json file: the experiment's
@@ -299,7 +242,7 @@ type benchResult struct {
 }
 
 func writeJSON(name, title string, elapsed time.Duration, points any) {
-	if jsonDir == "" {
+	if *jsonDir == "" {
 		return
 	}
 	out := benchResult{
@@ -310,15 +253,13 @@ func writeJSON(name, title string, elapsed time.Duration, points any) {
 		HostSeconds: elapsed.Seconds(),
 		Points:      points,
 	}
-	path := filepath.Join(jsonDir, "BENCH_"+name+".json")
+	path := filepath.Join(*jsonDir, "BENCH_"+name+".json")
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "memtag-bench: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
 	fmt.Printf("wrote %s\n", path)
 }

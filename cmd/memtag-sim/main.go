@@ -158,10 +158,3 @@ func runStats(cores, ops int) {
 	fmt.Printf("  energy           : %.0f units (%.1f per op)\n",
 		snap.Energy, snap.Energy/float64(max(1, counts.Ops)))
 }
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

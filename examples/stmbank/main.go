@@ -76,10 +76,3 @@ func main() {
 			100*float64(after.ValidateFails-before.ValidateFails)/float64(max(1, after.Validates-before.Validates)))
 	}
 }
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/abtree"
 	"repro/internal/intset"
@@ -23,9 +24,8 @@ type ElisionExperiment struct {
 	OpsPerThread int
 	KeyRange     uint64
 	Seed         int64
-	// Workers bounds the host worker pool cells fan out over: 0 serial,
-	// -1 one per host CPU (see parallel.go). Results are identical for
-	// every setting.
+	// Workers bounds the host goroutines cells fan out over, as in
+	// SetExperiment. Results are identical for every setting.
 	Workers int
 }
 
@@ -56,67 +56,52 @@ func NewElisionExperiment(quick bool) *ElisionExperiment {
 	return e
 }
 
-// Run executes the sweep for both elided structures. Cells run on a pool
-// of e.Workers host workers; the output is identical for any worker count.
+// Run executes the sweep for both elided structures, ordered by L1 size
+// then structure.
 func (e *ElisionExperiment) Run() []ElisionPoint {
-	points := make([]ElisionPoint, 2*len(e.L1Lines))
-	forEachCell(resolveWorkers(e.Workers), len(points), func(i int) {
-		lines := e.L1Lines[i/2]
-		cfg := machine.DefaultConfig(e.Threads)
-		cfg.MemBytes = 256 << 20
-		cfg.L1Bytes = lines * 64
-		if lines < 8 {
-			cfg.L1Ways = 1
-		} else if lines < 64 {
-			cfg.L1Ways = 2
-		}
-		m := machine.New(cfg)
-		if i%2 == 0 {
-			// Elided list (VAS fast / Harris slow).
-			s := list.NewElided(m, 0)
-			points[i] = e.runOne(m, "list", lines, s, func() (fast, slow uint64) {
-				return s.FastCommits.Load(), s.SlowCommits.Load()
-			})
-		} else {
-			// Elided (a,b)-tree (HoH fast / LLX-SCX slow).
-			s := abtree.NewElided(m, TreeA, TreeB, 0)
-			points[i] = e.runOne(m, "abtree", lines, s, func() (fast, slow uint64) {
-				return s.FastCommits.Load(), s.SlowCommits.Load()
-			})
-		}
-	})
-	return points
+	return grid(e.Workers, len(e.L1Lines), 2, 1, func(l, tree, _ int) ElisionPoint {
+		return e.runOne(e.L1Lines[l], tree == 1)
+	}, meanOfTrials[ElisionPoint])
 }
 
-func (e *ElisionExperiment) runOne(m *machine.Machine, name string, lines int,
-	s intset.Set, counters func() (fast, slow uint64)) ElisionPoint {
-
+func (e *ElisionExperiment) runOne(lines int, tree bool) ElisionPoint {
+	mcfg := machine.DefaultConfig(e.Threads)
+	mcfg.MemBytes = 256 << 20
+	mcfg.L1Bytes = lines * 64
+	if lines < 8 {
+		mcfg.L1Ways = 1
+	} else if lines < 64 {
+		mcfg.L1Ways = 2
+	}
+	m := machine.New(mcfg)
+	p := ElisionPoint{Structure: "list", L1Lines: lines}
+	var s intset.Set
+	var fast, slow *atomic.Uint64
+	if tree {
+		// Elided (a,b)-tree (HoH fast / LLX-SCX slow).
+		t := abtree.NewElided(m, TreeA, TreeB, 0)
+		p.Structure, s, fast, slow = "abtree", t, &t.FastCommits, &t.SlowCommits
+	} else {
+		// Elided list (VAS fast / Harris slow).
+		l := list.NewElided(m, 0)
+		s, fast, slow = l, &l.FastCommits, &l.SlowCommits
+	}
 	cfg := workload.Config{
 		Threads: e.Threads, KeyRange: e.KeyRange, PrefillSize: int(e.KeyRange / 2),
 		OpsPerThread: e.OpsPerThread, Mix: workload.Update3535, Seed: e.Seed,
 	}
 	workload.Prefill(m, s, cfg)
-	before := m.Snapshot()
-	counts := workload.Run(m, s, cfg)
-	after := m.Snapshot()
-
-	fast, slow := counters()
-	p := ElisionPoint{Structure: name, L1Lines: lines}
-	if fast+slow > 0 {
-		p.FastPct = 100 * float64(fast) / float64(fast+slow)
-	}
-	if v := after.Validates - before.Validates; v > 0 {
-		p.SpuriousPct = 100 * float64(after.ValidateFails-before.ValidateFails) / float64(v)
-	}
-	if cyc := after.MaxCycles - before.MaxCycles; cyc > 0 {
-		p.Mops = float64(counts.Ops) / (float64(cyc) / m.Config().ClockHz) / 1e6
-	}
+	ph := timed(m, func() uint64 { return workload.Run(m, s, cfg).Ops })
+	f := fast.Load()
+	p.FastPct = pct(f, f+slow.Load())
+	p.SpuriousPct = ph.validateFailPct()
+	p.Mops = ph.rate(1e6)
 	return p
 }
 
-// PrintElision writes the sweep as a table.
-func PrintElision(w io.Writer, title string, points []ElisionPoint) {
-	fmt.Fprintf(w, "== %s ==\n", title)
+// Print writes the sweep as one row per point.
+func (e *ElisionExperiment) Print(w io.Writer, points []ElisionPoint) {
+	fmt.Fprintf(w, "== %s ==\n", e.Title)
 	fmt.Fprintf(w, "%-10s %10s %12s %14s %10s\n", "structure", "L1 lines", "fast-path %", "validate-fail %", "Mops/s")
 	for _, p := range points {
 		fmt.Fprintf(w, "%-10s %10d %12.2f %14.3f %10.3f\n",

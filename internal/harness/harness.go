@@ -8,8 +8,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/intset"
@@ -49,10 +48,10 @@ type SetExperiment struct {
 	// MemBytes overrides the simulated memory size when Config is nil.
 	MemBytes int
 
-	// Workers bounds the host-level worker pool that experiment cells
-	// (variant × thread count × trial simulations) fan out over: 0 runs
-	// serially, -1 uses one worker per host CPU, any other value is the
-	// pool size. Results are identical for every setting (see parallel.go).
+	// Workers bounds the host goroutines that experiment cells (variant ×
+	// thread count × trial simulations) fan out over; 0 or 1 runs them
+	// serially. Results are identical for every setting (DESIGN.md,
+	// "Experiment harness").
 	Workers int
 
 	// Telemetry enables the per-op observability layer for the measured
@@ -132,86 +131,38 @@ func (e *SetExperiment) config(cores int) machine.Config {
 }
 
 // Run executes the experiment and returns one Point per (variant, thread
-// count), ordered by variant then threads. Cells run on a pool of
-// e.Workers host workers; the output is identical for any worker count.
+// count), ordered by variant then threads, each the mean of its trials.
 func (e *SetExperiment) Run() []Point {
-	trials := e.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	// Compute every (variant, threads, trial) cell into its slot, possibly
-	// in parallel. Each cell owns a private Machine; no state is shared.
-	nv, nt := len(e.Variants), len(e.Threads)
-	raw := make([]Point, nv*nt*trials)
-	forEachCell(resolveWorkers(e.Workers), len(raw), func(i int) {
-		trial := i % trials
-		n := e.Threads[i/trials%nt]
-		v := e.Variants[i/(trials*nt)]
-		raw[i] = e.runOne(v, n, e.Seed+int64(trial)*104729)
-	})
-	// Aggregate serially in the fixed cell order, so the non-associative
-	// float averaging matches the serial path bit for bit.
-	points := make([]Point, 0, nv*nt)
-	for vi, v := range e.Variants {
-		for ni, n := range e.Threads {
-			acc := Point{Variant: v.Name, Threads: n}
-			for trial := 0; trial < trials; trial++ {
-				p := raw[(vi*nt+ni)*trials+trial]
-				acc.ThroughputMops += p.ThroughputMops
-				acc.MissRatePct += p.MissRatePct
-				acc.EnergyPerOp += p.EnergyPerOp
-				acc.ValidateFailPct += p.ValidateFailPct
-				acc.VASFailPct += p.VASFailPct
-				acc.SpuriousPerMilOps += p.SpuriousPerMilOps
-				acc.InvalidationsPerOp += p.InvalidationsPerOp
-				acc.OpLatP50 += p.OpLatP50
-				acc.OpLatP99 += p.OpLatP99
-				acc.RetriesPerOp += p.RetriesPerOp
-				acc.RetireFreeP50 += p.RetireFreeP50
-				acc.RetireFreeP99 += p.RetireFreeP99
-				acc.FreelistLines += p.FreelistLines
-				if p.OpLatMax > acc.OpLatMax {
-					acc.OpLatMax = p.OpLatMax
-				}
-				if p.PeakLiveLines > acc.PeakLiveLines {
-					acc.PeakLiveLines = p.PeakLiveLines
-				}
-				if trial == 0 {
-					acc.Windows = p.Windows
-				}
-			}
-			f := float64(trials)
-			acc.ThroughputMops /= f
-			acc.MissRatePct /= f
-			acc.EnergyPerOp /= f
-			acc.ValidateFailPct /= f
-			acc.VASFailPct /= f
-			acc.SpuriousPerMilOps /= f
-			acc.InvalidationsPerOp /= f
-			acc.OpLatP50 /= f
-			acc.OpLatP99 /= f
-			acc.RetriesPerOp /= f
-			acc.RetireFreeP50 /= f
-			acc.RetireFreeP99 /= f
-			acc.FreelistLines /= int64(trials)
-			points = append(points, acc)
-		}
-	}
-	return points
+	return grid(e.Workers, len(e.Variants), len(e.Threads), e.Trials, func(v, n, trial int) Point {
+		return e.runOne(&e.Variants[v], e.Threads[n], e.Seed+int64(trial)*104729)
+	}, foldSetTrials)
 }
 
-// build constructs the variant's structure, preferring the reclamation-
-// aware constructor when present.
-func build(v *SetVariant, mem core.Memory) (intset.Set, *reclaim.Pool) {
-	if v.BuildReclaimed != nil {
-		return v.BuildReclaimed(mem)
+// foldSetTrials is meanOfTrials, except that the latency maximum and the
+// peak footprint are maxima and the free-list size is an integer mean.
+func foldSetTrials(trials []Point) Point {
+	p := meanOfTrials(trials)
+	var free int64
+	for _, t := range trials {
+		p.OpLatMax = max(p.OpLatMax, t.OpLatMax)
+		p.PeakLiveLines = max(p.PeakLiveLines, t.PeakLiveLines)
+		free += t.FreelistLines
 	}
-	return v.Build(mem), nil
+	p.FreelistLines = free / int64(len(trials))
+	return p
 }
 
-func (e *SetExperiment) runOne(v SetVariant, threads int, seed int64) Point {
+// prefilled builds one cell's machine and structure and prefills it; the
+// returned workload config drives the cell's timed phase.
+func (e *SetExperiment) prefilled(v *SetVariant, threads int, seed int64) (*machine.Machine, intset.Set, *reclaim.Pool, workload.Config) {
 	m := machine.New(e.config(threads))
-	s, pool := build(&v, m)
+	var s intset.Set
+	var pool *reclaim.Pool
+	if v.BuildReclaimed != nil {
+		s, pool = v.BuildReclaimed(m)
+	} else {
+		s = v.Build(m)
+	}
 	cfg := workload.Config{
 		Threads:      threads,
 		KeyRange:     e.KeyRange,
@@ -221,6 +172,11 @@ func (e *SetExperiment) runOne(v SetVariant, threads int, seed int64) Point {
 		Seed:         seed,
 	}
 	workload.Prefill(m, s, cfg)
+	return m, s, pool, cfg
+}
+
+func (e *SetExperiment) runOne(v *SetVariant, threads int, seed int64) Point {
+	m, s, pool, cfg := e.prefilled(v, threads, seed)
 	// Telemetry covers only the timed phase: attach after prefill (the
 	// machine is quiescent here).
 	var set *telemetry.Set
@@ -239,12 +195,8 @@ func (e *SetExperiment) runOne(v SetVariant, threads int, seed int64) Point {
 			pool.SetTelemetry(set)
 		}
 	}
-	settleHeap()
-	// Measure only the timed phase: snapshot after prefill.
-	before := m.Snapshot()
-	counts := workload.Run(m, s, cfg)
-	after := m.Snapshot()
-	p := diffToPoint(v.Name, threads, before, after, counts.Ops, m.Config().ClockHz)
+	ph := timed(m, func() uint64 { return workload.Run(m, s, cfg).Ops })
+	p := pointOf(v.Name, threads, ph)
 	if e.Telemetry {
 		set.Flush()
 		agg := set.Merge()
@@ -268,39 +220,31 @@ func (e *SetExperiment) runOne(v SetVariant, threads int, seed int64) Point {
 	return p
 }
 
-// settleHeap collects before a cell's timed phase, so the next GC is paced
-// from this cell's own live heap rather than from wherever the previous
-// cell left it. With one host CPU the simulated cores' interleaving is then
-// a function of the seed alone unless the phase itself allocates past the
-// collector's goal: a collection inside the phase reorders the run queue,
-// and with it the simulated schedule.
-func settleHeap() { runtime.GC() }
+// pointOf reduces a set cell's timed phase to its Point.
+func pointOf(variant string, threads int, ph phase) Point {
+	return Point{
+		Variant:            variant,
+		Threads:            threads,
+		ThroughputMops:     ph.rate(1e6),
+		MissRatePct:        ph.missPct(),
+		EnergyPerOp:        ph.perOp(ph.Energy),
+		ValidateFailPct:    ph.validateFailPct(),
+		VASFailPct:         ph.vasFailPct(),
+		SpuriousPerMilOps:  ph.perOp(1e6 * float64(ph.SpuriousEvictions)),
+		InvalidationsPerOp: ph.perOp(float64(ph.InvalidationsSent)),
+	}
+}
 
 // TraceCell runs a single (variant, thread count) cell with the Perfetto
 // collector attached — backend coherence/tag events plus per-op spans —
 // and writes Chrome trace-event JSON to w. The prefill phase is not
 // traced. Tracing allocates; use it for inspection, not measurement.
 func (e *SetExperiment) TraceCell(variant string, threads int, w io.Writer) error {
-	var v *SetVariant
-	for i := range e.Variants {
-		if e.Variants[i].Name == variant {
-			v = &e.Variants[i]
-		}
-	}
-	if v == nil {
+	i := slices.IndexFunc(e.Variants, func(v SetVariant) bool { return v.Name == variant })
+	if i < 0 {
 		return fmt.Errorf("harness: experiment %s has no variant %q", e.Name, variant)
 	}
-	m := machine.New(e.config(threads))
-	s, _ := build(v, m)
-	cfg := workload.Config{
-		Threads:      threads,
-		KeyRange:     e.KeyRange,
-		PrefillSize:  int(e.KeyRange / 2),
-		OpsPerThread: e.OpsPerThread,
-		Mix:          e.Mix,
-		Seed:         e.Seed,
-	}
-	workload.Prefill(m, s, cfg)
+	m, s, _, cfg := e.prefilled(&e.Variants[i], threads, e.Seed)
 	col := telemetry.NewTraceCollector(threads)
 	m.SetTracer(col)
 	cfg.Trace = col
@@ -309,148 +253,38 @@ func (e *SetExperiment) TraceCell(variant string, threads int, w io.Writer) erro
 	return col.WriteJSON(w)
 }
 
-func diffToPoint(name string, threads int, before, after machine.Stats, ops uint64, clockHz float64) Point {
-	cycles := after.MaxCycles - before.MaxCycles
-	accesses := after.Accesses() - before.Accesses()
-	misses := after.Misses() - before.Misses()
-	energy := after.Energy - before.Energy
-	validates := after.Validates - before.Validates
-	vfails := after.ValidateFails - before.ValidateFails
-	attempts := (after.VASAttempts + after.IASAttempts) - (before.VASAttempts + before.IASAttempts)
-	afails := (after.VASFails + after.IASFails) - (before.VASFails + before.IASFails)
-	spurious := after.SpuriousEvictions - before.SpuriousEvictions
-	invs := after.InvalidationsSent - before.InvalidationsSent
-
-	p := Point{Variant: name, Threads: threads}
-	if cycles > 0 {
-		simSeconds := float64(cycles) / clockHz
-		p.ThroughputMops = float64(ops) / simSeconds / 1e6
+// Print writes the points as the figure's table: one block per metric,
+// thread counts as columns, variants as rows. Per-op latency rows appear
+// when some point carries telemetry, reclamation rows when some variant
+// ran with a pool attached.
+func (e *SetExperiment) Print(w io.Writer, points []Point) {
+	t := table[Point]{
+		axis:  "threads",
+		width: 14,
+		at:    func(p Point) (string, int) { return p.Variant, p.Threads },
+		metrics: []metric[Point]{
+			{name: "throughput (Mops/s)", get: func(p Point) float64 { return p.ThroughputMops }},
+			{name: "L1 miss rate (%)", get: func(p Point) float64 { return p.MissRatePct }},
+			{name: "energy/op (units)", get: func(p Point) float64 { return p.EnergyPerOp }},
+			{name: "validate fails (%)", get: func(p Point) float64 { return p.ValidateFailPct }},
+			{name: "VAS/IAS fails (%)", get: func(p Point) float64 { return p.VASFailPct }},
+			{name: "invalidations/op", get: func(p Point) float64 { return p.InvalidationsPerOp }},
+		},
 	}
-	if accesses > 0 {
-		p.MissRatePct = 100 * float64(misses) / float64(accesses)
+	if slices.ContainsFunc(points, func(p Point) bool { return p.OpLatP99 > 0 }) {
+		t.metrics = append(t.metrics,
+			metric[Point]{name: "op latency p50 (cyc)", get: func(p Point) float64 { return p.OpLatP50 }},
+			metric[Point]{name: "op latency p99 (cyc)", get: func(p Point) float64 { return p.OpLatP99 }},
+			metric[Point]{name: "retries/op", get: func(p Point) float64 { return p.RetriesPerOp }})
 	}
-	if ops > 0 {
-		p.EnergyPerOp = energy / float64(ops)
-		p.SpuriousPerMilOps = 1e6 * float64(spurious) / float64(ops)
-		p.InvalidationsPerOp = float64(invs) / float64(ops)
+	if slices.ContainsFunc(points, func(p Point) bool { return p.PeakLiveLines > 0 }) {
+		t.metrics = append(t.metrics,
+			metric[Point]{name: "retire-free p50 (cyc)", get: func(p Point) float64 { return p.RetireFreeP50 }},
+			metric[Point]{name: "retire-free p99 (cyc)", get: func(p Point) float64 { return p.RetireFreeP99 }},
+			metric[Point]{name: "peak live lines", get: func(p Point) float64 { return float64(p.PeakLiveLines) }},
+			metric[Point]{name: "free-list lines", get: func(p Point) float64 { return float64(p.FreelistLines) }})
 	}
-	if validates > 0 {
-		p.ValidateFailPct = 100 * float64(vfails) / float64(validates)
-	}
-	if attempts > 0 {
-		p.VASFailPct = 100 * float64(afails) / float64(attempts)
-	}
-	return p
-}
-
-// PrintTable writes the points as the figure's table: one block per
-// metric, thread counts as columns, variants as rows.
-func PrintTable(w io.Writer, title string, points []Point) {
-	threads := uniqueThreads(points)
-	variants := uniqueVariants(points)
-	idx := map[string]map[int]Point{}
-	for _, p := range points {
-		if idx[p.Variant] == nil {
-			idx[p.Variant] = map[int]Point{}
-		}
-		idx[p.Variant][p.Threads] = p
-	}
-	fmt.Fprintf(w, "== %s ==\n", title)
-	metrics := []struct {
-		name string
-		get  func(Point) float64
-	}{
-		{"throughput (Mops/s)", func(p Point) float64 { return p.ThroughputMops }},
-		{"L1 miss rate (%)", func(p Point) float64 { return p.MissRatePct }},
-		{"energy/op (units)", func(p Point) float64 { return p.EnergyPerOp }},
-		{"validate fails (%)", func(p Point) float64 { return p.ValidateFailPct }},
-		{"VAS/IAS fails (%)", func(p Point) float64 { return p.VASFailPct }},
-		{"invalidations/op", func(p Point) float64 { return p.InvalidationsPerOp }},
-	}
-	// Per-op latency rows only when some point carries telemetry.
-	for _, p := range points {
-		if p.OpLatP99 > 0 {
-			metrics = append(metrics,
-				struct {
-					name string
-					get  func(Point) float64
-				}{"op latency p50 (cyc)", func(p Point) float64 { return p.OpLatP50 }},
-				struct {
-					name string
-					get  func(Point) float64
-				}{"op latency p99 (cyc)", func(p Point) float64 { return p.OpLatP99 }},
-				struct {
-					name string
-					get  func(Point) float64
-				}{"retries/op", func(p Point) float64 { return p.RetriesPerOp }},
-			)
-			break
-		}
-	}
-	// Reclamation rows only when some variant ran with a pool attached.
-	for _, p := range points {
-		if p.PeakLiveLines > 0 {
-			metrics = append(metrics,
-				struct {
-					name string
-					get  func(Point) float64
-				}{"retire-free p50 (cyc)", func(p Point) float64 { return p.RetireFreeP50 }},
-				struct {
-					name string
-					get  func(Point) float64
-				}{"retire-free p99 (cyc)", func(p Point) float64 { return p.RetireFreeP99 }},
-				struct {
-					name string
-					get  func(Point) float64
-				}{"peak live lines", func(p Point) float64 { return float64(p.PeakLiveLines) }},
-				struct {
-					name string
-					get  func(Point) float64
-				}{"free-list lines", func(p Point) float64 { return float64(p.FreelistLines) }},
-			)
-			break
-		}
-	}
-	for _, met := range metrics {
-		fmt.Fprintf(w, "-- %s --\n", met.name)
-		fmt.Fprintf(w, "%-14s", "threads")
-		for _, t := range threads {
-			fmt.Fprintf(w, "%10d", t)
-		}
-		fmt.Fprintln(w)
-		for _, v := range variants {
-			fmt.Fprintf(w, "%-14s", v)
-			for _, t := range threads {
-				fmt.Fprintf(w, "%10.3f", met.get(idx[v][t]))
-			}
-			fmt.Fprintln(w)
-		}
-	}
-}
-
-func uniqueThreads(points []Point) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range points {
-		if !seen[p.Threads] {
-			seen[p.Threads] = true
-			out = append(out, p.Threads)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func uniqueVariants(points []Point) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range points {
-		if !seen[p.Variant] {
-			seen[p.Variant] = true
-			out = append(out, p.Variant)
-		}
-	}
-	return out
+	t.print(w, e.Title, points)
 }
 
 // Speedup returns variant a's throughput relative to variant b at the

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/vacation"
+	"repro/internal/vtags"
 	"repro/internal/workload"
 )
 
@@ -82,27 +84,10 @@ func TestReclaimExperimentProducesPoints(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintTable(&buf, e.Title, points)
+	e.Print(&buf, points)
 	for _, want := range []string{"retire-free p99", "peak live lines", "free-list lines"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("reclamation table missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-func TestPrintTable(t *testing.T) {
-	points := []Point{
-		{Variant: "a", Threads: 1, ThroughputMops: 1.5, MissRatePct: 10, EnergyPerOp: 100},
-		{Variant: "a", Threads: 2, ThroughputMops: 2.5, MissRatePct: 11, EnergyPerOp: 101},
-		{Variant: "b", Threads: 1, ThroughputMops: 0.5, MissRatePct: 12, EnergyPerOp: 102},
-		{Variant: "b", Threads: 2, ThroughputMops: 0.6, MissRatePct: 13, EnergyPerOp: 103},
-	}
-	var buf bytes.Buffer
-	PrintTable(&buf, "test", points)
-	out := buf.String()
-	for _, want := range []string{"throughput", "miss rate", "energy", "a", "b", "1.500"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -134,11 +119,6 @@ func TestVacationExperimentQuick(t *testing.T) {
 			t.Fatalf("%s@%d: non-positive throughput", p.Variant, p.Threads)
 		}
 	}
-	var buf bytes.Buffer
-	PrintVacation(&buf, e.Title, points)
-	if !strings.Contains(buf.String(), "aborts/tx") {
-		t.Fatal("vacation table missing abort metric")
-	}
 }
 
 func TestAllFigureDefinitionsConstruct(t *testing.T) {
@@ -156,20 +136,47 @@ func TestAllFigureDefinitionsConstruct(t *testing.T) {
 	}
 }
 
+// TestDiffToPoint pins the timed phase's stats diff and the arithmetic
+// every figure's point is reduced with.
 func TestDiffToPoint(t *testing.T) {
-	before := machine.Stats{}
-	after := machine.Stats{
-		MaxCycles: 1_000_000, Loads: 1000, Stores: 100,
-		L2Hits: 50, MemFills: 50, Energy: 5000,
+	cfg := machine.DefaultConfig(1)
+	cfg.MemBytes = 1 << 20
+	m := machine.New(cfg)
+	th := m.Thread(0)
+	a := m.Alloc(2)
+	th.Store(a, 1) // before the phase: not counted
+	before := m.Snapshot()
+	ph := timed(m, func() uint64 {
+		th.Load(a)
+		th.Store(a.Plus(1), 2)
+		th.CAS(a, 1, 3)
+		return 7
+	})
+	after := m.Snapshot()
+	if ph.Ops != 7 || ph.Loads != after.Loads-before.Loads || ph.Stores != 1 || ph.CASes != 1 ||
+		ph.MaxCycles != after.MaxCycles-before.MaxCycles || ph.Energy != after.Energy-before.Energy ||
+		ph.MaxCycles == 0 || ph.clockHz != cfg.ClockHz {
+		t.Fatalf("phase = %+v\nbefore = %+v\nafter = %+v", ph, before, after)
+	}
+	ran := false
+	if ph := timed(vtags.New(1<<20, 1), func() uint64 { ran = true; return 3 }); !ran || ph != (phase{}) {
+		t.Fatalf("vtags phase = %+v (ran %v), want only the run", ph, ran)
+	}
+
+	p := pointOf("x", 2, phase{Stats: machine.Stats{
+		Ops: 500, MaxCycles: 1_000_000_000, Loads: 1000, Stores: 100,
+		L1Hits: 900, L2Hits: 50, MemFills: 50, Energy: 5000,
 		Validates: 100, ValidateFails: 10,
-		VASAttempts: 40, VASFails: 4,
+		VASAttempts: 30, VASFails: 3, IASAttempts: 10, IASFails: 1,
+		SpuriousEvictions: 2, InvalidationsSent: 250,
+	}, clockHz: 1e9})
+	want := Point{Variant: "x", Threads: 2, ThroughputMops: 0.0005, MissRatePct: 10, EnergyPerOp: 10,
+		ValidateFailPct: 10, VASFailPct: 10, SpuriousPerMilOps: 4000, InvalidationsPerOp: 0.5}
+	if !reflect.DeepEqual(p, want) {
+		t.Fatalf("point = %+v\nwant    %+v", p, want)
 	}
-	p := diffToPoint("x", 2, before, after, 500, 1e9)
-	if p.ThroughputMops <= 0 || p.MissRatePct <= 0 || p.EnergyPerOp != 10 {
-		t.Fatalf("point = %+v", p)
-	}
-	if p.ValidateFailPct != 10 || p.VASFailPct != 10 {
-		t.Fatalf("failure percentages wrong: %+v", p)
+	if p := pointOf("idle", 1, phase{}); !reflect.DeepEqual(p, Point{Variant: "idle", Threads: 1}) {
+		t.Fatalf("empty phase gave %+v", p)
 	}
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -23,10 +22,10 @@ type NUMAExperiment struct {
 	Title string
 
 	Cores []int
-	// SocketsFor maps a core count to a socket count on the machine
-	// backend; nil means one socket per 64 cores (min 1). The vtags
-	// emulation has no topology and always reports Sockets 0.
-	SocketsFor func(cores int) int
+	// Sockets is the machine backend's socket count; 0 means one socket per
+	// 64 cores (min 1). The vtags emulation has no topology and always
+	// reports Sockets 0.
+	Sockets int
 
 	KeyRange     uint64
 	OpsPerThread int
@@ -39,9 +38,9 @@ type NUMAExperiment struct {
 	// MemBytes sizes each cell's simulated memory.
 	MemBytes int
 
-	// Workers bounds the host worker pool cells fan out over, exactly as
-	// in SetExperiment: 0 serial, -1 one per host CPU. Every field of the
-	// result except HostSeconds is identical for any worker count.
+	// Workers bounds the host goroutines cells fan out over, as in
+	// SetExperiment. Every field of the result except HostSeconds is
+	// identical for any worker count.
 	Workers int
 }
 
@@ -63,16 +62,6 @@ func NUMASweep(quick bool) *NUMAExperiment {
 		e.OpsPerThread = 200
 	}
 	return e
-}
-
-func (e *NUMAExperiment) sockets(cores int) int {
-	if e.SocketsFor != nil {
-		return e.SocketsFor(cores)
-	}
-	if s := cores / 64; s > 1 {
-		return s
-	}
-	return 1
 }
 
 // NUMAPoint is one cell of the sweep. Latencies are in backend clock
@@ -101,32 +90,27 @@ type NUMAPoint struct {
 func (e *NUMAExperiment) Run() []NUMAPoint {
 	backends := []string{"machine", "vtags"}
 	variants := TreeVariants()
-	nc, nv := len(e.Cores), len(variants)
-	raw := make([]NUMAPoint, len(backends)*nv*nc)
-	forEachCell(resolveWorkers(e.Workers), len(raw), func(i int) {
-		c := e.Cores[i%nc]
-		v := variants[i/nc%nv]
-		be := backends[i/(nc*nv)]
-		raw[i] = e.runOne(be, v, c)
-	})
-	return raw
+	return grid(e.Workers, len(backends)*len(variants), len(e.Cores), 1, func(row, c, _ int) NUMAPoint {
+		return e.runOne(backends[row/len(variants)], &variants[row%len(variants)], e.Cores[c])
+	}, meanOfTrials[NUMAPoint])
 }
 
-func (e *NUMAExperiment) runOne(backend string, v SetVariant, cores int) NUMAPoint {
+func (e *NUMAExperiment) runOne(backend string, v *SetVariant, cores int) NUMAPoint {
 	start := time.Now()
 	p := NUMAPoint{Backend: backend, Variant: v.Name, Cores: cores, Dist: e.Dist.String()}
 	var m core.Memory
-	var mach *machine.Machine
 	if backend == "machine" {
-		p.Sockets = e.sockets(cores)
+		p.Sockets = e.Sockets
+		if p.Sockets <= 0 {
+			p.Sockets = max(cores/64, 1)
+		}
 		cfg := machine.NUMAConfig(cores, p.Sockets)
 		cfg.MemBytes = e.MemBytes
-		mach = machine.New(cfg)
-		m = mach
+		m = machine.New(cfg)
 	} else {
 		m = vtags.New(e.MemBytes, cores)
 	}
-	s, _ := build(&v, m)
+	s := v.Build(m)
 	wcfg := workload.Config{
 		Threads:      cores,
 		KeyRange:     e.KeyRange,
@@ -142,77 +126,31 @@ func (e *NUMAExperiment) runOne(backend string, v SetVariant, cores int) NUMAPoi
 		st.SetTelemetry(set)
 	}
 	wcfg.Telemetry = set
-	settleHeap()
-	var before machine.Stats
-	if mach != nil {
-		before = mach.Snapshot()
-	}
-	counts := workload.Run(m, s, wcfg)
+	ph := timed(m, func() uint64 { return workload.Run(m, s, wcfg).Ops })
 	set.Flush()
 	agg := set.Merge()
 	p.OpLatP50 = agg.OpLatency.Quantile(0.5)
 	p.OpLatP99 = agg.OpLatency.Quantile(0.99)
-	if mach != nil {
-		after := mach.Snapshot()
-		d := diffToPoint(v.Name, cores, before, after, counts.Ops, mach.Config().ClockHz)
-		p.ThroughputMops = d.ThroughputMops
-		p.MissRatePct = d.MissRatePct
-		if counts.Ops > 0 {
-			p.SocketHopsPerOp = float64(after.SocketHops-before.SocketHops) / float64(counts.Ops)
-		}
-	}
+	p.ThroughputMops = ph.rate(1e6)
+	p.MissRatePct = ph.missPct()
+	p.SocketHopsPerOp = ph.perOp(float64(ph.SocketHops))
 	p.HostSeconds = time.Since(start).Seconds()
 	return p
 }
 
-// PrintNUMA writes the sweep as one block per backend: core counts as
-// columns, one row per (variant, metric).
-func PrintNUMA(w io.Writer, title string, points []NUMAPoint) {
-	fmt.Fprintf(w, "== %s ==\n", title)
-	cores := []int{}
-	seen := map[int]bool{}
-	for _, p := range points {
-		if !seen[p.Cores] {
-			seen[p.Cores] = true
-			cores = append(cores, p.Cores)
-		}
-	}
-	idx := map[string]map[int]NUMAPoint{}
-	var order []string
-	for _, p := range points {
-		k := p.Backend + "/" + p.Variant
-		if idx[k] == nil {
-			idx[k] = map[int]NUMAPoint{}
-			order = append(order, k)
-		}
-		idx[k][p.Cores] = p
-	}
-	metrics := []struct {
-		name string
-		get  func(NUMAPoint) float64
-		on   func(NUMAPoint) bool
-	}{
-		{"throughput (Mops/s)", func(p NUMAPoint) float64 { return p.ThroughputMops }, func(p NUMAPoint) bool { return p.Backend == "machine" }},
-		{"L1 miss rate (%)", func(p NUMAPoint) float64 { return p.MissRatePct }, func(p NUMAPoint) bool { return p.Backend == "machine" }},
-		{"socket hops/op", func(p NUMAPoint) float64 { return p.SocketHopsPerOp }, func(p NUMAPoint) bool { return p.Backend == "machine" }},
-		{"op latency p99", func(p NUMAPoint) float64 { return p.OpLatP99 }, func(NUMAPoint) bool { return true }},
-	}
-	for _, met := range metrics {
-		fmt.Fprintf(w, "-- %s --\n", met.name)
-		fmt.Fprintf(w, "%-22s", "cores")
-		for _, c := range cores {
-			fmt.Fprintf(w, "%10d", c)
-		}
-		fmt.Fprintln(w)
-		for _, k := range order {
-			if !met.on(idx[k][cores[0]]) {
-				continue
-			}
-			fmt.Fprintf(w, "%-22s", k)
-			for _, c := range cores {
-				fmt.Fprintf(w, "%10.3f", met.get(idx[k][c]))
-			}
-			fmt.Fprintln(w)
-		}
-	}
+// Print writes the sweep with core counts as columns and one row per
+// (backend, variant); the simulated metrics have machine rows only.
+func (e *NUMAExperiment) Print(w io.Writer, points []NUMAPoint) {
+	onMachine := func(p NUMAPoint) bool { return p.Backend == "machine" }
+	table[NUMAPoint]{
+		axis:  "cores",
+		width: 22,
+		at:    func(p NUMAPoint) (string, int) { return p.Backend + "/" + p.Variant, p.Cores },
+		metrics: []metric[NUMAPoint]{
+			{name: "throughput (Mops/s)", get: func(p NUMAPoint) float64 { return p.ThroughputMops }, only: onMachine},
+			{name: "L1 miss rate (%)", get: func(p NUMAPoint) float64 { return p.MissRatePct }, only: onMachine},
+			{name: "socket hops/op", get: func(p NUMAPoint) float64 { return p.SocketHopsPerOp }, only: onMachine},
+			{name: "op latency p99", get: func(p NUMAPoint) float64 { return p.OpLatP99 }},
+		},
+	}.print(w, e.Title, points)
 }

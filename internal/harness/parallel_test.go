@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // Serial and parallel harness runs must be indistinguishable: workers only
@@ -25,7 +27,7 @@ func equivalenceExperiment(workers int, tel bool) *SetExperiment {
 func TestParallelRunMatchesSerial(t *testing.T) {
 	for _, tel := range []bool{false, true} {
 		serial := equivalenceExperiment(0, tel).Run()
-		for _, workers := range []int{2, 4, -1} {
+		for _, workers := range []int{2, 4, 16} {
 			par := equivalenceExperiment(workers, tel).Run()
 			if len(par) != len(serial) {
 				t.Fatalf("workers=%d: %d points, serial produced %d", workers, len(par), len(serial))
@@ -36,6 +38,31 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 						tel, workers, i, serial[i], par[i])
 				}
 			}
+		}
+	}
+
+	// NUMA cells at one core on both backends, every field but the host
+	// time; elision cells at one thread.
+	numa := func(workers int) []NUMAPoint {
+		e := NUMASweep(true)
+		e.Cores, e.OpsPerThread, e.Workers = []int{1}, 40, workers
+		points := e.Run()
+		for i := range points {
+			points[i].HostSeconds = 0
+		}
+		return points
+	}
+	elision := func(workers int) []ElisionPoint {
+		e := NewElisionExperiment(true)
+		e.Threads, e.OpsPerThread, e.Workers = 1, 60, workers
+		return e.Run()
+	}
+	for _, workers := range []int{2, 16} {
+		if s, p := numa(0), numa(workers); len(s) != 4 || !reflect.DeepEqual(s, p) {
+			t.Errorf("NUMA workers=%d:\n  serial:   %+v\n  parallel: %+v", workers, s, p)
+		}
+		if s, p := elision(0), elision(workers); len(s) != 6 || !reflect.DeepEqual(s, p) {
+			t.Errorf("elision workers=%d:\n  serial:   %+v\n  parallel: %+v", workers, s, p)
 		}
 	}
 }
@@ -59,6 +86,29 @@ func TestParallelRunCellIndexing(t *testing.T) {
 			}
 			i++
 		}
+	}
+}
+
+// TestTrialFold pins how a cell's trials become its point: float fields
+// are means summed in trial order, windows and names are trial 0's, the
+// latency maximum and peak footprint are maxima, the free list an integer
+// mean.
+func TestTrialFold(t *testing.T) {
+	w := []telemetry.Window{{Start: 0, End: 512, Ops: 9}}
+	a, b, c := 0.1, 0.2, 0.3 // (a+b)+c differs from a+(b+c) in float64
+	trials := []Point{
+		{Variant: "v", Threads: 4, ThroughputMops: a, EnergyPerOp: 3, OpLatMax: 70, PeakLiveLines: 5, FreelistLines: 3, Windows: w},
+		{Variant: "v", Threads: 4, ThroughputMops: b, EnergyPerOp: 4, OpLatMax: 90, PeakLiveLines: 9, FreelistLines: 4},
+		{Variant: "v", Threads: 4, ThroughputMops: c, EnergyPerOp: 8, OpLatMax: 80, PeakLiveLines: 7, FreelistLines: 4},
+	}
+	want := Point{Variant: "v", Threads: 4, ThroughputMops: (a + b + c) / 3, EnergyPerOp: 5,
+		OpLatMax: 90, PeakLiveLines: 9, FreelistLines: 3, Windows: w}
+	if got := foldSetTrials(trials); !reflect.DeepEqual(got, want) {
+		t.Errorf("foldSetTrials = %+v\nwant           %+v", got, want)
+	}
+	v := []VacationPoint{{Variant: "tagged", Threads: 2, AbortsPerTx: 1}, {Variant: "tagged", Threads: 2, AbortsPerTx: 2}}
+	if got := meanOfTrials(v); got != (VacationPoint{Variant: "tagged", Threads: 2, AbortsPerTx: 1.5}) {
+		t.Errorf("meanOfTrials = %+v", got)
 	}
 }
 

@@ -20,14 +20,9 @@ type VacationExperiment struct {
 	Params  vacation.Params
 	// MemBytes sizes the simulated space (transaction retries allocate).
 	MemBytes int
-	// Workers bounds the host worker pool cells fan out over: 0 serial,
-	// -1 one per host CPU (see parallel.go). Results are identical for
-	// every setting.
+	// Workers bounds the host goroutines cells fan out over, as in
+	// SetExperiment. Results are identical for every setting.
 	Workers int
-	// Verify makes Run execute VerifySerializable first and panic on a
-	// violation: measured throughput of a non-serializable STM is
-	// meaningless, so the failure is fatal rather than a warning.
-	Verify bool
 }
 
 // VerifySerializable runs a scaled-down recorded pass of the workload on
@@ -47,13 +42,7 @@ func (e *VacationExperiment) VerifySerializable() error {
 		p.Transactions = 8
 	}
 	const workers = 3
-	for _, v := range []struct {
-		name string
-		mk   func(core.Memory) *stm.TM
-	}{
-		{"norec", stm.NewNOrec},
-		{"tagged", stm.NewTagged},
-	} {
+	for _, v := range tmVariants {
 		cfg := machine.DefaultConfig(workers)
 		cfg.MemBytes = 16 << 20
 		cfg.MaxTags = 256
@@ -98,8 +87,7 @@ func Fig8(quick bool) *VacationExperiment {
 		p.Transactions = 256
 	}
 	return &VacationExperiment{
-		Verify: true,
-		Name:   "fig8",
+		Name: "fig8",
 		Title: fmt.Sprintf("STAMP Vacation (-n%d -q%d -u%d -r%d -t%d), NOrec vs tagged",
 			p.QueriesPerTx, p.PercentQuery, p.PercentUser, p.Relations, p.Transactions),
 		Threads:  threads,
@@ -109,55 +97,29 @@ func Fig8(quick bool) *VacationExperiment {
 	}
 }
 
-// Run executes the experiment for both STM variants.
-func (e *VacationExperiment) Run() []VacationPoint {
-	if e.Verify {
-		if err := e.VerifySerializable(); err != nil {
-			panic(err)
-		}
-	}
-	variants := []struct {
-		name string
-		mk   func(core.Memory) *stm.TM
-	}{
-		{"norec", stm.NewNOrec},
-		{"tagged", stm.NewTagged},
-	}
-	trials := e.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	nt := len(e.Threads)
-	raw := make([]VacationPoint, len(variants)*nt*trials)
-	forEachCell(resolveWorkers(e.Workers), len(raw), func(i int) {
-		trial := i % trials
-		n := e.Threads[i/trials%nt]
-		v := variants[i/(trials*nt)]
-		raw[i] = e.runOne(v.mk, v.name, n, int64(trial))
-	})
-	points := make([]VacationPoint, 0, len(variants)*nt)
-	for vi, v := range variants {
-		for ni, n := range e.Threads {
-			acc := VacationPoint{Variant: v.name, Threads: n}
-			for trial := 0; trial < trials; trial++ {
-				p := raw[(vi*nt+ni)*trials+trial]
-				acc.ThroughputKtx += p.ThroughputKtx
-				acc.MissRatePct += p.MissRatePct
-				acc.EnergyPerTx += p.EnergyPerTx
-				acc.AbortsPerTx += p.AbortsPerTx
-			}
-			f := float64(trials)
-			acc.ThroughputKtx /= f
-			acc.MissRatePct /= f
-			acc.EnergyPerTx /= f
-			acc.AbortsPerTx /= f
-			points = append(points, acc)
-		}
-	}
-	return points
+// tmVariants are the two STMs Figure 8 compares.
+var tmVariants = []struct {
+	name string
+	mk   func(core.Memory) *stm.TM
+}{
+	{"norec", stm.NewNOrec},
+	{"tagged", stm.NewTagged},
 }
 
-func (e *VacationExperiment) runOne(mk func(core.Memory) *stm.TM, name string, threads int, trial int64) VacationPoint {
+// Run executes the experiment for both STM variants. It runs
+// VerifySerializable first and panics on a violation: measured throughput
+// of a non-serializable STM is meaningless, so the failure is fatal rather
+// than a warning.
+func (e *VacationExperiment) Run() []VacationPoint {
+	if err := e.VerifySerializable(); err != nil {
+		panic(err)
+	}
+	return grid(e.Workers, len(tmVariants), len(e.Threads), e.Trials, func(v, n, trial int) VacationPoint {
+		return e.runOne(v, e.Threads[n], int64(trial))
+	}, meanOfTrials[VacationPoint])
+}
+
+func (e *VacationExperiment) runOne(variant, threads int, trial int64) VacationPoint {
 	cfg := machine.DefaultConfig(threads)
 	cfg.MemBytes = e.MemBytes
 	// Transactional read sets span tens of cache lines (red-black tree
@@ -165,77 +127,38 @@ func (e *VacationExperiment) runOne(mk func(core.Memory) *stm.TM, name string, t
 	// Max_Tags so the tagged fast path covers typical transactions.
 	cfg.MaxTags = 256
 	m := machine.New(cfg)
-	tm := mk(m)
+	tm := tmVariants[variant].mk(m)
 	mgr := vacation.NewManager(m, tm)
 	vacation.Populate(mgr, m.Thread(0), e.Params, 1+trial)
 
-	settleHeap()
-	before := m.Snapshot()
-	abortsBefore := tm.Aborts.Load()
-	core.RunPhase(m, threads, func(w int, th core.Thread) {
-		vacation.Client(mgr, th, e.Params, int64(1000+w)+trial*131)
+	aborts := tm.Aborts.Load()
+	ph := timed(m, func() uint64 {
+		core.RunPhase(m, threads, func(w int, th core.Thread) {
+			vacation.Client(mgr, th, e.Params, int64(1000+w)+trial*131)
+		})
+		return uint64(threads * e.Params.Transactions)
 	})
-	after := m.Snapshot()
-
-	tx := uint64(threads * e.Params.Transactions)
-	cycles := after.MaxCycles - before.MaxCycles
-	p := VacationPoint{Variant: name, Threads: threads}
-	if cycles > 0 {
-		simSeconds := float64(cycles) / cfg.ClockHz
-		p.ThroughputKtx = float64(tx) / simSeconds / 1e3
+	return VacationPoint{
+		Variant:       tmVariants[variant].name,
+		Threads:       threads,
+		ThroughputKtx: ph.rate(1e3),
+		MissRatePct:   ph.missPct(),
+		EnergyPerTx:   ph.perOp(ph.Energy),
+		AbortsPerTx:   ph.perOp(float64(tm.Aborts.Load() - aborts)),
 	}
-	if acc := after.Accesses() - before.Accesses(); acc > 0 {
-		p.MissRatePct = 100 * float64(after.Misses()-before.Misses()) / float64(acc)
-	}
-	if tx > 0 {
-		p.EnergyPerTx = (after.Energy - before.Energy) / float64(tx)
-		p.AbortsPerTx = float64(tm.Aborts.Load()-abortsBefore) / float64(tx)
-	}
-	return p
 }
 
-// PrintVacation writes the Figure 8 table.
-func PrintVacation(w io.Writer, title string, points []VacationPoint) {
-	threadSet := map[int]bool{}
-	var threads []int
-	for _, p := range points {
-		if !threadSet[p.Threads] {
-			threadSet[p.Threads] = true
-			threads = append(threads, p.Threads)
-		}
-	}
-	idx := map[string]map[int]VacationPoint{}
-	var variants []string
-	for _, p := range points {
-		if idx[p.Variant] == nil {
-			idx[p.Variant] = map[int]VacationPoint{}
-			variants = append(variants, p.Variant)
-		}
-		idx[p.Variant][p.Threads] = p
-	}
-	fmt.Fprintf(w, "== %s ==\n", title)
-	metrics := []struct {
-		name string
-		get  func(VacationPoint) float64
-	}{
-		{"throughput (Ktx/s)", func(p VacationPoint) float64 { return p.ThroughputKtx }},
-		{"L1 miss rate (%)", func(p VacationPoint) float64 { return p.MissRatePct }},
-		{"energy/tx (units)", func(p VacationPoint) float64 { return p.EnergyPerTx }},
-		{"aborts/tx", func(p VacationPoint) float64 { return p.AbortsPerTx }},
-	}
-	for _, met := range metrics {
-		fmt.Fprintf(w, "-- %s --\n", met.name)
-		fmt.Fprintf(w, "%-14s", "threads")
-		for _, t := range threads {
-			fmt.Fprintf(w, "%10d", t)
-		}
-		fmt.Fprintln(w)
-		for _, v := range variants {
-			fmt.Fprintf(w, "%-14s", v)
-			for _, t := range threads {
-				fmt.Fprintf(w, "%10.3f", met.get(idx[v][t]))
-			}
-			fmt.Fprintln(w)
-		}
-	}
+// Print writes the Figure 8 table.
+func (e *VacationExperiment) Print(w io.Writer, points []VacationPoint) {
+	table[VacationPoint]{
+		axis:  "threads",
+		width: 14,
+		at:    func(p VacationPoint) (string, int) { return p.Variant, p.Threads },
+		metrics: []metric[VacationPoint]{
+			{name: "throughput (Ktx/s)", get: func(p VacationPoint) float64 { return p.ThroughputKtx }},
+			{name: "L1 miss rate (%)", get: func(p VacationPoint) float64 { return p.MissRatePct }},
+			{name: "energy/tx (units)", get: func(p VacationPoint) float64 { return p.EnergyPerTx }},
+			{name: "aborts/tx", get: func(p VacationPoint) float64 { return p.AbortsPerTx }},
+		},
+	}.print(w, e.Title, points)
 }

@@ -39,50 +39,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestLoadStoreSingleThread(t *testing.T) {
-	m := testMachine(1)
-	th := m.Thread(0)
-	a := m.Alloc(4)
-	th.Store(a, 42)
-	th.Store(a.Plus(1), 43)
-	if th.Load(a) != 42 || th.Load(a.Plus(1)) != 43 {
-		t.Fatal("load does not return stored values")
-	}
-}
-
-func TestCAS(t *testing.T) {
-	m := testMachine(1)
-	th := m.Thread(0)
-	a := m.Alloc(1)
-	th.Store(a, 5)
-	if th.CAS(a, 4, 9) {
-		t.Fatal("CAS with wrong expected succeeded")
-	}
-	if th.Load(a) != 5 {
-		t.Fatal("failed CAS modified memory")
-	}
-	if !th.CAS(a, 5, 9) {
-		t.Fatal("CAS with correct expected failed")
-	}
-	if th.Load(a) != 9 {
-		t.Fatal("successful CAS did not write")
-	}
-}
-
-func TestCoherenceVisibility(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	a := m.Alloc(1)
-	t0.Store(a, 1)
-	if t1.Load(a) != 1 {
-		t.Fatal("remote store not visible")
-	}
-	t1.Store(a, 2)
-	if t0.Load(a) != 2 {
-		t.Fatal("second remote store not visible")
-	}
-}
-
 func TestStoreInvalidatesSharers(t *testing.T) {
 	m := testMachine(2)
 	t0, t1 := m.Thread(0), m.Thread(1)
