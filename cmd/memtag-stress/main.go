@@ -317,11 +317,8 @@ func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint6
 			Fuzz:         &fuzz,
 			FlipMode:     true,
 		})
-	if out.Inconclusive {
-		return fmt.Errorf("linearizability checker inconclusive after %d ops", out.Ops)
-	}
-	if !out.OK {
-		return fmt.Errorf("history not linearizable:\n%s", out.Explain())
+	if err := out.Err(); err != nil {
+		return err
 	}
 	if pool != nil {
 		if verr := dom.Violation(); verr != nil {

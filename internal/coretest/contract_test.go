@@ -138,6 +138,11 @@ func remoteWriteFailsValidation(t *testing.T, newMem Factory) {
 			want(t, "VAS after ClearTagSet and re-tag", t1.VAS(target, 8), true)
 			want(t, "the written word", t1.Load(a), 2)
 			want(t, "the committed word", t0.Load(target), 8)
+			// A commit must fail on the eviction alone, with no Validate
+			// between the write and the commit.
+			want(t, "second remote "+w.name, w.write(t0, a, 2, 3), true)
+			want(t, "VAS right after the write", t1.VAS(target, 9), false)
+			want(t, "the committed word after the failed VAS", t0.Load(target), 8)
 		})
 	}
 }

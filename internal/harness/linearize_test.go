@@ -50,11 +50,8 @@ func TestWorkloadHistoryLinearizable(t *testing.T) {
 		t.Fatalf("recorded %d events, want at least %d", len(events), want)
 	}
 	out := linearizability.CheckSet(events)
-	if out.Inconclusive {
-		t.Fatalf("checker inconclusive after %d ops", out.Ops)
-	}
-	if !out.OK {
-		t.Fatalf("workload history not linearizable:\n%s", out.Explain())
+	if err := out.Err(); err != nil {
+		t.Fatalf("workload history: %v", err)
 	}
 
 	// The recorder must agree with the workload's own accounting.

@@ -27,7 +27,7 @@ type VacationExperiment struct {
 
 // VerifySerializable runs a scaled-down recorded pass of the workload on
 // the machine backend for each STM variant and checks — via
-// linearizability.SerializableMapModel — that the committed transactions
+// linearizability.CheckSerializable — that the committed transactions
 // admit a serial order consistent with real time, and that the tables
 // conserve capacity. The returned error embeds the printed counterexample
 // on violation. The pass is scaled down because the checker replays whole

@@ -41,7 +41,7 @@ const (
 	// footprint (read/write sets with values) in the recording shard —
 	// fetch it with Recorder.TxOf. Arg counts the aborted attempts before
 	// the commit; OK reports whether the transaction committed. Checked by
-	// linearizability.SerializableMapModel.
+	// linearizability.CheckSerializable.
 	OpTx
 )
 

@@ -1,7 +1,6 @@
 package intset
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -30,8 +29,6 @@ type ExploreConfig struct {
 	WindowCycles uint64
 	EvictPerMil  int
 	MaxDecisions int
-	// MaxIters overrides the checker's per-partition search budget.
-	MaxIters uint64
 	// OnHistory, when non-nil, receives each execution's recorded history
 	// (determinism tests compare histories across identically seeded runs).
 	OnHistory func(events []history.Event)
@@ -54,18 +51,8 @@ func RunExplore(newMachine func(threads int) *machine.Machine, build func(core.M
 				if cfg.OnHistory != nil {
 					cfg.OnHistory(rec.Events())
 				}
-				var opts []linearizability.Option
-				if cfg.MaxIters > 0 {
-					opts = append(opts, linearizability.WithMaxIters(cfg.MaxIters))
-				}
-				out := linearizability.CheckSet(rec.Events(), opts...)
-				if out.Inconclusive {
-					return fmt.Errorf("linearizability checker inconclusive after %d ops", out.Ops)
-				}
-				if !out.OK {
-					return fmt.Errorf("history not linearizable:\n%s", out.Explain())
-				}
-				return nil
+				out := linearizability.CheckSet(rec.Events())
+				return out.Err()
 			},
 		}
 	}

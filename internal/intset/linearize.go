@@ -26,8 +26,6 @@ type LinearizeConfig struct {
 	// spare thread while the workers run, when the structure exposes a
 	// Mode line (ModeAddr).
 	FlipMode bool
-	// MaxIters overrides the checker's per-partition search budget.
-	MaxIters uint64
 }
 
 // modeAddresser is implemented by fallback-path structures (elided list,
@@ -70,11 +68,7 @@ func RunLinearize(newMem func(threads int) core.Memory, build func(core.Memory) 
 		stopFlipper()
 	}
 
-	var opts []linearizability.Option
-	if cfg.MaxIters > 0 {
-		opts = append(opts, linearizability.WithMaxIters(cfg.MaxIters))
-	}
-	return linearizability.CheckSet(rec.Events(), opts...)
+	return linearizability.CheckSet(rec.Events())
 }
 
 // CheckLinearizable runs RunLinearize and fails the test on a
@@ -83,11 +77,8 @@ func RunLinearize(newMem func(threads int) core.Memory, build func(core.Memory) 
 func CheckLinearizable(t *testing.T, newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg LinearizeConfig) {
 	t.Helper()
 	out := RunLinearize(newMem, build, cfg)
-	if out.Inconclusive {
-		t.Fatalf("linearizability verdict inconclusive (seed %d): shrink the run or raise MaxIters\n%s", cfg.Seed, out.Explain())
-	}
-	if !out.OK {
-		t.Fatalf("seed %d: %s", cfg.Seed, out.Explain())
+	if err := out.Err(); err != nil {
+		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
 }
 

@@ -38,8 +38,6 @@ type SnapshotConfig struct {
 	ScanTries int
 	// Fuzz, when non-nil, wraps the backend with schedule fuzzing.
 	Fuzz *schedfuzz.Config
-	// MaxIters overrides the checker's search budget.
-	MaxIters uint64
 }
 
 // maskOf encodes a scan result as the membership bitmask the snapshot model
@@ -101,11 +99,7 @@ func RunSnapshotLinearize(newMem func(threads int) core.Memory, build func(core.
 		}
 	})
 
-	opts := []linearizability.Option{}
-	if cfg.MaxIters > 0 {
-		opts = append(opts, linearizability.WithMaxIters(cfg.MaxIters))
-	}
-	return linearizability.Check(linearizability.SnapshotSetModel(cfg.KeyRange), rec.Events(), opts...)
+	return linearizability.Check(linearizability.SnapshotSetModel(cfg.KeyRange), rec.Events())
 }
 
 // CheckSnapshotLinearizable runs RunSnapshotLinearize and fails the test on
@@ -113,10 +107,7 @@ func RunSnapshotLinearize(newMem func(threads int) core.Memory, build func(core.
 func CheckSnapshotLinearizable(t *testing.T, newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg SnapshotConfig) {
 	t.Helper()
 	out := RunSnapshotLinearize(newMem, build, cfg)
-	if out.Inconclusive {
-		t.Fatalf("snapshot linearizability verdict inconclusive (seed %d): shrink the run or raise MaxIters\n%s", cfg.Seed, out.Explain())
-	}
-	if !out.OK {
-		t.Fatalf("seed %d: %s", cfg.Seed, out.Explain())
+	if err := out.Err(); err != nil {
+		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
 }

@@ -1,7 +1,6 @@
 package kcas
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -66,13 +65,7 @@ func TestExploreLinearizableTaggedKCAS(t *testing.T) {
 			},
 			Check: func() error {
 				out := linearizability.Check(kcasModel(), rec.Events())
-				if out.Inconclusive {
-					return fmt.Errorf("checker inconclusive after %d ops", out.Ops)
-				}
-				if !out.OK {
-					return fmt.Errorf("history not linearizable:\n%s", out.Explain())
-				}
-				return nil
+				return out.Err()
 			},
 		}
 	}
@@ -136,13 +129,7 @@ func TestDPORExhaustiveTaggedKCAS(t *testing.T) {
 			},
 			Check: func() error {
 				out := linearizability.Check(kcasModel(), rec.Events())
-				if out.Inconclusive {
-					return fmt.Errorf("checker inconclusive after %d ops", out.Ops)
-				}
-				if !out.OK {
-					return fmt.Errorf("history not linearizable:\n%s", out.Explain())
-				}
-				return nil
+				return out.Err()
 			},
 		}
 	}

@@ -125,11 +125,8 @@ func runKCASLinearize(t *testing.T, seed int64, tagged bool) {
 	wg.Wait()
 
 	out := linearizability.Check(kcasModel(), rec.Events())
-	if out.Inconclusive {
-		t.Fatalf("checker inconclusive after %d ops", out.Ops)
-	}
-	if !out.OK {
-		t.Fatalf("history not linearizable:\n%s", out.Explain())
+	if err := out.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -134,10 +134,7 @@ func TestLinearizableTaggedKCASUnderTagPressure(t *testing.T) {
 		t.Fatal("no bare-path commit was recorded in the history")
 	}
 	out := linearizability.Check(kcasModel(), rec.Events())
-	if out.Inconclusive {
-		t.Fatalf("checker inconclusive after %d ops", out.Ops)
-	}
-	if !out.OK {
-		t.Fatalf("history not linearizable (%d bare-path commits):\n%s", bareOps, out.Explain())
+	if err := out.Err(); err != nil {
+		t.Fatalf("%d bare-path commits: %v", bareOps, err)
 	}
 }

@@ -2,7 +2,8 @@
 // history (internal/history) is linearizable with respect to a sequential
 // model — the correctness bar every tagged structure in this repository
 // must clear, including under spurious tag evictions and fallback-path
-// transitions.
+// transitions — and whether a transactional history is strictly
+// serializable, which is the same question asked of a word-addressed map.
 //
 // The checker is the Wing & Gong search in its iterative, cached form (as
 // refined by Lowe and popularized by Porcupine): walk the history's
@@ -16,11 +17,12 @@
 // from intractable into milliseconds.
 //
 // On failure the checker reports a minimal counterexample: the longest
-// linearizable prefix it found, the model state it reached, and the window
-// of concurrent operations none of which can be linearized next.
+// linearizable prefix it found and the window of concurrent operations
+// none of which can be linearized next, each with the state it meets.
 package linearizability
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,18 +47,9 @@ type Model struct {
 	Format func(e *history.Event) string
 }
 
-// format renders e with the model's formatter or a generic fallback.
-func (m *Model) format(e *history.Event) string {
-	if m.Format != nil {
-		return m.Format(e)
-	}
-	return fmt.Sprintf("w%d op%d(key=%d,arg=%d)=(%v,%d) [%d,%d]",
-		e.Worker, e.Op, e.Key, e.Arg, e.OK, e.Out, e.Inv, e.Ret)
-}
-
-// DefaultMaxIters bounds the search per partition; beyond it the result is
+// maxIters bounds the search per partition; beyond it the result is
 // reported as inconclusive rather than hanging a test run.
-const DefaultMaxIters = 200_000_000
+const maxIters = 200_000_000
 
 // Outcome is a check's verdict.
 type Outcome struct {
@@ -66,66 +59,41 @@ type Outcome struct {
 	// budget before a verdict (counts as not-OK but is distinguished so
 	// harnesses can fail loudly instead of claiming a violation).
 	Inconclusive bool
-	// Ops and Partitions describe the checked history.
+	// Ops and Partitions describe the checked history (for a transactional
+	// history, Ops counts the committed transactions).
 	Ops, Partitions int
 
 	// Failure details (valid when !OK).
-	Key        uint64          // partition key of the offending subhistory
-	Best       []history.Event // longest linearizable prefix, in linearization order
-	FinalState uint64          // model state after Best
-	Window     []history.Event // concurrent candidates at the stuck frontier
-	model      *Model
+	Key    uint64          // partition key of the offending subhistory
+	Best   []history.Event // longest linearizable prefix, in linearization order
+	Window []history.Event // concurrent candidates at the stuck frontier
+
+	report string // the rendered counterexample or inconclusive verdict
 }
 
 // Explain renders a human-readable counterexample (empty when OK).
-func (o *Outcome) Explain() string {
+func (o *Outcome) Explain() string { return o.report }
+
+// Err returns nil when the history passed, and otherwise an error whose
+// message is the counterexample, or says the verdict is inconclusive.
+func (o *Outcome) Err() error {
 	if o.OK {
-		return ""
+		return nil
 	}
-	if o.Inconclusive {
-		return fmt.Sprintf("linearizability check inconclusive: iteration budget exhausted (key %d, %d ops)", o.Key, o.Ops)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "history NOT linearizable (model %s, partition key %d)\n", o.model.Name, o.Key)
-	fmt.Fprintf(&b, "longest linearizable prefix (%d ops), ending in state %d:\n", len(o.Best), o.FinalState)
-	start := 0
-	if len(o.Best) > 12 {
-		start = len(o.Best) - 12
-		fmt.Fprintf(&b, "  ... %d earlier ops elided ...\n", start)
-	}
-	for i := start; i < len(o.Best); i++ {
-		fmt.Fprintf(&b, "  %3d. %s\n", i+1, o.model.format(&o.Best[i]))
-	}
-	fmt.Fprintf(&b, "no continuation explains any of the %d concurrent candidate(s):\n", len(o.Window))
-	for i := range o.Window {
-		fmt.Fprintf(&b, "   -> %s\n", o.model.format(&o.Window[i]))
-	}
-	return b.String()
+	return errors.New(o.Explain())
 }
-
-// Option tunes a check.
-type Option func(*options)
-
-type options struct{ maxIters uint64 }
-
-// WithMaxIters overrides the per-partition search budget.
-func WithMaxIters(n uint64) Option { return func(o *options) { o.maxIters = n } }
 
 // CheckSet checks a per-key ordered-set history (the common case for the
 // intset harnesses) by partitioning on Key and running the set model on
 // each subhistory.
-func CheckSet(events []history.Event, opts ...Option) Outcome {
-	return CheckPartitioned(SetModel(), events, opts...)
+func CheckSet(events []history.Event) Outcome {
+	return CheckPartitioned(SetModel(), events)
 }
 
 // CheckPartitioned partitions events by Key and checks each subhistory
 // independently against the model. Sound whenever operations on distinct
 // keys commute in the real object (true for sets and maps).
-func CheckPartitioned(m Model, events []history.Event, opts ...Option) Outcome {
-	o := options{maxIters: DefaultMaxIters}
-	for _, fn := range opts {
-		fn(&o)
-	}
+func CheckPartitioned(m Model, events []history.Event) Outcome {
 	parts := map[uint64][]history.Event{}
 	for _, e := range events {
 		parts[e.Key] = append(parts[e.Key], e)
@@ -136,8 +104,10 @@ func CheckPartitioned(m Model, events []history.Event, opts ...Option) Outcome {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		out := checkOne(&m, parts[k], o.maxIters)
+		what := fmt.Sprintf("linearizable (model %s, partition key %d)", m.Name, k)
+		out := search(&modelState{m: &m, cur: m.Init}, parts[k], what, maxIters)
 		if !out.OK {
+			out.Key = k
 			out.Ops = len(events)
 			out.Partitions = len(parts)
 			return out
@@ -148,35 +118,86 @@ func CheckPartitioned(m Model, events []history.Event, opts ...Option) Outcome {
 
 // Check checks the whole history as one partition (for register/counter
 // models whose operations do not commute across keys).
-func Check(m Model, events []history.Event, opts ...Option) Outcome {
-	o := options{maxIters: DefaultMaxIters}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	out := checkOne(&m, events, o.maxIters)
+func Check(m Model, events []history.Event) Outcome {
+	out := search(&modelState{m: &m, cur: m.Init}, events, "linearizable (model "+m.Name+")", maxIters)
 	out.Ops = len(events)
 	out.Partitions = 1
 	return out
 }
 
+// state is the sequential object the search walks: it steps forward one
+// operation at a time and rewinds in last-in, first-out order.
+type state interface {
+	// step applies e when e's recorded output is legal in the current
+	// state, and reports whether it did.
+	step(e *history.Event) bool
+	// undo reverts the latest step that applied.
+	undo()
+	// key names the current state for the memo: equal states give equal
+	// keys, whichever order of steps reached them.
+	key() uint64
+	// format renders e for a counterexample. A stuck candidate also shows
+	// the current state it cannot step from.
+	format(e *history.Event, stuck bool) string
+}
+
+// modelState adapts a one-word Model to the search: a stack of prior
+// words gives undo, and the word is its own memo key.
+type modelState struct {
+	m    *Model
+	cur  uint64
+	prev []uint64
+}
+
+func (s *modelState) step(e *history.Event) bool {
+	next, ok := s.m.Step(s.cur, e)
+	if !ok && !e.Pending() { // a pending op's output is unconstrained
+		return false
+	}
+	s.prev = append(s.prev, s.cur)
+	s.cur = next
+	return true
+}
+
+func (s *modelState) undo() {
+	s.cur = s.prev[len(s.prev)-1]
+	s.prev = s.prev[:len(s.prev)-1]
+}
+
+func (s *modelState) key() uint64 { return s.cur }
+
+func (s *modelState) format(e *history.Event, stuck bool) string {
+	var line string
+	if s.m.Format != nil {
+		line = s.m.Format(e)
+	} else {
+		line = fmt.Sprintf("w%d op%d(key=%d,arg=%d)=(%v,%d) [%d,%d]",
+			e.Worker, e.Op, e.Key, e.Arg, e.OK, e.Out, e.Inv, e.Ret)
+	}
+	if stuck {
+		line += fmt.Sprintf("\n      in state %d", s.cur)
+	}
+	return line
+}
+
 // entry is one call or return point in the doubly-linked real-time order.
-// Call entries carry id >= 0; each call's matching return (nil for pending
-// operations) is reachable via match.
+// Both points of an operation carry its id; each call's matching return
+// (nil for pending operations) is reachable via match.
 type entry struct {
 	ev         *history.Event
-	id         int // operation id for calls, -1 for returns
+	id         int
 	match      *entry
 	time       uint64
 	kind       uint8 // 0 = call, 1 = return
 	prev, next *entry
 }
 
-// checkOne runs the cached Wing-Gong search over one partition.
-func checkOne(m *Model, events []history.Event, maxIters uint64) Outcome {
+// search runs the cached Wing-Gong search over events from st's current
+// state, giving up after budget iterations. what names the property
+// checked, for reports. A search that finds a violation has undone every
+// step, so st is back where it started.
+func search(st state, events []history.Event, what string, budget uint64) Outcome {
 	n := len(events)
-	if n == 0 {
-		return Outcome{OK: true}
-	}
 	evs := make([]history.Event, n)
 	copy(evs, events)
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Inv < evs[j].Inv })
@@ -188,7 +209,7 @@ func checkOne(m *Model, events []history.Event, maxIters uint64) Outcome {
 	for i := range evs {
 		points = append(points, entry{ev: &evs[i], id: i, time: evs[i].Inv, kind: 0})
 		if !evs[i].Pending() {
-			points = append(points, entry{ev: &evs[i], id: -1, time: evs[i].Ret, kind: 1})
+			points = append(points, entry{ev: &evs[i], id: i, time: evs[i].Ret, kind: 1})
 		}
 	}
 	sort.SliceStable(points, func(i, j int) bool {
@@ -197,26 +218,20 @@ func checkOne(m *Model, events []history.Event, maxIters uint64) Outcome {
 		}
 		return points[i].kind < points[j].kind
 	})
-	// Link matches and the list (with a sentinel head).
-	callOf := make(map[*history.Event]*entry, n)
-	for i := range points {
-		if points[i].id >= 0 {
-			callOf[points[i].ev] = &points[i]
-		}
-	}
-	for i := range points {
-		if points[i].id < 0 {
-			c := callOf[points[i].ev]
-			c.match = &points[i]
-			points[i].match = c
-		}
-	}
-	head := &entry{id: -2}
+	// Link matches (a call sorts before its return) and the list, with a
+	// sentinel head.
+	calls := make([]*entry, n)
+	head := &entry{}
 	prev := head
 	for i := range points {
-		prev.next = &points[i]
-		points[i].prev = prev
-		prev = &points[i]
+		p := &points[i]
+		if p.kind == 0 {
+			calls[p.id] = p
+		} else {
+			p.match, calls[p.id].match = calls[p.id], p
+		}
+		prev.next, p.prev = p, prev
+		prev = p
 	}
 
 	lift := func(call *entry) {
@@ -244,31 +259,24 @@ func checkOne(m *Model, events []history.Event, maxIters uint64) Outcome {
 		}
 	}
 
-	type frame struct {
-		call      *entry
-		prevState uint64
-	}
 	var (
-		stack      []frame
-		state      = m.Init
+		stack      []*entry
 		linearized = newBitset(n)
 		cache      = map[uint64][]cacheEntry{}
 		iters      uint64
 		bestLen    = -1
 		best       []history.Event
-		bestState  uint64
 		bestWindow []history.Event
 	)
 	snapshotBest := func() {
 		bestLen = len(stack)
 		best = best[:0]
-		for _, f := range stack {
-			best = append(best, *f.call.ev)
+		for _, call := range stack {
+			best = append(best, *call.ev)
 		}
-		bestState = state
 		bestWindow = bestWindow[:0]
 		for e := head.next; e != nil; e = e.next {
-			if e.id < 0 {
+			if e.kind == 1 {
 				break // first return bounds the candidate window
 			}
 			bestWindow = append(bestWindow, *e.ev)
@@ -282,8 +290,9 @@ func checkOne(m *Model, events []history.Event, maxIters uint64) Outcome {
 	cur := head.next
 	for {
 		iters++
-		if iters > maxIters {
-			return Outcome{Inconclusive: true, Key: evs[0].Key, model: m}
+		if iters > budget {
+			return Outcome{Inconclusive: true, report: fmt.Sprintf(
+				"check inconclusive: search budget of %d iterations exhausted before deciding whether the history is %s", budget, what)}
 		}
 		if cur == nil {
 			// Scanned the whole remaining list without meeting a return:
@@ -291,16 +300,11 @@ func checkOne(m *Model, events []history.Event, maxIters uint64) Outcome {
 			// pending calls, which may legally never take effect).
 			return Outcome{OK: true}
 		}
-		if cur.id >= 0 {
-			ns, outOK := m.Step(state, cur.ev)
-			if cur.ev.Pending() {
-				outOK = true // a pending op's output is unconstrained
-			}
-			if outOK {
+		if cur.kind == 0 {
+			if st.step(cur.ev) {
 				linearized.set(uint64(cur.id))
-				if cacheAdd(cache, linearized, ns) {
-					stack = append(stack, frame{call: cur, prevState: state})
-					state = ns
+				if cacheAdd(cache, linearized, st.key()) {
+					stack = append(stack, cur)
 					lift(cur)
 					if len(stack) > bestLen {
 						snapshotBest()
@@ -309,27 +313,45 @@ func checkOne(m *Model, events []history.Event, maxIters uint64) Outcome {
 					continue
 				}
 				linearized.clear(uint64(cur.id))
+				st.undo()
 			}
 			cur = cur.next
 			continue
 		}
 		// Hit a return: nothing before it could be linearized. Backtrack.
 		if len(stack) == 0 {
-			return Outcome{
-				Key:        evs[0].Key,
-				Best:       append([]history.Event(nil), best...),
-				FinalState: bestState,
-				Window:     append([]history.Event(nil), bestWindow...),
-				model:      m,
-			}
+			return Outcome{Best: best, Window: bestWindow, report: counterexample(st, what, best, bestWindow)}
 		}
-		f := stack[len(stack)-1]
+		call := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		state = f.prevState
-		linearized.clear(uint64(f.call.id))
-		unlift(f.call)
-		cur = f.call.next
+		st.undo()
+		linearized.clear(uint64(call.id))
+		unlift(call)
+		cur = call.next
 	}
+}
+
+// counterexample renders a failed search. It replays best on st, so each
+// stuck candidate in window is shown against the state best reaches.
+func counterexample(st state, what string, best, window []history.Event) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "history NOT %s\n", what)
+	fmt.Fprintf(&b, "longest legal prefix (%d ops):\n", len(best))
+	start := max(0, len(best)-12)
+	if start > 0 {
+		fmt.Fprintf(&b, "  ... %d earlier ops elided ...\n", start)
+	}
+	for i := range best {
+		st.step(&best[i])
+		if i >= start {
+			fmt.Fprintf(&b, "  %3d. %s\n", i+1, st.format(&best[i], false))
+		}
+	}
+	fmt.Fprintf(&b, "no continuation explains any of the %d concurrent candidate(s):\n", len(window))
+	for i := range window {
+		fmt.Fprintf(&b, "   -> %s\n", st.format(&window[i], true))
+	}
+	return b.String()
 }
 
 // bitset is a fixed-size bit vector identifying a set of linearized ops.
@@ -337,9 +359,8 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i uint64)      { b[i/64] |= 1 << (i % 64) }
-func (b bitset) clear(i uint64)    { b[i/64] &^= 1 << (i % 64) }
-func (b bitset) get(i uint64) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func (b bitset) set(i uint64)   { b[i/64] |= 1 << (i % 64) }
+func (b bitset) clear(i uint64) { b[i/64] &^= 1 << (i % 64) }
 
 func (b bitset) hashWith(state uint64) uint64 {
 	h := uint64(1469598103934665603) // FNV offset basis

@@ -197,3 +197,32 @@ func TestEmptyAndSingleHistories(t *testing.T) {
 		t.Fatal("phantom contains accepted")
 	}
 }
+
+// TestBudgetExhaustedIsInconclusive runs the search with a budget too
+// small for a set and a transactional history: the verdict must be
+// inconclusive, not a pass or a violation.
+func TestBudgetExhaustedIsInconclusive(t *testing.T) {
+	m := SetModel()
+	set := search(&modelState{m: &m}, []history.Event{
+		setEv(0, history.OpInsert, 3, true, 1, 2),
+		setEv(0, history.OpDelete, 3, true, 3, 4),
+		setEv(1, history.OpContains, 3, false, 5, 6),
+	}, "linearizable", 3)
+	rec := history.NewRecorder(2, 4)
+	for i := 0; i < 4; i++ {
+		s := rec.Shard(i % 2)
+		idx := s.BeginTx()
+		s.TxRead(idx, 10, uint64(i))
+		s.TxWrite(idx, 10, uint64(i+1))
+		s.End(idx, true, 0)
+	}
+	tx := checkSerializable(rec, 3)
+	for name, out := range map[string]Outcome{"set": set, "tx": tx} {
+		if !out.Inconclusive || out.OK {
+			t.Errorf("%s: OK=%v Inconclusive=%v under a 3-iteration budget", name, out.OK, out.Inconclusive)
+		}
+		if err := out.Err(); err == nil || !strings.Contains(err.Error(), "inconclusive") {
+			t.Errorf("%s: Err() = %v, want an inconclusive verdict", name, err)
+		}
+	}
+}

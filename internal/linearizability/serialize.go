@@ -1,235 +1,109 @@
 // Strict serializability checking for transactional histories.
 //
-// Where the Wing–Gong checker treats each operation against a
-// single-word sequential model, transactions carry whole read and write
-// sets (history.TxData). The committed transactions of a history are
-// strictly serializable iff some total order — consistent with real time
-// (T1 before T2 whenever T1 returned before T2 was invoked) — replays
-// every transaction's read set exactly against the writes of its
-// predecessors. The model is a word-addressed map, zero-initialized:
-// exactly the simulated memory the STM runs over, provided the history
-// also records the populating transactions.
+// Where the one-word models check single operations, transactions carry
+// whole read and write sets (history.TxData). The committed transactions
+// of a history are strictly serializable iff some total order — consistent
+// with real time (T1 before T2 whenever T1 returned before T2 was invoked)
+// — replays every transaction's read set exactly against the writes of its
+// predecessors. That is linearizability of the transactions as operations
+// on a word-addressed map, zero-initialized: exactly the simulated memory
+// the STM runs over, provided the history also records the populating
+// transactions. So the same search decides it, over mapState.
 package linearizability
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/history"
 )
 
-// SerializableMapModel checks that the committed transactions of a
-// history admit a serial order over a zero-initialized word-addressed
-// map. The zero value is ready to use.
-type SerializableMapModel struct {
-	// MaxIters bounds the search (0 = DefaultMaxIters); exhausting it
-	// yields an inconclusive outcome instead of a hang.
-	MaxIters uint64
+// CheckSerializable verifies strict serializability of the committed OpTx
+// events in the recorder's history; Ops counts them. Non-transactional
+// events are ignored; pending transactions (workers stopped mid-retry) and
+// aborted ones are excluded — an uncommitted attempt constrains nothing.
+func CheckSerializable(rec *history.Recorder) Outcome {
+	return checkSerializable(rec, maxIters)
 }
 
-// SerializeOutcome is a strict-serializability verdict.
-type SerializeOutcome struct {
-	// OK reports that the committed transactions are strictly
-	// serializable.
-	OK bool
-	// Inconclusive reports an exhausted iteration budget (not-OK, but
-	// distinguished so harnesses fail loudly rather than claim a bug).
-	Inconclusive bool
-	// Txs is the number of committed transactions checked.
-	Txs int
-
-	// Failure details (valid when !OK && !Inconclusive).
-	// Best is the longest serializable prefix found, in serial order.
-	Best []history.Event
-	// Window lists the real-time-eligible candidates at the stuck
-	// frontier; none of their read sets matches any reachable state.
-	Window []history.Event
-	// Mismatch describes, per Window entry, the first read that
-	// contradicts the state after Best.
-	Mismatch []string
-
-	rec *history.Recorder
-}
-
-// Explain renders a human-readable counterexample (empty when OK).
-func (o *SerializeOutcome) Explain() string {
-	if o.OK {
-		return ""
-	}
-	if o.Inconclusive {
-		return fmt.Sprintf("serializability check inconclusive: iteration budget exhausted (%d txs)", o.Txs)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "history NOT strictly serializable (%d committed txs)\n", o.Txs)
-	fmt.Fprintf(&b, "longest serializable prefix (%d txs):\n", len(o.Best))
-	start := 0
-	if len(o.Best) > 8 {
-		start = len(o.Best) - 8
-		fmt.Fprintf(&b, "  ... %d earlier txs elided ...\n", start)
-	}
-	for i := start; i < len(o.Best); i++ {
-		fmt.Fprintf(&b, "  %3d. %s\n", i+1, o.formatTx(&o.Best[i]))
-	}
-	fmt.Fprintf(&b, "no order explains any of the %d eligible candidate(s):\n", len(o.Window))
-	for i := range o.Window {
-		fmt.Fprintf(&b, "   -> %s\n      %s\n", o.formatTx(&o.Window[i]), o.Mismatch[i])
-	}
-	return b.String()
-}
-
-func (o *SerializeOutcome) formatTx(e *history.Event) string {
-	tx := o.rec.TxOf(e)
-	return fmt.Sprintf("w%d tx(reads=%d writes=%d aborts=%d) [%d,%d]",
-		e.Worker, len(tx.Reads), len(tx.Writes), e.Arg, e.Inv, e.Ret)
-}
-
-// Check verifies strict serializability of the committed OpTx events in
-// the recorder's history. Non-transactional events are ignored; pending
-// transactions (workers stopped mid-retry) are excluded — an uncommitted
-// attempt constrains nothing.
-func (m SerializableMapModel) Check(rec *history.Recorder) SerializeOutcome {
-	maxIters := m.MaxIters
-	if maxIters == 0 {
-		maxIters = DefaultMaxIters
-	}
+func checkSerializable(rec *history.Recorder, budget uint64) Outcome {
 	var txs []history.Event
 	for _, e := range rec.Events() {
 		if e.Op == history.OpTx && e.OK && !e.Pending() {
 			txs = append(txs, e)
 		}
 	}
-	sort.Slice(txs, func(i, j int) bool { return txs[i].Inv < txs[j].Inv })
-	n := len(txs)
-	out := SerializeOutcome{Txs: n, rec: rec}
-	if n == 0 {
-		out.OK = true
-		return out
-	}
-
-	// Depth-first search over serial orders with memoization on
-	// (applied-set, state-digest): the map state is not a function of the
-	// applied set alone (the last writer per address depends on order),
-	// so the digest folds every live (addr, value) pair commutatively and
-	// is maintained incrementally as writes apply and undo.
-	db := map[uint64]uint64{}
-	var dbHash uint64
-	mix := func(addr, val uint64) uint64 {
-		h := uint64(14695981039346656037)
-		h = (h ^ addr) * 1099511628211
-		h = (h ^ val) * 1099511628211
-		return h
-	}
-	applied := newBitset(n)
-	appliedCount := 0
-	order := make([]int, 0, n)
-	cache := map[uint64][]cacheEntry{}
-	iters := uint64(0)
-
-	// firstMismatch reports the first read of tx i that contradicts the
-	// current state ("" when the read set matches).
-	firstMismatch := func(i int) string {
-		td := rec.TxOf(&txs[i])
-		for _, r := range td.Reads {
-			if db[r.Addr] != r.Val {
-				return fmt.Sprintf("read of %#x observed %d, state has %d", r.Addr, r.Val, db[r.Addr])
-			}
-		}
-		return ""
-	}
-	// eligible reports whether tx i may serialize next: every other
-	// unapplied transaction's return must not precede i's invocation.
-	eligible := func(i int) bool {
-		for j := 0; j < n; j++ {
-			if j == i || applied.get(uint64(j)) {
-				continue
-			}
-			if txs[j].Ret < txs[i].Inv {
-				return false
-			}
-		}
-		return true
-	}
-
-	best := append([]int{}, order...)
-	var search func() bool
-	search = func() bool {
-		if appliedCount == n {
-			return true
-		}
-		if iters++; iters > maxIters {
-			out.Inconclusive = true
-			return false
-		}
-		if !cacheAdd(cache, applied, dbHash) {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if applied.get(uint64(i)) || !eligible(i) || firstMismatch(i) != "" {
-				continue
-			}
-			td := rec.TxOf(&txs[i])
-			// Apply the write set, remembering displaced values for undo.
-			undo := make([]history.TxAccess, 0, len(td.Writes))
-			for _, w := range td.Writes {
-				old := db[w.Addr]
-				undo = append(undo, history.TxAccess{Addr: w.Addr, Val: old})
-				dbHash ^= mix(w.Addr, old) ^ mix(w.Addr, w.Val)
-				db[w.Addr] = w.Val
-			}
-			applied.set(uint64(i))
-			appliedCount++
-			order = append(order, i)
-			if len(order) > len(best) {
-				best = append(best[:0], order...)
-			}
-			if search() {
-				return true
-			}
-			order = order[:len(order)-1]
-			appliedCount--
-			applied.clear(uint64(i))
-			for k := len(undo) - 1; k >= 0; k-- {
-				w := td.Writes[k]
-				dbHash ^= mix(w.Addr, db[w.Addr]) ^ mix(w.Addr, undo[k].Val)
-				db[w.Addr] = undo[k].Val
-			}
-			if out.Inconclusive {
-				return false
-			}
-		}
-		return false
-	}
-	if search() {
-		out.OK = true
-		return out
-	}
-	if out.Inconclusive {
-		return out
-	}
-
-	// Rebuild the best prefix's state for the counterexample window.
-	for k := range db {
-		delete(db, k)
-	}
-	applied = newBitset(n)
-	for _, i := range best {
-		out.Best = append(out.Best, txs[i])
-		applied.set(uint64(i))
-		for _, w := range rec.TxOf(&txs[i]).Writes {
-			db[w.Addr] = w.Val
-		}
-	}
-	for i := 0; i < n; i++ {
-		if applied.get(uint64(i)) || !eligible(i) {
-			continue
-		}
-		out.Window = append(out.Window, txs[i])
-		mm := firstMismatch(i)
-		if mm == "" {
-			mm = "read set matches here but no continuation completes"
-		}
-		out.Mismatch = append(out.Mismatch, mm)
-	}
+	st := &mapState{rec: rec, mem: map[uint64]uint64{}}
+	out := search(st, txs, fmt.Sprintf("strictly serializable (map model, %d committed txs)", len(txs)), budget)
+	out.Ops, out.Partitions = len(txs), 1
 	return out
+}
+
+// mapState is a zero-initialized word-addressed map that transactions step
+// through: a transaction applies when every read in its read set matches.
+type mapState struct {
+	rec *history.Recorder
+	mem map[uint64]uint64
+	// digest folds mix(addr, value) ^ mix(addr, 0) over every address, by
+	// XOR, maintained as writes apply and undo. It is a function of the
+	// map alone, not of the order of the writes that built it, so it can
+	// name the state for the memo.
+	digest uint64
+	// undoLog holds the values each write displaced; marks holds the log's
+	// length before each applied step.
+	undoLog []history.TxAccess
+	marks   []int
+}
+
+func mix(addr, val uint64) uint64 {
+	h := uint64(14695981039346656037)
+	h = (h ^ addr) * 1099511628211
+	h = (h ^ val) * 1099511628211
+	return h
+}
+
+func (s *mapState) set(addr, val uint64) {
+	old := s.mem[addr]
+	s.digest ^= mix(addr, old) ^ mix(addr, val)
+	s.mem[addr] = val
+}
+
+func (s *mapState) step(e *history.Event) bool {
+	tx := s.rec.TxOf(e)
+	for _, r := range tx.Reads {
+		if s.mem[r.Addr] != r.Val {
+			return false
+		}
+	}
+	s.marks = append(s.marks, len(s.undoLog))
+	for _, w := range tx.Writes {
+		s.undoLog = append(s.undoLog, history.TxAccess{Addr: w.Addr, Val: s.mem[w.Addr]})
+		s.set(w.Addr, w.Val)
+	}
+	return true
+}
+
+func (s *mapState) undo() {
+	mark := s.marks[len(s.marks)-1]
+	s.marks = s.marks[:len(s.marks)-1]
+	for k := len(s.undoLog) - 1; k >= mark; k-- {
+		s.set(s.undoLog[k].Addr, s.undoLog[k].Val)
+	}
+	s.undoLog = s.undoLog[:mark]
+}
+
+func (s *mapState) key() uint64 { return s.digest }
+
+func (s *mapState) format(e *history.Event, stuck bool) string {
+	tx := s.rec.TxOf(e)
+	line := fmt.Sprintf("w%d tx(reads=%d writes=%d aborts=%d) [%d,%d]",
+		e.Worker, len(tx.Reads), len(tx.Writes), e.Arg, e.Inv, e.Ret)
+	if !stuck {
+		return line
+	}
+	for _, r := range tx.Reads {
+		if v := s.mem[r.Addr]; v != r.Val {
+			return line + fmt.Sprintf("\n      read of %#x observed %d, state has %d", r.Addr, r.Val, v)
+		}
+	}
+	return line + "\n      read set matches here but no continuation completes"
 }

@@ -30,12 +30,12 @@ func TestSerializableHistoryAccepted(t *testing.T) {
 	// Disjoint increments commute.
 	tx(rec, 0, [][2]uint64{{10, 1}}, [][2]uint64{{10, 2}})
 	tx(rec, 1, [][2]uint64{{20, 0}}, [][2]uint64{{20, 7}})
-	out := linearizability.SerializableMapModel{}.Check(rec)
+	out := linearizability.CheckSerializable(rec)
 	if !out.OK {
 		t.Fatalf("serializable history rejected:\n%s", out.Explain())
 	}
-	if out.Txs != 3 {
-		t.Fatalf("checked %d txs, want 3", out.Txs)
+	if out.Ops != 3 {
+		t.Fatalf("checked %d txs, want 3", out.Ops)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestLostUpdateRejected(t *testing.T) {
 	s1.TxWrite(i1, 10, 2)
 	s0.End(i0, true, 0)
 	s1.End(i1, true, 0)
-	out := linearizability.SerializableMapModel{}.Check(rec)
+	out := linearizability.CheckSerializable(rec)
 	if out.OK || out.Inconclusive {
 		t.Fatalf("lost-update history accepted (inconclusive=%v)", out.Inconclusive)
 	}
@@ -67,7 +67,7 @@ func TestRealTimeOrderEnforced(t *testing.T) {
 	// this (T2 first); strict serializability must not.
 	tx(rec, 0, nil, [][2]uint64{{10, 5}})
 	tx(rec, 1, [][2]uint64{{10, 0}}, nil)
-	out := linearizability.SerializableMapModel{}.Check(rec)
+	out := linearizability.CheckSerializable(rec)
 	if out.OK {
 		t.Fatal("stale read after real-time-ordered commit accepted")
 	}
@@ -86,8 +86,8 @@ func TestUncommittedTxsIgnored(t *testing.T) {
 	s.End(idx, false, 0)
 	// A pending transaction (worker stopped mid-attempt) likewise.
 	s.BeginTx()
-	out := linearizability.SerializableMapModel{}.Check(rec)
-	if !out.OK || out.Txs != 0 {
-		t.Fatalf("aborted/pending txs not ignored: OK=%v txs=%d", out.OK, out.Txs)
+	out := linearizability.CheckSerializable(rec)
+	if !out.OK || out.Ops != 0 {
+		t.Fatalf("aborted/pending txs not ignored: OK=%v txs=%d", out.OK, out.Ops)
 	}
 }

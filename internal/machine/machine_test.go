@@ -61,28 +61,6 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	}
 }
 
-func TestValidateAfterRemoteWriteFails(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	a := m.Alloc(1)
-	t0.Store(a, 1)
-
-	if !t1.AddTag(a, 8) {
-		t.Fatal("AddTag failed")
-	}
-	if !t1.Validate() {
-		t.Fatal("validate should succeed with no conflicting write")
-	}
-	t0.Store(a, 2)
-	if t1.Validate() {
-		t.Fatal("validate should fail after remote write to tagged line")
-	}
-	t1.ClearTagSet()
-	if !t1.AddTag(a, 8) || !t1.Validate() {
-		t.Fatal("validate should succeed after ClearTagSet and retag")
-	}
-}
-
 func TestOwnWriteDoesNotEvictOwnTag(t *testing.T) {
 	m := testMachine(2)
 	t0 := m.Thread(0)
@@ -125,33 +103,6 @@ func TestEvictionLatchSurvivesRemoveTag(t *testing.T) {
 	t1.ClearTagSet()
 	if !t1.Validate() {
 		t.Fatal("ClearTagSet did not reset eviction state")
-	}
-}
-
-func TestVASSuccessAndFailure(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	a := m.Alloc(1)
-	target := m.Alloc(1)
-	t0.Store(a, 1)
-
-	t1.AddTag(a, 8)
-	t1.Load(a)
-	if !t1.VAS(target, 99) {
-		t.Fatal("VAS failed without conflict")
-	}
-	if t1.Load(target) != 99 {
-		t.Fatal("VAS did not write")
-	}
-	t1.ClearTagSet()
-
-	t1.AddTag(a, 8)
-	t0.Store(a, 2) // conflict
-	if t1.VAS(target, 100) {
-		t.Fatal("VAS succeeded despite evicted tag")
-	}
-	if t1.Load(target) != 99 {
-		t.Fatal("failed VAS wrote memory")
 	}
 }
 
@@ -218,52 +169,6 @@ func TestVASDoesNotInvalidateRemoteTagsOnOtherLines(t *testing.T) {
 	// Unlike IAS, VAS only writes the target: t1's tag on node survives.
 	if !t1.Validate() {
 		t.Fatal("VAS invalidated a remote tag on a non-target line")
-	}
-}
-
-func TestMaxTagsOverflow(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.MemBytes = 1 << 20
-	cfg.MaxTags = 4
-	m := New(cfg)
-	th := m.Thread(0)
-	addrs := make([]core.Addr, 5)
-	for i := range addrs {
-		addrs[i] = m.Alloc(1)
-	}
-	for i := 0; i < 4; i++ {
-		if !th.AddTag(addrs[i], 8) {
-			t.Fatalf("AddTag %d failed below MaxTags", i)
-		}
-	}
-	if th.AddTag(addrs[4], 8) {
-		t.Fatal("AddTag beyond MaxTags succeeded")
-	}
-	if th.Validate() {
-		t.Fatal("validate succeeded after overflow")
-	}
-	if th.VAS(addrs[0], 1) {
-		t.Fatal("VAS succeeded after overflow")
-	}
-	th.ClearTagSet()
-	if !th.AddTag(addrs[4], 8) || !th.Validate() {
-		t.Fatal("overflow not reset by ClearTagSet")
-	}
-}
-
-func TestMultiLineTag(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	// A 3-line object.
-	obj := m.Alloc(3 * core.WordsPerLine)
-	t1.AddTag(obj, 3*core.LineSize)
-	if t1.TagCount() != 3 {
-		t.Fatalf("TagCount = %d, want 3", t1.TagCount())
-	}
-	// Write to the middle line: validation must fail.
-	t0.Store(obj.Plus(core.WordsPerLine+1), 5)
-	if t1.Validate() {
-		t.Fatal("write to middle line of tagged object not detected")
 	}
 }
 

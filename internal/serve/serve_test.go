@@ -257,7 +257,7 @@ func TestServeE2EWireHistory(t *testing.T) {
 	if txCount <= relations*4 {
 		t.Fatalf("vacuous e2e: only %d recorded transactions (populate alone is %d)", txCount, relations*4)
 	}
-	if out := (linearizability.SerializableMapModel{}).Check(recTx); !out.OK {
+	if out := linearizability.CheckSerializable(recTx); !out.OK {
 		t.Fatalf("served reservation history not strictly serializable:\n%s", out.Explain())
 	}
 	if ok, detail := srv.Engine().CheckTables(); !ok {

@@ -73,11 +73,8 @@ func runCounterLinearize(t *testing.T, seed int64, newTM func(core.Memory) *TM) 
 	wg.Wait()
 
 	out := linearizability.Check(linearizability.CounterModel(0), rec.Events())
-	if out.Inconclusive {
-		t.Fatalf("checker inconclusive after %d ops", out.Ops)
-	}
-	if !out.OK {
-		t.Fatalf("counter history not linearizable:\n%s", out.Explain())
+	if err := out.Err(); err != nil {
+		t.Fatalf("counter history: %v", err)
 	}
 	want := uint64(0)
 	for _, e := range rec.Events() {

@@ -3,7 +3,7 @@
 // Every client action is one STM transaction; RunTx brackets it with a
 // history.OpTx event carrying the committed attempt's read and write sets
 // at raw simulated addresses. The populating transactions are recorded
-// too, so linearizability.SerializableMapModel can replay the whole
+// too, so linearizability.CheckSerializable can replay the whole
 // history against a zero-initialized word map — exactly the simulated
 // memory the STM ran over. A strictly serializable history plus intact
 // table invariants is the workload-level correctness statement for NOrec
@@ -53,7 +53,7 @@ func RecordedClient(m *Manager, th core.Thread, s *history.Shard, p Params, seed
 type SerializeReport struct {
 	// Outcome is the strict-serializability verdict over all recorded
 	// transactions (populate included).
-	Outcome linearizability.SerializeOutcome
+	Outcome linearizability.Outcome
 	// TablesOK/TablesDetail report the quiescent conservation invariants
 	// (Manager.CheckTables).
 	TablesOK     bool
@@ -63,8 +63,8 @@ type SerializeReport struct {
 // Err returns nil when the pass was fully correct, else an error whose
 // message embeds the printed counterexample or invariant violation.
 func (r *SerializeReport) Err() error {
-	if !r.Outcome.OK {
-		return fmt.Errorf("vacation history: %s", r.Outcome.Explain())
+	if err := r.Outcome.Err(); err != nil {
+		return fmt.Errorf("vacation history: %w", err)
 	}
 	if !r.TablesOK {
 		return fmt.Errorf("vacation tables: %s", r.TablesDetail)
@@ -136,6 +136,6 @@ func RunSerializeSuite(mem core.Memory, tm *stm.TM, p Params, workers int, seed 
 
 	var rep SerializeReport
 	rep.TablesOK, rep.TablesDetail = m.CheckTables(mem.Thread(0))
-	rep.Outcome = linearizability.SerializableMapModel{}.Check(rec)
+	rep.Outcome = linearizability.CheckSerializable(rec)
 	return rep
 }

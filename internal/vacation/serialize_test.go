@@ -55,8 +55,8 @@ func TestSerializeSuiteBackends(t *testing.T) {
 				if err := rep.Err(); err != nil {
 					t.Fatal(err)
 				}
-				if rep.Outcome.Txs < workers*suiteParams().Transactions {
-					t.Fatalf("only %d committed txs recorded", rep.Outcome.Txs)
+				if rep.Outcome.Ops < workers*suiteParams().Transactions {
+					t.Fatalf("only %d committed txs recorded", rep.Outcome.Ops)
 				}
 			})
 		}
@@ -106,9 +106,9 @@ func tornSetup(fault bool) func() schedexplore.Setup {
 				})
 			},
 			Check: func() error {
-				out := linearizability.SerializableMapModel{}.Check(rec)
-				if !out.OK {
-					return fmt.Errorf("vacation history: %s", out.Explain())
+				out := linearizability.CheckSerializable(rec)
+				if err := out.Err(); err != nil {
+					return fmt.Errorf("vacation history: %w", err)
 				}
 				return nil
 			},
