@@ -7,8 +7,10 @@
 //
 //   - the address model of the simulated, cache-line-granular space
 //     (core.go) and CoreSet, the fixed-capacity core bitset (coreset.go);
-//   - Memory and Thread, the paper's seven instructions plus Max_Tags,
-//     through which every structure issues loads, stores and tag operations;
+//   - Memory and Thread, through which every structure issues loads, stores
+//     and tag operations: the paper's seven instructions plus Max_Tags, and
+//     the write mark (MarkWrite/UnmarkWrites) that lets a multi-word writer
+//     keep tagged readers from seeing half its stores;
 //   - the optional capabilities a harness may assert on a Memory or Thread,
 //     each named once, and RunPhase, the one way to run a parallel phase
 //     over a Memory (capability.go);
@@ -168,6 +170,24 @@ type Thread interface {
 	ClearTagSet()
 	// TagCount returns the number of currently tagged lines.
 	TagCount() int
+
+	// MarkWrite marks every cache line backing [a, a+size) as being
+	// written by this thread, until UnmarkWrites. Marking is a write as far
+	// as remote tags go: a tag another thread took on the line before the
+	// mark fails, and while the mark is held another thread's AddTag of
+	// the line records a tag that fails Validate, VAS and IAS until that
+	// thread's ClearTagSet. The marking thread's own tags are not affected,
+	// and marking changes no data. A writer that marks its whole write set
+	// before its first store and unmarks after its last is never seen half
+	// done by a reader that validates its tags: a tag on a written line
+	// fails unless it was taken after the unmark. At most one thread marks
+	// a line at a time; the caller serializes its writers. Writers from
+	// different serializing domains (two STMs over one Memory, say) must
+	// never write a common line: the backends do not arbitrate a second
+	// marker, and under the memtagcheck build tag one panics.
+	MarkWrite(a Addr, size int)
+	// UnmarkWrites drops every mark this thread holds.
+	UnmarkWrites()
 
 	// Alloc allocates words from the shared space, line-aligned. It is a
 	// convenience equivalent to Memory.Alloc and may use a per-thread

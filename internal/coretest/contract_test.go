@@ -58,11 +58,13 @@ var contract = []struct {
 	{"must/eviction-latch-survives-removetag", latchSurvivesRemoveTag},
 	{"must/quiet-tags-validate", quietTagsValidate},
 	{"must/own-writes-keep-own-tags", ownWritesKeepOwnTags},
+	{"must/own-write-keeps-remote-eviction", ownWriteKeepsRemoteEviction},
 	{"must/overflow-poisons-until-clear", overflowPoisons},
 	{"must/span-tags-each-line-once", spanTagsEachLineOnce},
 	{"must/ias-evicts-every-tagged-line-vas-only-target", iasEvictsEveryTaggedLine},
 	{"must/empty-tag-set-validates-and-commits", emptyTagSetCommits},
 	{"must/commits-are-atomic", commitsAreAtomic},
+	{"must/marked-line-fails-remote-tags", markedLineFailsRemoteTags},
 	{"must/hot-path-allocates-nothing", func(t *testing.T, newMem Factory) { allocBudget(t, newMem(2, 8)) }},
 	{"may/validate-after-failed-remote-cas", mayFailAfterFailedCAS},
 	{"cap/ForceTagEviction", forcedEviction},
@@ -184,6 +186,27 @@ func quietTagsValidate(t *testing.T, newMem Factory) {
 	want(t, "Validate after a write to the line still tagged", t1.Validate(), false)
 }
 
+// ownWriteKeepsRemoteEviction: a thread's own write to a line whose tag a
+// remote write already evicted must not revive the tag. Only the plain
+// writers apply; an own VAS or IAS after the eviction fails on its own.
+func ownWriteKeepsRemoteEviction(t *testing.T, newMem Factory) {
+	for _, w := range writers[:2] {
+		t.Run(w.name, func(t *testing.T) {
+			mem := newMem(2, 8)
+			t0, t1 := mem.Thread(0), mem.Thread(1)
+			a, target := mem.Alloc(1), mem.Alloc(1)
+			t0.Store(a, 1)
+			t1.AddTag(a, core.WordSize)
+			t0.Store(a, 2) // evicts t1's tag; t1 does not validate before its own write
+			want(t, "own "+w.name+" after the eviction", w.write(t1, a, 2, 3), true)
+			want(t, "Validate after the own write", t1.Validate(), false)
+			want(t, "VAS after the own write", t1.VAS(target, 7), false)
+			want(t, "target after the failed VAS", t0.Load(target), 0)
+			want(t, "the word", t0.Load(a), 3)
+		})
+	}
+}
+
 func ownWritesKeepOwnTags(t *testing.T, newMem Factory) {
 	for _, w := range writers {
 		t.Run(w.name, func(t *testing.T) {
@@ -196,6 +219,7 @@ func ownWritesKeepOwnTags(t *testing.T, newMem Factory) {
 			want(t, "own "+w.name+" to the tagged line", w.write(t0, a, 1, 2), true)
 			want(t, "Validate after the own write", t0.Validate(), true)
 			want(t, "TagCount after the own write", t0.TagCount(), 1)
+			want(t, "the word, read by the writer", t0.Load(a), 2)
 			want(t, "the word, read remotely", t1.Load(a), 2)
 		})
 	}
@@ -322,6 +346,48 @@ func commitsAreAtomic(t *testing.T, newMem Factory) {
 	}
 }
 
+// markedLineFailsRemoteTags: a write mark counts as a write for other
+// threads' tags on the line — one taken before the mark fails, one taken
+// under it fails until ClearTagSet — and as nothing for the marker's own
+// tags and for the data. A tag taken after UnmarkWrites is good. Together
+// these hide a marked write-back from validating readers until it is done.
+func markedLineFailsRemoteTags(t *testing.T, newMem Factory) {
+	mem := newMem(3, 8)
+	t0, t1, t2 := mem.Thread(0), mem.Thread(1), mem.Thread(2)
+	a, b, target := mem.Alloc(1), mem.Alloc(1), mem.Alloc(1)
+	t0.Store(a, 1)
+	t0.Store(b, 2)
+	t2.AddTag(a, core.WordSize)
+	t0.AddTag(b, core.WordSize)
+	t0.MarkWrite(a, core.WordSize)
+	t0.MarkWrite(b, core.WordSize)
+	t0.MarkWrite(a, core.WordSize) // a line already marked
+	want(t, "a marked word, read remotely", t1.Load(a), 1)
+	want(t, "the other marked word, read remotely", t1.Load(b), 2)
+	want(t, "a remote tag taken before the mark", t2.Validate(), false)
+	want(t, "AddTag of a line another thread marks", t1.AddTag(a, core.WordSize), true)
+	want(t, "Validate of a tag taken on a marked line", t1.Validate(), false)
+	want(t, "VAS after tagging a marked line", t1.VAS(target, 7), false)
+	want(t, "IAS after tagging a marked line", t1.IAS(target, 7), false)
+	t1.RemoveTag(a, core.WordSize)
+	want(t, "Validate after RemoveTag of that tag", t1.Validate(), false)
+	want(t, "the marker's AddTag of its own marked line", t0.AddTag(a, core.WordSize), true)
+	want(t, "the marker's tags, one taken before its mark and one under it", t0.Validate(), true)
+	t0.Store(a, 3)
+	t0.Store(b, 4)
+	t0.UnmarkWrites()
+	t0.UnmarkWrites() // nothing left to drop
+	want(t, "the marker's tags after its marked writes", t0.Validate(), true)
+	want(t, "Validate after UnmarkWrites, before ClearTagSet", t1.Validate(), false)
+	t1.ClearTagSet()
+	want(t, "AddTag after UnmarkWrites", t1.AddTag(a, core.WordSize), true)
+	want(t, "Validate of a tag taken after UnmarkWrites", t1.Validate(), true)
+	want(t, "VAS with a tag taken after UnmarkWrites", t1.VAS(target, 8), true)
+	want(t, "the first written word", t1.Load(a), 3)
+	want(t, "the second written word", t1.Load(b), 4)
+	want(t, "the committed word", t0.Load(target), 8)
+}
+
 // allocBudget pins the hot path at 0 allocs/op on mem as it stands (hooks
 // attached or not): harnesses run hundreds of millions of these per figure.
 func allocBudget(t *testing.T, mem core.Memory) {
@@ -362,6 +428,11 @@ func allocBudget(t *testing.T, mem core.Memory) {
 				t.Fatal("uncontended IAS failed")
 			}
 			th.ClearTagSet()
+		}},
+		{"MarkWrite+Store+UnmarkWrites", func() {
+			th.MarkWrite(a, 2*core.LineSize)
+			th.Store(a, 42)
+			th.UnmarkWrites()
 		}},
 	}
 	for _, s := range scripts {

@@ -10,7 +10,8 @@
 // The paper's tags are advisory: a validation may fail spuriously and
 // never succeeds wrongly. The suite therefore has two kinds of case. A
 // must case is an event after which validation has to fail (a successful
-// remote write to a tagged line, an overflowed tag set, a forced eviction)
+// remote write to a tagged line, another thread's write mark, an overflowed
+// tag set, a forced eviction)
 // or a small quiet script on which it has to succeed (nothing wrote, nothing
 // was evicted, a handful of lines — a backend failing those makes no
 // progress). A may case is an event after which either answer is legal

@@ -217,6 +217,53 @@ func TestSnapshotConsistency(t *testing.T) {
 	}
 }
 
+// TestSnapshotHelpDoesNotHideWrite replays the interleaving behind a torn
+// tagged snapshot: the reader reads a, a writer installs its descriptor on a
+// and b, and the reader, reading b, helps the writer finish — its own CAS on
+// a must not revive the tag the writer's install evicted.
+func TestSnapshotHelpDoesNotHideWrite(t *testing.T) {
+	mems := map[string]core.Memory{
+		"vtags":   vtags.New(1<<20, 2),
+		"machine": machine.New(machine.DefaultConfig(2)),
+	}
+	for name, mem := range mems {
+		t.Run(name, func(t *testing.T) {
+			g := New(mem)
+			w, r := mem.Thread(0), mem.Thread(1)
+			a, b := mem.Alloc(1), mem.Alloc(1)
+			w.Store(a, 5)
+			w.Store(b, 5)
+
+			r.ClearTagSet()
+			r.AddTag(a, core.WordSize)
+			r.AddTag(b, core.WordSize)
+			va := g.Read(r, a)
+
+			// The writer's phase 1, already decided: both words hold its
+			// descriptor.
+			d := w.Alloc(DescriptorWords(2))
+			w.Store(d.Plus(kStatus), stSucceeded)
+			w.Store(d.Plus(kCount), 2)
+			for i, e := range []Entry{{a, 5, 6}, {b, 5, 6}} {
+				base := kEntries + i*kEntryW
+				w.Store(d.Plus(base+0), uint64(e.Addr))
+				w.Store(d.Plus(base+1), e.Old)
+				w.Store(d.Plus(base+2), e.New)
+			}
+			w.Store(a, uint64(d)|kcasMark)
+			w.Store(b, uint64(d)|kcasMark)
+
+			vb := g.Read(r, b) // helps: r's own CASes write a and b
+			if va != 5 || vb != 6 {
+				t.Fatalf("reads = %d, %d, want 5, 6", va, vb)
+			}
+			if r.Validate() {
+				t.Fatal("torn pair (5, 6) validated")
+			}
+		})
+	}
+}
+
 func TestSnapshotDoubleCollect(t *testing.T) {
 	mem := vtags.New(1<<20, 1)
 	g := New(mem)

@@ -16,7 +16,8 @@ import (
 // schedule gating. Harness controllers (the fallback Mode-line flipper)
 // use it so driving a Mode line does not consume a simulated core.
 //
-// Tag operations are meaningless for an agent with no L1 and panic.
+// Tag operations and write marks are meaningless for an agent with no L1
+// and panic.
 func (m *Machine) SpareThread() core.Thread { return &ghost{m: m} }
 
 type ghost struct{ m *Machine }
@@ -115,6 +116,12 @@ func (g *ghost) ClearTagSet() {}
 
 // TagCount is always zero.
 func (g *ghost) TagCount() int { return 0 }
+
+// MarkWrite is unsupported: a write mark is directory state kept for a core.
+func (g *ghost) MarkWrite(core.Addr, int) { panic(ghostNoTags("MarkWrite")) }
+
+// UnmarkWrites is a no-op: the ghost never holds a mark.
+func (g *ghost) UnmarkWrites() {}
 
 func ghostNoTags(op string) string {
 	return fmt.Sprintf("machine: %s on a SpareThread ghost agent (no cache, no tags)", op)

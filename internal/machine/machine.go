@@ -56,6 +56,9 @@ type dirRecord struct {
 	// owner is the core holding the line in Modified/Exclusive state, or
 	// -1. Invariant: owner >= 0 implies sharers == {owner}.
 	owner int16
+	// marked is the core holding a write mark on the line (MarkWrite), or
+	// -1. Another core's AddTag of a marked line records a failed tag.
+	marked int16
 }
 
 // dirChunk mirrors one mem.Space chunk's worth of directory state.
@@ -180,6 +183,7 @@ func (m *Machine) installDirChunk(ci uint64) *dirChunk {
 	fresh := &dirChunk{masks: make([]uint64, 2*m.setWords*mem.ChunkLines)}
 	for i := range fresh.records {
 		fresh.records[i].owner = -1
+		fresh.records[i].marked = -1
 	}
 	if m.dir[ci].CompareAndSwap(nil, fresh) {
 		return fresh

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 )
 
@@ -113,6 +115,11 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		d.mu.Lock()
 		t.touchForTagLocked(l, d)
 		d.taggers().add(t.id)
+		if d.marked >= 0 && int(d.marked) != t.id {
+			// Another core is mid-write on the line: the tag is born evicted.
+			t.evicted.Store(true)
+			t.stats.RemoteTagEvictions.Add(1)
+		}
 		d.mu.Unlock()
 		t.tags = append(t.tags, l)
 		if t.rec != nil {
@@ -225,6 +232,64 @@ func (t *Thread) ClearTagSet() {
 	if t.rec != nil {
 		t.rec.RetractAll()
 	}
+}
+
+// MarkWrite marks every line of [a, a+size) in the directory as being
+// written by this core. Marking a line is the exclusive acquisition its
+// first store would make, moved earlier — the same charge and footprint,
+// evicting every remote tag on it — so the stores that follow hit L1. A
+// line this core already marks is skipped. Under the memtagcheck build tag
+// a line another core marks panics (core.Thread.MarkWrite's one-marker
+// rule); otherwise the mark is taken over.
+func (t *Thread) MarkWrite(a core.Addr, size int) {
+	if debugGuard {
+		t.m.issuing.Add(1)
+		defer t.m.issuing.Add(-1)
+	}
+	t.throttle()
+	first, last, ok := core.LineSpan(a, size)
+	if !ok {
+		return
+	}
+	for l := first; l <= last; l++ {
+		if l > first {
+			t.gateInternal()
+		}
+		d := t.m.dirAt(l)
+		d.mu.Lock()
+		if int(d.marked) != t.id {
+			if debugGuard && d.marked >= 0 {
+				d.mu.Unlock()
+				panic(fmt.Sprintf("machine: core %d marks line %d, which core %d already marks", t.id, l, d.marked))
+			}
+			t.touchLineLocked(l, d, true)
+			d.marked = int16(t.id)
+			t.marks = append(t.marks, l)
+		}
+		d.mu.Unlock()
+		t.drainEvictions()
+	}
+}
+
+// UnmarkWrites clears every mark this core holds. It is directory
+// bookkeeping on lines the core just wrote and is not charged.
+func (t *Thread) UnmarkWrites() {
+	if debugGuard {
+		t.m.issuing.Add(1)
+		defer t.m.issuing.Add(-1)
+	}
+	if len(t.marks) == 0 {
+		return
+	}
+	t.throttle()
+	for _, l := range t.marks {
+		t.recAccess(l, true)
+		d := t.m.dirAt(l)
+		d.mu.Lock()
+		d.marked = -1
+		d.mu.Unlock()
+	}
+	t.marks = t.marks[:0]
 }
 
 // buildLockSet fills t.lockSet with the sorted, deduplicated union of the

@@ -58,6 +58,8 @@ type Thread struct {
 	segAcc []Access
 	// lockSet is scratch for the sorted line set locked by VAS/IAS.
 	lockSet []core.Line
+	// marks holds the lines this core has marked (MarkWrite), each once.
+	marks []core.Line
 
 	// Lax clock synchronization state (see sync.go).
 	active    atomic.Bool

@@ -129,11 +129,12 @@ func TestDPORConvictsCorpus(t *testing.T) {
 
 // TestDPORAcquitsGuardedSTM is the corpus's negative control: with the
 // torn-read guard intact the identical workload has no bad interleaving,
-// and DPOR must not fabricate one.
+// and DPOR must not fabricate one. The budget is what convicts a machine
+// AddTag that ignores write marks: at 2,000 executions that mutant passed.
 func TestDPORAcquitsGuardedSTM(t *testing.T) {
 	res := schedexplore.Explore(stmTornReadSetup(false), schedexplore.Config{
 		Mode:         schedexplore.StrategyDPOR,
-		Executions:   2000,
+		Executions:   5000,
 		MaxDecisions: 400,
 	})
 	if res.Failure != nil {

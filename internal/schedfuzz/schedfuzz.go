@@ -202,6 +202,12 @@ func (t *Thread) ClearTagSet() { t.inner.ClearTagSet() }
 // TagCount forwards without injection.
 func (t *Thread) TagCount() int { return t.inner.TagCount() }
 
+// MarkWrite forwards with injection.
+func (t *Thread) MarkWrite(a core.Addr, size int) { t.inject(); t.inner.MarkWrite(a, size) }
+
+// UnmarkWrites forwards without injection.
+func (t *Thread) UnmarkWrites() { t.inner.UnmarkWrites() }
+
 // SetActive forwards lax-clock enrolment when the backend supports it.
 func (t *Thread) SetActive(on bool) {
 	if a, ok := t.inner.(core.LaxClocked); ok {

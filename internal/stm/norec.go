@@ -10,7 +10,10 @@
 // validation proves the whole read set is unchanged, so readers stay
 // consistent with zero coherence traffic — and, crucially, do not care
 // about commits that touched none of their lines, where baseline NOrec
-// must re-read its entire read set whenever the sequence lock moves. A
+// must re-read its entire read set whenever the sequence lock moves. They
+// do not read the sequence lock at all: a tagged TM's writers mark the
+// lines they write for the length of their write-back
+// (core.Thread.MarkWrite), so no validated read set straddles one. A
 // failed tag validation aborts immediately (fail-fast, as the paper
 // describes: "it would not need to perform value-based validation in order
 // to simply fail"). Writers acquire the global lock with
@@ -42,12 +45,12 @@ type TM struct {
 	tagged bool
 
 	// FaultTornRead, when set on a tagged instance, disables the torn-read
-	// guard in the tagged Read fast path: the read no longer waits for the
-	// sequence lock to be free nor validates its tags, so values read can
-	// span another writer's in-flight writeBack. This is exactly the
-	// opacity bug PR 1's checker caught and fixed; it is kept injectable
-	// so serializability suites can prove they would catch it again.
-	// Testing only — never set in experiments.
+	// guard in the tagged Read fast path: the read skips its Validate, so a
+	// tag that a writer's mark or store has failed goes unnoticed and the
+	// values read can span that writer's in-flight writeBack. This is the
+	// opacity bug the serializability checker first caught in this STM; it
+	// is kept injectable so serializability suites can prove they would
+	// catch it again. Testing only — never set in experiments.
 	FaultTornRead bool
 
 	// Aborts counts transaction attempt aborts, for experiment reporting.
@@ -352,28 +355,17 @@ func (tx *Tx) Read(a core.Addr) uint64 {
 		}
 	}
 	v := tx.th.Load(a)
-	if tx.useTags && tx.tm.FaultTornRead {
-		// Injected opacity bug (see TM.FaultTornRead): skip the
-		// lock-free wait and the tag validation.
-		tx.reads = append(tx.reads, readEntry{addr: a, val: v})
-		return v
-	}
 	if tx.useTags {
 		// Fast path: every read-set line (including a's) is tagged. If
 		// none was invalidated, every recorded value — and v — is current
 		// at this instant: commits that did not touch our lines are
-		// irrelevant, so (unlike baseline NOrec) the lock moving to a new
-		// even value costs nothing. The lock being *held* is different:
-		// values read while a writer is mid-writeBack can span its
-		// partial commit, and tag validation alone cannot rule that out
-		// (a line tagged after the writer stored it validates fine). Wait
-		// until the lock is free, then validate — any of our lines the
-		// writer touched shows up as an invalidated tag. A failed
-		// validation aborts immediately, with no value-based
-		// re-validation.
-		for tx.th.Load(tx.tm.seq)%2 != 0 {
-		}
-		if tx.th.Validate() {
+		// irrelevant, and the sequence lock is not read at all. Nor can a
+		// writer be seen half way through its writeBack, which marks every
+		// line it writes before its first store: a tag on one of them
+		// taken before the mark was evicted by it, and one taken under the
+		// mark fails. A failed validation aborts immediately, with no
+		// value-based re-validation.
+		if tx.tm.FaultTornRead || tx.th.Validate() {
 			tx.reads = append(tx.reads, readEntry{addr: a, val: v})
 			return v
 		}
@@ -483,10 +475,21 @@ func (tx *Tx) commit() {
 }
 
 // writeBack replays the write buffer and releases the lock; the caller has
-// acquired the sequence lock at tx.v+1.
+// acquired the sequence lock at tx.v+1. A tagged TM marks every write line
+// before the first store and unmarks them after the last, before the
+// release: that is what lets its tagged reads skip the lock (Read).
 func (tx *Tx) writeBack() {
-	for i := range tx.writes {
-		tx.th.Store(tx.writes[i].addr, tx.writes[i].val)
+	th, tagged := tx.th, tx.tm.tagged
+	if tagged {
+		for i := range tx.writes {
+			th.MarkWrite(tx.writes[i].addr, core.WordSize)
+		}
 	}
-	tx.th.Store(tx.tm.seq, tx.v+2)
+	for i := range tx.writes {
+		th.Store(tx.writes[i].addr, tx.writes[i].val)
+	}
+	if tagged {
+		th.UnmarkWrites()
+	}
+	th.Store(tx.tm.seq, tx.v+2)
 }

@@ -267,9 +267,9 @@ func TestOwnWritesKeepBitAndFlag(t *testing.T) {
 // TestVersionWrapLeavesSharerBits presets a line's version field to its
 // maximum: the bump wraps it to zero and the sharer bits change only as the
 // protocol says (the writer's own tag keeps its bit, the other sharer's is
-// taken), with nothing carried between the fields.
+// taken), with nothing carried into the mark bit or between the fields.
 func TestVersionWrapLeavesSharerBits(t *testing.T) {
-	const maxVersion = ^uint64(0) &^ sharerMask
+	const maxVersion = ^uint64(0) &^ lowMask
 	m := New(1<<16, 3)
 	t0, t1, t2 := m.threads[0], m.threads[1], m.threads[2]
 	a := m.Alloc(core.WordsPerLine)

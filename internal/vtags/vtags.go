@@ -7,7 +7,7 @@
 // and so the cost of a software emulation can be compared against the
 // hardware model as an ablation.
 //
-// Every cache line has a 48-bit version; writers bump it under a per-line
+// Every cache line has a 47-bit version; writers bump it under a per-line
 // spin mutex. AddTag records (line, version); a tag is current while the
 // version is unchanged. VAS/IAS lock the tagged lines plus the target in
 // address order, re-check the versions, and commit — IAS additionally bumps
@@ -43,13 +43,18 @@
 // The lines every transaction re-reads (a structure's top levels) keep
 // their bits on, so steady-state readers write nothing.
 //
+// A write mark (MarkWrite) is one more bit of the same word, set with a
+// version bump and cleared without one, both under the line mutex; an AddTag
+// by another thread that sees it latches the tag set stale.
+//
 // Unlike hardware tags there are no spurious evictions, so validation here
-// fails only on real conflicts. There is also no ABA window within 2^48
+// fails only on real conflicts. There is also no ABA window within 2^47
 // writes to one line during one tag's life: a line whose value was restored
 // still fails validation because its version moved.
 package vtags
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -65,12 +70,15 @@ import (
 // sized generously but sparsely touched, and zeroing per-line state for
 // the whole space dominated Memory construction cost.
 //
-// word packs the line's version (high 48 bits) with its sharer mask (low
-// sharerBits bits, bit i for thread id i). The version counts the writes to
-// the line: every Store, successful CAS and VAS/IAS bump adds exactly 1
-// while holding mu, wrapping at 2^48 off the top of the word, so its parity
-// means nothing. Readers (AddTag, RemoveTag, a dirty Validate) load the word
-// without the lock; "version unchanged since AddTag" is the whole tag check.
+// word packs the line's version (high 47 bits), its write mark (bit
+// sharerBits) and its sharer mask (low sharerBits bits, bit i for thread id
+// i). The version counts the writes to the line: every Store, successful
+// CAS, VAS/IAS bump and MarkWrite adds exactly 1 while holding mu, wrapping
+// at 2^47 off the top of the word, so its parity means nothing. The mark is
+// set (with a bump) and cleared under mu by the one thread writing the line
+// (MarkWrite/UnmarkWrites). Readers (AddTag, RemoveTag, a dirty Validate)
+// load the word without the lock; "version unchanged since AddTag" is the
+// whole tag check, and a tag taken while the mark is set is stale at birth.
 // Only sharer bits change outside mu, and only from off to on. The struct
 // must stay 16 bytes: it exists once per touched line.
 type lineState struct {
@@ -81,7 +89,9 @@ type lineState struct {
 const (
 	sharerBits  = 16
 	sharerMask  = 1<<sharerBits - 1
-	versionUnit = 1 << sharerBits
+	markBit     = 1 << sharerBits
+	lowMask     = sharerMask | markBit // the bits that are not the version
+	versionUnit = markBit << 1
 )
 
 type lineChunk [mem.ChunkLines]lineState
@@ -150,6 +160,7 @@ func newThread(m *Memory, id int) *Thread {
 		arena:   mem.NewArena(m.space),
 		tags:    make([]tagEntry, 0, m.maxTags),
 		lockBuf: make([]tagEntry, 0, m.maxTags+1),
+		marks:   make([]*lineState, 0, 8),
 	}
 	if id >= 0 && id < sharerBits {
 		t.bit = 1 << id
@@ -252,10 +263,13 @@ type Thread struct {
 	// (ForceTagEviction): like the hardware's evicted set, it is not
 	// forgotten until ClearTagSet even though the entry itself is gone.
 	evicted bool
-	// stale latches a version scan that found a moved line. The scan
+	// stale latches a version scan that found a moved line (the scan
 	// consumed the dirty flag that prompted it, so without the latch the
-	// next Validate would pass.
+	// next Validate would pass), or a tag taken on a line another thread
+	// had marked.
 	stale bool
+	// marks holds the lines this thread has marked (MarkWrite), each once.
+	marks []*lineState
 
 	// ticks is the thread's logical clock: one per memory/tag operation
 	// (the emulation's analogue of the machine's cycle counter). fails
@@ -280,7 +294,7 @@ type Thread struct {
 
 // tagEntry is one tagged line: the line state resolved at AddTag time (see
 // lineAt for why the pointer stays valid) and the version recorded then, in
-// place (the line's word with the sharer bits masked off).
+// place (the line's word with the sharer and mark bits masked off).
 type tagEntry struct {
 	ls      *lineState
 	version uint64
@@ -288,7 +302,7 @@ type tagEntry struct {
 }
 
 // current reports whether the line is unwritten since the tag was recorded.
-func (e *tagEntry) current() bool { return e.ls.word.Load()&^sharerMask == e.version }
+func (e *tagEntry) current() bool { return e.ls.word.Load()&^lowMask == e.version }
 
 var _ core.Thread = (*Thread)(nil)
 
@@ -310,7 +324,7 @@ func (t *Thread) Store(a core.Addr, v uint64) {
 	ls := t.m.lineAt(a.Line())
 	ls.mu.Lock()
 	t.m.space.AtomicWrite(a, v)
-	t.bumpLocked(ls, t.tagIndex(a.Line()))
+	t.bumpLocked(ls, t.tagIndex(a.Line()), 0)
 	ls.mu.Unlock()
 }
 
@@ -322,33 +336,39 @@ func (t *Thread) CAS(a core.Addr, old, new uint64) bool {
 	ok := t.m.space.Read(a) == old
 	if ok {
 		t.m.space.AtomicWrite(a, new)
-		t.bumpLocked(ls, t.tagIndex(a.Line()))
+		t.bumpLocked(ls, t.tagIndex(a.Line()), 0)
 	}
 	ls.mu.Unlock()
 	return ok
 }
 
 // bumpLocked publishes a write to the line whose mu the caller holds, after
-// the data word is stored: one CAS adds 1 to the version and takes every
+// the data word is stored (MarkWrite stores none): one CAS adds 1 to the version and takes every
 // other thread's sharer bit, then each taken thread's dirty flag is raised.
 // ti is the index of the caller's own tag on the line, or -1. An own tag is
 // re-recorded at the new version with the own bit on — like hardware, a
 // core's write neither invalidates its own tag nor notifies itself — and
-// without one the own bit is left as found. The CAS can lose only to a
+// without one the own bit is left as found. An own tag another thread's
+// write already moved latches stale first, as the hardware's eviction latch
+// would have: re-recording it would hide that write. mark is OR-ed into the
+// new word (markBit from MarkWrite, else 0). The CAS can lose only to a
 // reader turning its bit on.
-func (t *Thread) bumpLocked(ls *lineState, ti int) {
+func (t *Thread) bumpLocked(ls *lineState, ti int, mark uint64) {
 	var own uint64
 	if ti >= 0 {
 		own = t.bit
 	}
 	for {
 		w := ls.word.Load()
-		nw := (w+versionUnit)&^sharerMask | w&t.bit | own
+		nw := (w+versionUnit)&^sharerMask | w&t.bit | own | mark
 		if !ls.word.CompareAndSwap(w, nw) {
 			continue
 		}
 		if ti >= 0 {
-			t.tags[ti].version = nw &^ sharerMask
+			if w&^lowMask != t.tags[ti].version {
+				t.stale = true
+			}
+			t.tags[ti].version = nw &^ lowMask
 		}
 		for taken := w & sharerMask &^ t.bit; taken != 0; taken &= taken - 1 {
 			t.m.threads[bits.TrailingZeros64(taken)].dirty.Store(1)
@@ -384,7 +404,10 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		for w&t.bit != t.bit && !ls.word.CompareAndSwap(w, w|t.bit) {
 			w = ls.word.Load()
 		}
-		t.tags = append(t.tags, tagEntry{ls: ls, version: w &^ sharerMask, line: l})
+		if w&markBit != 0 && !t.marking(ls) {
+			t.stale = true // another thread is mid-write on the line
+		}
+		t.tags = append(t.tags, tagEntry{ls: ls, version: w &^ lowMask, line: l})
 		t.held |= 1 << (l % 64)
 		if t.rec != nil {
 			t.rec.Announce(l)
@@ -545,6 +568,54 @@ func (t *Thread) ClearTagSet() {
 	}
 }
 
+// MarkWrite marks every line of [a, a+size) as being written by this
+// thread. The mark goes on with a version bump, so remote tags taken before
+// it go stale as after a store; a remote AddTag that sees it latches stale.
+// A line this thread already marks is skipped. Under the memtagcheck build
+// tag a line another thread marks panics (core.Thread.MarkWrite's
+// one-marker rule); otherwise it is skipped too.
+func (t *Thread) MarkWrite(a core.Addr, size int) {
+	t.ticks++
+	first, last, ok := core.LineSpan(a, size)
+	if !ok {
+		return
+	}
+	for l := first; l <= last; l++ {
+		ls := t.m.lineAt(l)
+		ls.mu.Lock()
+		if ls.word.Load()&markBit == 0 {
+			t.bumpLocked(ls, t.tagIndex(l), markBit)
+			t.marks = append(t.marks, ls)
+		} else if debugGuard && !t.marking(ls) {
+			ls.mu.Unlock()
+			panic(fmt.Sprintf("vtags: thread %d marks line %d, which another thread already marks", t.id, l))
+		}
+		ls.mu.Unlock()
+	}
+}
+
+// UnmarkWrites clears every mark this thread holds. Clearing is no write:
+// the version stays.
+func (t *Thread) UnmarkWrites() {
+	for _, ls := range t.marks {
+		ls.mu.Lock()
+		for w := ls.word.Load(); !ls.word.CompareAndSwap(w, w&^markBit); w = ls.word.Load() {
+		}
+		ls.mu.Unlock()
+	}
+	t.marks = t.marks[:0]
+}
+
+// marking reports whether this thread holds the mark on ls.
+func (t *Thread) marking(ls *lineState) bool {
+	for _, m := range t.marks {
+		if m == ls {
+			return true
+		}
+	}
+	return false
+}
+
 // VAS validates under the tagged lines' locks and stores v at a.
 func (t *Thread) VAS(a core.Addr, v uint64) bool { return t.commit(a, v, false) }
 
@@ -589,13 +660,13 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 		// sharers of every line it bumps.
 		if invalidateTags {
 			for i := range t.tags {
-				t.bumpLocked(t.tags[i].ls, i)
+				t.bumpLocked(t.tags[i].ls, i, 0)
 			}
 			if ti < 0 {
-				t.bumpLocked(tls, -1)
+				t.bumpLocked(tls, -1, 0)
 			}
 		} else {
-			t.bumpLocked(tls, ti)
+			t.bumpLocked(tls, ti, 0)
 		}
 	}
 	for i := len(locks) - 1; i >= 0; i-- {
