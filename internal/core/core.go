@@ -5,8 +5,8 @@
 // The package holds everything a data structure or a harness may assume
 // about a memory, and nothing about how one is built:
 //
-//   - the address model of the simulated, cache-line-granular space
-//     (core.go) and CoreSet, the fixed-capacity core bitset (coreset.go);
+//   - the address model of the simulated, cache-line-granular space and
+//     MaxCores, the largest machine any backend supports (core.go);
 //   - Memory and Thread, through which every structure issues loads, stores
 //     and tag operations: the paper's seven instructions plus Max_Tags, and
 //     the write mark (MarkWrite/UnmarkWrites) that lets a multi-word writer
@@ -46,6 +46,13 @@ const (
 	// WordsPerLine is the number of words in one cache line.
 	WordsPerLine = LineSize / WordSize
 )
+
+// MaxCores is the largest number of simulated cores any backend supports.
+// The paper's Graphite evaluation stops at 64 flat cores; the simulator
+// scales past it (sharded hot state, two-level topology), sizing its
+// directory's sharer and tagger sets to the configured core count. 512 is
+// large enough for the NUMA sweeps.
+const MaxCores = 512
 
 // Addr is a byte address in the simulated address space. All accesses must
 // be word-aligned. Address 0 is never allocated and serves as the nil

@@ -1,6 +1,9 @@
 package coretest
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -64,6 +67,7 @@ var contract = []struct {
 	{"must/ias-evicts-every-tagged-line-vas-only-target", iasEvictsEveryTaggedLine},
 	{"must/empty-tag-set-validates-and-commits", emptyTagSetCommits},
 	{"must/commits-are-atomic", commitsAreAtomic},
+	{"must/random-ops-agree-with-a-word-map", randomOpsAgreeWithWordMap},
 	{"must/marked-line-fails-remote-tags", markedLineFailsRemoteTags},
 	{"must/hot-path-allocates-nothing", func(t *testing.T, newMem Factory) { allocBudget(t, newMem(2, 8)) }},
 	{"may/validate-after-failed-remote-cas", mayFailAfterFailedCAS},
@@ -309,7 +313,7 @@ func emptyTagSetCommits(t *testing.T, newMem Factory) {
 // and IAS each linearize against concurrent writes to the line. The IAS
 // loop tags a second line too, so its commits hold two lines at once.
 func commitsAreAtomic(t *testing.T, newMem Factory) {
-	const workers, each = 4, 200
+	const workers, each = 8, 300
 	idioms := []struct {
 		name string
 		inc  func(th core.Thread, ctr, aux core.Addr) bool
@@ -343,6 +347,138 @@ func commitsAreAtomic(t *testing.T, newMem Factory) {
 			})
 			want(t, "counter", mem.Thread(0).Load(ctr), workers*each)
 		})
+	}
+}
+
+// tagModel is what a thread's tag set must do, for
+// randomOpsAgreeWithWordMap: the lines it holds, whether its validation
+// must fail (doomed) and whether it may (a remote CAS that failed on a held
+// line).
+type tagModel struct {
+	lines         []core.Line
+	doomed, maybe bool
+}
+
+// hit is a write by another thread to line l: sure for a write that took
+// effect, not sure for a CAS that failed.
+func (m *tagModel) hit(l core.Line, sure bool) {
+	if slices.Contains(m.lines, l) {
+		m.doomed = m.doomed || sure
+		m.maybe = m.maybe || !sure
+	}
+}
+
+// validated checks a Validate, VAS or IAS outcome against the model and
+// folds it in: a failure stays until ClearTagSet, and a success proves the
+// failed CAS evicted nothing.
+func (m *tagModel) validated(t *testing.T, what string, ok bool) {
+	t.Helper()
+	switch {
+	case ok && m.doomed:
+		t.Fatalf("%s succeeded after a remote write to a held line or an overflow", what)
+	case !ok && !m.doomed && !m.maybe:
+		t.Fatalf("%s failed, but nothing wrote a held line and the set never overflowed", what)
+	}
+	m.doomed, m.maybe = !ok, false
+}
+
+// randomOpsAgreeWithWordMap drives two threads, from one goroutine, through
+// seeded random sequences of every primitive on a dozen two-word lines, and
+// checks each step against a plain word map and one tagModel per thread:
+// loaded words, CAS outcomes, TagCount and the final image exactly, and
+// every validation outcome as far as the contract decides it.
+func randomOpsAgreeWithWordMap(t *testing.T, newMem Factory) {
+	const lines, maxTags, seeds, steps = 12, 4, 20, 400
+	for seed := int64(0); seed < seeds; seed++ {
+		mem := newMem(2, maxTags)
+		ths := [2]core.Thread{mem.Thread(0), mem.Thread(1)}
+		base := mem.Alloc(lines * core.WordsPerLine)
+		addr := func(i int) core.Addr { return base.Plus(i/2*core.WordsPerLine + i%2) }
+		words := map[core.Addr]uint64{}
+		var models [2]tagModel
+		// wrote applies a write by thread w to the other thread's model,
+		// on the target line and, for an IAS, on every line w holds.
+		wrote := func(w int, a core.Addr, sure, ias bool) {
+			models[1-w].hit(a.Line(), sure)
+			if ias {
+				for _, l := range models[w].lines {
+					models[1-w].hit(l, true)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < steps; step++ {
+			w := rng.Intn(2)
+			th, m := ths[w], &models[w]
+			i := rng.Intn(2 * lines)
+			a, v := addr(i), uint64(rng.Intn(4))
+			at := func(op string) string {
+				return fmt.Sprintf("seed %d step %d: thread %d %s of word %d", seed, step, w, op, i)
+			}
+			switch rng.Intn(10) {
+			case 0:
+				want(t, at("Load"), th.Load(a), words[a])
+			case 1:
+				th.Store(a, v)
+				words[a] = v
+				wrote(w, a, true, false)
+			case 2:
+				old := words[a]
+				if rng.Intn(2) == 0 {
+					old = uint64(rng.Intn(4))
+				}
+				ok := th.CAS(a, old, v)
+				want(t, at("CAS"), ok, old == words[a])
+				if ok {
+					words[a] = v
+				}
+				wrote(w, a, ok, false)
+			case 3, 4:
+				size := core.WordSize
+				if i < 2*lines-2 && rng.Intn(4) == 0 {
+					size = 2 * core.LineSize
+				}
+				fits := true
+				first, last, _ := core.LineSpan(a, size)
+				for l := first; fits && l <= last; l++ {
+					switch {
+					case slices.Contains(m.lines, l):
+					case len(m.lines) == maxTags:
+						fits, m.doomed = false, true
+					default:
+						m.lines = append(m.lines, l)
+					}
+				}
+				want(t, at("AddTag"), th.AddTag(a, size), fits)
+			case 5:
+				th.RemoveTag(a, core.WordSize)
+				if j := slices.Index(m.lines, a.Line()); j >= 0 {
+					m.lines = slices.Delete(m.lines, j, j+1)
+				}
+			case 6:
+				m.validated(t, at("Validate"), th.Validate())
+			case 7, 8:
+				ias, op, commit := false, "VAS", th.VAS
+				if rng.Intn(2) == 0 {
+					ias, op, commit = true, "IAS", th.IAS
+				}
+				ok := commit(a, v)
+				m.validated(t, at(op), ok)
+				if ok {
+					words[a] = v
+					wrote(w, a, true, ias)
+				}
+			default:
+				th.ClearTagSet()
+				*m = tagModel{}
+			}
+			want(t, at("TagCount after"), th.TagCount(), len(m.lines))
+		}
+		for i := 0; i < 2*lines; i++ {
+			want(t, fmt.Sprintf("seed %d: final word %d", seed, i), ths[i%2].Load(addr(i)), words[addr(i)])
+		}
+		ths[0].ClearTagSet()
+		ths[1].ClearTagSet()
 	}
 }
 
@@ -576,7 +712,8 @@ func spareThread(t *testing.T, newMem Factory) {
 // phase on the same clock as the idle ones, alignment disturbs neither
 // memory nor tag state, and enrolled workers with uneven work all finish —
 // an early finisher withdraws instead of holding the rest back, and the
-// last one runs on alone without stalling.
+// last one runs on alone without stalling. An enrolled thread's hot path
+// allocates nothing either.
 func epochAndLaxClock(t *testing.T, newMem Factory) {
 	const workers = 3
 	mem := newMem(workers, 8)
@@ -613,6 +750,12 @@ func epochAndLaxClock(t *testing.T, newMem Factory) {
 	}
 	want(t, "the word after the phase", t0.Load(a), 99)
 	want(t, "Validate of a tag held across the phase", t0.Validate(), true)
+	t0.ClearTagSet()
+	if lc, ok := t0.(core.LaxClocked); ok { // an enrolled thread publishes its clock on every op
+		lc.SetActive(true)
+		allocBudget(t, mem)
+		lc.SetActive(false)
+	}
 }
 
 // countTracer counts events by kind without allocating.
@@ -638,22 +781,111 @@ func tagScript(t *testing.T, th core.Thread, a core.Addr) {
 	th.ClearTagSet()
 }
 
+// tagEventLog keeps the tag events of the core vocabulary, each with its
+// line as an offset from base when the kind carries one.
+type tagEventLog struct {
+	base   core.Line
+	events []string
+}
+
+func (r *tagEventLog) Trace(e core.Event) {
+	switch e.Kind {
+	case core.EvTagAdd, core.EvTagRemove, core.EvTagEvicted,
+		core.EvCommitVAS, core.EvCommitIAS, core.EvVASFail, core.EvIASFail:
+		r.events = append(r.events, fmt.Sprintf("%v +%d", e.Kind, core.Line(e.Line)-r.base))
+	case core.EvValidateOK, core.EvValidateFail:
+		r.events = append(r.events, e.Kind.String())
+	}
+}
+
+// tagEvents is what a traced memory reports for eventScript, in order.
+var tagEvents = []string{
+	"TagAdd +0", "TagAdd +1", "ValidateOK", "CommitVAS +0", "TagRemove +1", "CommitIAS +0",
+	"TagAdd +2", "TagEvicted +2", "ValidateFail", "VASFail +2", "IASFail +2",
+	"TagAdd +0", "TagAdd +1", "TagAdd +2", "TagAdd +3", "ValidateFail", "VASFail +0",
+	"TagAdd +3", "ValidateOK",
+	"TagAdd +0", "TagAdd +1", "TagAdd +2", "ValidateOK", "CommitVAS +1", "ValidateOK",
+}
+
+// eventScript drives one thread with Max_Tags 4 through every path that
+// reports a tag event: multi-line tagging, validations that pass and fail,
+// VAS and IAS commits and their failures (after a forced eviction and after
+// an overflow, which itself reports nothing), tag removal, and re-tagging
+// held lines. It returns TagCount after each re-tag step.
+func eventScript(th core.Thread, ev core.TagEvictor, base core.Addr) (counts []int) {
+	line := func(i int) core.Addr { return base + core.Addr(i*core.LineSize) }
+	th.AddTag(line(0), 2*core.LineSize)
+	th.Validate()
+	th.VAS(line(0), 7)
+	th.RemoveTag(line(1), core.LineSize)
+	th.IAS(line(0), 8)
+	th.ClearTagSet()
+
+	th.AddTag(line(2), core.LineSize)
+	ev.ForceTagEviction(line(2).Line())
+	th.Validate()
+	th.VAS(line(2), 9)
+	th.IAS(line(2), 10)
+	th.ClearTagSet()
+
+	for i := 0; i <= 4; i++ {
+		th.AddTag(line(i), core.LineSize)
+	}
+	th.Validate()
+	th.VAS(line(0), 11)
+	th.ClearTagSet()
+
+	th.AddTag(line(3), core.LineSize)
+	th.Validate()
+	th.ClearTagSet()
+
+	// Re-tagging a held line — the same word, a second word of the newest
+	// line (a tree node's key, then its child pointer), an older line, and a
+	// span that is half held — adds only the lines not yet in the set.
+	th.AddTag(line(0), core.WordSize)
+	th.AddTag(line(1), core.WordSize)
+	counts = append(counts, th.TagCount())
+	th.AddTag(line(1), core.WordSize)
+	th.AddTag(line(1).Plus(3), core.WordSize)
+	th.AddTag(line(0), core.LineSize)
+	counts = append(counts, th.TagCount())
+	th.AddTag(line(1), 2*core.LineSize)
+	counts = append(counts, th.TagCount())
+	th.Validate()
+	th.VAS(line(1), 12)
+	th.Validate()
+	th.ClearTagSet()
+	return counts
+}
+
+// tracerRoundTrip: an attached tracer sees exactly tagEvents for
+// eventScript (on a thread that can be made to lose a tag), the hot path
+// stays allocation-free while one is attached, and a detached one hears
+// nothing more.
 func tracerRoundTrip(t *testing.T, newMem Factory) {
-	mem := newMem(2, 8)
+	mem := newMem(1, 4)
 	tb, ok := mem.(core.Traceable)
 	if !ok {
 		t.Skip("memory is no core.Traceable")
 	}
-	th, a := mem.Thread(0), mem.Alloc(4*core.WordsPerLine)
+	th, a := mem.Thread(0), mem.Alloc(5*core.WordsPerLine)
+	for i := 0; i < 5; i++ { // resident lines: no fills or displacements in the script
+		th.Store(a+core.Addr(i*core.LineSize), 1)
+	}
+	if ev, ok := th.(core.TagEvictor); ok {
+		log := &tagEventLog{base: a.Line()}
+		tb.SetTracer(log)
+		counts := eventScript(th, ev, a)
+		want(t, "TagCount after each re-tag step", fmt.Sprint(counts), "[2 2 3]")
+		if !slices.Equal(log.events, tagEvents) {
+			t.Errorf("tag events:\n got %q\nwant %q", log.events, tagEvents)
+		}
+	}
 	tagScript(t, th, a)
 	tr := &countTracer{}
 	tb.SetTracer(tr)
 	tagScript(t, th, a)
-	for _, k := range []core.EventKind{core.EvTagAdd, core.EvTagRemove, core.EvValidateOK, core.EvCommitVAS, core.EvCommitIAS} {
-		if tr.n[k].Load() == 0 {
-			t.Errorf("attached tracer saw no %v event", k)
-		}
-	}
+	want(t, "events delivered while attached", tr.total() > 0, true)
 	allocBudget(t, mem)
 	tb.SetTracer(nil)
 	seen := tr.total()

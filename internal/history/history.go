@@ -111,9 +111,6 @@ func NewRecorder(workers, capacityHint int) *Recorder {
 // goroutine at a time.
 func (r *Recorder) Shard(w int) *Shard { return &r.shards[w] }
 
-// NumShards returns the number of worker shards.
-func (r *Recorder) NumShards() int { return len(r.shards) }
-
 // Events gathers every recorded event. Only valid once all workers have
 // stopped recording.
 func (r *Recorder) Events() []Event {
@@ -187,6 +184,3 @@ func (s *Shard) TxWrite(idx int, addr, val uint64) {
 // the operation returns, but the invocation timestamp must still come from
 // Begin; record those by Begin/SetArg/End.
 func (s *Shard) SetArg(idx int, arg uint64) { s.events[idx].Arg = arg }
-
-// Len returns the number of events recorded in this shard.
-func (s *Shard) Len() int { return len(s.events) }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -27,20 +28,20 @@ func edgeCores(cores int) []int {
 	return out
 }
 
-func setOf(cs ...int) (s core.CoreSet) {
-	for _, c := range cs {
-		s.Add(c)
-	}
+// setOf is the ascending member list DebugLine reports for cores cs.
+func setOf(cs ...int) []int {
+	s := slices.Clone(cs)
+	slices.Sort(s)
 	return s
 }
 
 // wantLine fails unless the directory holds exactly the given state for
-// line a; comparing whole CoreSets also catches a stray bit in another
+// line a; comparing whole member lists also catches a stray bit in another
 // mask word.
-func wantLine(t *testing.T, m *Machine, a core.Addr, step string, sharers core.CoreSet, owner int, taggers core.CoreSet) {
+func wantLine(t *testing.T, m *Machine, a core.Addr, step string, sharers []int, owner int, taggers []int) {
 	t.Helper()
 	gs, gotOwner, gt := m.DebugLine(a.Line())
-	if gs != sharers || gotOwner != owner || gt != taggers {
+	if !slices.Equal(gs, sharers) || gotOwner != owner || !slices.Equal(gt, taggers) {
 		t.Fatalf("%s: directory (sharers %v, owner %d, taggers %v), want (%v, %d, %v)",
 			step, gs, gotOwner, gt, sharers, owner, taggers)
 	}
@@ -63,7 +64,7 @@ func TestDirectoryWidths(t *testing.T) {
 			for _, c := range cs {
 				m.threads[c].Load(a)
 			}
-			wantLine(t, m, a, "all load", all, -1, core.CoreSet{})
+			wantLine(t, m, a, "all load", all, -1, nil)
 			for _, c := range cs {
 				m.threads[c].AddTag(a, core.WordSize)
 			}
@@ -78,7 +79,7 @@ func TestDirectoryWidths(t *testing.T) {
 				}
 				m.threads[c].ClearTagSet()
 			}
-			wantLine(t, m, a, "clear tags", setOf(actor), actor, core.CoreSet{})
+			wantLine(t, m, a, "clear tags", setOf(actor), actor, nil)
 
 			// A reader downgrades the owner.
 			reader := cs[0]
@@ -86,7 +87,7 @@ func TestDirectoryWidths(t *testing.T) {
 				reader = cs[len(cs)-1]
 			}
 			m.threads[reader].Load(a)
-			wantLine(t, m, a, "downgrade", setOf(actor, reader), -1, core.CoreSet{})
+			wantLine(t, m, a, "downgrade", setOf(actor, reader), -1, nil)
 
 			// IAS on b invalidates every tagged line at all other cores.
 			for _, c := range cs {
@@ -111,7 +112,7 @@ func TestDirectoryWidths(t *testing.T) {
 				m.threads[c].Load(a)
 			}
 			m.SpareThread().Store(a, 3)
-			wantLine(t, m, a, "spare store", core.CoreSet{}, -1, core.CoreSet{})
+			wantLine(t, m, a, "spare store", nil, -1, nil)
 		}
 	}
 }

@@ -192,15 +192,13 @@ func (m *Machine) installDirChunk(ci uint64) *dirChunk {
 }
 
 // DebugLine returns the directory state of a line for tests: the sharer
-// set, owner core (or -1), and tagger set. The sets are copies; mutating
-// them does not touch the directory.
-func (m *Machine) DebugLine(l core.Line) (sharers core.CoreSet, owner int, taggers core.CoreSet) {
+// cores in ascending order, the owner core (or -1), and the tagger cores in
+// ascending order.
+func (m *Machine) DebugLine(l core.Line) (sharers []int, owner int, taggers []int) {
 	d := m.dirAt(l)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	copy(sharers[:], d.sharers())
-	copy(taggers[:], d.taggers())
-	return sharers, int(d.owner), taggers
+	return d.sharers().members(), int(d.owner), d.taggers().members()
 }
 
 // coreBits is a set of core ids in w = ceil(Cores/64) words: one line's
@@ -263,4 +261,13 @@ func (s coreBits) next(from int) int {
 		}
 	}
 	return -1
+}
+
+// members returns the cores in s in ascending order.
+func (s coreBits) members() []int {
+	var out []int
+	for c := s.next(0); c >= 0; c = s.next(c + 1) {
+		out = append(out, c)
+	}
+	return out
 }

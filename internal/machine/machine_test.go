@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -47,13 +48,13 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	t1.Load(a) // both cores now share the line
 
 	sharers, _, _ := m.DebugLine(a.Line())
-	if sharers.Count() != 2 || !sharers.Contains(0) || !sharers.Contains(1) {
+	if !slices.Equal(sharers, []int{0, 1}) {
 		t.Fatalf("sharers = %v, want {0,1}", sharers)
 	}
 
 	t0.Store(a, 2)
 	sharers, owner, _ := m.DebugLine(a.Line())
-	if sharers.Count() != 1 || !sharers.Contains(0) || owner != 0 {
+	if !slices.Equal(sharers, []int{0}) || owner != 0 {
 		t.Fatalf("after store: sharers=%v owner=%d, want {0}/0", sharers, owner)
 	}
 	if m.CoreStatsOf(1).InvalidationsReceived.Load() == 0 {

@@ -12,8 +12,8 @@ import (
 // TestScaleSmoke128 drives a 128-core, 2-socket machine — past the paper's
 // 64-core ceiling — through a mixed workload and checks the directory
 // invariants and snapshot sanity. This is the tier-1 guard that the
-// CoreSet directory, the sharded clock, and the per-core arenas behave at
-// multi-word-mask scale.
+// directory's core sets, the sharded clock, and the per-core arenas behave
+// at multi-word-mask scale.
 func TestScaleSmoke128(t *testing.T) {
 	const cores, opsPer, words = 128, 120, 96
 	cfg := NUMAConfig(cores, 2)

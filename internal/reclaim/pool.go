@@ -46,7 +46,6 @@ type Pool struct {
 	words       int
 	linesPerObj int
 	policy      Policy
-	scanBatch   int
 
 	pt []poolThread
 
@@ -74,12 +73,11 @@ type Pool struct {
 }
 
 type poolThread struct {
-	priv      []core.Addr // LIFO free cache, cap privCap
-	pending   []pendingEntry
-	head      int
-	sinceScan int
+	priv    []core.Addr // LIFO free cache, cap privCap
+	pending []pendingEntry
+	head    int
 
-	_ [4]uint64 // keep neighbouring threads' state off one host cache line
+	_ [5]uint64 // keep neighbouring threads' state off one host cache line
 }
 
 type pendingEntry struct {
@@ -99,7 +97,6 @@ func NewPool(d *Domain, words int, policy Policy) *Pool {
 		words:       words,
 		linesPerObj: (words*core.WordSize + core.LineSize - 1) / core.LineSize,
 		policy:      policy,
-		scanBatch:   1,
 	}
 	p.pt = make([]poolThread, len(d.handles))
 	for i := range p.pt {
@@ -118,19 +115,8 @@ func (p *Pool) Words() int { return p.words }
 // Policy returns the pool's reclamation policy.
 func (p *Pool) Policy() Policy { return p.policy }
 
-// SetScanBatch sets how many retires accumulate between pipeline scans
-// (default 1: scan on every retire, the lowest-latency setting). Only call
-// while quiescent.
-func (p *Pool) SetScanBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.scanBatch = n
-}
-
-// SetTelemetry attaches per-core telemetry (retire-to-free latency and
-// free-list occupancy land in the retiring thread's Core). Only call while
-// quiescent.
+// SetTelemetry attaches per-core telemetry (retire-to-free latency lands in
+// the retiring thread's Core). Only call while quiescent.
 func (p *Pool) SetTelemetry(s *telemetry.Set) { p.tel = s }
 
 // Enter brackets the start of a structure operation on th (delegates to
@@ -248,10 +234,7 @@ func (p *Pool) Retire(th core.Thread, a core.Addr) {
 		return
 	}
 	pt.pending = append(pt.pending, pendingEntry{addr: a, stamp: stamp, clock: clock})
-	pt.sinceScan++
-	if pt.sinceScan >= p.scanBatch {
-		p.scan(th, pt)
-	}
+	p.scan(th, pt)
 }
 
 // FreePrivate returns an object that was never published (e.g. a
@@ -281,7 +264,6 @@ func (p *Pool) Scan(th core.Thread) bool {
 // boundary; an announced tag also stops the pass (conservatively FIFO:
 // announcements are transient, held at most for the announcing op).
 func (p *Pool) scan(th core.Thread, pt *poolThread) {
-	pt.sinceScan = 0
 	if pt.head == len(pt.pending) {
 		return
 	}
@@ -356,18 +338,15 @@ func (p *Pool) free(th core.Thread, pt *poolThread, e pendingEntry) {
 	}
 	p.freed.Add(1)
 	p.inUseLines.Add(int64(-p.linesPerObj))
-	occ := p.put(pt, e.addr)
+	p.put(pt, e.addr)
 	if p.tel != nil {
-		c := p.tel.Core(th.ID())
 		clock, _ := opClock(th)
-		c.NoteRetireToFree(clock - e.clock)
-		c.NoteFreeListLines(uint64(occ) * uint64(p.linesPerObj))
+		p.tel.Core(th.ID()).NoteRetireToFree(clock - e.clock)
 	}
 }
 
-// put places a free object in the thread cache or the shared spill list,
-// returning the total free-object count after the insert.
-func (p *Pool) put(pt *poolThread, a core.Addr) int64 {
+// put places a free object in the thread cache or the shared spill list.
+func (p *Pool) put(pt *poolThread, a core.Addr) {
 	if len(pt.priv) < cap(pt.priv) {
 		pt.priv = append(pt.priv, a)
 	} else {
@@ -375,7 +354,7 @@ func (p *Pool) put(pt *poolThread, a core.Addr) int64 {
 		p.spill = append(p.spill, a)
 		p.mu.Unlock()
 	}
-	return p.freeObjs.Add(1)
+	p.freeObjs.Add(1)
 }
 
 func (p *Pool) eachLine(a core.Addr, f func(core.Line)) {

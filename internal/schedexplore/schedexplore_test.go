@@ -117,7 +117,7 @@ func probeSetup(obs map[[2]bool]bool) func() schedexplore.Setup {
 				th.Load(probe) // the scheduling slot
 				_, _, t1 := m.DebugLine(l1)
 				_, _, t2 := m.DebugLine(l2)
-				obs[[2]bool{!t1.Empty(), !t2.Empty()}] = true
+				obs[[2]bool{len(t1) > 0, len(t2) > 0}] = true
 			},
 		}
 	}

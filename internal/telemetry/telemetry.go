@@ -29,9 +29,6 @@ type Core struct {
 	// units (machine cycles / vtags ticks) between an object's retire and
 	// the scan pass that freed it, observed on the retiring thread.
 	RetireToFree Histogram
-	// FreeListLines is free-list occupancy in lines, sampled after each
-	// free — how much recycled capacity the pool is sitting on.
-	FreeListLines Histogram
 
 	valRun, vasRun, iasRun uint64 // open (unobserved) failure streaks
 }
@@ -68,9 +65,6 @@ func (c *Core) NoteTagOccupancy(n int) { c.TagOccupancy.Observe(uint64(n)) }
 // in backend clock units.
 func (c *Core) NoteRetireToFree(d uint64) { c.RetireToFree.Observe(d) }
 
-// NoteFreeListLines records the free-list occupancy after a free.
-func (c *Core) NoteFreeListLines(n uint64) { c.FreeListLines.Observe(n) }
-
 // Flush closes any open failure streaks so that histogram sums match the
 // backend failure counters. Call once, at quiescence, before reading.
 func (c *Core) Flush() {
@@ -98,7 +92,6 @@ func (c *Core) Merge(o *Core) {
 	c.VASStreak.Merge(&o.VASStreak)
 	c.IASStreak.Merge(&o.IASStreak)
 	c.RetireToFree.Merge(&o.RetireToFree)
-	c.FreeListLines.Merge(&o.FreeListLines)
 }
 
 // Set is a fixed family of per-core telemetry structs, one per simulated
