@@ -126,9 +126,9 @@ func TestHoHBSTDeleteInvalidatesWindow(t *testing.T) {
 	s.Insert(t0, 20)
 
 	// t1 pauses holding tags on the leaf 10 and its parent.
-	a := s.begin(t1)
-	_, _, l := a.locate(10)
-	if keyOf(t1, l) != 10 {
+	a := s.Begin(t1)
+	_, _, l := a.Locate(10)
+	if KeyOf(t1, l) != 10 {
 		t.Fatal("locate found wrong leaf")
 	}
 	if !t1.Validate() {

@@ -13,9 +13,9 @@ type checkable interface {
 
 // CheckInvariants validates a quiescent tree:
 //
-//   - both sentinels are in place: the root is S1 (internal, key inf2) with
-//     S2 (internal, key inf1) on its left and the inf2 leaf on its right, and
-//     S2's right child is an inf1 leaf;
+//   - both sentinels are in place: the root is S1 (internal, key Inf2) with
+//     S2 (internal, key Inf1) on its left and the Inf2 leaf on its right, and
+//     S2's right child is an Inf1 leaf;
 //   - the tree is leaf-oriented: every internal node has two children, every
 //     path ends in a leaf, and no node is reachable twice;
 //   - search order: every real leaf key (below the sentinel range) lies
@@ -29,18 +29,18 @@ type checkable interface {
 func CheckInvariants(th core.Thread, t checkable) error {
 	s1 := t.Root()
 	child := func(n core.Addr, f int) core.Addr { return core.Addr(th.Load(n.Plus(f))) }
-	if isLeaf(th, s1) || keyOf(th, s1) != inf2 {
-		return fmt.Errorf("root %#x is not the inf2 sentinel", uint64(s1))
+	if IsLeaf(th, s1) || KeyOf(th, s1) != Inf2 {
+		return fmt.Errorf("root %#x is not the Inf2 sentinel", uint64(s1))
 	}
-	s2 := child(s1, fLeft)
-	if s2.IsNil() || isLeaf(th, s2) || keyOf(th, s2) != inf1 {
-		return fmt.Errorf("root's left child %#x is not the inf1 sentinel", uint64(s2))
+	s2 := child(s1, FLeft)
+	if s2.IsNil() || IsLeaf(th, s2) || KeyOf(th, s2) != Inf1 {
+		return fmt.Errorf("root's left child %#x is not the Inf1 sentinel", uint64(s2))
 	}
 	for _, c := range []struct {
 		n   core.Addr
 		key uint64
-	}{{child(s1, fRight), inf2}, {child(s2, fRight), inf1}} {
-		if c.n.IsNil() || !isLeaf(th, c.n) || keyOf(th, c.n) != c.key {
+	}{{child(s1, FRight), Inf2}, {child(s2, FRight), Inf1}} {
+		if c.n.IsNil() || !IsLeaf(th, c.n) || KeyOf(th, c.n) != c.key {
 			return fmt.Errorf("sentinel leaf %#x missing or not keyed %#x", uint64(c.n), c.key)
 		}
 	}
@@ -57,9 +57,9 @@ func CheckInvariants(th core.Thread, t checkable) error {
 			return fmt.Errorf("node %#x reachable twice", uint64(n))
 		}
 		seen[n] = true
-		k := keyOf(th, n)
-		if isLeaf(th, n) {
-			if k >= inf1 {
+		k := KeyOf(th, n)
+		if IsLeaf(th, n) {
+			if k >= Inf1 {
 				return nil
 			}
 			if k < lo || k > hi {
@@ -74,10 +74,10 @@ func CheckInvariants(th core.Thread, t checkable) error {
 		if k == 0 {
 			return fmt.Errorf("internal node %#x routes on key 0: nothing can be on its left", uint64(n))
 		}
-		if err := walk(child(n, fLeft), lo, min(hi, k-1)); err != nil {
+		if err := walk(child(n, FLeft), lo, min(hi, k-1)); err != nil {
 			return err
 		}
-		return walk(child(n, fRight), max(lo, k), hi)
+		return walk(child(n, FRight), max(lo, k), hi)
 	}
 	return walk(s1, 0, ^uint64(0))
 }

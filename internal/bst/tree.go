@@ -7,12 +7,9 @@ import (
 )
 
 // set is the tree bound to one flavour's steps: the search and the two
-// updates exist once, below, and run through whichever treeupdate.Step the
-// flavour supplies.
-type set struct {
-	base
-	steps treeupdate.Steps
-}
+// updates exist once, below and in Tree, and run through whichever
+// treeupdate.Step the flavour supplies.
+type set struct{ Tree }
 
 var _ intset.Set = (*set)(nil)
 
@@ -21,7 +18,7 @@ type LLX struct{ set }
 
 // NewLLX creates an empty tree.
 func NewLLX(mem core.Memory) *LLX {
-	return &LLX{set{newBase(mem), treeupdate.NewLLX(mem, fLeft, 2)}}
+	return &LLX{set{NewTree(mem, treeupdate.NewLLX(mem, FLeft, 2), writeNode, false)}}
 }
 
 // HoH is the hand-over-hand-tagged external BST: searches keep a tagged
@@ -37,87 +34,27 @@ func NewHoH(mem core.Memory) *HoH {
 	if mem.MaxTags() < 4 {
 		panic("bst: MaxTags below the HoH tagging window (4 lines)")
 	}
-	return &HoH{set{newBase(mem), treeupdate.NewTagged(mem, nodeBytes, fLeft, nil)}}
-}
-
-// Keys enumerates the set while quiescent.
-func (s *set) Keys(th core.Thread) []uint64 { return s.collect(th) }
-
-// Root returns the top sentinel (for invariant checks).
-func (s *set) Root() core.Addr { return s.root }
-
-// attempt is one run of the template by one thread.
-type attempt struct {
-	*set
-	th core.Thread
-	st treeupdate.Step
-}
-
-func (s *set) begin(th core.Thread) attempt {
-	a := attempt{set: s, th: th, st: s.steps.On(th)}
-	a.st.Begin()
-	return a
-}
-
-// end closes the attempt, letting go of whatever is still held.
-func (a *attempt) end() {
-	a.st.Abandon()
-	a.st.End()
-}
-
-// locate descends to the leaf covering key, returning the last three nodes.
-// Under tags the step keeps all three held — they were in the tree at the
-// last successful validation — and restarts on a failed one. The two
-// sentinel levels guarantee gp and p are valid internal nodes for every
-// legal key.
-func (a *attempt) locate(key uint64) (gp, p, l core.Addr) {
-	for a.st.Seek(a.root) {
-		gp, p, l = core.NilAddr, core.NilAddr, a.root
-		for {
-			if isLeaf(a.th, l) {
-				return gp, p, l
-			}
-			slot, _ := childSlot(a.th, l, key)
-			next := core.Addr(a.th.Load(slot))
-			if !a.st.Down(gp, next) {
-				break
-			}
-			gp, p, l = p, l, next
-		}
-	}
-	panic("bst: unguarded descent gave up")
+	return &HoH{set{NewTree(mem, treeupdate.NewTagged(mem, nodeBytes, FLeft, nil), writeNode, false)}}
 }
 
 // holdLinked holds parent by snapshot and checks it still points at child
 // (from either side: the snapshot has both, and no router key is loaded).
-func (a *attempt) holdLinked(parent, child core.Addr) bool {
-	return a.st.Hold(parent, 2) &&
-		(core.Addr(a.st.Mut(parent, 0)) == child || core.Addr(a.st.Mut(parent, 1)) == child)
+func (a *Attempt) holdLinked(parent, child core.Addr) bool {
+	return a.St.Hold(parent, 2) &&
+		(core.Addr(a.St.Mut(parent, 0)) == child || core.Addr(a.St.Mut(parent, 1)) == child)
 }
 
 // slotTo returns the slot of held parent that points at child, the next node
 // on the search path for key. A snapshot is compared with child; under tags
 // the descent proved the link, so the router key picks the slot.
-func (a *attempt) slotTo(parent core.Addr, key uint64, child core.Addr) core.Addr {
-	if !a.st.Snapshots() {
-		slot, _ := childSlot(a.th, parent, key)
-		return slot
+func (a *Attempt) slotTo(parent core.Addr, key uint64, child core.Addr) core.Addr {
+	if !a.St.Snapshots() {
+		return ChildSlot(a.Th, parent, key)
 	}
-	if core.Addr(a.st.Mut(parent, 0)) == child {
-		return parent.Plus(fLeft)
+	if core.Addr(a.St.Mut(parent, 0)) == child {
+		return parent.Plus(FLeft)
 	}
-	return parent.Plus(fRight)
-}
-
-// Contains reports whether key is present: under LLX a plain sequential
-// search (leaf keys are immutable), under tags linearized at locate's last
-// successful validation.
-func (s *set) Contains(th core.Thread, key uint64) bool {
-	a := s.begin(th)
-	_, _, l := a.locate(key)
-	found := keyOf(th, l) == key
-	a.end()
-	return found
+	return parent.Plus(FRight)
 }
 
 // Insert adds key, reporting whether it was absent.
@@ -132,25 +69,25 @@ func (s *set) Insert(th core.Thread, key uint64) bool {
 // insertOnce replaces the leaf by a three-node subtree through its
 // parent's child slot.
 func (s *set) insertOnce(th core.Thread, key uint64) (done, added bool) {
-	a := s.begin(th)
-	defer a.end()
-	_, p, l := a.locate(key)
-	lkey := keyOf(th, l)
+	a := s.Begin(th)
+	defer a.End()
+	_, p, l := a.Locate(key)
+	lkey := KeyOf(th, l)
 	if lkey == key {
 		return true, false
 	}
 	// A snapshotting step searched without holding anything: hold the leaf
 	// and its parent now (the leaf has no mutable words, but the freeze/mark
 	// protocol still applies to it as a dependency).
-	if a.st.Snapshots() && !(a.holdLinked(p, l) && a.st.Hold(l, 0)) {
+	if a.St.Snapshots() && !(a.holdLinked(p, l) && a.St.Hold(l, 0)) {
 		return false, false
 	}
 	slot := a.slotTo(p, key, l)
-	if !a.st.Ready() {
+	if !a.St.Ready() {
 		return false, false
 	}
 	repl := newSubtree(th, key, lkey)
-	return a.st.Commit(treeupdate.Change{Owner: p, Slot: slot, Old: l, New: repl,
+	return a.St.Commit(treeupdate.Change{Owner: p, Slot: slot, Old: l, New: repl,
 		Removed: treeupdate.Nodes(l)}), true
 }
 
@@ -169,28 +106,28 @@ func (s *set) Delete(th core.Thread, key uint64) bool {
 // other core, so any traversal or update holding them fails its next
 // validation.
 func (s *set) deleteOnce(th core.Thread, key uint64) (done, removed bool) {
-	a := s.begin(th)
-	defer a.end()
-	gp, p, l := a.locate(key)
-	if keyOf(th, l) != key {
+	a := s.Begin(th)
+	defer a.End()
+	gp, p, l := a.Locate(key)
+	if KeyOf(th, l) != key {
 		return true, false
 	}
-	if a.st.Snapshots() && !(a.holdLinked(gp, p) && a.holdLinked(p, l) && a.st.Hold(l, 0)) {
+	if a.St.Snapshots() && !(a.holdLinked(gp, p) && a.holdLinked(p, l) && a.St.Hold(l, 0)) {
 		return false, false
 	}
 	// Read the sibling through the held parent: if p is unchanged at commit,
 	// this is still p's other child. (Two reads either way, as the tagged
 	// delete has always issued them: the simulated machine prices each.)
 	var sibling core.Addr
-	if core.Addr(a.st.Mut(p, 0)) == l {
-		sibling = core.Addr(a.st.Mut(p, 1))
+	if core.Addr(a.St.Mut(p, 0)) == l {
+		sibling = core.Addr(a.St.Mut(p, 1))
 	} else {
-		sibling = core.Addr(a.st.Mut(p, 0))
+		sibling = core.Addr(a.St.Mut(p, 0))
 	}
 	gpSlot := a.slotTo(gp, key, p)
-	if !a.st.Ready() {
+	if !a.St.Ready() {
 		return false, false
 	}
-	return a.st.Commit(treeupdate.Change{Owner: gp, Slot: gpSlot, Old: p, New: sibling,
+	return a.St.Commit(treeupdate.Change{Owner: gp, Slot: gpSlot, Old: p, New: sibling,
 		Removed: treeupdate.Nodes(p, l)}), true
 }

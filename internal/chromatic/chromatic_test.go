@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bst"
 	"repro/internal/core"
 	"repro/internal/intset"
 	"repro/internal/machine"
@@ -208,9 +209,9 @@ func TestChromaticHeightLogarithmic(t *testing.T) {
 	// Measure depth of the leftmost and a few random search paths.
 	depth := func(key uint64) int {
 		d := 0
-		x := core.Addr(th.Load(s.s2.Plus(fLeft)))
-		for !isLeaf(th, x) {
-			x = core.Addr(th.Load(childSlot(th, x, key)))
+		x := core.Addr(th.Load(s.S2().Plus(bst.FLeft)))
+		for !bst.IsLeaf(th, x) {
+			x = core.Addr(th.Load(bst.ChildSlot(th, x, key)))
 			d++
 		}
 		return d
@@ -263,16 +264,50 @@ func TestOverweightUnderRedRootChildKeepsSentinel(t *testing.T) {
 			}
 			sib := writeNode(th, nodeC{w: 0, key: 5, left: pair(2, 3), right: pair(5, 7)})
 			rc := writeNode(th, nodeC{w: 0, key: 10, left: sib, right: mkLeaf(th, 2, 10)})
-			th.Store(c.S2().Plus(fLeft), uint64(rc))
+			th.Store(c.S2().Plus(bst.FLeft), uint64(rc))
 
 			s.(interface{ cleanup(core.Thread, uint64) }).cleanup(th, 10) // toward X
-			if got := core.Addr(th.Load(c.Root().Plus(fLeft))); got != c.S2() {
+			if got := core.Addr(th.Load(c.Root().Plus(bst.FLeft))); got != c.S2() {
 				t.Fatalf("sentinel S2 was replaced: root's child is %#x, S2 is %#x", uint64(got), uint64(c.S2()))
 			}
 			checkTree(t, th, s)
 			want := []uint64{2, 3, 5, 7, 10}
 			if got := s.(intset.Snapshotter).Keys(th); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("keys = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsRejectsBrokenSentinel plants two broken sentinels the
+// weight walk never visits — S1's Inf2 leaf re-keyed, and a real leaf hung
+// as S2's right child — and requires the checker to reject each.
+func TestCheckInvariantsRejectsBrokenSentinel(t *testing.T) {
+	for _, v := range chromVariants {
+		t.Run(v.name, func(t *testing.T) {
+			for name, plant := range map[string]func(th core.Thread, c checkable){
+				"inf2-leaf-rekeyed": func(th core.Thread, c checkable) {
+					l := core.Addr(th.Load(c.Root().Plus(bst.FRight)))
+					th.Store(l.Plus(bst.FKey), bst.Inf1)
+				},
+				"real-leaf-right-of-s2": func(th core.Thread, c checkable) {
+					th.Store(c.S2().Plus(bst.FRight), uint64(mkLeaf(th, 1, 50)))
+				},
+			} {
+				mem := vtags.New(1<<20, 1)
+				th := mem.Thread(0)
+				s := v.mk(mem)
+				for k := uint64(1); k <= 20; k++ {
+					s.Insert(th, k)
+				}
+				c := s.(checkable)
+				if err := CheckInvariants(th, c); err != nil {
+					t.Fatalf("%s: intact tree rejected: %v", name, err)
+				}
+				plant(th, c)
+				if err := CheckInvariants(th, c); err == nil {
+					t.Errorf("%s: CheckInvariants accepted a broken sentinel", name)
+				}
 			}
 		})
 	}
