@@ -15,6 +15,16 @@ import "repro/internal/core"
 //
 //	path sums: old leaf contributes w_l. New: i(w_l-1) + leaf(1) = w_l on
 //	both sides. The new internal routes on the larger key (left < key).
+//
+// Precondition: w_l >= 1, else w_l-1 wraps. It holds because no rule makes
+// a leaf of weight 0, by induction over the rules: the sentinels, the
+// lone-leaf delete and planInsert's two leaves weigh 1; planDelete gives
+// w_p+w_s >= w_s, planRootWeight, BLK and A1e set 1; the A1 family lowers
+// x only from w_x >= 2; planA1 lowers s only when s is internal or weighs 2
+// or more (a weight-1 leaf's path sum could not equal the overweight x's);
+// and the rotations reweight internal nodes only. CheckInvariants rejects a
+// red leaf, and TestPlannersKeepLeavesWeighted feeds every planner leaves
+// of weight >= 1.
 func planInsert(th core.Thread, l nodeC, key uint64) core.Addr {
 	small, big := key, l.key
 	if small > big {
@@ -240,30 +250,6 @@ func planA3(th core.Thread, p, s, c nodeC, xAddr core.Addr, xIsLeft bool) core.A
 		top.left, top.right = sNew, pNew
 	}
 	return writeNode(th, top)
-}
-
-// planPUSH resolves a red-red at x when rotations are unavailable (x is an
-// inside-grandchild leaf): blacken p and push the compensating weight into
-// the uncle, lifting one unit out of gp.
-//
-//	sums: p-side: w_gp + 0 -> (w_gp-1) + 1; u-side: w_gp + w_u ->
-//	(w_gp-1) + (w_u+1). Requires w_gp >= 1 (topmost red-red).
-//	u' may become overweight (the violation transforms); gp' may become
-//	red (a red-red may move up).
-//
-// Removed nodes: gp, p, u.
-func planPUSH(th core.Thread, gp, p, u nodeC, pIsLeft bool) core.Addr {
-	p.w = 1
-	u.w = u.w + 1
-	pNew := writeNode(th, p)
-	uNew := writeNode(th, u)
-	gp.w = gp.w - 1
-	if pIsLeft {
-		gp.left, gp.right = pNew, uNew
-	} else {
-		gp.left, gp.right = uNew, pNew
-	}
-	return writeNode(th, gp)
 }
 
 // planA1b absorbs x's excess by rotating its weight-1 sibling s up, when

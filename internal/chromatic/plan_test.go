@@ -154,20 +154,6 @@ func TestRotationRulesPreservePathSums(t *testing.T) {
 				t.Fatalf("RB2 sums wrong (mirror=%v): %v", mirror, sums)
 			}
 			checkNoFreshRedRed(t, th, top, 1)
-
-			// PUSH: gp{p(0){x(0), c3}, u(w_u>=1)}.
-			wub := wu + 1 // ensure black uncle
-			pd4 := nodeC{w: 0, key: 11, left: x, right: c3}
-			if mirror {
-				pd4.left, pd4.right = c3, x
-			}
-			gp4 := nodeC{w: wgp, key: 22}
-			ud4 := nodeC{leaf: true, w: wub, key: 1000}
-			top = planPUSH(th, gp4, pd4, ud4, !mirror)
-			sums = pathSums(th, top)
-			if sums[1004] != wgp-1+1 || sums[1001] != wgp-1+1+wc3 || sums[1000] != wgp-1+wub+1 {
-				t.Fatalf("PUSH sums wrong: %v", sums)
-			}
 		}
 	}
 }
@@ -278,5 +264,134 @@ func TestWeightRulesPreservePathSums(t *testing.T) {
 				t.Fatalf("A3 sums wrong (mirror=%v): %v", mirror, sums)
 			}
 		}
+	}
+}
+
+// weighted builds random path-sum-consistent inputs for the planners: every
+// leaf weighs at least 1, as in any tree the rules can reach (planInsert).
+type weighted struct {
+	th  core.Thread
+	rng *rand.Rand
+	key uint64
+}
+
+// sub writes a random subtree whose leaves all sum to sum (>= 1) from its
+// root down. w fixes the root's weight (< 0: random); a root weighing the
+// whole sum is a leaf, any other is internal.
+func (g *weighted) sub(sum uint64, w int, depth int) nodeC {
+	if w < 0 {
+		w = int(sum)
+		if depth < 3 {
+			w = g.rng.Intn(int(sum) + 1)
+		}
+	}
+	g.key++
+	nd := nodeC{w: uint64(w), key: g.key}
+	if nd.w >= sum {
+		nd.leaf, nd.w = true, sum
+		return nd
+	}
+	nd.left = writeNode(g.th, g.sub(sum-nd.w, -1, depth+1))
+	nd.right = writeNode(g.th, g.sub(sum-nd.w, -1, depth+1))
+	return nd
+}
+
+// addr writes a random subtree (see sub) and returns its address.
+func (g *weighted) addr(sum uint64, w int) core.Addr { return writeNode(g.th, g.sub(sum, w, 1)) }
+
+// pair orders a near and a far child: near is on the left iff nearLeft.
+func pair(nd nodeC, near, far core.Addr, nearLeft bool) nodeC {
+	if nearLeft {
+		nd.left, nd.right = near, far
+	} else {
+		nd.left, nd.right = far, near
+	}
+	return nd
+}
+
+// TestPlannersKeepLeavesWeighted feeds every planner random configurations
+// of the shape its caller hands it, with every leaf weighing at least 1, and
+// checks the replacement: no leaf weighs 0, no weight wrapped, and every
+// leaf keeps the path sum it had (planRootWeight aside, which shifts all
+// paths alike).
+func TestPlannersKeepLeavesWeighted(t *testing.T) {
+	mem := vtags.New(64<<20, 1)
+	th := mem.Thread(0)
+	g := &weighted{th: th, rng: rand.New(rand.NewSource(11))}
+	rw := func(lo, hi int) uint64 { return uint64(lo + g.rng.Intn(hi-lo+1)) }
+	check := func(rule string, top core.Addr, want uint64) {
+		t.Helper()
+		var walk func(n core.Addr, acc uint64)
+		walk = func(n core.Addr, acc uint64) {
+			nd := readNode(th, n)
+			if nd.w >= 1<<32 {
+				t.Fatalf("%s: weight wrapped to %d", rule, nd.w)
+			}
+			acc += nd.w
+			if !nd.leaf {
+				walk(nd.left, acc)
+				walk(nd.right, acc)
+				return
+			}
+			if nd.w == 0 {
+				t.Fatalf("%s: leaf %d weighs 0", rule, nd.key)
+			}
+			if want == 0 {
+				want = acc
+			}
+			if acc != want {
+				t.Fatalf("%s: leaf %d sums to %d, want %d", rule, nd.key, acc, want)
+			}
+		}
+		walk(top, 0)
+	}
+	for iter := 0; iter < 1000; iter++ {
+		left := g.rng.Intn(2) == 0
+		// r is the path sum below the rule's top node; top weighs wt.
+		wt := rw(1, 3)
+		r := rw(2, 5)
+		sum := wt + r
+
+		l := g.sub(rw(1, 5), -1, 3)
+		check("insert", planInsert(th, l, l.key+1), l.w)
+		check("delete", planDelete(th, nodeC{w: wt, key: 1}, g.sub(r, -1, 1)), sum)
+		check("root-weight", planRootWeight(th, g.sub(r, -1, 1)), 0)
+
+		// Red-red at x under red p, gp on top: BLK (red uncle), RB1 (x
+		// outside), RB2 (x inside).
+		gp := nodeC{w: wt, key: 2}
+		x := g.sub(r, 0, 1)
+		xAddr := writeNode(th, x)
+		p := pair(nodeC{w: 0, key: 3}, xAddr, g.addr(r, -1), left)
+		u := g.sub(r, 0, 1)
+		check("BLK", planBLK(th, pair(gp, writeNode(th, p), writeNode(th, u), left), p, u, left), sum)
+		u = g.sub(r, int(rw(1, int(r))), 1)
+		check("RB1", planRB1(th, pair(gp, writeNode(th, p), writeNode(th, u), left), p, xAddr, left), sum)
+		p = pair(nodeC{w: 0, key: 3}, xAddr, g.addr(r, -1), !left)
+		check("RB2", planRB2(th, pair(gp, writeNode(th, p), writeNode(th, u), left), p, x, left), sum)
+
+		// Overweight x under p (weight wt-1, possibly red), sibling s.
+		pw := nodeC{w: wt - 1, key: 4}
+		x = g.sub(r, int(rw(2, int(r))), 1)
+		xAddr = writeNode(th, x)
+		s := g.sub(r, int(rw(1, int(r))), 1)
+		check("A1", planA1(th, pw, x, s, left), sum-1)
+		near, far := g.sub(r-1, int(rw(1, int(r-1))), 2), g.sub(r-1, 0, 2)
+		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), left)
+		check("A1b", planA1b(th, pw, x, s, left), sum-1)
+		near, far = g.sub(r-1, 0, 2), g.sub(r-1, int(rw(1, int(r-1))), 2)
+		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), left)
+		check("A1c", planA1c(th, pw, x, s, near, left), sum-1)
+		near, far = g.sub(r-1, 0, 2), g.sub(r-1, 0, 2)
+		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), left)
+		check("A1e", planA1e(th, pw, x, s, far, left), sum-1)
+
+		// Red sibling under a black p: A2 (near nephew black), A3 (red).
+		near, far = g.sub(r, int(rw(1, int(r))), 2), g.sub(r, -1, 2)
+		s = pair(nodeC{w: 0, key: 5}, writeNode(th, near), writeNode(th, far), left)
+		check("A2", planA2(th, gp, s, xAddr, left), sum)
+		near = g.sub(r, 0, 2)
+		s = pair(nodeC{w: 0, key: 5}, writeNode(th, near), writeNode(th, far), left)
+		check("A3", planA3(th, gp, s, near, xAddr, left), sum)
 	}
 }

@@ -82,8 +82,8 @@ var parityVariants = []parityVariant{
 // (mostly deletes) — so splits, merges, root growth and root collapse all
 // occur, and on the chromatic tree BLK, RB1, RB2, A1, A1b, A1c, A1e and A2.
 // What no single-thread script reaches (the package tests do not either) are
-// PUSH, A3 and the lone-leaf delete; the off-path red-red and the A1 beside a
-// heavy sibling need concurrency.
+// A3 and the lone-leaf delete; the off-path red-red and the A1 beside a heavy
+// sibling need concurrency.
 func parityRun(t *testing.T, v parityVariant) (stats string, digest uint64, events uint64) {
 	t.Helper()
 	cfg := machine.DefaultConfig(1)
