@@ -101,7 +101,7 @@ func BenchmarkFig7_ABTree15(b *testing.B) {
 // 128 simulated cores on 64-core sockets, both backends) and reports the
 // tagged tree's metrics at 128 cores: simulated throughput, cross-socket
 // traffic, and the simulated p99 op latency (numaP99cycles) that CI gates
-// — a regression here means the directory's core sets, the sharded clock, or
+// — a regression here means the directory's core sets, the lax clock, or
 // the socket pricing got slower or skewed at scale.
 func BenchmarkFigNUMA_ABTree35(b *testing.B) {
 	var mops, hops, p99 float64

@@ -126,7 +126,6 @@ func New(cfg Config) *Machine {
 	for c := 0; c < cfg.Cores; c++ {
 		m.sockMask[c/m.coresPerSocket].add(c)
 	}
-	m.clock.shards = make([]clockShard, (cfg.Cores+clockShardCores-1)/clockShardCores)
 	m.threads = make([]*Thread, cfg.Cores)
 	for i := range m.threads {
 		m.threads[i] = newThread(m, i)

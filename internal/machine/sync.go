@@ -19,19 +19,17 @@ import (
 // waiters would steal exactly the host cycles the laggard needs (an
 // O(cores²) tax). Two structures keep the host cost of the discipline low:
 //
-//   - The active-set minimum is hierarchical: per-shard lower bounds (up
-//     to clockShardCores cores per shard) are folded into a shared cached
-//     bound (clockSync.gmin) that every core reads lock-free on its fast
-//     path. A core only rescans published clocks when its own clock runs
-//     past gmin+window, and that rescan touches its own shard plus the
-//     fold — O(cores/shards + shards), not O(cores) — while still
-//     refreshing the bound for all cores.
+//   - The active-set minimum is cached: a shared lower bound
+//     (clockSync.gmin) that every core reads lock-free on its fast path.
+//     A core only rescans published clocks when its own clock runs past
+//     gmin+window, and that O(cores) rescan refreshes the bound for all
+//     cores.
 //   - The wakeup path is sharded per core: each thread parks on its own
 //     condition variable, and a progressing thread signals only the cores
 //     whose parked flag is set, under that core's private mutex. Distinct
-//     waiter/waker pairs never serialize on a shared lock, and machine-wide
-//     plus per-shard parked counts make the common nobody-is-parked
-//     broadcast a single atomic load rather than an O(cores) flag scan.
+//     waiter/waker pairs never serialize on a shared lock, and a machine-wide
+//     parked count makes the common nobody-is-parked broadcast a single
+//     atomic load rather than an O(cores) flag scan.
 //
 // Only *active* threads participate: a thread must call SetActive(true)
 // before issuing measured work and SetActive(false) after (the workload
@@ -124,61 +122,24 @@ func (t *Thread) TakeSegmentAccesses(dst []Access) []Access {
 // Only call while quiescent.
 func (m *Machine) SetGate(g Gate) { m.gate = g }
 
-// clockShardCores is the number of cores per lax-clock shard. 64 keeps a
-// shard rescan at most one cache line of published clocks wide and gives a
-// 512-core machine 8 shards.
-const clockShardCores = 64
-
-// clockShard holds one shard's slice of the active-minimum hierarchy.
-type clockShard struct {
-	// mu serializes rescans of this shard's active set; enrolment and
-	// withdrawal update membership under it, so a shard rescan's view is
-	// consistent without the machine-wide mutex.
-	mu sync.Mutex
-	// smin is a lower bound on the minimum published clock over this
-	// shard's active threads (MaxUint64 when none). It goes stale-low as
-	// clocks advance — always safe — and is re-tightened by shard rescans.
-	smin atomic.Uint64
-	// parked counts this shard's threads currently parked, so a waker can
-	// skip whole shards.
-	parked atomic.Int64
-}
-
-// clockSync is the machine-wide lax synchronization state, sharded so that
-// no per-operation path scans all cores: the fast path reads gmin, the
-// slow path rescans one shard (O(cores/shards)) and folds the per-shard
-// minima. Per-core park state (the sharded wakeup path) lives on each
-// Thread.
+// clockSync is the machine-wide lax synchronization state. The fast path
+// reads gmin; the slow path rescans every core's published clock once.
+// Per-core park state (the sharded wakeup path) lives on each Thread.
 type clockSync struct {
-	// mu serializes gmin updates (folds of the shard minima and enrolment
-	// lowering), so a fold cannot race an enrolment into publishing a
-	// bound above the true minimum.
+	// mu serializes membership changes (SetActive) with the rescans that
+	// publish gmin, so every published bound is the minimum over one
+	// consistent active set.
 	mu sync.Mutex
 	// gmin is a shared lower bound on the minimum published clock over
-	// active threads, read lock-free on the throttle fast path. Published
-	// clocks only advance, so a folded minimum stays a valid lower bound
-	// until an enrolment lowers it (which happens under mu).
+	// active threads (MaxUint64 when none), read lock-free on the throttle
+	// fast path. Published clocks only advance, so a rescanned minimum
+	// stays a valid lower bound until an enrolment lowers it, which
+	// happens under mu.
 	gmin atomic.Uint64
-	// shards holds the per-shard minima and parked counts.
-	shards []clockShard
 	// parked counts parked threads machine-wide: the wakeParked fast-out
 	// is one load when nothing is parked, instead of an O(cores) flag scan
 	// on every half-window broadcast.
 	parked atomic.Int64
-}
-
-// fold returns the minimum over the per-shard lower bounds. Each smin is a
-// valid lower bound on its shard's active minimum, so the fold is a valid
-// lower bound on the global one. The caller holds cs.mu when the result is
-// published to gmin.
-func (cs *clockSync) fold() uint64 {
-	min := ^uint64(0)
-	for i := range cs.shards {
-		if s := cs.shards[i].smin.Load(); s < min {
-			min = s
-		}
-	}
-	return min
 }
 
 // BeginEpoch aligns every core's simulated clock to the current maximum
@@ -198,23 +159,15 @@ func (m *Machine) BeginEpoch() {
 		t.pubCycles.Store(maxC)
 		t.lastBcast = maxC
 	}
-	for si := range m.clock.shards {
-		m.clock.shards[si].smin.Store(m.shardScan(si))
-	}
 	m.clock.gmin.Store(maxC)
 }
 
-// shardScan returns the minimum published clock over shard si's active
-// threads, or MaxUint64 when the shard has no active thread. Callers that
-// publish the result to smin must hold the shard's mutex.
-func (m *Machine) shardScan(si int) uint64 {
-	lo := si * clockShardCores
-	hi := lo + clockShardCores
-	if hi > len(m.threads) {
-		hi = len(m.threads)
-	}
+// activeMin returns the minimum published clock over active threads, or
+// MaxUint64 when none is active. Callers that publish the result to gmin
+// must hold clock.mu.
+func (m *Machine) activeMin() uint64 {
 	min := ^uint64(0)
-	for _, o := range m.threads[lo:hi] {
+	for _, o := range m.threads {
 		if !o.active.Load() {
 			continue
 		}
@@ -230,31 +183,15 @@ func (m *Machine) shardScan(si int) uint64 {
 // within Config.SyncWindowCycles of the slowest active core.
 func (t *Thread) SetActive(on bool) {
 	cs := &t.m.clock
-	sh := &cs.shards[t.cshard]
-	sh.mu.Lock()
+	cs.mu.Lock()
 	if on {
 		t.pubCycles.Store(t.stats.Cycles)
 	}
 	t.active.Store(on)
-	// Membership changed: re-tighten this shard's bound exactly.
-	sh.smin.Store(t.m.shardScan(t.cshard))
-	sh.mu.Unlock()
-
-	cs.mu.Lock()
-	min := cs.fold()
-	if on {
-		// Enrolment can only lower the active minimum; fold the new clock
-		// into the shared bound before anyone fast-paths past it. (The fold
-		// of other shards' stale-low bounds may sit below the true minimum;
-		// publishing something lower than necessary is always safe.)
-		if min < cs.gmin.Load() {
-			cs.gmin.Store(min)
-		}
-	} else if min > cs.gmin.Load() {
-		// Withdrawal may raise the minimum; publish eagerly so remaining
-		// cores fast-path instead of rescanning.
-		cs.gmin.Store(min)
-	}
+	// Membership changed: publish the new set's minimum before anyone
+	// fast-paths past it. Enrolment may lower the bound; withdrawal may
+	// raise it, so remaining cores fast-path instead of rescanning.
+	cs.gmin.Store(t.m.activeMin())
 	cs.mu.Unlock()
 	// Parked cores must re-evaluate: withdrawal removes this thread from
 	// the minimum; enrolment can only lower it.
@@ -278,11 +215,9 @@ func (t *Thread) throttle() {
 	my := t.stats.Cycles
 	t.pubCycles.Store(my)
 	// Progress notification: wake parked cores every half window of our
-	// own advancement (they may be blocked on us being the minimum), and
-	// opportunistically re-tighten our shard's bound so folds stay fresh.
+	// own advancement (they may be blocked on us being the minimum).
 	if my-t.lastBcast >= window/2 {
 		t.lastBcast = my
-		t.refreshShardQuick()
 		t.wakeParked()
 	}
 	// Fast path: gmin is a lower bound on the active-set minimum, so
@@ -296,19 +231,9 @@ func (t *Thread) throttle() {
 	t.throttleSlow(my, window)
 }
 
-// refreshShardQuick re-tightens this thread's shard minimum if the shard
-// mutex is free; freshness is best-effort here (refreshMin does it
-// unconditionally), so skipping under contention beats convoying.
-func (t *Thread) refreshShardQuick() {
-	sh := &t.m.clock.shards[t.cshard]
-	if !sh.mu.TryLock() {
-		return
-	}
-	sh.smin.Store(t.m.shardScan(t.cshard))
-	sh.mu.Unlock()
-}
-
 // throttleSlow parks the thread until the slowest active core catches up.
+// The caller is active and has just published pubCycles == my, so every
+// scan below includes its own clock.
 func (t *Thread) throttleSlow(my, window uint64) {
 	if m := t.refreshMin(); m >= my || my-m <= window {
 		return
@@ -323,81 +248,59 @@ func (t *Thread) throttleSlow(my, window uint64) {
 	// a host-time busy loop while the laggard starves.
 	t.wakeParked()
 	cs := &t.m.clock
-	sh := &cs.shards[t.cshard]
 	t.parkMu.Lock()
 	t.parked.Store(true)
-	// Publish the parked counts before the re-scan (sequentially
+	// Publish the parked count before the re-scan (sequentially
 	// consistent atomics): a waker that advanced its clock before our
-	// counter increments is observed by the scan below, and one that
+	// counter increment is observed by the scan below, and one that
 	// advanced after it observes a non-zero count, finds our parked flag,
 	// and signals under parkMu — which it cannot acquire until Wait
 	// releases it — so no wakeup is lost.
-	sh.parked.Add(1)
 	cs.parked.Add(1)
-	// Re-scan after publishing the parked state. scanMin is the exact
-	// O(cores) minimum starting from our own clock, so the globally
-	// slowest core always breaks out immediately — the sharded bounds are
-	// only ever performance hints, never the parking decision.
+	// Re-scan after publishing the parked state. The scan is the exact
+	// minimum over published clocks, so the globally slowest core always
+	// breaks out immediately — gmin is only ever a performance hint, never
+	// the parking decision.
 	for {
-		if m := t.scanMin(); m >= my || my-m <= window {
+		if m := t.m.activeMin(); m >= my || my-m <= window {
 			break
 		}
 		t.parkCond.Wait()
 	}
 	t.parked.Store(false)
-	sh.parked.Add(-1)
 	cs.parked.Add(-1)
 	t.parkMu.Unlock()
 }
 
-// refreshMin re-tightens this thread's shard bound exactly, folds the
-// per-shard bounds into a fresh global lower bound, and publishes it as
-// the shared fast-path bound. The rescan is O(cores/shards + shards)
-// instead of the flat design's O(cores); one core's rescan refreshes gmin
-// for every core.
+// refreshMin rescans the active minimum and publishes it as the shared
+// fast-path bound; one core's rescan refreshes gmin for every core.
+// Between membership changes successive rescans under clock.mu only rise,
+// so the store never lowers the bound.
 func (t *Thread) refreshMin() uint64 {
 	cs := &t.m.clock
-	sh := &cs.shards[t.cshard]
-	sh.mu.Lock()
-	sh.smin.Store(t.m.shardScan(t.cshard))
-	sh.mu.Unlock()
-
 	cs.mu.Lock()
-	min := cs.fold()
-	if min > cs.gmin.Load() {
-		cs.gmin.Store(min)
-	}
+	min := t.m.activeMin()
+	cs.gmin.Store(min)
 	cs.mu.Unlock()
 	return min
 }
 
 // wakeParked signals every other parked core. The machine-wide parked
 // count makes the common no-waiter case one atomic load (every core calls
-// this each half window); per-shard counts skip whole shards, and a core
-// observed parked is signalled under its own park mutex, so distinct
-// waiter/waker pairs never contend on a shared lock.
+// this each half window), and a core observed parked is signalled under
+// its own park mutex, so distinct waiter/waker pairs never contend on a
+// shared lock.
 func (t *Thread) wakeParked() {
-	cs := &t.m.clock
-	if cs.parked.Load() == 0 {
+	if t.m.clock.parked.Load() == 0 {
 		return
 	}
-	for si := range cs.shards {
-		if cs.shards[si].parked.Load() == 0 {
+	for _, o := range t.m.threads {
+		if o == t || !o.parked.Load() {
 			continue
 		}
-		lo := si * clockShardCores
-		hi := lo + clockShardCores
-		if hi > len(t.m.threads) {
-			hi = len(t.m.threads)
-		}
-		for _, o := range t.m.threads[lo:hi] {
-			if o == t || !o.parked.Load() {
-				continue
-			}
-			o.parkMu.Lock()
-			o.parkCond.Signal()
-			o.parkMu.Unlock()
-		}
+		o.parkMu.Lock()
+		o.parkCond.Signal()
+		o.parkMu.Unlock()
 	}
 }
 
@@ -407,19 +310,4 @@ func (t *Thread) gateInternal() {
 	if g := t.m.gate; g != nil && t.active.Load() {
 		g.Step(t.id, GateInternal, t.stats.Cycles)
 	}
-}
-
-// scanMin returns the minimum published clock over active threads (or this
-// thread's own clock when it is the only active one).
-func (t *Thread) scanMin() uint64 {
-	min := t.stats.Cycles
-	for _, o := range t.m.threads {
-		if o == t || !o.active.Load() {
-			continue
-		}
-		if c := o.pubCycles.Load(); c < min {
-			min = c
-		}
-	}
-	return min
 }

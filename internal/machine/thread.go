@@ -18,9 +18,8 @@ type Thread struct {
 	m  *Machine
 	id int
 	// socket is the core's socket under the two-level topology (0 when
-	// flat); cshard is its lax-clock shard index (see sync.go).
+	// flat).
 	socket int
-	cshard int
 	// arena is the core's private allocation extent over the shared space;
 	// the Alloc fast path touches no shared state.
 	arena *mem.Arena
@@ -80,7 +79,6 @@ func newThread(m *Machine, id int) *Thread {
 		m:      m,
 		id:     id,
 		socket: m.socketOf(id),
-		cshard: id / clockShardCores,
 		arena:  mem.NewArena(m.space),
 		l1:     cachemodel.New(m.cfg.L1Bytes, m.cfg.L1Ways),
 		l2:     cachemodel.New(m.cfg.L2Bytes, m.cfg.L2Ways),
