@@ -157,7 +157,7 @@ func (s *Server) TriggerDump(reason string) (string, error) {
 		return "", err
 	}
 
-	spans := s.flight.Snapshot()
+	spans := s.flight.Snapshot(nil)
 	if err := writeFile(filepath.Join(dir, "trace.json"), func(w io.Writer) error {
 		return telemetry.WriteSpanTrace(w, spans, CmdName, len(s.eng.workers))
 	}); err != nil {

@@ -10,7 +10,8 @@ package telemetry
 // Spans are packed into fixed-width seqRing records (layout: DESIGN.md,
 // "Telemetry core"), so a reader never sees a torn span. Publication is
 // allocation-free (the serve allocs tests pin the whole span-record +
-// flight-tick path at 0 allocs/op); only Snapshot allocates.
+// flight-tick path at 0 allocs/op), and so is a Snapshot into a buffer
+// with room for every retained span.
 //
 // Each core additionally exposes its most recent *tail-sampled* span as an
 // exemplar (request/trace ID + latency), which the Prometheus exposition
@@ -126,22 +127,23 @@ func unpackSpan(w *[flightSlotWords]uint64) Span {
 	return sp
 }
 
-// Snapshot reads every core's retained spans, oldest first per core, cores
-// concatenated in order. Safe from any goroutine mid-run; torn slots past
-// the retry budget are skipped, so every returned span is internally
-// consistent. The dump path — it allocates.
-func (f *FlightRecorder) Snapshot() []Span {
-	var out []Span
+// Snapshot appends every core's retained spans to dst, oldest first per
+// core, cores concatenated in order, and returns the extended slice. Safe
+// from any goroutine mid-run; torn slots past the retry budget are
+// skipped, so every returned span is internally consistent. It allocates
+// only when dst lacks room: the dump path passes nil, a polling reader
+// reuses its buffer.
+func (f *FlightRecorder) Snapshot(dst []Span) []Span {
 	var w [flightSlotWords]uint64
 	for i := range f.cores {
 		c := &f.cores[i]
 		for r, hi := c.ring.span(); r < hi; r++ {
 			if ok, _ := c.ring.read(r, w[:]); ok {
-				out = append(out, unpackSpan(&w))
+				dst = append(dst, unpackSpan(&w))
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Exemplar returns core i's most recent tail-sampled span's request ID and

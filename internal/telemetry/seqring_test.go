@@ -50,7 +50,7 @@ func TestSeqRingTornPublish(t *testing.T) {
 			return starts
 		}, []uint64{0, every, 2 * every}},
 		{"span", &fr.cores[0].ring, func() (ids []uint64) {
-			for _, sp := range fr.Snapshot() {
+			for _, sp := range fr.Snapshot(nil) {
 				ids = append(ids, sp.ID)
 			}
 			return ids

@@ -56,7 +56,7 @@ func TestSpanRecorderLifecycle(t *testing.T) {
 		t.Fatal("span with 2 attempts + overflow not kept under Attempts=2 policy")
 	}
 
-	spans := fr.Snapshot()
+	spans := fr.Snapshot(nil)
 	if len(spans) != 1 {
 		t.Fatalf("Snapshot returned %d spans, want 1", len(spans))
 	}
@@ -87,7 +87,7 @@ func TestSpanRecorderLifecycle(t *testing.T) {
 	// populate path runs transactions before any request).
 	r.TxAttemptStart()
 	r.TxAttemptEnd(true, false)
-	if got := fr.Snapshot(); len(got) != 1 {
+	if got := fr.Snapshot(nil); len(got) != 1 {
 		t.Fatalf("stray hooks published a span: %d", len(got))
 	}
 }
@@ -106,7 +106,7 @@ func TestSpanRecorderAttemptOverflowCap(t *testing.T) {
 	r.TxAttemptStart()
 	r.TxAttemptEnd(true, false)
 	r.End(10, false)
-	sp := fr.Snapshot()[0]
+	sp := fr.Snapshot(nil)[0]
 	if sp.NAttempts != rounds {
 		t.Fatalf("NAttempts = %d, want %d", sp.NAttempts, rounds)
 	}
@@ -124,7 +124,7 @@ func TestFlightRingWraparoundAndTotals(t *testing.T) {
 		r.Begin(uint64(1000+i), 1, uint64(i), 0, 0, 0)
 		r.End(uint64(i)+1, false)
 	}
-	spans := fr.Snapshot()
+	spans := fr.Snapshot(nil)
 	if len(spans) != depth {
 		t.Fatalf("Snapshot returned %d spans, want ring depth %d", len(spans), depth)
 	}
@@ -216,7 +216,7 @@ func TestFlightConcurrentRecordSnapshot(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for n := 0; n < passes; n++ {
-				for _, sp := range fr.Snapshot() {
+				for _, sp := range fr.Snapshot(nil) {
 					seen[r]++
 					if sp != patSpan(sp.ID, int(sp.Worker)) {
 						t.Errorf("torn span escaped the ring: %+v", sp)
