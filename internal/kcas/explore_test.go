@@ -83,17 +83,25 @@ func TestExploreLinearizableTaggedKCAS(t *testing.T) {
 	}
 }
 
-// TestDPORExhaustiveTaggedKCAS is the CI explore-lane workload: one
-// double-increment kCAS racing an atomic register read on the shared
-// pair. DPOR must exhaust the space — every Mazurkiewicz class visited,
-// every execution's history linearizable against the packed
-// multi-register model. (Two racing kCAS writers conflict at nearly every
-// gate point, so their schedule tree is effectively the unreduced
-// interleaving space; the reader opponent keeps exhaustion tractable
-// while still crossing the kCAS lock/validate windows.) Retries are
-// bounded because a kCAS can only fail while its opponent has operations
-// left — and the reader never writes.
+// TestDPORExhaustiveTaggedKCAS: one double-increment kCAS racing an
+// atomic register read on the shared pair. DPOR must exhaust the space —
+// every Mazurkiewicz class visited, every execution's history
+// linearizable against the packed multi-register model. (Two racing kCAS
+// writers conflict at nearly every gate point, so their schedule tree is
+// effectively the unreduced interleaving space; the reader opponent keeps
+// exhaustion tractable while still crossing the kCAS lock/validate
+// windows.) Retries are bounded because a kCAS can only fail while its
+// opponent has operations left — and the reader never writes.
+//
+// It is the slowest test in the tree (~20 s), so exactly one run owns it:
+// the plain `go test ./...`. It skips under -short, so the race lane
+// (`go test -race -short ./...`) does not repeat it; that loses nothing,
+// because the explorer serializes the cores through the gate and the race
+// detector sees no concurrent access to check.
 func TestDPORExhaustiveTaggedKCAS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive DPOR run; owned by the non-short suite")
+	}
 	const threads = 2
 	newSetup := func() schedexplore.Setup {
 		cfg := machine.DefaultConfig(threads)
