@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -48,7 +49,6 @@ var reclaimPolicy = policyOff
 type structDef struct {
 	name  string
 	build func(core.Memory) intset.Set
-	check func(core.Thread, intset.Set) error
 	// reclaim builds the structure with a reclamation pool of the given
 	// policy wired in; nil marks structures without retire hooks (-reclaim
 	// runs them unwired).
@@ -56,33 +56,6 @@ type structDef struct {
 }
 
 func structs() []structDef {
-	treeCheck := func(th core.Thread, s intset.Set) error {
-		type ck interface {
-			Root() core.Addr
-			Layout() (int, int)
-		}
-		if c, ok := s.(ck); ok {
-			return abtree.CheckInvariants(th, c)
-		}
-		return nil
-	}
-	chromCheck := func(th core.Thread, s intset.Set) error {
-		type ck interface {
-			Root() core.Addr
-			S2() core.Addr
-		}
-		if c, ok := s.(ck); ok {
-			return chromatic.CheckInvariants(th, c)
-		}
-		return nil
-	}
-	bstCheck := func(th core.Thread, s intset.Set) error {
-		if c, ok := s.(interface{ Root() core.Addr }); ok {
-			return bst.CheckInvariants(th, c)
-		}
-		return nil
-	}
-	none := func(core.Thread, intset.Set) error { return nil }
 	// Reclamation builders for the structures with retire hooks; the rest
 	// leave the field nil and run unwired under -reclaim.
 	recVASList := func(m core.Memory, d *reclaim.Domain, pol reclaim.Policy) (intset.Set, *reclaim.Pool) {
@@ -118,22 +91,22 @@ func structs() []structDef {
 		return s, p
 	}
 	return []structDef{
-		{"harris-list", func(m core.Memory) intset.Set { return list.NewHarris(m) }, none, nil},
-		{"vas-list", func(m core.Memory) intset.Set { return list.NewVAS(m) }, none, recVASList},
-		{"hoh-list", func(m core.Memory) intset.Set { return list.NewHoH(m) }, none, recHoHList},
-		{"lock-list", func(m core.Memory) intset.Set { return list.NewLock(m) }, none, nil},
-		{"elided-list", func(m core.Memory) intset.Set { return list.NewElided(m, 0) }, none, nil},
-		{"llx-tree", func(m core.Memory) intset.Set { return abtree.NewLLX(m, 4, 8) }, treeCheck, nil},
-		{"hoh-tree", func(m core.Memory) intset.Set { return abtree.NewHoH(m, 4, 8) }, treeCheck, recHoHTree},
-		{"elided-tree", func(m core.Memory) intset.Set { return abtree.NewElided(m, 4, 8, 0) }, treeCheck, nil},
-		{"llx-bst", func(m core.Memory) intset.Set { return bst.NewLLX(m) }, bstCheck, nil},
-		{"hoh-bst", func(m core.Memory) intset.Set { return bst.NewHoH(m) }, bstCheck, nil},
-		{"llx-chromatic", func(m core.Memory) intset.Set { return chromatic.NewLLX(m) }, chromCheck, nil},
-		{"hoh-chromatic", func(m core.Memory) intset.Set { return chromatic.NewHoH(m) }, chromCheck, nil},
-		{"skiplist-cas", func(m core.Memory) intset.Set { return skiplist.New(m) }, none, nil},
-		{"skiplist-vas", func(m core.Memory) intset.Set { return skiplist.NewVAS(m) }, none, recVASSkip},
-		{"norec-set", func(m core.Memory) intset.Set { return txset.New(m, stm.NewNOrec(m)) }, none, nil},
-		{"tagged-set", func(m core.Memory) intset.Set { return txset.New(m, stm.NewTagged(m)) }, none, recTaggedSet},
+		{"harris-list", func(m core.Memory) intset.Set { return list.NewHarris(m) }, nil},
+		{"vas-list", func(m core.Memory) intset.Set { return list.NewVAS(m) }, recVASList},
+		{"hoh-list", func(m core.Memory) intset.Set { return list.NewHoH(m) }, recHoHList},
+		{"lock-list", func(m core.Memory) intset.Set { return list.NewLock(m) }, nil},
+		{"elided-list", func(m core.Memory) intset.Set { return list.NewElided(m, 0) }, nil},
+		{"llx-tree", func(m core.Memory) intset.Set { return abtree.NewLLX(m, 4, 8) }, nil},
+		{"hoh-tree", func(m core.Memory) intset.Set { return abtree.NewHoH(m, 4, 8) }, recHoHTree},
+		{"elided-tree", func(m core.Memory) intset.Set { return abtree.NewElided(m, 4, 8, 0) }, nil},
+		{"llx-bst", func(m core.Memory) intset.Set { return bst.NewLLX(m) }, nil},
+		{"hoh-bst", func(m core.Memory) intset.Set { return bst.NewHoH(m) }, nil},
+		{"llx-chromatic", func(m core.Memory) intset.Set { return chromatic.NewLLX(m) }, nil},
+		{"hoh-chromatic", func(m core.Memory) intset.Set { return chromatic.NewHoH(m) }, nil},
+		{"skiplist-cas", func(m core.Memory) intset.Set { return skiplist.New(m) }, nil},
+		{"skiplist-vas", func(m core.Memory) intset.Set { return skiplist.NewVAS(m) }, recVASSkip},
+		{"norec-set", func(m core.Memory) intset.Set { return txset.New(m, stm.NewNOrec(m)) }, nil},
+		{"tagged-set", func(m core.Memory) intset.Set { return txset.New(m, stm.NewTagged(m)) }, recTaggedSet},
 	}
 }
 
@@ -253,7 +226,16 @@ func main() {
 		}
 		for _, bk := range backends {
 			for round := 0; round < *rounds; round++ {
-				if err := run(sd, bk, *threads, *ops, *keyRange, *seed+int64(round)); err != nil {
+				// A panicking round fails like any other.
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							err = fmt.Errorf("panic: %v", r)
+						}
+					}()
+					return run(sd, bk, *threads, *ops, *keyRange, *seed+int64(round))
+				}()
+				if err != nil {
 					fmt.Printf("FAIL %-14s %-8s round %d: %v\n", sd.name, bk, round, err)
 					failures++
 				} else {
@@ -280,13 +262,9 @@ func newBackend(kind string, threads int) core.Memory {
 }
 
 // linearizeOne runs one recorded round under schedule fuzzing and checks
-// the operation history against the sequential set model.
-func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint64, seed int64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
+// the operation history against the sequential set model, then the final
+// set's structure.
+func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint64, seed int64) error {
 	var dom *reclaim.Domain
 	var pool *reclaim.Pool
 	newMem := func(t int) core.Memory {
@@ -305,7 +283,7 @@ func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint6
 		}
 	}
 	fuzz := schedfuzz.Default(seed)
-	out := intset.RunLinearize(
+	out, serr := intset.RunLinearize(
 		newMem,
 		build,
 		intset.LinearizeConfig{
@@ -317,7 +295,7 @@ func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint6
 			Fuzz:         &fuzz,
 			FlipMode:     true,
 		})
-	if err := out.Err(); err != nil {
+	if err := errors.Join(out.Err(), serr); err != nil {
 		return err
 	}
 	if pool != nil {
@@ -331,21 +309,11 @@ func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint6
 // exploreOne runs one schedule-explored round on the machine backend: the
 // explorer serializes the simulated cores, enumerates interleavings — op
 // boundaries plus the intra-operation directory-locking windows — with
-// targeted tag evictions, and checks every execution's history. The whole
-// round is a pure function of the seed, so a reported violation is
-// reproduced exactly by re-running with the same flags.
-func exploreOne(sd structDef, threads, ops int, keyRange uint64, seed int64, mode schedexplore.Mode, execs int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	newMachine := func(t int) *machine.Machine {
-		cfg := machine.DefaultConfig(t)
-		cfg.MemBytes = 256 << 20
-		cfg.MaxTags = 128
-		return machine.New(cfg)
-	}
+// targeted tag evictions, and checks every execution's history and final
+// set. The whole round is a pure function of the seed, so a reported
+// violation is reproduced exactly by re-running with the same flags.
+func exploreOne(sd structDef, threads, ops int, keyRange uint64, seed int64, mode schedexplore.Mode, execs int) error {
+	newMachine := func(t int) *machine.Machine { return newBackend("machine", t).(*machine.Machine) }
 	res := intset.RunExplore(newMachine, sd.build, intset.ExploreConfig{
 		Threads:      threads,
 		OpsPerThread: ops,
@@ -367,12 +335,7 @@ func exploreOne(sd structDef, threads, ops int, keyRange uint64, seed int64, mod
 // stressOne runs one concurrent mixed round as a core.RunPhase (on the
 // machine the workers interleave by simulated time, not by host scheduling)
 // and verifies per-key counts, snapshot order, and structural invariants.
-func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, seed int64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
+func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, seed int64) error {
 	mem := newBackend(backend, threads)
 	var dom *reclaim.Domain
 	var pool *reclaim.Pool
@@ -488,9 +451,5 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 		fmt.Println(line)
 	}
 
-	th := mem.Thread(0)
-	if err := counts.Verify(th, s); err != nil {
-		return err
-	}
-	return sd.check(th, s)
+	return counts.Verify(mem.Thread(0), s)
 }

@@ -33,22 +33,20 @@ var treeBackends = []struct {
 	}},
 }
 
+// forAllTrees runs f on every variant and backend, then checks the
+// structural invariants of the tree f left behind (every test ends
+// quiescent).
 func forAllTrees(t *testing.T, threads, a, b int, f func(t *testing.T, mem core.Memory, s intset.Set)) {
 	for _, bk := range treeBackends {
 		for _, v := range treeVariants {
 			t.Run(fmt.Sprintf("%s/%s/a%d_b%d", bk.name, v.name, a, b), func(t *testing.T) {
 				mem := bk.mk(threads)
-				f(t, mem, v.mk(mem, a, b))
+				s := v.mk(mem, a, b)
+				f(t, mem, s)
+				if err := s.(intset.Checker).CheckInvariants(mem.Thread(0)); err != nil {
+					t.Fatalf("tree invariants: %v", err)
+				}
 			})
-		}
-	}
-}
-
-func checkTree(t *testing.T, th core.Thread, s intset.Set) {
-	t.Helper()
-	if c, ok := s.(checkable); ok {
-		if err := CheckInvariants(th, c); err != nil {
-			t.Fatalf("tree invariants: %v", err)
 		}
 	}
 }
@@ -59,7 +57,6 @@ func TestTreeEmpty(t *testing.T) {
 		if s.Contains(th, 5) || s.Delete(th, 5) {
 			t.Fatal("empty tree misbehaves")
 		}
-		checkTree(t, th, s)
 	})
 }
 
@@ -75,7 +72,6 @@ func TestTreeBasicOps(t *testing.T) {
 		if !s.Delete(th, 10) || s.Delete(th, 10) || s.Contains(th, 10) {
 			t.Fatal("delete semantics")
 		}
-		checkTree(t, th, s)
 	})
 }
 
@@ -93,7 +89,6 @@ func TestTreeLeafSplitAndGrowth(t *testing.T) {
 				t.Fatalf("key %d lost after splits", k)
 			}
 		}
-		checkTree(t, th, s)
 	})
 }
 
@@ -111,7 +106,6 @@ func TestTreeShrinkToEmpty(t *testing.T) {
 				t.Fatalf("key %d survives deletion", k)
 			}
 		}
-		checkTree(t, th, s)
 		for k := uint64(1); k <= 150; k++ {
 			if s.Contains(th, k) {
 				t.Fatalf("key %d reappeared", k)
@@ -138,7 +132,6 @@ func TestTreeDescendingAndInterleaved(t *testing.T) {
 				t.Fatalf("key %d membership = %v, want %v", k, !want, want)
 			}
 		}
-		checkTree(t, th, s)
 	})
 }
 
@@ -146,7 +139,6 @@ func TestTreeSequentialEquivalence(t *testing.T) {
 	for _, ab := range [][2]int{{2, 4}, {2, 3}, {4, 8}} {
 		forAllTrees(t, 1, ab[0], ab[1], func(t *testing.T, mem core.Memory, s intset.Set) {
 			intset.CheckSequential(t, mem, s, 3000, 128, 99)
-			checkTree(t, mem.Thread(0), s)
 		})
 	}
 }
@@ -154,28 +146,24 @@ func TestTreeSequentialEquivalence(t *testing.T) {
 func TestTreeSequentialWideRange(t *testing.T) {
 	forAllTrees(t, 1, 4, 8, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckSequential(t, mem, s, 2000, 1<<40, 5)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
 func TestTreeDisjointConcurrent(t *testing.T) {
 	forAllTrees(t, 4, 2, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckDisjointConcurrent(t, mem, s, 4, 300)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
 func TestTreeMixedConcurrent(t *testing.T) {
 	forAllTrees(t, 4, 2, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckMixedConcurrent(t, mem, s, 4, 250, 48)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
 func TestTreeMixedConcurrentHighContention(t *testing.T) {
 	forAllTrees(t, 4, 2, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckMixedConcurrent(t, mem, s, 4, 200, 6)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
@@ -298,10 +286,10 @@ func TestTreeInterVariantAgreement(t *testing.T) {
 			}
 		}
 	}
-	if err := CheckInvariants(thA, llx); err != nil {
+	if err := llx.CheckInvariants(thA); err != nil {
 		t.Fatalf("LLX invariants: %v", err)
 	}
-	if err := CheckInvariants(thB, hoh); err != nil {
+	if err := hoh.CheckInvariants(thB); err != nil {
 		t.Fatalf("HoH invariants: %v", err)
 	}
 }

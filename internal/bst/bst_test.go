@@ -40,17 +40,11 @@ func forAllBSTs(t *testing.T, threads int, f func(t *testing.T, mem core.Memory,
 				mem := b.mk(threads)
 				s := v.mk(mem)
 				f(t, mem, s)
-				checkBST(t, mem.Thread(0), s)
+				if err := s.(intset.Checker).CheckInvariants(mem.Thread(0)); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
-	}
-}
-
-// checkBST fails the test unless the quiescent tree passes CheckInvariants.
-func checkBST(t *testing.T, th core.Thread, s intset.Set) {
-	t.Helper()
-	if err := CheckInvariants(th, s.(checkable)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -87,7 +81,6 @@ func TestBSTGrowShrink(t *testing.T) {
 		for k := uint64(1); k <= 200; k += 2 {
 			s.Delete(th, k*7%211+1)
 		}
-		checkBST(t, th, s)
 	})
 }
 

@@ -6,12 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// checkable is satisfied by both variants.
-type checkable interface {
-	Root() core.Addr
-}
-
-// CheckInvariants validates a quiescent tree:
+// CheckInvariants validates a quiescent tree (intset.Checker):
 //
 //   - both sentinels are in place: the root is S1 (internal, key Inf2) with
 //     S2 (internal, key Inf1) on its left and the Inf2 leaf on its right, and
@@ -26,8 +21,8 @@ type checkable interface {
 //     exempt — searches never target them.
 //
 // It returns an error describing the first violation found.
-func CheckInvariants(th core.Thread, t checkable) error {
-	s1 := t.Root()
+func (t *Tree) CheckInvariants(th core.Thread) error {
+	s1 := t.root
 	child := func(n core.Addr, f int) core.Addr { return core.Addr(th.Load(n.Plus(f))) }
 	if IsLeaf(th, s1) || KeyOf(th, s1) != Inf2 {
 		return fmt.Errorf("root %#x is not the Inf2 sentinel", uint64(s1))

@@ -11,7 +11,10 @@ import (
 // treeupdate.Step the flavour supplies.
 type set struct{ Tree }
 
-var _ intset.Set = (*set)(nil)
+var (
+	_ intset.Set     = (*set)(nil)
+	_ intset.Checker = (*set)(nil)
+)
 
 // LLX is the software-baseline external BST built on LLX/SCX.
 type LLX struct{ set }

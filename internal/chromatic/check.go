@@ -7,26 +7,20 @@ import (
 	"repro/internal/core"
 )
 
-// checkable is satisfied by both variants.
-type checkable interface {
-	Root() core.Addr
-	S2() core.Addr
-}
-
-// CheckInvariants validates a quiescent tree: first bst's shape check
-// (sentinels in place, leaf-oriented, no node reachable twice, search
-// order), then the weights:
+// CheckInvariants validates a quiescent tree (intset.Checker): first bst's
+// shape check (sentinels in place, leaf-oriented, no node reachable twice,
+// search order), then the weights:
 //
 //   - the path-sum rule: every leaf of the real subtree has the same total
 //     weight from the root-child down;
 //   - no leaf weighs 0 (no rule makes a red leaf; see planInsert);
 //   - no red-red or overweight violations remain;
 //   - the height is within the red-black bound implied by the path sum.
-func CheckInvariants(th core.Thread, t checkable) error {
-	if err := bst.CheckInvariants(th, t); err != nil {
+func (s *set) CheckInvariants(th core.Thread) error {
+	if err := s.Tree.CheckInvariants(th); err != nil {
 		return err
 	}
-	rc := core.Addr(th.Load(t.S2().Plus(bst.FLeft)))
+	rc := core.Addr(th.Load(s.S2().Plus(bst.FLeft)))
 
 	var pathSum uint64
 	havePathSum := false

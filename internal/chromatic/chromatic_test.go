@@ -32,24 +32,30 @@ var chromBackends = []struct {
 	}},
 }
 
+// forAllChrom runs f on every variant and backend, then checks the
+// structural invariants of the tree f left behind (every test ends
+// quiescent).
 func forAllChrom(t *testing.T, threads int, f func(t *testing.T, mem core.Memory, s intset.Set)) {
 	for _, b := range chromBackends {
 		for _, v := range chromVariants {
 			t.Run(fmt.Sprintf("%s/%s", b.name, v.name), func(t *testing.T) {
 				mem := b.mk(threads)
-				f(t, mem, v.mk(mem))
+				s := v.mk(mem)
+				f(t, mem, s)
+				if err := s.(intset.Checker).CheckInvariants(mem.Thread(0)); err != nil {
+					t.Fatalf("invariants: %v", err)
+				}
 			})
 		}
 	}
 }
 
-func checkTree(t *testing.T, th core.Thread, s intset.Set) {
-	t.Helper()
-	if c, ok := s.(checkable); ok {
-		if err := CheckInvariants(th, c); err != nil {
-			t.Fatalf("invariants: %v", err)
-		}
+// setOf returns the set either variant wraps.
+func setOf(s intset.Set) *set {
+	if l, ok := s.(*LLX); ok {
+		return &l.set
 	}
+	return &s.(*HoH).set
 }
 
 func TestChromaticBasic(t *testing.T) {
@@ -67,7 +73,6 @@ func TestChromaticBasic(t *testing.T) {
 		if !s.Delete(th, 5) || s.Delete(th, 5) || s.Contains(th, 5) {
 			t.Fatal("delete semantics")
 		}
-		checkTree(t, th, s)
 	})
 }
 
@@ -80,7 +85,6 @@ func TestChromaticAscending(t *testing.T) {
 				t.Fatalf("insert %d failed", k)
 			}
 		}
-		checkTree(t, th, s)
 		for k := uint64(1); k <= n; k++ {
 			if !s.Contains(th, k) {
 				t.Fatalf("key %d lost", k)
@@ -95,13 +99,14 @@ func TestChromaticDescendingThenDrain(t *testing.T) {
 		for k := uint64(300); k >= 1; k-- {
 			s.Insert(th, k)
 		}
-		checkTree(t, th, s)
+		if err := setOf(s).CheckInvariants(th); err != nil {
+			t.Fatalf("before the drain: %v", err)
+		}
 		for k := uint64(1); k <= 300; k++ {
 			if !s.Delete(th, k) {
 				t.Fatalf("delete %d failed", k)
 			}
 		}
-		checkTree(t, th, s)
 		if got := s.(intset.Snapshotter).Keys(th); len(got) != 0 {
 			t.Fatalf("residue: %v", got)
 		}
@@ -111,7 +116,6 @@ func TestChromaticDescendingThenDrain(t *testing.T) {
 func TestChromaticSequentialEquivalence(t *testing.T) {
 	forAllChrom(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckSequential(t, mem, s, 3000, 128, 11)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
@@ -127,31 +131,29 @@ func TestChromaticBalanceUnderChurn(t *testing.T) {
 				s.Delete(th, k)
 			}
 			if i%500 == 499 {
-				checkTree(t, th, s)
+				if err := setOf(s).CheckInvariants(th); err != nil {
+					t.Fatalf("after %d ops: %v", i+1, err)
+				}
 			}
 		}
-		checkTree(t, th, s)
 	})
 }
 
 func TestChromaticDisjointConcurrent(t *testing.T) {
 	forAllChrom(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckDisjointConcurrent(t, mem, s, 4, 250)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
 func TestChromaticMixedConcurrent(t *testing.T) {
 	forAllChrom(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckMixedConcurrent(t, mem, s, 4, 250, 48)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
 func TestChromaticHighContention(t *testing.T) {
 	forAllChrom(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
 		intset.CheckMixedConcurrent(t, mem, s, 4, 150, 6)
-		checkTree(t, mem.Thread(0), s)
 	})
 }
 
@@ -184,10 +186,10 @@ func TestChromaticInterVariantAgreement(t *testing.T) {
 			}
 		}
 	}
-	if err := CheckInvariants(thA, llx); err != nil {
+	if err := llx.CheckInvariants(thA); err != nil {
 		t.Fatalf("LLX: %v", err)
 	}
-	if err := CheckInvariants(thB, hoh); err != nil {
+	if err := hoh.CheckInvariants(thB); err != nil {
 		t.Fatalf("HoH: %v", err)
 	}
 }
@@ -203,7 +205,7 @@ func TestChromaticHeightLogarithmic(t *testing.T) {
 	for _, k := range rng.Perm(n) {
 		s.Insert(th, uint64(k+1))
 	}
-	if err := CheckInvariants(th, s); err != nil {
+	if err := s.CheckInvariants(th); err != nil {
 		t.Fatal(err)
 	}
 	// Measure depth of the leftmost and a few random search paths.
@@ -258,7 +260,7 @@ func TestOverweightUnderRedRootChildKeepsSentinel(t *testing.T) {
 			mem := vtags.New(1<<20, 1)
 			th := mem.Thread(0)
 			s := v.mk(mem)
-			c := s.(checkable)
+			c := setOf(s)
 			pair := func(lo, hi uint64) core.Addr {
 				return writeNode(th, nodeC{w: 1, key: hi, left: mkLeaf(th, 1, lo), right: mkLeaf(th, 1, hi)})
 			}
@@ -266,11 +268,13 @@ func TestOverweightUnderRedRootChildKeepsSentinel(t *testing.T) {
 			rc := writeNode(th, nodeC{w: 0, key: 10, left: sib, right: mkLeaf(th, 2, 10)})
 			th.Store(c.S2().Plus(bst.FLeft), uint64(rc))
 
-			s.(interface{ cleanup(core.Thread, uint64) }).cleanup(th, 10) // toward X
+			c.cleanup(th, 10) // toward X
 			if got := core.Addr(th.Load(c.Root().Plus(bst.FLeft))); got != c.S2() {
 				t.Fatalf("sentinel S2 was replaced: root's child is %#x, S2 is %#x", uint64(got), uint64(c.S2()))
 			}
-			checkTree(t, th, s)
+			if err := c.CheckInvariants(th); err != nil {
+				t.Fatal(err)
+			}
 			want := []uint64{2, 3, 5, 7, 10}
 			if got := s.(intset.Snapshotter).Keys(th); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("keys = %v, want %v", got, want)
@@ -285,12 +289,12 @@ func TestOverweightUnderRedRootChildKeepsSentinel(t *testing.T) {
 func TestCheckInvariantsRejectsBrokenSentinel(t *testing.T) {
 	for _, v := range chromVariants {
 		t.Run(v.name, func(t *testing.T) {
-			for name, plant := range map[string]func(th core.Thread, c checkable){
-				"inf2-leaf-rekeyed": func(th core.Thread, c checkable) {
+			for name, plant := range map[string]func(th core.Thread, c *set){
+				"inf2-leaf-rekeyed": func(th core.Thread, c *set) {
 					l := core.Addr(th.Load(c.Root().Plus(bst.FRight)))
 					th.Store(l.Plus(bst.FKey), bst.Inf1)
 				},
-				"real-leaf-right-of-s2": func(th core.Thread, c checkable) {
+				"real-leaf-right-of-s2": func(th core.Thread, c *set) {
 					th.Store(c.S2().Plus(bst.FRight), uint64(mkLeaf(th, 1, 50)))
 				},
 			} {
@@ -300,12 +304,12 @@ func TestCheckInvariantsRejectsBrokenSentinel(t *testing.T) {
 				for k := uint64(1); k <= 20; k++ {
 					s.Insert(th, k)
 				}
-				c := s.(checkable)
-				if err := CheckInvariants(th, c); err != nil {
+				c := setOf(s)
+				if err := c.CheckInvariants(th); err != nil {
 					t.Fatalf("%s: intact tree rejected: %v", name, err)
 				}
 				plant(th, c)
-				if err := CheckInvariants(th, c); err == nil {
+				if err := c.CheckInvariants(th); err == nil {
 					t.Errorf("%s: CheckInvariants accepted a broken sentinel", name)
 				}
 			}

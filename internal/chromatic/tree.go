@@ -13,7 +13,10 @@ import (
 // enumeration are bst.Tree's.
 type set struct{ bst.Tree }
 
-var _ intset.Set = (*set)(nil)
+var (
+	_ intset.Set     = (*set)(nil)
+	_ intset.Checker = (*set)(nil)
+)
 
 // LLX is the software-baseline chromatic tree built on LLX/SCX: every
 // structural step freezes its dependencies, finalizes the removed nodes

@@ -528,7 +528,16 @@ func markedLineFailsRemoteTags(t *testing.T, newMem Factory) {
 // attached or not): harnesses run hundreds of millions of these per figure.
 func allocBudget(t *testing.T, mem core.Memory) {
 	t.Helper()
-	th := mem.Thread(0)
+	for _, f := range hotPathAllocs(mem, mem.Thread(0)) {
+		t.Error(f)
+	}
+}
+
+// hotPathAllocs runs allocBudget's scripts on th, one of mem's threads, and
+// returns what broke the budget. It calls no testing.T method, so it may
+// run on a phase worker.
+func hotPathAllocs(mem core.Memory, th core.Thread) (failures []string) {
+	broke := "" // set inside a measured script, which must not allocate
 	a := mem.Alloc(4 * core.WordsPerLine)
 	for i := 0; i < 4; i++ { // warm: chunks installed, lines resident
 		th.Store(a+core.Addr(i*core.LineSize), uint64(i))
@@ -542,7 +551,7 @@ func allocBudget(t *testing.T, mem core.Memory) {
 		{"CAS", func() { v := th.Load(a); th.CAS(a, v, v+1) }},
 		{"AddTag+Validate+ClearTagSet", func() {
 			if !th.AddTag(a, 2*core.LineSize) || !th.Validate() {
-				t.Fatal("uncontended AddTag+Validate failed")
+				broke = "uncontended AddTag+Validate failed"
 			}
 			th.ClearTagSet()
 		}},
@@ -554,14 +563,14 @@ func allocBudget(t *testing.T, mem core.Memory) {
 		{"VAS", func() {
 			th.AddTag(a, core.LineSize)
 			if !th.VAS(a, th.Load(a)+1) {
-				t.Fatal("uncontended VAS failed")
+				broke = "uncontended VAS failed"
 			}
 			th.ClearTagSet()
 		}},
 		{"IAS", func() {
 			th.AddTag(a, core.LineSize)
 			if !th.IAS(a, th.Load(a)+1) {
-				t.Fatal("uncontended IAS failed")
+				broke = "uncontended IAS failed"
 			}
 			th.ClearTagSet()
 		}},
@@ -573,9 +582,14 @@ func allocBudget(t *testing.T, mem core.Memory) {
 	}
 	for _, s := range scripts {
 		if n := testing.AllocsPerRun(100, s.run); n != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", s.name, n)
+			failures = append(failures, fmt.Sprintf("%s: %v allocs/op, want 0", s.name, n))
+		}
+		if broke != "" {
+			failures = append(failures, s.name+": "+broke)
+			broke = ""
 		}
 	}
+	return failures
 }
 
 // mayFailAfterFailedCAS: the machine takes the line exclusive before it
@@ -751,10 +765,12 @@ func epochAndLaxClock(t *testing.T, newMem Factory) {
 	want(t, "the word after the phase", t0.Load(a), 99)
 	want(t, "Validate of a tag held across the phase", t0.Validate(), true)
 	t0.ClearTagSet()
-	if lc, ok := t0.(core.LaxClocked); ok { // an enrolled thread publishes its clock on every op
-		lc.SetActive(true)
-		allocBudget(t, mem)
-		lc.SetActive(false)
+	if isLC { // an enrolled thread publishes its clock on every op
+		var failures []string
+		core.RunPhase(mem, 1, func(_ int, th core.Thread) { failures = hotPathAllocs(mem, th) })
+		for _, f := range failures {
+			t.Error("enrolled: " + f)
+		}
 	}
 }
 

@@ -35,7 +35,8 @@ type ExploreConfig struct {
 }
 
 // RunExplore explores schedules of one recorded workload per execution and
-// checks every execution's history. newMachine must build the backend
+// checks every execution's history, then the quiescent set (a structural
+// failure wraps ErrStructure). newMachine must build the backend
 // deterministically (same config for the same thread count).
 func RunExplore(newMachine func(threads int) *machine.Machine, build func(core.Memory) Set, cfg ExploreConfig) schedexplore.Result {
 	newSetup := func() schedexplore.Setup {
@@ -52,7 +53,10 @@ func RunExplore(newMachine func(threads int) *machine.Machine, build func(core.M
 					cfg.OnHistory(rec.Events())
 				}
 				out := linearizability.CheckSet(rec.Events())
-				return out.Err()
+				if err := out.Err(); err != nil {
+					return err
+				}
+				return checkQuiescent(m.Thread(0), s)
 			},
 		}
 	}

@@ -39,9 +39,9 @@ func TestFlipperConsumesNoCore(t *testing.T) {
 			}
 			return m
 		}
-		out := intset.RunLinearize(newMem, build, cfg)
-		if out.Inconclusive || !out.OK {
-			t.Fatalf("FlipMode run failed:\n%s", out.Explain())
+		out, err := intset.RunLinearize(newMem, build, cfg)
+		if out.Inconclusive || !out.OK || err != nil {
+			t.Fatalf("FlipMode run failed: %v\n%s", err, out.Explain())
 		}
 		if len(requested) != 1 || requested[0] != cfg.Threads {
 			t.Fatalf("backend was asked for %v thread handles, want exactly [%d]: the flipper must ride the spare thread, not a core", requested, cfg.Threads)
@@ -54,9 +54,9 @@ func TestFlipperConsumesNoCore(t *testing.T) {
 			requested = append(requested, threads)
 			return vtags.New(8<<20, threads)
 		}
-		out := intset.RunLinearize(newMem, build, cfg)
-		if out.Inconclusive || !out.OK {
-			t.Fatalf("FlipMode run failed:\n%s", out.Explain())
+		out, err := intset.RunLinearize(newMem, build, cfg)
+		if out.Inconclusive || !out.OK || err != nil {
+			t.Fatalf("FlipMode run failed: %v\n%s", err, out.Explain())
 		}
 		if len(requested) != 1 || requested[0] != cfg.Threads {
 			t.Fatalf("backend was asked for %v thread handles, want exactly [%d]", requested, cfg.Threads)

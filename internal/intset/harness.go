@@ -35,19 +35,17 @@ func CheckSequential(t *testing.T, mem core.Memory, s Set, ops int, keyRange uin
 	VerifyAgainstReference(t, th, s, ref, keyRange)
 }
 
-// VerifyAgainstReference checks that membership of every key in
-// [KeyMin, KeyMin+keyRange) matches the reference, and, if the set is a
-// Snapshotter, that its key enumeration is sorted, duplicate-free and equal
-// to the reference contents.
-func VerifyAgainstReference(t *testing.T, th core.Thread, s Set, ref Reference, keyRange uint64) {
+// VerifyAgainstReference runs the quiescent structural check, then checks
+// that membership of every key in [KeyMin, KeyMin+keyRange) matches the
+// reference and, if the set is a Snapshotter, that its key enumeration
+// equals the reference contents.
+func VerifyAgainstReference(t testing.TB, th core.Thread, s Set, ref Reference, keyRange uint64) {
 	t.Helper()
+	if err := checkQuiescent(th, s); err != nil {
+		t.Fatal(err)
+	}
 	if snap, ok := s.(Snapshotter); ok {
 		keys := snap.Keys(th)
-		for i := 1; i < len(keys); i++ {
-			if keys[i-1] >= keys[i] {
-				t.Fatalf("snapshot not strictly sorted at %d: %d >= %d", i, keys[i-1], keys[i])
-			}
-		}
 		if len(keys) != len(ref) {
 			t.Fatalf("snapshot has %d keys, reference has %d", len(keys), len(ref))
 		}
@@ -65,7 +63,8 @@ func VerifyAgainstReference(t *testing.T, th core.Thread, s Set, ref Reference, 
 }
 
 // CheckDisjointConcurrent has each thread operate on its own key range so
-// the final state is exactly predictable, then verifies it.
+// the final state is exactly predictable, then verifies it and runs the
+// quiescent structural check.
 func CheckDisjointConcurrent(t *testing.T, mem core.Memory, s Set, threads, opsPerThread int) {
 	t.Helper()
 	const stride = 1 << 20
@@ -96,6 +95,9 @@ func CheckDisjointConcurrent(t *testing.T, mem core.Memory, s Set, threads, opsP
 			}
 		}
 	})
+	if err := checkQuiescent(mem.Thread(0), s); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // CheckMixedConcurrent hammers a small shared key range from all threads,

@@ -5,6 +5,8 @@
 package intset
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -35,6 +37,40 @@ type Snapshotter interface {
 	// Keys returns the set's keys in ascending order. Only valid while no
 	// other thread is operating on the set.
 	Keys(th core.Thread) []uint64
+}
+
+// Checker is implemented by sets with structural invariants that a
+// history cannot show (balance, degree bounds, no pending rebalancing
+// flags): a skipped cleanup leaves every history linearizable.
+type Checker interface {
+	// CheckInvariants describes the first broken invariant, or returns
+	// nil. Only valid while no other thread is operating on the set.
+	CheckInvariants(th core.Thread) error
+}
+
+// ErrStructure marks a failed quiescent structural check (a Snapshotter's
+// keys out of order, or a Checker's error), apart from any history verdict
+// or membership mismatch.
+var ErrStructure = errors.New("structural check failed")
+
+// checkQuiescent is the one structural check every harness runs on a
+// quiescent set: a Snapshotter's keys are strictly ascending, then a
+// Checker's own invariants hold. A failure wraps ErrStructure.
+func checkQuiescent(th core.Thread, s Set) error {
+	if snap, ok := s.(Snapshotter); ok {
+		keys := snap.Keys(th)
+		for i := 1; i < len(keys); i++ {
+			if keys[i-1] >= keys[i] {
+				return fmt.Errorf("%w: keys not strictly sorted at %d: %d >= %d", ErrStructure, i, keys[i-1], keys[i])
+			}
+		}
+	}
+	if c, ok := s.(Checker); ok {
+		if err := c.CheckInvariants(th); err != nil {
+			return fmt.Errorf("%w: %w", ErrStructure, err)
+		}
+	}
+	return nil
 }
 
 // Reference is a sequential model for equivalence checking.

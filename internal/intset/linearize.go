@@ -1,6 +1,7 @@
 package intset
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -37,8 +38,9 @@ type modeAddresser interface{ ModeAddr() core.Addr }
 // handles — exactly one per worker; the Mode-line flipper, when enabled,
 // runs on the backend's SpareThread and consumes no simulated core. The
 // build callback constructs the structure on the (possibly fuzz-wrapped)
-// memory.
-func RunLinearize(newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg LinearizeConfig) linearizability.Outcome {
+// memory. The outcome is the history verdict alone; the error is the
+// quiescent structural check after the phase (it wraps ErrStructure).
+func RunLinearize(newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg LinearizeConfig) (linearizability.Outcome, error) {
 	var mem core.Memory = newMem(cfg.Threads)
 	if cfg.Fuzz != nil {
 		mem = schedfuzz.Wrap(mem, *cfg.Fuzz)
@@ -68,16 +70,16 @@ func RunLinearize(newMem func(threads int) core.Memory, build func(core.Memory) 
 		stopFlipper()
 	}
 
-	return linearizability.CheckSet(rec.Events())
+	return linearizability.CheckSet(rec.Events()), checkQuiescent(mem.Thread(0), s)
 }
 
 // CheckLinearizable runs RunLinearize and fails the test on a
-// non-linearizable history (printing the minimal counterexample) or an
-// inconclusive verdict.
+// non-linearizable history (printing the minimal counterexample), an
+// inconclusive verdict or a failed structural check.
 func CheckLinearizable(t *testing.T, newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg LinearizeConfig) {
 	t.Helper()
-	out := RunLinearize(newMem, build, cfg)
-	if err := out.Err(); err != nil {
+	out, serr := RunLinearize(newMem, build, cfg)
+	if err := errors.Join(out.Err(), serr); err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
 }

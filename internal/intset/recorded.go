@@ -110,8 +110,8 @@ func (c *KeyCounts) Step(w int, th core.Thread, s Set, rng *rand.Rand) uint8 {
 	return op
 }
 
-// Verify checks, at quiescence, every key's net count against s and, for a
-// Snapshotter, that the final enumeration is strictly sorted.
+// Verify checks, at quiescence, every key's net count against s, then runs
+// the quiescent structural check.
 func (c *KeyCounts) Verify(th core.Thread, s Set) error {
 	for idx := uint64(0); idx < c.keyRange; idx++ {
 		var net int64
@@ -126,13 +126,5 @@ func (c *KeyCounts) Verify(th core.Thread, s Set) error {
 			return fmt.Errorf("key %d: Contains = %v, want %v", k, got, want)
 		}
 	}
-	if snap, ok := s.(Snapshotter); ok {
-		keys := snap.Keys(th)
-		for i := 1; i < len(keys); i++ {
-			if keys[i-1] >= keys[i] {
-				return fmt.Errorf("final snapshot unsorted/duplicated at %d", i)
-			}
-		}
-	}
-	return nil
+	return checkQuiescent(th, s)
 }

@@ -1,6 +1,7 @@
 package intset
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -52,9 +53,9 @@ func maskOf(keys []uint64) uint64 {
 
 // RunSnapshotLinearize executes one recorded run mixing point ops with
 // atomic scans and checks the history against SnapshotSetModel. newMem and
-// build follow the RunLinearize contract; build's result must implement
-// RangeQuerier.
-func RunSnapshotLinearize(newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg SnapshotConfig) linearizability.Outcome {
+// build follow the RunLinearize contract, results included; build's result
+// must implement RangeQuerier.
+func RunSnapshotLinearize(newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg SnapshotConfig) (linearizability.Outcome, error) {
 	if cfg.KeyRange < 1 || cfg.KeyRange > 64 {
 		panic("intset: SnapshotConfig.KeyRange must be in [1, 64]")
 	}
@@ -99,15 +100,17 @@ func RunSnapshotLinearize(newMem func(threads int) core.Memory, build func(core.
 		}
 	})
 
-	return linearizability.Check(linearizability.SnapshotSetModel(cfg.KeyRange), rec.Events())
+	return linearizability.Check(linearizability.SnapshotSetModel(cfg.KeyRange), rec.Events()),
+		checkQuiescent(mem.Thread(0), s)
 }
 
 // CheckSnapshotLinearizable runs RunSnapshotLinearize and fails the test on
-// a non-linearizable history or an inconclusive verdict.
+// a non-linearizable history, an inconclusive verdict or a failed
+// structural check.
 func CheckSnapshotLinearizable(t *testing.T, newMem func(threads int) core.Memory, build func(core.Memory) Set, cfg SnapshotConfig) {
 	t.Helper()
-	out := RunSnapshotLinearize(newMem, build, cfg)
-	if err := out.Err(); err != nil {
+	out, serr := RunSnapshotLinearize(newMem, build, cfg)
+	if err := errors.Join(out.Err(), serr); err != nil {
 		t.Fatalf("seed %d: %v", cfg.Seed, err)
 	}
 }

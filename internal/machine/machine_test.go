@@ -91,22 +91,6 @@ func TestRemoveTagStopsTracking(t *testing.T) {
 	}
 }
 
-func TestEvictionLatchSurvivesRemoveTag(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	a := m.Alloc(1)
-	t1.AddTag(a, 8)
-	t0.Store(a, 1) // evicts t1's tag
-	t1.RemoveTag(a, 8)
-	if t1.Validate() {
-		t.Fatal("recorded eviction forgotten by RemoveTag")
-	}
-	t1.ClearTagSet()
-	if !t1.Validate() {
-		t.Fatal("ClearTagSet did not reset eviction state")
-	}
-}
-
 func TestVASOnTaggedTarget(t *testing.T) {
 	m := testMachine(1)
 	th := m.Thread(0)

@@ -24,25 +24,6 @@ func TestLoadStoreCAS(t *testing.T) {
 	}
 }
 
-func TestTagValidate(t *testing.T) {
-	m := New(1<<16, 2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	a := m.Alloc(1)
-	t1.AddTag(a, 8)
-	if !t1.Validate() {
-		t.Fatal("fresh tag invalid")
-	}
-	t0.Store(a, 1)
-	if t1.Validate() {
-		t.Fatal("remote store not detected")
-	}
-	t1.ClearTagSet()
-	t1.AddTag(a, 8)
-	if !t1.Validate() {
-		t.Fatal("retag after clear invalid")
-	}
-}
-
 func TestOwnWriteKeepsOwnTag(t *testing.T) {
 	m := New(1<<16, 1)
 	th := m.Thread(0)
@@ -94,25 +75,6 @@ func TestVASFailsAfterConflict(t *testing.T) {
 	}
 	if t1.Load(target) != 0 {
 		t.Fatal("failed VAS wrote")
-	}
-}
-
-func TestMaxTags(t *testing.T) {
-	m := New(1<<16, 1, WithMaxTags(2))
-	th := m.Thread(0)
-	a, b, c := m.Alloc(1), m.Alloc(1), m.Alloc(1)
-	if !th.AddTag(a, 8) || !th.AddTag(b, 8) {
-		t.Fatal("tags below limit rejected")
-	}
-	if th.AddTag(c, 8) {
-		t.Fatal("tag beyond limit accepted")
-	}
-	if th.Validate() {
-		t.Fatal("validate after overflow succeeded")
-	}
-	th.ClearTagSet()
-	if !th.AddTag(c, 8) || !th.Validate() {
-		t.Fatal("overflow latch survives ClearTagSet")
 	}
 }
 
