@@ -53,10 +53,10 @@ func (s *set) CheckInvariants(th core.Thread) error {
 			}
 			return nil
 		}
-		if err := walk(nd.left, nd.w, sum, depth+1); err != nil {
+		if err := walk(nd.kid[0], nd.w, sum, depth+1); err != nil {
 			return err
 		}
-		return walk(nd.right, nd.w, sum, depth+1)
+		return walk(nd.kid[1], nd.w, sum, depth+1)
 	}
 	// The root-child is exempt from the weight rules (depth 0).
 	if err := walk(rc, 1, 0, 0); err != nil {

@@ -262,10 +262,10 @@ func TestOverweightUnderRedRootChildKeepsSentinel(t *testing.T) {
 			s := v.mk(mem)
 			c := setOf(s)
 			pair := func(lo, hi uint64) core.Addr {
-				return writeNode(th, nodeC{w: 1, key: hi, left: mkLeaf(th, 1, lo), right: mkLeaf(th, 1, hi)})
+				return writeNode(th, nodeC{w: 1, key: hi, kid: [2]core.Addr{mkLeaf(th, 1, lo), mkLeaf(th, 1, hi)}})
 			}
-			sib := writeNode(th, nodeC{w: 0, key: 5, left: pair(2, 3), right: pair(5, 7)})
-			rc := writeNode(th, nodeC{w: 0, key: 10, left: sib, right: mkLeaf(th, 2, 10)})
+			sib := writeNode(th, nodeC{w: 0, key: 5, kid: [2]core.Addr{pair(2, 3), pair(5, 7)}})
+			rc := writeNode(th, nodeC{w: 0, key: 10, kid: [2]core.Addr{sib, mkLeaf(th, 2, 10)}})
 			th.Store(c.S2().Plus(bst.FLeft), uint64(rc))
 
 			c.cleanup(th, 10) // toward X

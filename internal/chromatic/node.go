@@ -51,24 +51,34 @@ const (
 	nodeBytes = nodeWords * core.WordSize
 )
 
-// nodeC is an in-Go copy of a node used by the planning rules.
+// nodeC is an in-Go copy of a node used by the planning rules. Its
+// children are indexed by side, 0 left and 1 right, so a rule written for
+// one side is its own mirror with d and 1-d exchanged.
 type nodeC struct {
-	leaf  bool
-	w     uint64
-	key   uint64
-	left  core.Addr // internal only
-	right core.Addr
+	leaf bool
+	w    uint64
+	key  uint64
+	kid  [2]core.Addr // internal only
+}
+
+// side returns the slot of nd holding child: 0 if it is the left child,
+// else 1, so kid[1-side] is the left child whenever child is in neither.
+func (nd nodeC) side(child core.Addr) int {
+	if nd.kid[0] == child {
+		return 0
+	}
+	return 1
 }
 
 // writeSentinel writes one of bst's sentinel nodes (S1(Inf2) -> S2(Inf1)
 // -> real subtree) at weight 1; they are never rebalanced.
 func writeSentinel(th core.Thread, leaf bool, key uint64, left, right core.Addr) core.Addr {
-	return writeNode(th, nodeC{leaf: leaf, w: 1, key: key, left: left, right: right})
+	return writeNode(th, nodeC{leaf: leaf, w: 1, key: key, kid: [2]core.Addr{left, right}})
 }
 
 // writeNode materializes nd in simulated memory.
 func writeNode(th core.Thread, nd nodeC) core.Addr {
-	n := bst.WriteNode(th, nodeWords, nd.leaf, nd.key, nd.left, nd.right)
+	n := bst.WriteNode(th, nodeWords, nd.leaf, nd.key, nd.kid[0], nd.kid[1])
 	th.Store(n.Plus(fWeight), nd.w)
 	return n
 }
@@ -87,10 +97,13 @@ func readHeld(th core.Thread, n core.Addr, st treeupdate.Step) nodeC {
 	switch {
 	case nd.leaf:
 	case st != nil:
-		nd.left, nd.right = core.Addr(st.Mut(n, 0)), core.Addr(st.Mut(n, 1))
+		for d := range nd.kid {
+			nd.kid[d] = core.Addr(st.Mut(n, d))
+		}
 	default:
-		nd.left = core.Addr(th.Load(n.Plus(bst.FLeft)))
-		nd.right = core.Addr(th.Load(n.Plus(bst.FRight)))
+		for d := range nd.kid {
+			nd.kid[d] = core.Addr(th.Load(n.Plus(bst.FLeft + d)))
+		}
 	}
 	return nd
 }

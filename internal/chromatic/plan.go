@@ -8,8 +8,11 @@ import "repro/internal/core"
 // to that leaf is unchanged. W denotes the (identical) prefix above the
 // region.
 //
-// Orientation convention: the boolean arguments state whether the relevant
-// node is its parent's LEFT child; mirrors are derived inside.
+// Orientation convention: each rule is written once. Its side argument d
+// is the slot (0 left, 1 right) of the relevant node in its parent, and the
+// mirror image is the same code with d and 1-d exchanged. The diagrams draw
+// d = 0. Each rule writes its new nodes bottom-up in a fixed order, whatever
+// d is, because that order fixes their simulated addresses.
 
 // planInsert replaces leaf l with a three-node subtree holding both keys.
 //
@@ -31,10 +34,12 @@ func planInsert(th core.Thread, l nodeC, key uint64) core.Addr {
 		small, big = big, small
 	}
 	return writeNode(th, nodeC{
-		w:     l.w - 1,
-		key:   big,
-		left:  writeNode(th, nodeC{leaf: true, w: 1, key: small}),
-		right: writeNode(th, nodeC{leaf: true, w: 1, key: big}),
+		w:   l.w - 1,
+		key: big,
+		kid: [2]core.Addr{
+			writeNode(th, nodeC{leaf: true, w: 1, key: small}),
+			writeNode(th, nodeC{leaf: true, w: 1, key: big}),
+		},
 	})
 }
 
@@ -63,52 +68,33 @@ func planRootWeight(th core.Thread, x nodeC) core.Addr {
 //	Requires w_gp >= 1 (guaranteed: the red-red at x is the topmost on the
 //	path, so (p, gp) is not itself red-red).
 //
-// Removed nodes: gp, p, u.
-func planBLK(th core.Thread, gp, p, u nodeC, pIsLeft bool) core.Addr {
+// d is p's side in gp. Removed nodes: gp, p, u.
+func planBLK(th core.Thread, gp, p, u nodeC, d int) core.Addr {
 	p.w = 1
 	u.w = 1
-	pNew := writeNode(th, p)
-	uNew := writeNode(th, u)
+	gp.kid[d] = writeNode(th, p)
+	gp.kid[1-d] = writeNode(th, u)
 	gp.w = gp.w - 1
-	if pIsLeft {
-		gp.left, gp.right = pNew, uNew
-	} else {
-		gp.left, gp.right = uNew, pNew
-	}
 	return writeNode(th, gp)
 }
 
 // planRB1 is the single rotation for a red-red with black uncle and x an
 // outside grandchild: p rises to gp's place and weight; gp descends red.
 //
-//	(x = p.left, p = gp.left; mirror symmetric)
+//	(x = p.left, p = gp.left)
 //	sums: x: w_gp+0+0 -> w_gp+0 ... x keeps its node (untouched);
 //	      c3 (p's other child): w_gp+0+w_c3 -> w_gp+0+w_c3;
 //	      u: w_gp+w_u -> w_gp+0+w_u.
 //
-// Removed nodes: gp, p. x is re-pointed, not replaced.
-func planRB1(th core.Thread, gp, p nodeC, xAddr core.Addr, pIsLeft bool) core.Addr {
-	var c3, u core.Addr
-	if pIsLeft {
-		c3, u = p.right, gp.right
-	} else {
-		c3, u = p.left, gp.left
-	}
+// d is p's side in gp (and x's in p). Removed nodes: gp, p. x is
+// re-pointed, not replaced.
+func planRB1(th core.Thread, gp, p nodeC, xAddr core.Addr, d int) core.Addr {
 	gpDown := gp
 	gpDown.w = 0
-	if pIsLeft {
-		gpDown.left, gpDown.right = c3, u
-	} else {
-		gpDown.left, gpDown.right = u, c3
-	}
-	gpNew := writeNode(th, gpDown)
+	gpDown.kid[d] = p.kid[1-d] // c3; u stays
 	top := p
 	top.w = gp.w
-	if pIsLeft {
-		top.left, top.right = xAddr, gpNew
-	} else {
-		top.left, top.right = gpNew, xAddr
-	}
+	top.kid[d], top.kid[1-d] = xAddr, writeNode(th, gpDown)
 	return writeNode(th, top)
 }
 
@@ -116,39 +102,22 @@ func planRB1(th core.Thread, gp, p nodeC, xAddr core.Addr, pIsLeft bool) core.Ad
 // inside grandchild: x rises to gp's place and weight; p and gp descend
 // red.
 //
-//	(p = gp.left, x = p.right with children a, b; mirror symmetric)
+//	(p = gp.left, x = p.right with children a, b)
 //	sums: c3: w_gp+0+w_c3 -> w_gp+0+w_c3; a: w_gp+0+0+w_a -> w_gp+0+w_a;
 //	      b likewise; u: w_gp+w_u -> w_gp+0+w_u.
 //
-// Removed nodes: gp, p, x.
-func planRB2(th core.Thread, gp, p, x nodeC, pIsLeft bool) core.Addr {
-	var c3, u core.Addr
-	if pIsLeft {
-		c3, u = p.left, gp.right
-	} else {
-		c3, u = p.right, gp.left
-	}
-	a, b := x.left, x.right
+// d is p's side in gp. Removed nodes: gp, p, x.
+func planRB2(th core.Thread, gp, p, x nodeC, d int) core.Addr {
 	pDown := p
 	pDown.w = 0
+	pDown.kid[1-d] = x.kid[d] // c3 stays; a
 	gpDown := gp
 	gpDown.w = 0
-	if pIsLeft {
-		pDown.left, pDown.right = c3, a
-		gpDown.left, gpDown.right = b, u
-	} else {
-		gpDown.left, gpDown.right = u, a
-		pDown.left, pDown.right = b, c3
-	}
-	pNew := writeNode(th, pDown)
-	gpNew := writeNode(th, gpDown)
+	gpDown.kid[d] = x.kid[1-d] // b; u stays
 	top := x
 	top.w = gp.w
-	if pIsLeft {
-		top.left, top.right = pNew, gpNew
-	} else {
-		top.left, top.right = gpNew, pNew
-	}
+	top.kid[d] = writeNode(th, pDown)
+	top.kid[1-d] = writeNode(th, gpDown)
 	return writeNode(th, top)
 }
 
@@ -159,54 +128,34 @@ func planRB2(th core.Thread, gp, p, x nodeC, pIsLeft bool) core.Addr {
 //	Requires w_s >= 1. s' = w_s-1 may become red under p' (w_p+1 >= 1):
 //	no red-red created; p' may become overweight: the violation moves up.
 //
-// Removed nodes: p, x, s.
-func planA1(th core.Thread, p, x, s nodeC, xIsLeft bool) core.Addr {
+// d is x's side in p. Removed nodes: p, x, s.
+func planA1(th core.Thread, p, x, s nodeC, d int) core.Addr {
 	x.w--
 	s.w--
-	xNew := writeNode(th, x)
-	sNew := writeNode(th, s)
+	p.kid[d] = writeNode(th, x)
+	p.kid[1-d] = writeNode(th, s)
 	p.w++
-	if xIsLeft {
-		p.left, p.right = xNew, sNew
-	} else {
-		p.left, p.right = sNew, xNew
-	}
 	return writeNode(th, p)
 }
 
 // planA2 rotates a red sibling up when its near child c is not red,
 // giving x a pushable sibling for the next pass (A1).
 //
-//	(x = p.left, s = p.right red with s{c, d}; mirror symmetric)
+//	(x = p.left, s = p.right red with s{c, d})
 //	sums: x: w_p+w_x -> w_p+0+w_x; c: w_p+0+w_c -> w_p+0+w_c;
 //	      d: w_p+0+w_d -> w_p+w_d.
 //	No new violations: p'(0) sits under s'(w_p >= 1) — w_p >= 1 because a
 //	red p under a red s's... p red with red child s would be a red-red at
 //	s, found before x on the path.
 //
-// Removed nodes: p, s.
-func planA2(th core.Thread, p, s nodeC, xAddr core.Addr, xIsLeft bool) core.Addr {
-	var c, d core.Addr
-	if xIsLeft {
-		c, d = s.left, s.right
-	} else {
-		c, d = s.right, s.left
-	}
+// d is x's side in p. Removed nodes: p, s.
+func planA2(th core.Thread, p, s nodeC, xAddr core.Addr, d int) core.Addr {
 	pDown := p
 	pDown.w = 0
-	if xIsLeft {
-		pDown.left, pDown.right = xAddr, c
-	} else {
-		pDown.left, pDown.right = c, xAddr
-	}
-	pNew := writeNode(th, pDown)
+	pDown.kid[d], pDown.kid[1-d] = xAddr, s.kid[d] // c
 	top := s
 	top.w = p.w
-	if xIsLeft {
-		top.left, top.right = pNew, d
-	} else {
-		top.left, top.right = d, pNew
-	}
+	top.kid[d] = writeNode(th, pDown) // the far nephew stays
 	return writeNode(th, top)
 }
 
@@ -214,86 +163,42 @@ func planA2(th core.Thread, p, s nodeC, xAddr core.Addr, xIsLeft bool) core.Addr
 // red-red inside the sibling): double-rotate c to the top, consuming that
 // red-red and strictly shrinking x's sibling subtree.
 //
-//	(x = p.left, s = p.right{c{e, f}, d}; mirror symmetric)
+//	(x = p.left, s = p.right{c{e, f}, d})
 //	sums: x: w_p+w_x -> w_p+0+w_x; e: w_p+0+0+w_e -> w_p+0+w_e;
 //	      f likewise; d: w_p+0+w_d -> w_p+0+w_d.
 //
-// Removed nodes: p, s, c.
-func planA3(th core.Thread, p, s, c nodeC, xAddr core.Addr, xIsLeft bool) core.Addr {
-	var d core.Addr
-	var e, f core.Addr
-	if xIsLeft {
-		d = s.right
-		e, f = c.left, c.right
-	} else {
-		d = s.left
-		e, f = c.right, c.left
-	}
-	pDown := p
-	pDown.w = 0
-	sDown := s
-	sDown.w = 0
-	if xIsLeft {
-		pDown.left, pDown.right = xAddr, e
-		sDown.left, sDown.right = f, d
-	} else {
-		pDown.left, pDown.right = e, xAddr
-		sDown.left, sDown.right = d, f
-	}
-	pNew := writeNode(th, pDown)
-	sNew := writeNode(th, sDown)
-	top := c
-	top.w = p.w
-	if xIsLeft {
-		top.left, top.right = pNew, sNew
-	} else {
-		top.left, top.right = sNew, pNew
-	}
-	return writeNode(th, top)
+// d is x's side in p. Removed nodes: p, s, c.
+func planA3(th core.Thread, p, s, c nodeC, xAddr core.Addr, d int) core.Addr {
+	return writeDoubleRotation(th, p, s, c, xAddr, d, p.w)
 }
 
 // planA1b absorbs x's excess by rotating its weight-1 sibling s up, when
 // s's near child c is not red (c would otherwise turn red-red under the
 // descending red p').
 //
-//	(x = p.left, s = p.right(w=1){c, d}; mirror symmetric)
+//	(x = p.left, s = p.right(w=1){c, d})
 //	sums: x: w_p+w_x -> (w_p+1)+0+(w_x-1); c: w_p+1+w_c -> (w_p+1)+0+w_c;
 //	      d: w_p+1+w_d -> (w_p+1)+w_d.
 //	d may be red: it sits under s'(w_p+1 >= 1). x' = w_x-1 >= 1: no reds
 //	introduced below p'(0).
 //
-// Removed nodes: p, x, s (c, d reused).
-func planA1b(th core.Thread, p, x, s nodeC, xIsLeft bool) core.Addr {
-	var c, d core.Addr
-	if xIsLeft {
-		c, d = s.left, s.right
-	} else {
-		c, d = s.right, s.left
-	}
+// d is x's side in p. Removed nodes: p, x, s (c, d reused).
+func planA1b(th core.Thread, p, x, s nodeC, d int) core.Addr {
 	x.w--
-	xNew := writeNode(th, x)
 	pDown := p
 	pDown.w = 0
-	if xIsLeft {
-		pDown.left, pDown.right = xNew, c
-	} else {
-		pDown.left, pDown.right = c, xNew
-	}
-	pNew := writeNode(th, pDown)
+	pDown.kid[d] = writeNode(th, x)
+	pDown.kid[1-d] = s.kid[d] // c
 	top := s
 	top.w = p.w + 1
-	if xIsLeft {
-		top.left, top.right = pNew, d
-	} else {
-		top.left, top.right = d, pNew
-	}
+	top.kid[d] = writeNode(th, pDown) // the far nephew stays
 	return writeNode(th, top)
 }
 
 // planA1c handles a weight-1 sibling whose *near* child c is red (far
 // child d is not): double-rotate c to the top.
 //
-//	(x = p.left, s = p.right(1){c(0){e, f}, d}; mirror symmetric)
+//	(x = p.left, s = p.right(1){c(0){e, f}, d})
 //	sums: x: w_p+w_x -> (w_p+1)+0+(w_x-1); e: w_p+1+0+w_e -> (w_p+1)+0+w_e;
 //	      f: w_p+1+0+w_f -> (w_p+1)+0+w_f; d: w_p+1+w_d -> (w_p+1)+0+1+w_d...
 //	d keeps its place under s'(1): w_p+1+w_d -> (w_p+1)+0... see below: s'
@@ -302,77 +207,50 @@ func planA1b(th core.Thread, p, x, s nodeC, xIsLeft bool) core.Addr {
 //	Red-reds (e,c)/(f,c), if any, existed before and transform in place.
 //	Guard: w_d >= 1 (else d would turn red-red under s'(0)).
 //
-// Removed nodes: p, x, s, c (e, f, d reused).
-func planA1c(th core.Thread, p, x, s, c nodeC, xIsLeft bool) core.Addr {
-	var d core.Addr
-	var e, f core.Addr
-	if xIsLeft {
-		d = s.right
-		e, f = c.left, c.right
-	} else {
-		d = s.left
-		e, f = c.right, c.left
-	}
+// d is x's side in p. Removed nodes: p, x, s, c (e, f, d reused).
+func planA1c(th core.Thread, p, x, s, c nodeC, d int) core.Addr {
 	x.w--
-	xNew := writeNode(th, x)
-	pDown := p
-	pDown.w = 0
-	sDown := s
-	sDown.w = 0
-	if xIsLeft {
-		pDown.left, pDown.right = xNew, e
-		sDown.left, sDown.right = f, d
-	} else {
-		pDown.left, pDown.right = e, xNew
-		sDown.left, sDown.right = d, f
-	}
-	pNew := writeNode(th, pDown)
-	sNew := writeNode(th, sDown)
-	top := c
-	top.w = p.w + 1
-	if xIsLeft {
-		top.left, top.right = pNew, sNew
-	} else {
-		top.left, top.right = sNew, pNew
-	}
-	return writeNode(th, top)
+	return writeDoubleRotation(th, p, s, c, writeNode(th, x), d, p.w+1)
 }
 
 // planA1e handles a weight-1 sibling with *both* children red: blacken the
 // far child, lift s into p's position.
 //
-//	(x = p.left, s = p.right(1){c(0), d(0)}; mirror symmetric)
+//	(x = p.left, s = p.right(1){c(0), d(0)})
 //	sums: x: w_p+w_x -> w_p+1+(w_x-1); c: w_p+1+0 -> w_p+1+0 (c reused);
 //	      d: w_p+1+0 -> w_p+1 (d' carries weight 1).
 //	s'(w_p) takes p's exact weight, so nothing changes above; d's red-red
 //	with s (pre-existing, off path) is consumed by d'(1).
 //
-// Removed nodes: p, x, s, d (c reused).
-func planA1e(th core.Thread, p, x, s, d nodeC, xIsLeft bool) core.Addr {
-	var c core.Addr
-	if xIsLeft {
-		c = s.left
-	} else {
-		c = s.right
-	}
+// d is x's side in p; far is the far nephew drawn d. Removed nodes: p, x,
+// s, d (c reused).
+func planA1e(th core.Thread, p, x, s, far nodeC, d int) core.Addr {
 	x.w--
 	xNew := writeNode(th, x)
-	d.w = 1
-	dNew := writeNode(th, d)
+	far.w = 1
+	farNew := writeNode(th, far)
 	pDown := p
 	pDown.w = 1
-	if xIsLeft {
-		pDown.left, pDown.right = xNew, c
-	} else {
-		pDown.left, pDown.right = c, xNew
-	}
-	pNew := writeNode(th, pDown)
+	pDown.kid[d], pDown.kid[1-d] = xNew, s.kid[d] // c
 	top := s
 	top.w = p.w
-	if xIsLeft {
-		top.left, top.right = pNew, dNew
-	} else {
-		top.left, top.right = dNew, pNew
-	}
+	top.kid[d], top.kid[1-d] = writeNode(th, pDown), farNew
+	return writeNode(th, top)
+}
+
+// writeDoubleRotation is the shape A3 and A1c share: s's near child c
+// rises to the top at weight wTop, and p (holding xAddr on side d) and s
+// descend red, splitting c's children e and f between them.
+func writeDoubleRotation(th core.Thread, p, s, c nodeC, xAddr core.Addr, d int, wTop uint64) core.Addr {
+	pDown := p
+	pDown.w = 0
+	pDown.kid[d], pDown.kid[1-d] = xAddr, c.kid[d] // e
+	sDown := s
+	sDown.w = 0
+	sDown.kid[d] = c.kid[1-d] // f; the far nephew stays
+	top := c
+	top.w = wTop
+	top.kid[d] = writeNode(th, pDown)
+	top.kid[1-d] = writeNode(th, sDown)
 	return writeNode(th, top)
 }

@@ -31,8 +31,8 @@ func pathSums(th core.Thread, top core.Addr) map[uint64]uint64 {
 			sums[nd.key] = acc
 			return
 		}
-		walk(nd.left, acc)
-		walk(nd.right, acc)
+		walk(nd.kid[0], acc)
+		walk(nd.kid[1], acc)
 	}
 	walk(top, 0)
 	return sums
@@ -52,8 +52,8 @@ func checkNoFreshRedRed(t *testing.T, th core.Thread, top core.Addr, topParentW 
 		if nd.leaf {
 			return
 		}
-		walk(nd.left, nd.w)
-		walk(nd.right, nd.w)
+		walk(nd.kid[0], nd.w)
+		walk(nd.kid[1], nd.w)
 	}
 	walk(top, topParentW)
 }
@@ -90,7 +90,7 @@ func TestRotationRulesPreservePathSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 
 	for iter := 0; iter < 400; iter++ {
-		for _, mirror := range []bool{false, true} {
+		for d := 0; d < 2; d++ {
 			// Synthetic grandparent region: gp{p, u} with p{x/c3 or x{a,b}}.
 			wgp := uint64(rng.Intn(3) + 1) // >= 1 (topmost red-red)
 			wu := uint64(rng.Intn(3) + 1)  // black uncle (BLK handles red)
@@ -105,53 +105,40 @@ func TestRotationRulesPreservePathSums(t *testing.T) {
 
 			// BLK: gp{p(0){x(0)...}, u(0)}; we model x and c3 as p's leaves.
 			x := mkLeaf(th, 0, 1004)
-			pd := nodeC{w: 0, key: 11, left: x, right: c3}
-			if mirror {
-				pd.left, pd.right = c3, x
-			}
+			pd := nodeC{w: 0, key: 11}
+			pd.kid[d], pd.kid[1-d] = x, c3
 			gpd := nodeC{w: wgp, key: 22}
 			ud := nodeC{leaf: true, w: 0, key: 1000}
-			top := planBLK(th, gpd, pd, ud, !mirror)
+			top := planBLK(th, gpd, pd, ud, d)
 			sums := pathSums(th, top)
 			if sums[1004] != wgp+0+0 || sums[1001] != wgp+0+wc3 || sums[1000] != wgp+0 {
 				t.Fatalf("BLK sums wrong: %v", sums)
 			}
 
 			// RB1: x outside.
-			pd2 := nodeC{w: 0, key: 11, left: x, right: c3}
-			gp2 := nodeC{w: wgp, key: 22}
-			if mirror {
-				pd2.left, pd2.right = c3, x
-			}
+			pd2 := nodeC{w: 0, key: 11}
+			pd2.kid[d], pd2.kid[1-d] = x, c3
 			// attach u side below via planRB1's gp fields
-			if mirror {
-				gp2.left, gp2.right = u, core.NilAddr
-			} else {
-				gp2.left, gp2.right = core.NilAddr, u
-			}
-			top = planRB1(th, gp2, pd2, x, !mirror)
+			gp2 := nodeC{w: wgp, key: 22}
+			gp2.kid[d], gp2.kid[1-d] = core.NilAddr, u
+			top = planRB1(th, gp2, pd2, x, d)
 			sums = pathSums(th, top)
 			if sums[1004] != wgp || sums[1001] != wgp+0+wc3 || sums[1000] != wgp+0+wu {
-				t.Fatalf("RB1 sums wrong (mirror=%v): %v", mirror, sums)
+				t.Fatalf("RB1 sums wrong (d=%d): %v", d, sums)
 			}
 			checkNoFreshRedRed(t, th, top, 1)
 
 			// RB2: x inside, internal with children a, b.
-			xd := nodeC{w: 0, key: 15, left: a, right: b}
+			xd := nodeC{w: 0, key: 15, kid: [2]core.Addr{a, b}}
 			pd3 := nodeC{w: 0, key: 11}
 			gp3 := nodeC{w: wgp, key: 22}
 			xAddr := writeNode(th, xd)
-			if mirror {
-				pd3.left, pd3.right = xAddr, c3
-				gp3.left, gp3.right = u, writeNode(th, pd3)
-			} else {
-				pd3.left, pd3.right = c3, xAddr
-				gp3.left, gp3.right = writeNode(th, pd3), u
-			}
-			top = planRB2(th, gp3, pd3, xd, !mirror)
+			pd3.kid[d], pd3.kid[1-d] = c3, xAddr
+			gp3.kid[d], gp3.kid[1-d] = writeNode(th, pd3), u
+			top = planRB2(th, gp3, pd3, xd, d)
 			sums = pathSums(th, top)
 			if sums[1001] != wgp+wc3 || sums[1002] != wgp+wa || sums[1003] != wgp+wb || sums[1000] != wgp+wu {
-				t.Fatalf("RB2 sums wrong (mirror=%v): %v", mirror, sums)
+				t.Fatalf("RB2 sums wrong (d=%d): %v", d, sums)
 			}
 			checkNoFreshRedRed(t, th, top, 1)
 		}
@@ -164,8 +151,7 @@ func TestWeightRulesPreservePathSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 
 	for iter := 0; iter < 400; iter++ {
-		for _, mirror := range []bool{false, true} {
-			xIsLeft := !mirror
+		for d := 0; d < 2; d++ {
 			wp := uint64(rng.Intn(3))
 			wx := uint64(rng.Intn(3) + 2) // overweight
 
@@ -176,7 +162,7 @@ func TestWeightRulesPreservePathSums(t *testing.T) {
 			ws := uint64(rng.Intn(3) + 2)
 			sd := nodeC{leaf: true, w: ws, key: 2001}
 			pd := nodeC{w: wp, key: 33}
-			top := planA1(th, pd, xd, sd, xIsLeft)
+			top := planA1(th, pd, xd, sd, d)
 			sums := pathSums(th, top)
 			if sums[2000] != wp+wx || sums[2001] != wp+ws {
 				t.Fatalf("A1 sums wrong: %v", sums)
@@ -185,15 +171,13 @@ func TestWeightRulesPreservePathSums(t *testing.T) {
 			// A1b: s(1){c(w>=1), d(0)}.
 			wc := uint64(rng.Intn(2) + 1)
 			c := mkLeaf(th, wc, 2002)
-			d := mkLeaf(th, 0, 2003)
-			s1 := nodeC{w: 1, key: 44, left: c, right: d}
-			if mirror {
-				s1.left, s1.right = d, c
-			}
-			top = planA1b(th, nodeC{w: wp, key: 33}, xd, s1, xIsLeft)
+			d1 := mkLeaf(th, 0, 2003)
+			s1 := nodeC{w: 1, key: 44}
+			s1.kid[d], s1.kid[1-d] = c, d1
+			top = planA1b(th, nodeC{w: wp, key: 33}, xd, s1, d)
 			sums = pathSums(th, top)
 			if sums[2000] != wp+wx || sums[2002] != wp+1+wc || sums[2003] != wp+1 {
-				t.Fatalf("A1b sums wrong (mirror=%v): %v", mirror, sums)
+				t.Fatalf("A1b sums wrong (d=%d): %v", d, sums)
 			}
 
 			// A1c: s(1){c(0){e, f}, d(w>=1)}.
@@ -203,65 +187,53 @@ func TestWeightRulesPreservePathSums(t *testing.T) {
 			e := mkLeaf(th, we, 2004)
 			f := mkLeaf(th, wf, 2005)
 			d2 := mkLeaf(th, wd, 2006)
-			cd := nodeC{w: 0, key: 40, left: e, right: f}
-			if mirror {
-				cd.left, cd.right = f, e
-			}
-			s2 := nodeC{w: 1, key: 44, left: writeNode(th, cd), right: d2}
-			if mirror {
-				s2.left, s2.right = d2, s2.left
-			}
-			top = planA1c(th, nodeC{w: wp, key: 33}, xd, s2, cd, xIsLeft)
+			cd := nodeC{w: 0, key: 40}
+			cd.kid[d], cd.kid[1-d] = e, f
+			s2 := nodeC{w: 1, key: 44}
+			s2.kid[d], s2.kid[1-d] = writeNode(th, cd), d2
+			top = planA1c(th, nodeC{w: wp, key: 33}, xd, s2, cd, d)
 			sums = pathSums(th, top)
 			if sums[2000] != wp+wx || sums[2004] != wp+1+we || sums[2005] != wp+1+wf || sums[2006] != wp+1+wd {
-				t.Fatalf("A1c sums wrong (mirror=%v): %v", mirror, sums)
+				t.Fatalf("A1c sums wrong (d=%d): %v", d, sums)
 			}
 			checkNoFreshRedRed(t, th, top, 1)
 
 			// A1e: s(1){c(0), d(0)}.
 			c3 := mkLeaf(th, 0, 2007)
 			d3 := mkLeaf(th, 0, 2008)
-			s3 := nodeC{w: 1, key: 44, left: c3, right: d3}
-			if mirror {
-				s3.left, s3.right = d3, c3
-			}
+			s3 := nodeC{w: 1, key: 44}
+			s3.kid[d], s3.kid[1-d] = c3, d3
 			dd := nodeC{leaf: true, w: 0, key: 2008}
-			top = planA1e(th, nodeC{w: wp, key: 33}, xd, s3, dd, xIsLeft)
+			top = planA1e(th, nodeC{w: wp, key: 33}, xd, s3, dd, d)
 			sums = pathSums(th, top)
 			if sums[2000] != wp+wx || sums[2007] != wp+1 || sums[2008] != wp+1 {
-				t.Fatalf("A1e sums wrong (mirror=%v): %v", mirror, sums)
+				t.Fatalf("A1e sums wrong (d=%d): %v", d, sums)
 			}
 
 			// A2: s(0){c(w>=1), d}.
 			c4 := mkLeaf(th, wc, 2009)
 			d4 := mkLeaf(th, uint64(rng.Intn(3)), 2010)
 			wd4 := readNode(th, d4).w
-			s4 := nodeC{w: 0, key: 44, left: c4, right: d4}
-			if mirror {
-				s4.left, s4.right = d4, c4
-			}
-			top = planA2(th, nodeC{w: wp + 1, key: 33}, s4, x, xIsLeft)
+			s4 := nodeC{w: 0, key: 44}
+			s4.kid[d], s4.kid[1-d] = c4, d4
+			top = planA2(th, nodeC{w: wp + 1, key: 33}, s4, x, d)
 			sums = pathSums(th, top)
 			if sums[2000] != wp+1+wx || sums[2009] != wp+1+wc || sums[2010] != wp+1+wd4 {
-				t.Fatalf("A2 sums wrong (mirror=%v): %v", mirror, sums)
+				t.Fatalf("A2 sums wrong (d=%d): %v", d, sums)
 			}
 
 			// A3: s(0){c(0){e, f}, d}.
 			e5 := mkLeaf(th, we, 2011)
 			f5 := mkLeaf(th, wf, 2012)
 			d5 := mkLeaf(th, wd, 2013)
-			cd5 := nodeC{w: 0, key: 40, left: e5, right: f5}
-			if mirror {
-				cd5.left, cd5.right = f5, e5
-			}
-			s5 := nodeC{w: 0, key: 44, left: writeNode(th, cd5), right: d5}
-			if mirror {
-				s5.left, s5.right = d5, s5.left
-			}
-			top = planA3(th, nodeC{w: wp + 1, key: 33}, s5, cd5, x, xIsLeft)
+			cd5 := nodeC{w: 0, key: 40}
+			cd5.kid[d], cd5.kid[1-d] = e5, f5
+			s5 := nodeC{w: 0, key: 44}
+			s5.kid[d], s5.kid[1-d] = writeNode(th, cd5), d5
+			top = planA3(th, nodeC{w: wp + 1, key: 33}, s5, cd5, x, d)
 			sums = pathSums(th, top)
 			if sums[2000] != wp+1+wx || sums[2011] != wp+1+we || sums[2012] != wp+1+wf || sums[2013] != wp+1+wd {
-				t.Fatalf("A3 sums wrong (mirror=%v): %v", mirror, sums)
+				t.Fatalf("A3 sums wrong (d=%d): %v", d, sums)
 			}
 		}
 	}
@@ -291,21 +263,18 @@ func (g *weighted) sub(sum uint64, w int, depth int) nodeC {
 		nd.leaf, nd.w = true, sum
 		return nd
 	}
-	nd.left = writeNode(g.th, g.sub(sum-nd.w, -1, depth+1))
-	nd.right = writeNode(g.th, g.sub(sum-nd.w, -1, depth+1))
+	for d := range nd.kid {
+		nd.kid[d] = writeNode(g.th, g.sub(sum-nd.w, -1, depth+1))
+	}
 	return nd
 }
 
 // addr writes a random subtree (see sub) and returns its address.
 func (g *weighted) addr(sum uint64, w int) core.Addr { return writeNode(g.th, g.sub(sum, w, 1)) }
 
-// pair orders a near and a far child: near is on the left iff nearLeft.
-func pair(nd nodeC, near, far core.Addr, nearLeft bool) nodeC {
-	if nearLeft {
-		nd.left, nd.right = near, far
-	} else {
-		nd.left, nd.right = far, near
-	}
+// pair orders a near and a far child: near is on side d.
+func pair(nd nodeC, near, far core.Addr, d int) nodeC {
+	nd.kid[d], nd.kid[1-d] = near, far
 	return nd
 }
 
@@ -329,8 +298,8 @@ func TestPlannersKeepLeavesWeighted(t *testing.T) {
 			}
 			acc += nd.w
 			if !nd.leaf {
-				walk(nd.left, acc)
-				walk(nd.right, acc)
+				walk(nd.kid[0], acc)
+				walk(nd.kid[1], acc)
 				return
 			}
 			if nd.w == 0 {
@@ -346,7 +315,7 @@ func TestPlannersKeepLeavesWeighted(t *testing.T) {
 		walk(top, 0)
 	}
 	for iter := 0; iter < 1000; iter++ {
-		left := g.rng.Intn(2) == 0
+		d := g.rng.Intn(2)
 		// r is the path sum below the rule's top node; top weighs wt.
 		wt := rw(1, 3)
 		r := rw(2, 5)
@@ -362,36 +331,36 @@ func TestPlannersKeepLeavesWeighted(t *testing.T) {
 		gp := nodeC{w: wt, key: 2}
 		x := g.sub(r, 0, 1)
 		xAddr := writeNode(th, x)
-		p := pair(nodeC{w: 0, key: 3}, xAddr, g.addr(r, -1), left)
+		p := pair(nodeC{w: 0, key: 3}, xAddr, g.addr(r, -1), d)
 		u := g.sub(r, 0, 1)
-		check("BLK", planBLK(th, pair(gp, writeNode(th, p), writeNode(th, u), left), p, u, left), sum)
+		check("BLK", planBLK(th, pair(gp, writeNode(th, p), writeNode(th, u), d), p, u, d), sum)
 		u = g.sub(r, int(rw(1, int(r))), 1)
-		check("RB1", planRB1(th, pair(gp, writeNode(th, p), writeNode(th, u), left), p, xAddr, left), sum)
-		p = pair(nodeC{w: 0, key: 3}, xAddr, g.addr(r, -1), !left)
-		check("RB2", planRB2(th, pair(gp, writeNode(th, p), writeNode(th, u), left), p, x, left), sum)
+		check("RB1", planRB1(th, pair(gp, writeNode(th, p), writeNode(th, u), d), p, xAddr, d), sum)
+		p = pair(nodeC{w: 0, key: 3}, xAddr, g.addr(r, -1), 1-d)
+		check("RB2", planRB2(th, pair(gp, writeNode(th, p), writeNode(th, u), d), p, x, d), sum)
 
 		// Overweight x under p (weight wt-1, possibly red), sibling s.
 		pw := nodeC{w: wt - 1, key: 4}
 		x = g.sub(r, int(rw(2, int(r))), 1)
 		xAddr = writeNode(th, x)
 		s := g.sub(r, int(rw(1, int(r))), 1)
-		check("A1", planA1(th, pw, x, s, left), sum-1)
+		check("A1", planA1(th, pw, x, s, d), sum-1)
 		near, far := g.sub(r-1, int(rw(1, int(r-1))), 2), g.sub(r-1, 0, 2)
-		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), left)
-		check("A1b", planA1b(th, pw, x, s, left), sum-1)
+		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), d)
+		check("A1b", planA1b(th, pw, x, s, d), sum-1)
 		near, far = g.sub(r-1, 0, 2), g.sub(r-1, int(rw(1, int(r-1))), 2)
-		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), left)
-		check("A1c", planA1c(th, pw, x, s, near, left), sum-1)
+		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), d)
+		check("A1c", planA1c(th, pw, x, s, near, d), sum-1)
 		near, far = g.sub(r-1, 0, 2), g.sub(r-1, 0, 2)
-		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), left)
-		check("A1e", planA1e(th, pw, x, s, far, left), sum-1)
+		s = pair(nodeC{w: 1, key: 5}, writeNode(th, near), writeNode(th, far), d)
+		check("A1e", planA1e(th, pw, x, s, far, d), sum-1)
 
 		// Red sibling under a black p: A2 (near nephew black), A3 (red).
 		near, far = g.sub(r, int(rw(1, int(r))), 2), g.sub(r, -1, 2)
-		s = pair(nodeC{w: 0, key: 5}, writeNode(th, near), writeNode(th, far), left)
-		check("A2", planA2(th, gp, s, xAddr, left), sum)
+		s = pair(nodeC{w: 0, key: 5}, writeNode(th, near), writeNode(th, far), d)
+		check("A2", planA2(th, gp, s, xAddr, d), sum)
 		near = g.sub(r, 0, 2)
-		s = pair(nodeC{w: 0, key: 5}, writeNode(th, near), writeNode(th, far), left)
-		check("A3", planA3(th, gp, s, near, xAddr, left), sum)
+		s = pair(nodeC{w: 0, key: 5}, writeNode(th, near), writeNode(th, far), d)
+		check("A3", planA3(th, gp, s, near, xAddr, d), sum)
 	}
 }

@@ -215,13 +215,11 @@ func (s *set) deleteOnce(th core.Thread, key uint64) (done, removed, unbalanced 
 	pd := a.node(p)
 	// l's sibling. A snapshot can show that p no longer points at l; under
 	// tags that is left to the commit's validation to catch.
-	sAddr := pd.left
-	switch {
-	case l == pd.left:
-		sAddr = pd.right
-	case l != pd.right && late:
+	d := pd.side(l)
+	if pd.kid[d] != l && late {
 		return false, false, false
 	}
+	sAddr := pd.kid[1-d]
 	// The sibling is absorbed into a reweighted copy: it is removed too, so
 	// it joins the held set (and thus the commit's invalidation).
 	if late && !a.hold(l) {
@@ -310,21 +308,18 @@ func (a *attempt) fixRedRed(ggp, gp, p, x core.Addr, key uint64) {
 		return
 	}
 	gpd, ok := a.holdNode(gp)
-	pIsLeft := gpd.left == p
-	if !ok || (!pIsLeft && gpd.right != p) {
+	d := gpd.side(p)
+	if !ok || gpd.kid[d] != p {
 		return
 	}
 	pd, ok := a.holdNode(p)
-	if !ok || (pd.left != x && pd.right != x) {
+	if !ok || pd.kid[pd.side(x)] != x {
 		return
 	}
 	if pd.w != 0 || weightOf(a.Th, x) != 0 || gpd.w < 1 {
 		return // violation gone or not topmost anymore
 	}
-	uAddr := gpd.right
-	if !pIsLeft {
-		uAddr = gpd.left
-	}
+	uAddr := gpd.kid[1-d]
 	c := treeupdate.Change{Owner: ggp, Slot: a.slot(slot, ggp, key), Old: gp}
 	switch {
 	case weightOf(a.Th, uAddr) == 0:
@@ -333,13 +328,13 @@ func (a *attempt) fixRedRed(ggp, gp, p, x core.Addr, key uint64) {
 		if !ok || !a.St.Ready() {
 			return
 		}
-		c.New, c.Removed = planBLK(a.Th, gpd, pd, ud, pIsLeft), treeupdate.Nodes(gp, p, uAddr)
-	case (pd.left == x) == pIsLeft:
+		c.New, c.Removed = planBLK(a.Th, gpd, pd, ud, d), treeupdate.Nodes(gp, p, uAddr)
+	case pd.side(x) == d:
 		// Outside grandchild: single rotation.
 		if !a.St.Ready() {
 			return
 		}
-		c.New, c.Removed = planRB1(a.Th, gpd, pd, x, pIsLeft), treeupdate.Nodes(gp, p)
+		c.New, c.Removed = planRB1(a.Th, gpd, pd, x, d), treeupdate.Nodes(gp, p)
 	default:
 		// Inside grandchild: double rotation; x is replaced (x is red, so
 		// internal: every leaf weighs at least 1).
@@ -347,7 +342,7 @@ func (a *attempt) fixRedRed(ggp, gp, p, x core.Addr, key uint64) {
 		if !ok || !a.St.Ready() {
 			return
 		}
-		c.New, c.Removed = planRB2(a.Th, gpd, pd, xd, pIsLeft), treeupdate.Nodes(gp, p, x)
+		c.New, c.Removed = planRB2(a.Th, gpd, pd, xd, d), treeupdate.Nodes(gp, p, x)
 	}
 	a.St.Commit(c)
 }
@@ -371,8 +366,8 @@ func (a *attempt) fixOverweight(ggp, gp, p, x core.Addr, key uint64) {
 		return
 	}
 	pd, ok := a.holdNode(p)
-	xIsLeft := pd.left == x
-	if !ok || (!xIsLeft && pd.right != x) {
+	d := pd.side(x)
+	if !ok || pd.kid[d] != x {
 		return
 	}
 	// Tagging costs an access; a snapshot reads the weight anyway.
@@ -383,10 +378,7 @@ func (a *attempt) fixOverweight(ggp, gp, p, x core.Addr, key uint64) {
 	if !ok || xd.w < 2 {
 		return
 	}
-	sAddr := pd.right
-	if !xIsLeft {
-		sAddr = pd.left
-	}
+	sAddr := pd.kid[1-d]
 	sd, ok := a.holdNode(sAddr)
 	if !ok {
 		return
@@ -397,37 +389,34 @@ func (a *attempt) fixOverweight(ggp, gp, p, x core.Addr, key uint64) {
 		if !a.St.Ready() {
 			return
 		}
-		c.New = planA1(a.Th, pd, xd, sd, xIsLeft)
+		c.New = planA1(a.Th, pd, xd, sd, d)
 	case sd.w == 1:
-		// Internal sibling of weight 1: inspect its children.
-		cAddr, dAddr := sd.left, sd.right
-		if !xIsLeft {
-			cAddr, dAddr = sd.right, sd.left
-		}
+		// Internal sibling of weight 1: inspect its near and far children.
+		cAddr, dAddr := sd.kid[d], sd.kid[1-d]
 		wc, wd := weightOf(a.Th, cAddr), weightOf(a.Th, dAddr)
 		switch {
 		case wc >= 1 && wd >= 1:
 			if !a.St.Ready() {
 				return
 			}
-			c.New = planA1(a.Th, pd, xd, sd, xIsLeft)
+			c.New = planA1(a.Th, pd, xd, sd, d)
 		case wc == 0 && wd >= 1:
 			cd, ok := a.holdNode(cAddr)
 			if !ok || !a.St.Ready() {
 				return
 			}
-			c.New, c.Removed[3] = planA1c(a.Th, pd, xd, sd, cd, xIsLeft), cAddr
+			c.New, c.Removed[3] = planA1c(a.Th, pd, xd, sd, cd, d), cAddr
 		case wc >= 1: // wd == 0
 			if !a.St.Ready() {
 				return
 			}
-			c.New = planA1b(a.Th, pd, xd, sd, xIsLeft)
+			c.New = planA1b(a.Th, pd, xd, sd, d)
 		default: // both red
 			dd, ok := a.holdNode(dAddr)
 			if !ok || !a.St.Ready() {
 				return
 			}
-			c.New, c.Removed[3] = planA1e(a.Th, pd, xd, sd, dd, xIsLeft), dAddr
+			c.New, c.Removed[3] = planA1e(a.Th, pd, xd, sd, dd, d), dAddr
 		}
 	default: // red sibling
 		if pd.w == 0 {
@@ -437,23 +426,20 @@ func (a *attempt) fixOverweight(ggp, gp, p, x core.Addr, key uint64) {
 			a.fixRedRed(ggp, gp, p, sAddr, key)
 			return
 		}
-		cAddr := sd.left
-		if !xIsLeft {
-			cAddr = sd.right
-		}
+		cAddr := sd.kid[d]
 		// Both rotations keep x: it is not removed.
 		if weightOf(a.Th, cAddr) >= 1 {
 			if !a.St.Ready() {
 				return
 			}
-			c.New, c.Removed = planA2(a.Th, pd, sd, x, xIsLeft), treeupdate.Nodes(p, sAddr)
+			c.New, c.Removed = planA2(a.Th, pd, sd, x, d), treeupdate.Nodes(p, sAddr)
 		} else {
 			a.St.Release(x)
 			cd, ok := a.holdNode(cAddr)
 			if !ok || !a.St.Ready() {
 				return
 			}
-			c.New, c.Removed = planA3(a.Th, pd, sd, cd, x, xIsLeft), treeupdate.Nodes(p, sAddr, cAddr)
+			c.New, c.Removed = planA3(a.Th, pd, sd, cd, x, d), treeupdate.Nodes(p, sAddr, cAddr)
 		}
 	}
 	a.St.Commit(c)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,6 +72,22 @@ func TestServeHotPathAllocFree(t *testing.T) {
 			out = w.Exec(&r, out[:0])
 		})
 	}
+
+	// PUT of a key the map lacks: a node is allocated and linked in, and
+	// the insert fixup runs. Each call formats a fresh key into one buffer.
+	key := uint64(1 << 20)
+	line := make([]byte, 0, 32)
+	putFresh := func() {
+		key++
+		line = append(strconv.AppendUint(append(line[:0], "PUT "...), key, 10), " 1\n"...)
+		r, err := ParseRequest(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = w.Exec(&r, out[:0])
+	}
+	putFresh()
+	assertZeroAllocs(t, "decode+exec+encode PUT-insert", putFresh)
 }
 
 // TestServeHotPathAllocFreeWithStreaming repeats the pin with the full

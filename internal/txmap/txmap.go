@@ -15,12 +15,14 @@ import (
 	"repro/internal/stm"
 )
 
-// Node layout (words).
+// Node layout (words). The two child words are adjacent and indexed by
+// side: a node's child on side d (0 left, 1 right) is word nLeft+d, so each
+// rotation and fixup case is written once and its mirror is the same code
+// with d and 1-d exchanged.
 const (
 	nKey    = 0
 	nVal    = 1
 	nLeft   = 2
-	nRight  = 3
 	nParent = 4
 	nColor  = 5
 	nWords  = 6
@@ -63,203 +65,173 @@ func New(mem core.Memory) *Map {
 func (m *Map) node(tx *stm.Tx, n core.Addr, f int) uint64   { return tx.Read(n.Plus(f)) }
 func (m *Map) set(tx *stm.Tx, n core.Addr, f int, v uint64) { tx.Write(n.Plus(f), v) }
 
-func (m *Map) left(tx *stm.Tx, n core.Addr) core.Addr   { return core.Addr(m.node(tx, n, nLeft)) }
-func (m *Map) right(tx *stm.Tx, n core.Addr) core.Addr  { return core.Addr(m.node(tx, n, nRight)) }
-func (m *Map) parent(tx *stm.Tx, n core.Addr) core.Addr { return core.Addr(m.node(tx, n, nParent)) }
-func (m *Map) color(tx *stm.Tx, n core.Addr) uint64     { return m.node(tx, n, nColor) }
-func (m *Map) rootNode(tx *stm.Tx) core.Addr            { return core.Addr(tx.Read(m.root)) }
+func (m *Map) kid(tx *stm.Tx, n core.Addr, d int) core.Addr       { return core.Addr(m.node(tx, n, nLeft+d)) }
+func (m *Map) setKid(tx *stm.Tx, n core.Addr, d int, c core.Addr) { m.set(tx, n, nLeft+d, uint64(c)) }
+func (m *Map) parent(tx *stm.Tx, n core.Addr) core.Addr           { return core.Addr(m.node(tx, n, nParent)) }
+func (m *Map) color(tx *stm.Tx, n core.Addr) uint64               { return m.node(tx, n, nColor) }
+func (m *Map) rootNode(tx *stm.Tx) core.Addr                      { return core.Addr(tx.Read(m.root)) }
+
+// dir is the side of a node keyed k that a search for key takes.
+func dir(key, k uint64) int {
+	if key < k {
+		return 0
+	}
+	return 1
+}
+
+// side returns the side of p that holds child n. It reads p's child on side
+// first, and takes n to be on the other side if it is not there.
+func (m *Map) side(tx *stm.Tx, p, n core.Addr, first int) int {
+	if n == m.kid(tx, p, first) {
+		return first
+	}
+	return 1 - first
+}
+
+// find descends from the root toward key. It returns the node holding key
+// (nil_ if there is none) and the last node above it (nil_ at the root).
+func (m *Map) find(tx *stm.Tx, key uint64) (n, parent core.Addr) {
+	n, parent = m.rootNode(tx), m.nil_
+	for n != m.nil_ {
+		k := m.node(tx, n, nKey)
+		if key == k {
+			break
+		}
+		n, parent = m.kid(tx, n, dir(key, k)), n
+	}
+	return n, parent
+}
 
 // Get returns the value for key and whether it is present.
 func (m *Map) Get(tx *stm.Tx, key uint64) (uint64, bool) {
-	n := m.rootNode(tx)
-	for n != m.nil_ {
-		k := m.node(tx, n, nKey)
-		switch {
-		case key < k:
-			n = m.left(tx, n)
-		case key > k:
-			n = m.right(tx, n)
-		default:
-			return m.node(tx, n, nVal), true
-		}
+	n, _ := m.find(tx, key)
+	if n == m.nil_ {
+		return 0, false
 	}
-	return 0, false
+	return m.node(tx, n, nVal), true
 }
 
 // Put inserts key with value, or updates the value if present. It reports
 // whether the key was newly inserted.
 func (m *Map) Put(tx *stm.Tx, key, val uint64, th core.Thread) bool {
-	y := m.nil_
-	x := m.rootNode(tx)
-	for x != m.nil_ {
-		y = x
-		k := m.node(tx, x, nKey)
-		switch {
-		case key < k:
-			x = m.left(tx, x)
-		case key > k:
-			x = m.right(tx, x)
-		default:
-			m.set(tx, x, nVal, val)
-			return false
-		}
+	x, y := m.find(tx, key)
+	if x != m.nil_ {
+		m.set(tx, x, nVal, val)
+		return false
 	}
-	var z core.Addr
-	if m.pool != nil {
-		z = m.pool.Alloc(th)
-		// Writes are buffered, so an aborted attempt never published z:
-		// hand it straight back to the free list.
-		tx.OnAbort(func() { m.pool.FreePrivate(th, z) })
-	} else {
-		z = th.Alloc(nWords)
-	}
+	z := m.alloc(tx, th)
 	// Fresh node: initialize through the transaction so an abort is
 	// harmless (the node is simply garbage) and the commit publishes it.
 	m.set(tx, z, nKey, key)
 	m.set(tx, z, nVal, val)
-	m.set(tx, z, nLeft, uint64(m.nil_))
-	m.set(tx, z, nRight, uint64(m.nil_))
+	m.setKid(tx, z, 0, m.nil_)
+	m.setKid(tx, z, 1, m.nil_)
 	m.set(tx, z, nParent, uint64(y))
 	m.set(tx, z, nColor, red)
 	if y == m.nil_ {
 		tx.Write(m.root, uint64(z))
-	} else if key < m.node(tx, y, nKey) {
-		m.set(tx, y, nLeft, uint64(z))
 	} else {
-		m.set(tx, y, nRight, uint64(z))
+		m.setKid(tx, y, dir(key, m.node(tx, y, nKey)), z)
 	}
 	m.insertFixup(tx, z)
 	return true
 }
 
-func (m *Map) rotateLeft(tx *stm.Tx, x core.Addr) {
-	y := m.right(tx, x)
-	yl := m.left(tx, y)
-	m.set(tx, x, nRight, uint64(yl))
-	if yl != m.nil_ {
-		m.set(tx, yl, nParent, uint64(x))
+// alloc returns a fresh node for tx to initialize. The abort hook captures
+// z, which is assigned once, so a map without a pool allocates nothing on
+// the host heap here.
+func (m *Map) alloc(tx *stm.Tx, th core.Thread) core.Addr {
+	if m.pool == nil {
+		return th.Alloc(nWords)
+	}
+	z := m.pool.Alloc(th)
+	// Writes are buffered, so an aborted attempt never published z: hand
+	// it straight back to the free list.
+	tx.OnAbort(func() { m.pool.FreePrivate(th, z) })
+	return z
+}
+
+// relink points up (or the root word, when up is nil_) at v in place of
+// its child u, reading up's child on side first to find u.
+func (m *Map) relink(tx *stm.Tx, up, u, v core.Addr, first int) {
+	if up == m.nil_ {
+		tx.Write(m.root, uint64(v))
+		return
+	}
+	m.setKid(tx, up, m.side(tx, up, u, first), v)
+}
+
+// rotate turns x down to side d: x's child on the other side, y, takes
+// x's place, and x becomes y's child on side d (d = 0 is a left rotation).
+func (m *Map) rotate(tx *stm.Tx, x core.Addr, d int) {
+	y := m.kid(tx, x, 1-d)
+	yd := m.kid(tx, y, d)
+	m.setKid(tx, x, 1-d, yd)
+	if yd != m.nil_ {
+		m.set(tx, yd, nParent, uint64(x))
 	}
 	xp := m.parent(tx, x)
 	m.set(tx, y, nParent, uint64(xp))
-	if xp == m.nil_ {
-		tx.Write(m.root, uint64(y))
-	} else if x == m.left(tx, xp) {
-		m.set(tx, xp, nLeft, uint64(y))
-	} else {
-		m.set(tx, xp, nRight, uint64(y))
-	}
-	m.set(tx, y, nLeft, uint64(x))
+	m.relink(tx, xp, x, y, d)
+	m.setKid(tx, y, d, x)
 	m.set(tx, x, nParent, uint64(y))
 }
 
-func (m *Map) rotateRight(tx *stm.Tx, x core.Addr) {
-	y := m.left(tx, x)
-	yr := m.right(tx, y)
-	m.set(tx, x, nLeft, uint64(yr))
-	if yr != m.nil_ {
-		m.set(tx, yr, nParent, uint64(x))
-	}
-	xp := m.parent(tx, x)
-	m.set(tx, y, nParent, uint64(xp))
-	if xp == m.nil_ {
-		tx.Write(m.root, uint64(y))
-	} else if x == m.right(tx, xp) {
-		m.set(tx, xp, nRight, uint64(y))
-	} else {
-		m.set(tx, xp, nLeft, uint64(y))
-	}
-	m.set(tx, y, nRight, uint64(x))
-	m.set(tx, x, nParent, uint64(y))
-}
-
+// insertFixup restores the red-black rules after z is linked in red. d is
+// the side of zp in zpp; the uncle y is on the other side.
 func (m *Map) insertFixup(tx *stm.Tx, z core.Addr) {
 	for m.color(tx, m.parent(tx, z)) == red {
 		zp := m.parent(tx, z)
 		zpp := m.parent(tx, zp)
-		if zp == m.left(tx, zpp) {
-			y := m.right(tx, zpp)
-			if m.color(tx, y) == red {
-				m.set(tx, zp, nColor, black)
-				m.set(tx, y, nColor, black)
-				m.set(tx, zpp, nColor, red)
-				z = zpp
-			} else {
-				if z == m.right(tx, zp) {
-					z = zp
-					m.rotateLeft(tx, z)
-					zp = m.parent(tx, z)
-					zpp = m.parent(tx, zp)
-				}
-				m.set(tx, zp, nColor, black)
-				m.set(tx, zpp, nColor, red)
-				m.rotateRight(tx, zpp)
-			}
-		} else {
-			y := m.left(tx, zpp)
-			if m.color(tx, y) == red {
-				m.set(tx, zp, nColor, black)
-				m.set(tx, y, nColor, black)
-				m.set(tx, zpp, nColor, red)
-				z = zpp
-			} else {
-				if z == m.left(tx, zp) {
-					z = zp
-					m.rotateRight(tx, z)
-					zp = m.parent(tx, z)
-					zpp = m.parent(tx, zp)
-				}
-				m.set(tx, zp, nColor, black)
-				m.set(tx, zpp, nColor, red)
-				m.rotateLeft(tx, zpp)
-			}
+		d := m.side(tx, zpp, zp, 0)
+		y := m.kid(tx, zpp, 1-d)
+		if m.color(tx, y) == red {
+			m.set(tx, zp, nColor, black)
+			m.set(tx, y, nColor, black)
+			m.set(tx, zpp, nColor, red)
+			z = zpp
+			continue
 		}
+		if z == m.kid(tx, zp, 1-d) {
+			z = zp
+			m.rotate(tx, z, d)
+			zp = m.parent(tx, z)
+			zpp = m.parent(tx, zp)
+		}
+		m.set(tx, zp, nColor, black)
+		m.set(tx, zpp, nColor, red)
+		m.rotate(tx, zpp, 1-d)
 	}
 	m.set(tx, m.rootNode(tx), nColor, black)
 }
 
 // Delete removes key, reporting whether it was present.
 func (m *Map) Delete(tx *stm.Tx, key uint64) bool {
-	z := m.rootNode(tx)
-	for z != m.nil_ {
-		k := m.node(tx, z, nKey)
-		switch {
-		case key < k:
-			z = m.left(tx, z)
-		case key > k:
-			z = m.right(tx, z)
-		default:
-			m.deleteNode(tx, z)
-			if m.pool != nil {
-				// The commit's writeBack unlinks z atomically under the
-				// global sequence lock, making the committing deleter the
-				// unique unlinker. Capture a branch-local copy of z: the
-				// loop variable would otherwise be heap-allocated on every
-				// call, including misses.
-				th := tx.Thread()
-				victim := z
-				tx.OnCommit(func() { m.pool.Retire(th, victim) })
-			}
-			return true
-		}
+	z, _ := m.find(tx, key)
+	if z == m.nil_ {
+		return false
 	}
-	return false
+	m.deleteNode(tx, z)
+	if m.pool != nil {
+		// The commit's writeBack unlinks z atomically under the global
+		// sequence lock, making the committing deleter the unique
+		// unlinker. z is assigned once, so the hook captures a copy and a
+		// miss allocates nothing.
+		th := tx.Thread()
+		tx.OnCommit(func() { m.pool.Retire(th, z) })
+	}
+	return true
 }
 
 func (m *Map) transplant(tx *stm.Tx, u, v core.Addr) {
 	up := m.parent(tx, u)
-	if up == m.nil_ {
-		tx.Write(m.root, uint64(v))
-	} else if u == m.left(tx, up) {
-		m.set(tx, up, nLeft, uint64(v))
-	} else {
-		m.set(tx, up, nRight, uint64(v))
-	}
+	m.relink(tx, up, u, v, 0)
 	m.set(tx, v, nParent, uint64(up))
 }
 
 func (m *Map) minimum(tx *stm.Tx, n core.Addr) core.Addr {
 	for {
-		l := m.left(tx, n)
+		l := m.kid(tx, n, 0)
 		if l == m.nil_ {
 			return n
 		}
@@ -271,27 +243,27 @@ func (m *Map) deleteNode(tx *stm.Tx, z core.Addr) {
 	y := z
 	yColor := m.color(tx, y)
 	var x core.Addr
-	if m.left(tx, z) == m.nil_ {
-		x = m.right(tx, z)
+	if m.kid(tx, z, 0) == m.nil_ {
+		x = m.kid(tx, z, 1)
 		m.transplant(tx, z, x)
-	} else if m.right(tx, z) == m.nil_ {
-		x = m.left(tx, z)
+	} else if m.kid(tx, z, 1) == m.nil_ {
+		x = m.kid(tx, z, 0)
 		m.transplant(tx, z, x)
 	} else {
-		y = m.minimum(tx, m.right(tx, z))
+		y = m.minimum(tx, m.kid(tx, z, 1))
 		yColor = m.color(tx, y)
-		x = m.right(tx, y)
+		x = m.kid(tx, y, 1)
 		if m.parent(tx, y) == z {
 			m.set(tx, x, nParent, uint64(y))
 		} else {
 			m.transplant(tx, y, x)
-			zr := m.right(tx, z)
-			m.set(tx, y, nRight, uint64(zr))
+			zr := m.kid(tx, z, 1)
+			m.setKid(tx, y, 1, zr)
 			m.set(tx, zr, nParent, uint64(y))
 		}
 		m.transplant(tx, z, y)
-		zl := m.left(tx, z)
-		m.set(tx, y, nLeft, uint64(zl))
+		zl := m.kid(tx, z, 0)
+		m.setKid(tx, y, 0, zl)
 		m.set(tx, zl, nParent, uint64(y))
 		m.set(tx, y, nColor, m.color(tx, z))
 	}
@@ -300,62 +272,37 @@ func (m *Map) deleteNode(tx *stm.Tx, z core.Addr) {
 	}
 }
 
+// deleteFixup removes the extra black at x. d is the side of x in xp; the
+// sibling w is on the other side.
 func (m *Map) deleteFixup(tx *stm.Tx, x core.Addr) {
 	for x != m.rootNode(tx) && m.color(tx, x) == black {
 		xp := m.parent(tx, x)
-		if x == m.left(tx, xp) {
-			w := m.right(tx, xp)
-			if m.color(tx, w) == red {
-				m.set(tx, w, nColor, black)
-				m.set(tx, xp, nColor, red)
-				m.rotateLeft(tx, xp)
-				xp = m.parent(tx, x)
-				w = m.right(tx, xp)
-			}
-			if m.color(tx, m.left(tx, w)) == black && m.color(tx, m.right(tx, w)) == black {
-				m.set(tx, w, nColor, red)
-				x = xp
-			} else {
-				if m.color(tx, m.right(tx, w)) == black {
-					m.set(tx, m.left(tx, w), nColor, black)
-					m.set(tx, w, nColor, red)
-					m.rotateRight(tx, w)
-					xp = m.parent(tx, x)
-					w = m.right(tx, xp)
-				}
-				m.set(tx, w, nColor, m.color(tx, xp))
-				m.set(tx, xp, nColor, black)
-				m.set(tx, m.right(tx, w), nColor, black)
-				m.rotateLeft(tx, xp)
-				x = m.rootNode(tx)
-			}
-		} else {
-			w := m.left(tx, xp)
-			if m.color(tx, w) == red {
-				m.set(tx, w, nColor, black)
-				m.set(tx, xp, nColor, red)
-				m.rotateRight(tx, xp)
-				xp = m.parent(tx, x)
-				w = m.left(tx, xp)
-			}
-			if m.color(tx, m.right(tx, w)) == black && m.color(tx, m.left(tx, w)) == black {
-				m.set(tx, w, nColor, red)
-				x = xp
-			} else {
-				if m.color(tx, m.left(tx, w)) == black {
-					m.set(tx, m.right(tx, w), nColor, black)
-					m.set(tx, w, nColor, red)
-					m.rotateLeft(tx, w)
-					xp = m.parent(tx, x)
-					w = m.left(tx, xp)
-				}
-				m.set(tx, w, nColor, m.color(tx, xp))
-				m.set(tx, xp, nColor, black)
-				m.set(tx, m.left(tx, w), nColor, black)
-				m.rotateRight(tx, xp)
-				x = m.rootNode(tx)
-			}
+		d := m.side(tx, xp, x, 0)
+		w := m.kid(tx, xp, 1-d)
+		if m.color(tx, w) == red {
+			m.set(tx, w, nColor, black)
+			m.set(tx, xp, nColor, red)
+			m.rotate(tx, xp, d)
+			xp = m.parent(tx, x)
+			w = m.kid(tx, xp, 1-d)
 		}
+		if m.color(tx, m.kid(tx, w, d)) == black && m.color(tx, m.kid(tx, w, 1-d)) == black {
+			m.set(tx, w, nColor, red)
+			x = xp
+			continue
+		}
+		if m.color(tx, m.kid(tx, w, 1-d)) == black {
+			m.set(tx, m.kid(tx, w, d), nColor, black)
+			m.set(tx, w, nColor, red)
+			m.rotate(tx, w, 1-d)
+			xp = m.parent(tx, x)
+			w = m.kid(tx, xp, 1-d)
+		}
+		m.set(tx, w, nColor, m.color(tx, xp))
+		m.set(tx, xp, nColor, black)
+		m.set(tx, m.kid(tx, w, 1-d), nColor, black)
+		m.rotate(tx, xp, d)
+		x = m.rootNode(tx)
 	}
 	m.set(tx, x, nColor, black)
 }
@@ -368,9 +315,9 @@ func (m *Map) ForEach(tx *stm.Tx, fn func(key, val uint64)) {
 		if n == m.nil_ {
 			return
 		}
-		walk(m.left(tx, n))
+		walk(m.kid(tx, n, 0))
 		fn(m.node(tx, n, nKey), m.node(tx, n, nVal))
-		walk(m.right(tx, n))
+		walk(m.kid(tx, n, 1))
 	}
 	walk(m.rootNode(tx))
 }

@@ -25,15 +25,15 @@ func (m *Map) checkRB(tx *stm.Tx) error {
 		}
 		c := m.color(tx, n)
 		if c == red {
-			if m.color(tx, m.left(tx, n)) == red || m.color(tx, m.right(tx, n)) == red {
+			if m.color(tx, m.kid(tx, n, 0)) == red || m.color(tx, m.kid(tx, n, 1)) == red {
 				return 0, fmt.Errorf("red-red violation at key %d", k)
 			}
 		}
-		lh, err := walk(m.left(tx, n), lo, k)
+		lh, err := walk(m.kid(tx, n, 0), lo, k)
 		if err != nil {
 			return 0, err
 		}
-		rh, err := walk(m.right(tx, n), k+1, hi)
+		rh, err := walk(m.kid(tx, n, 1), k+1, hi)
 		if err != nil {
 			return 0, err
 		}
@@ -213,7 +213,7 @@ func TestMapLargeAscendingStaysBalanced(t *testing.T) {
 		n := m.rootNode(tx)
 		for n != m.nil_ {
 			depth++
-			n = m.left(tx, n)
+			n = m.kid(tx, n, 0)
 		}
 		if depth > 25 {
 			t.Fatalf("leftmost depth %d: tree unbalanced", depth)
