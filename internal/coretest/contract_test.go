@@ -78,6 +78,7 @@ var contract = []struct {
 	{"cap/SetTracer", tracerRoundTrip},
 	{"cap/SetTelemetry", telemetryRoundTrip},
 	{"cap/SetReclaim", reclaimRoundTrip},
+	{"cap/SetReclaim-refused-attaches-nothing", reclaimRefusedAttachesNothing},
 }
 
 // want fails the case unless got == want.
@@ -965,4 +966,31 @@ func reclaimRoundTrip(t *testing.T, newMem Factory) {
 	t1.ClearTagSet()
 	tagScript(t, t1, scratch)
 	allocBudget(t, mem)
+}
+
+// reclaimRefusedAttachesNothing: a domain with fewer handles than the
+// memory has threads is refused before any thread is attached, so a caller
+// that recovers is left with a memory whose tags announce nothing.
+func reclaimRefusedAttachesNothing(t *testing.T, newMem Factory) {
+	mem := newMem(2, 8)
+	rb, ok := mem.(reclaim.Attacher)
+	if !ok {
+		t.Skip("memory is no reclaim.Attacher")
+	}
+	d := reclaim.NewDomain(1, mem.MaxTags())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("SetReclaim accepted a domain with fewer handles than threads")
+			}
+		}()
+		rb.SetReclaim(d)
+	}()
+	t0 := mem.Thread(0)
+	pool := reclaim.NewPool(d, core.WordsPerLine, reclaim.PolicyImmediate)
+	obj := pool.Alloc(t0)
+	t0.AddTag(obj, core.WordSize)
+	pool.Retire(t0, obj)
+	want(t, "objects freed with a tag held by a thread of a refused attach", pool.Stats().Freed, 1)
+	t0.ClearTagSet()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/tagobs"
 )
 
 // SpareThread returns an auxiliary agent that is not a simulated core: an
@@ -18,9 +19,17 @@ import (
 //
 // Tag operations and write marks are meaningless for an agent with no L1
 // and panic.
-func (m *Machine) SpareThread() core.Thread { return &ghost{m: m} }
+func (m *Machine) SpareThread() core.Thread {
+	g := &ghost{m: m}
+	g.obs.Bind(&m.Hooks, -1, nil)
+	return g
+}
 
-type ghost struct{ m *Machine }
+// ghost reports its coherence messages as core -1 at cycle 0.
+type ghost struct {
+	m   *Machine
+	obs tagobs.Observer
+}
 
 var _ core.Thread = (*ghost)(nil)
 
@@ -78,22 +87,13 @@ func (g *ghost) invalidateAllLocked(d dirEntry, l core.Line) {
 			taggers.remove(c)
 			other.evicted.Store(true)
 			other.stats.RemoteTagEvictions.Add(1)
-			g.emit(core.EvTagEvicted, c, l)
+			g.obs.Emit(core.EvTagEvicted, c, l)
 		}
 		other.stats.InvalidationsReceived.Add(1)
-		g.emit(core.EvInvalidation, c, l)
+		g.obs.Emit(core.EvInvalidation, c, l)
 	}
 	clear(sharers)
 	d.owner = -1
-}
-
-// emit delivers an event attributed to the ghost agent (core -1, cycle 0).
-func (g *ghost) emit(kind core.EventKind, target int, line core.Line) {
-	tr := g.m.tracer
-	if tr == nil {
-		return
-	}
-	tr.Trace(core.Event{Kind: kind, Core: -1, Target: target, Line: uint64(line)})
 }
 
 // AddTag is unsupported: the ghost has no L1 for tags to live in.

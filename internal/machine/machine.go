@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/tagobs"
 )
 
 // dirEntry is the coherence authority for one cache line: a view of the
@@ -90,8 +91,11 @@ type Machine struct {
 	sockMask       []coreBits
 	threads        []*Thread
 	clock          clockSync
-	tracer         core.Tracer
 	gate           Gate
+	// Hooks holds the tracer and the per-core telemetry and reclamation
+	// attachments (SetTracer, SetTelemetry, SetReclaim); each core reports
+	// to them through its tagobs.Observer.
+	tagobs.Hooks
 	// issuing counts in-flight memory/tag operations when the memtagcheck
 	// build tag enables the quiescence guard (see guard_on.go); Snapshot
 	// panics when it is non-zero. In default builds the counter is never

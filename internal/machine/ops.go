@@ -122,14 +122,8 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		}
 		d.mu.Unlock()
 		t.tags = append(t.tags, l)
-		if t.rec != nil {
-			t.rec.Announce(l)
-		}
 		t.stats.TagAdds++
-		if t.tel != nil {
-			t.tel.NoteTagOccupancy(len(t.tags))
-		}
-		t.emit(core.EvTagAdd, -1, l)
+		t.obs.Tagged(l, len(t.tags))
 		t.charge(cfg.TagOpCycles, 0)
 		t.drainEvictions()
 	}
@@ -173,12 +167,9 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 		d.taggers().remove(t.id)
 		d.mu.Unlock()
 		t.tags = append(t.tags[:idx], t.tags[idx+1:]...)
-		if t.rec != nil {
-			t.rec.Retract(l)
-		}
 		t.stats.TagRemoves++
 		t.charge(cfg.TagOpCycles, 0)
-		t.emit(core.EvTagRemove, -1, l)
+		t.obs.Untagged(l)
 	}
 }
 
@@ -195,20 +186,12 @@ func (t *Thread) Validate() bool {
 	t.recTagSetReads()
 	t.stats.Validates++
 	t.charge(t.m.cfg.ValidateCycles, 0)
-	if t.overflow || t.evicted.Load() {
+	ok := !t.overflow && !t.evicted.Load()
+	if !ok {
 		t.stats.ValidateFails++
-		if t.tel != nil {
-			t.tel.NoteValidate(false)
-		}
-		t.emit(core.EvValidateFail, -1, 0)
-		return false
 	}
-	t.noteValidatedTags()
-	if t.tel != nil {
-		t.tel.NoteValidate(true)
-	}
-	t.emit(core.EvValidateOK, -1, 0)
-	return true
+	t.obs.Validated(ok)
+	return ok
 }
 
 // TagCount returns the number of currently tagged lines.
@@ -229,9 +212,7 @@ func (t *Thread) ClearTagSet() {
 	t.tags = t.tags[:0]
 	t.overflow = false
 	t.evicted.Store(false)
-	if t.rec != nil {
-		t.rec.RetractAll()
-	}
+	t.obs.Cleared()
 }
 
 // MarkWrite marks every line of [a, a+size) in the directory as being
@@ -367,20 +348,13 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 		}
 		if invalidateTags {
 			t.stats.IASFails++
-			if t.tel != nil {
-				t.tel.NoteIAS(false)
-			}
-			t.emit(core.EvIASFail, -1, target)
 		} else {
 			t.stats.VASFails++
-			if t.tel != nil {
-				t.tel.NoteVAS(false)
-			}
-			t.emit(core.EvVASFail, -1, target)
 		}
+		t.obs.Committed(invalidateTags, false, target)
 		return false
 	}
-	t.noteValidatedTags()
+	t.obs.Valid()
 	if invalidateTags {
 		// Elevate every tagged line to exclusive at this core, evicting all
 		// remote copies (and thus remote tags): the transient marking.
@@ -401,16 +375,6 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 		t.m.dirAt(t.lockSet[i]).mu.Unlock()
 	}
 	t.drainEvictions()
-	if invalidateTags {
-		if t.tel != nil {
-			t.tel.NoteIAS(true)
-		}
-		t.emit(core.EvCommitIAS, -1, target)
-	} else {
-		if t.tel != nil {
-			t.tel.NoteVAS(true)
-		}
-		t.emit(core.EvCommitVAS, -1, target)
-	}
+	t.obs.Committed(invalidateTags, true, target)
 	return true
 }

@@ -1,24 +1,5 @@
 package machine
 
-import "repro/internal/telemetry"
-
-// SetTelemetry attaches (or with nil detaches) per-core telemetry
-// recorders: core i writes histograms into s.Core(i) from its own
-// goroutine, following the same single-writer discipline as CoreStats.
-// Only call while quiescent. The set must have at least NumThreads cores.
-func (m *Machine) SetTelemetry(s *telemetry.Set) {
-	if s != nil && s.NumCores() < len(m.threads) {
-		panic("machine: telemetry set smaller than core count")
-	}
-	for i, t := range m.threads {
-		if s == nil {
-			t.tel = nil
-		} else {
-			t.tel = s.Core(i)
-		}
-	}
-}
-
 // OpClock returns this core's backend clock (simulated cycles) and its
 // cumulative validation/commit failure count, the two inputs per-op
 // telemetry needs: latency is the cycle delta across an operation, and

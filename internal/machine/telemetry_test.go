@@ -99,58 +99,3 @@ func TestStatsAccountingInvariants(t *testing.T) {
 		t.Error("workload produced no failures; streak invariants tested vacuously")
 	}
 }
-
-// TestSetTelemetryDetach checks nil detaches the recorders: further ops
-// must not touch the old set.
-func TestSetTelemetryDetach(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.MemBytes = 1 << 20
-	cfg.SyncWindowCycles = 0
-	m := New(cfg)
-	set := telemetry.NewSet(1)
-	m.SetTelemetry(set)
-	th := m.threads[0]
-	a := m.Alloc(core.WordsPerLine)
-	th.AddTag(a, core.LineSize)
-	th.ClearTagSet()
-	if set.Core(0).TagOccupancy.Count() != 1 {
-		t.Fatal("telemetry not recording while attached")
-	}
-	m.SetTelemetry(nil)
-	th.AddTag(a, core.LineSize)
-	th.ClearTagSet()
-	if set.Core(0).TagOccupancy.Count() != 1 {
-		t.Fatal("telemetry still recording after detach")
-	}
-}
-
-// TestOpClock checks the per-op clock pair: cycles advance across an
-// operation and the failure count sums the three failure counters.
-func TestOpClock(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.MemBytes = 1 << 20
-	cfg.SyncWindowCycles = 0
-	m := New(cfg)
-	th := m.threads[0]
-	a := m.Alloc(core.WordsPerLine)
-
-	c0, f0 := th.OpClock()
-	th.Store(a, 1)
-	c1, f1 := th.OpClock()
-	if c1 <= c0 {
-		t.Fatalf("clock did not advance: %d -> %d", c0, c1)
-	}
-	if f1 != f0 {
-		t.Fatalf("failure count moved without a failure: %d -> %d", f0, f1)
-	}
-	// Force a validation failure via overflow and confirm it is counted.
-	for i := 0; i <= cfg.MaxTags; i++ {
-		th.AddTag(m.Alloc(core.WordsPerLine), core.LineSize)
-	}
-	th.Validate()
-	_, f2 := th.OpClock()
-	if f2 != f1+1 {
-		t.Fatalf("failure count = %d, want %d", f2, f1+1)
-	}
-	th.ClearTagSet()
-}

@@ -7,8 +7,7 @@ import (
 	"repro/internal/cachemodel"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/reclaim"
-	"repro/internal/telemetry"
+	"repro/internal/tagobs"
 )
 
 // Thread is one simulated core. All methods must be called from a single
@@ -39,12 +38,9 @@ type Thread struct {
 	overflow bool
 
 	stats CoreStats
-	// tel, when non-nil, receives backend-side telemetry (tag occupancy,
-	// failure streaks) from this goroutine only. See Machine.SetTelemetry.
-	tel *telemetry.Core
-	// rec, when non-nil, is this core's reclamation-domain handle; tag
-	// operations mirror the tag set into it. See Machine.SetReclaim.
-	rec *reclaim.Handle
+	// obs reports this core's events to the machine's tracer, telemetry
+	// and reclamation hooks, stamped with stats.Cycles.
+	obs tagobs.Observer
 
 	// pendingEvicts holds L2 victims whose directory bits must be cleared
 	// after the current access releases its directory lock (lock-order
@@ -90,6 +86,7 @@ func newThread(m *Machine, id int) *Thread {
 		pendingEvicts: make([]core.Line, 0, 4),
 	}
 	t.parkCond = sync.NewCond(&t.parkMu)
+	t.obs.Bind(&m.Hooks, id, &t.stats.Cycles)
 	return t
 }
 
@@ -125,7 +122,7 @@ func (t *Thread) sendInvalidationLocked(d dirEntry, c int, l core.Line) {
 		d.taggers().remove(c)
 		other.evicted.Store(true)
 		other.stats.RemoteTagEvictions.Add(1)
-		t.emit(core.EvTagEvicted, c, l)
+		t.obs.Emit(core.EvTagEvicted, c, l)
 	}
 	other.stats.InvalidationsReceived.Add(1)
 	t.stats.InvalidationsSent++
@@ -133,7 +130,7 @@ func (t *Thread) sendInvalidationLocked(d dirEntry, c int, l core.Line) {
 	if t.m.sockets > 1 && other.socket != t.socket {
 		t.chargeSocketHop()
 	}
-	t.emit(core.EvInvalidation, c, l)
+	t.obs.Emit(core.EvInvalidation, c, l)
 }
 
 // chargeSocketHop prices one cross-socket message or transfer.
@@ -224,7 +221,7 @@ func (t *Thread) tagEvictSelf(l core.Line) {
 		if tl == l {
 			t.evicted.Store(true)
 			t.stats.SpuriousEvictions++
-			t.emit(core.EvTagEvicted, -1, l)
+			t.obs.Emit(core.EvTagEvicted, -1, l)
 			return
 		}
 	}
@@ -244,7 +241,7 @@ func (t *Thread) ForceTagEviction(l core.Line) bool {
 	}
 	t.evicted.Store(true)
 	t.stats.SpuriousEvictions++
-	t.emit(core.EvTagEvicted, -1, l)
+	t.obs.Emit(core.EvTagEvicted, -1, l)
 	return true
 }
 
@@ -299,11 +296,11 @@ func (t *Thread) touchLineLocked(l core.Line, d dirEntry, write bool) {
 			// Write miss served by a remote cache (plus the invalidations
 			// already charged).
 			t.chargeRemoteFill(served)
-			t.emit(core.EvRemoteFill, -1, l)
+			t.obs.Emit(core.EvRemoteFill, -1, l)
 			t.fillLocal(l)
 		} else {
 			t.chargeMemFill(l)
-			t.emit(core.EvMemFill, -1, l)
+			t.obs.Emit(core.EvMemFill, -1, l)
 			t.fillLocal(l)
 		}
 		return
@@ -383,7 +380,7 @@ func (t *Thread) chargeLocalHit(l core.Line) {
 	if t.l1.Lookup(l) {
 		t.stats.L1Hits++
 		t.charge(cfg.L1HitCycles, cfg.EnergyL1)
-		t.emit(core.EvL1Hit, -1, l)
+		t.obs.Emit(core.EvL1Hit, -1, l)
 		return
 	}
 	// By inclusion the line is in L2 (or the model lost it to staleness;
@@ -391,6 +388,6 @@ func (t *Thread) chargeLocalHit(l core.Line) {
 	t.l2.Lookup(l)
 	t.stats.L2Hits++
 	t.charge(cfg.L2HitCycles, cfg.EnergyL2)
-	t.emit(core.EvL2Hit, -1, l)
+	t.obs.Emit(core.EvL2Hit, -1, l)
 	t.fillLocal(l)
 }

@@ -253,23 +253,31 @@ func (h *Handle) RetractAll() {
 	h.annHigh = 0
 }
 
-// GuardActive reports whether the use-after-free guard is on, so backends
-// can skip the per-tag NoteValidatedTag loop entirely in normal runs.
-func (h *Handle) GuardActive() bool { return h.d.checked }
-
-// NoteValidatedTag is the guard hook for a successful validation covering
-// line l: validating a tag on a line that sits on a free list is exactly
-// the use-after-free the reclaimer must never allow (a reader acted on a
-// recycled line and the tags did not save it). No-op unless checked.
-func (h *Handle) NoteValidatedTag(l core.Line) {
-	if !h.d.checked {
-		return
+// NoteValidated is the guard hook for a successful validation of the
+// owner's whole tag set, which the announcement table mirrors: validating a
+// tag on a line that sits on a free list is exactly the use-after-free the
+// reclaimer must never allow (a reader acted on a recycled line and the
+// tags did not save it). No-op unless checked, and small enough to inline,
+// so an unguarded backend pays one branch.
+func (h *Handle) NoteValidated() {
+	if h.d.checked {
+		h.noteValidated()
 	}
-	h.d.mu.Lock()
-	st := h.d.lineState[l]
-	h.d.mu.Unlock()
-	if st == lineFree {
-		h.d.violate("thread %d validated a tag on freed line %d", h.id, l)
+}
+
+func (h *Handle) noteValidated() {
+	for i := range h.ann[:h.annHigh] {
+		v := h.ann[i].Load()
+		if v == 0 {
+			continue
+		}
+		l := core.Line(v - 1)
+		h.d.mu.Lock()
+		st := h.d.lineState[l]
+		h.d.mu.Unlock()
+		if st == lineFree {
+			h.d.violate("thread %d validated a tag on freed line %d", h.id, l)
+		}
 	}
 }
 

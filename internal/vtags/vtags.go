@@ -61,8 +61,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/reclaim"
-	"repro/internal/telemetry"
+	"repro/internal/tagobs"
 )
 
 // lineState is one line's version and writer lock. Line state is chunked
@@ -102,9 +101,11 @@ type Memory struct {
 	lines   []atomic.Pointer[lineChunk]
 	threads []*Thread
 	maxTags int
-	// tracer, when non-nil, receives the tag-relevant subset of the
-	// machine backend's events (see telemetry.go).
-	tracer core.Tracer
+	// Hooks holds the tracer and the per-thread telemetry and reclamation
+	// attachments (SetTracer, SetTelemetry, SetReclaim); each thread
+	// reports the tag-relevant subset of the machine's events to them
+	// through its tagobs.Observer (see telemetry.go).
+	tagobs.Hooks
 
 	// tagOverflows counts tag-set overflow latches (AddTag past maxTags);
 	// tagEvictions counts eviction latches (ForceTagEviction plus RemoveTag
@@ -162,6 +163,7 @@ func newThread(m *Memory, id int) *Thread {
 		lockBuf: make([]tagEntry, 0, m.maxTags+1),
 		marks:   make([]*lineState, 0, 8),
 	}
+	t.obs.Bind(&m.Hooks, id, &t.ticks)
 	if id >= 0 && id < sharerBits {
 		t.bit = 1 << id
 	} else {
@@ -221,22 +223,6 @@ func (m *Memory) Alloc(words int) core.Addr { return m.space.Alloc(words) }
 // MaxTags returns the per-thread tag budget.
 func (m *Memory) MaxTags() int { return m.maxTags }
 
-// SetReclaim attaches (or with nil detaches) a reclamation domain: while
-// attached each thread announces its tagged lines into its domain handle
-// (AddTag/RemoveTag/ClearTagSet), which is what lets reclaim.Pool scans see
-// which retired lines a reader could still validate. Only call while
-// quiescent. Spare threads are not registered and must not run reclaiming
-// structures.
-func (m *Memory) SetReclaim(d *reclaim.Domain) {
-	for i, t := range m.threads {
-		if d == nil {
-			t.rec = nil
-		} else {
-			t.rec = d.Handle(i)
-		}
-	}
-}
-
 // Thread is one emulated core's handle.
 type Thread struct {
 	m  *Memory
@@ -276,12 +262,9 @@ type Thread struct {
 	// counts validation/commit failures. Both feed OpClock.
 	ticks uint64
 	fails uint64
-	// tel, when non-nil, receives emulation-side telemetry from this
-	// goroutine only. See Memory.SetTelemetry.
-	tel *telemetry.Core
-	// rec, when non-nil, is this thread's reclamation-domain handle; tag
-	// operations mirror the tag set into it. See Memory.SetReclaim.
-	rec *reclaim.Handle
+	// obs reports this thread's tag events to the memory's tracer,
+	// telemetry and reclamation hooks, stamped with ticks.
+	obs tagobs.Observer
 
 	// dirty is raised by any writer that took this thread's sharer bit off
 	// a line, and lowered only by the owner (Validate). It is the one word
@@ -409,13 +392,7 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 		}
 		t.tags = append(t.tags, tagEntry{ls: ls, version: w &^ lowMask, line: l})
 		t.held |= 1 << (l % 64)
-		if t.rec != nil {
-			t.rec.Announce(l)
-		}
-		if t.tel != nil {
-			t.tel.NoteTagOccupancy(len(t.tags))
-		}
-		t.emit(core.EvTagAdd, -1, l)
+		t.obs.Tagged(l, len(t.tags))
 	}
 	return true
 }
@@ -439,10 +416,7 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 					t.evicted = true // latch failure like an eviction
 				}
 				t.tags = append(t.tags[:i], t.tags[i+1:]...)
-				if t.rec != nil {
-					t.rec.Retract(l)
-				}
-				t.emit(core.EvTagRemove, -1, l)
+				t.obs.Untagged(l)
 				break
 			}
 		}
@@ -486,18 +460,10 @@ func (t *Thread) Validate() bool {
 		t.rescan()
 	}
 	ok := !t.overflow && !t.evicted && !t.stale
-	if t.tel != nil {
-		t.tel.NoteValidate(ok)
-	}
-	if ok {
-		if t.rec != nil {
-			t.noteValidatedTags()
-		}
-		t.emit(core.EvValidateOK, -1, 0)
-	} else {
+	if !ok {
 		t.fails++
-		t.emit(core.EvValidateFail, -1, 0)
 	}
+	t.obs.Validated(ok)
 	return ok
 }
 
@@ -511,18 +477,6 @@ func (t *Thread) rescan() {
 	}
 	if !t.tagsCurrent() {
 		t.stale = true
-	}
-}
-
-// noteValidatedTags reports a successful validation of the whole tag set
-// to the reclamation guard (use-after-free detection on freed lines). The
-// caller checks t.rec != nil.
-func (t *Thread) noteValidatedTags() {
-	if !t.rec.GuardActive() {
-		return
-	}
-	for _, e := range t.tags {
-		t.rec.NoteValidatedTag(e.line)
 	}
 }
 
@@ -547,7 +501,7 @@ func (t *Thread) ForceTagEviction(l core.Line) bool {
 		t.m.tagEvictions.Add(1)
 	}
 	t.evicted = true // latch failure, like a recorded eviction
-	t.emit(core.EvTagEvicted, -1, l)
+	t.obs.Emit(core.EvTagEvicted, -1, l)
 	return true
 }
 
@@ -563,9 +517,7 @@ func (t *Thread) ClearTagSet() {
 	t.overflow = false
 	t.evicted = false
 	t.stale = false
-	if t.rec != nil {
-		t.rec.RetractAll()
-	}
+	t.obs.Cleared()
 }
 
 // MarkWrite marks every line of [a, a+size) as being written by this
@@ -627,7 +579,8 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	t.ticks++
 	target := a.Line()
 	if t.overflow || t.evicted || t.stale {
-		t.noteCommit(false, invalidateTags, target)
+		t.fails++
+		t.obs.Committed(invalidateTags, false, target)
 		return false
 	}
 	// Reuse the per-thread lock buffer and sort it closure-free: the set
@@ -651,9 +604,7 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	// it must see every bump that completed before the locks were taken.
 	ok := t.tagsCurrent()
 	if ok {
-		if t.rec != nil {
-			t.noteValidatedTags()
-		}
+		t.obs.Valid()
 		t.m.space.AtomicWrite(a, v)
 		// bumpLocked re-records our own tags at the bumped versions, so our
 		// later validations don't fail on our own write, and tells the other
@@ -672,36 +623,11 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	for i := len(locks) - 1; i >= 0; i-- {
 		locks[i].ls.mu.Unlock()
 	}
-	t.noteCommit(ok, invalidateTags, target)
-	return ok
-}
-
-// noteCommit records a VAS/IAS outcome in telemetry and the trace, and
-// counts failures toward OpClock, matching the machine backend's event
-// vocabulary (CommitVAS/CommitIAS on success, VASFail/IASFail otherwise).
-func (t *Thread) noteCommit(ok, invalidateTags bool, target core.Line) {
 	if !ok {
 		t.fails++
 	}
-	if invalidateTags {
-		if t.tel != nil {
-			t.tel.NoteIAS(ok)
-		}
-		if ok {
-			t.emit(core.EvCommitIAS, -1, target)
-		} else {
-			t.emit(core.EvIASFail, -1, target)
-		}
-		return
-	}
-	if t.tel != nil {
-		t.tel.NoteVAS(ok)
-	}
-	if ok {
-		t.emit(core.EvCommitVAS, -1, target)
-	} else {
-		t.emit(core.EvVASFail, -1, target)
-	}
+	t.obs.Committed(invalidateTags, ok, target)
+	return ok
 }
 
 // sortByLine sorts a small lock set in place by line number, the global
