@@ -16,21 +16,14 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/abtree"
-	"repro/internal/bst"
-	"repro/internal/chromatic"
 	"repro/internal/core"
 	"repro/internal/intset"
-	"repro/internal/list"
 	"repro/internal/machine"
 	"repro/internal/reclaim"
 	"repro/internal/schedexplore"
 	"repro/internal/schedfuzz"
-	"repro/internal/skiplist"
-	"repro/internal/stm"
+	"repro/internal/sets"
 	"repro/internal/telemetry"
-	"repro/internal/txmap"
-	"repro/internal/txset"
 	"repro/internal/vtags"
 )
 
@@ -45,70 +38,6 @@ var (
 const policyOff reclaim.Policy = -1
 
 var reclaimPolicy = policyOff
-
-type structDef struct {
-	name  string
-	build func(core.Memory) intset.Set
-	// reclaim builds the structure with a reclamation pool of the given
-	// policy wired in; nil marks structures without retire hooks (-reclaim
-	// runs them unwired).
-	reclaim func(core.Memory, *reclaim.Domain, reclaim.Policy) (intset.Set, *reclaim.Pool)
-}
-
-func structs() []structDef {
-	// Reclamation builders for the structures with retire hooks; the rest
-	// leave the field nil and run unwired under -reclaim.
-	recVASList := func(m core.Memory, d *reclaim.Domain, pol reclaim.Policy) (intset.Set, *reclaim.Pool) {
-		s := list.NewVAS(m)
-		p := reclaim.NewPool(d, list.NodeWords, pol)
-		s.SetReclaim(p)
-		return s, p
-	}
-	recHoHList := func(m core.Memory, d *reclaim.Domain, pol reclaim.Policy) (intset.Set, *reclaim.Pool) {
-		s := list.NewHoH(m)
-		p := reclaim.NewPool(d, list.NodeWords, pol)
-		s.SetReclaim(p)
-		return s, p
-	}
-	recHoHTree := func(m core.Memory, d *reclaim.Domain, pol reclaim.Policy) (intset.Set, *reclaim.Pool) {
-		s := abtree.NewHoH(m, 4, 8)
-		p := reclaim.NewPool(d, s.NodeWords(), pol)
-		s.SetReclaim(p)
-		return s, p
-	}
-	recVASSkip := func(m core.Memory, d *reclaim.Domain, pol reclaim.Policy) (intset.Set, *reclaim.Pool) {
-		s := skiplist.NewVAS(m)
-		p := reclaim.NewPool(d, skiplist.NodeWords, pol)
-		s.SetReclaim(p)
-		return s, p
-	}
-	recTaggedSet := func(m core.Memory, d *reclaim.Domain, pol reclaim.Policy) (intset.Set, *reclaim.Pool) {
-		tm := stm.NewTagged(m)
-		tm.SetReclaim(d)
-		s := txset.New(m, tm)
-		p := reclaim.NewPool(d, txmap.NodeWords, pol)
-		s.SetReclaim(p)
-		return s, p
-	}
-	return []structDef{
-		{"harris-list", func(m core.Memory) intset.Set { return list.NewHarris(m) }, nil},
-		{"vas-list", func(m core.Memory) intset.Set { return list.NewVAS(m) }, recVASList},
-		{"hoh-list", func(m core.Memory) intset.Set { return list.NewHoH(m) }, recHoHList},
-		{"lock-list", func(m core.Memory) intset.Set { return list.NewLock(m) }, nil},
-		{"elided-list", func(m core.Memory) intset.Set { return list.NewElided(m, 0) }, nil},
-		{"llx-tree", func(m core.Memory) intset.Set { return abtree.NewLLX(m, 4, 8) }, nil},
-		{"hoh-tree", func(m core.Memory) intset.Set { return abtree.NewHoH(m, 4, 8) }, recHoHTree},
-		{"elided-tree", func(m core.Memory) intset.Set { return abtree.NewElided(m, 4, 8, 0) }, nil},
-		{"llx-bst", func(m core.Memory) intset.Set { return bst.NewLLX(m) }, nil},
-		{"hoh-bst", func(m core.Memory) intset.Set { return bst.NewHoH(m) }, nil},
-		{"llx-chromatic", func(m core.Memory) intset.Set { return chromatic.NewLLX(m) }, nil},
-		{"hoh-chromatic", func(m core.Memory) intset.Set { return chromatic.NewHoH(m) }, nil},
-		{"skiplist-cas", func(m core.Memory) intset.Set { return skiplist.New(m) }, nil},
-		{"skiplist-vas", func(m core.Memory) intset.Set { return skiplist.NewVAS(m) }, recVASSkip},
-		{"norec-set", func(m core.Memory) intset.Set { return txset.New(m, stm.NewNOrec(m)) }, nil},
-		{"tagged-set", func(m core.Memory) intset.Set { return txset.New(m, stm.NewTagged(m)) }, recTaggedSet},
-	}
-}
 
 // attachDomain creates a checked reclamation domain over mem (violations
 // recorded, surfaced after the round) and attaches it to the backend.
@@ -165,17 +94,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	known := map[string]bool{}
-	for _, sd := range structs() {
-		known[sd.name] = true
-	}
 	selected := map[string]bool{}
 	for _, n := range strings.Split(*only, ",") {
 		if n = strings.TrimSpace(n); n != "" {
-			if !known[n] {
-				names := make([]string, 0, len(known))
-				for _, sd := range structs() {
-					names = append(names, sd.name)
+			if _, ok := sets.Lookup(n); !ok {
+				var names []string
+				for _, e := range sets.All() {
+					names = append(names, e.Name)
 				}
 				fmt.Fprintf(os.Stderr, "memtag-stress: unknown structure %q (valid: %s)\n", n, strings.Join(names, ", "))
 				os.Exit(2)
@@ -214,14 +139,14 @@ func main() {
 		}
 		backends = []string{"machine"} // the explorer gates simulated cores
 		execs := *exploreExecs
-		run = func(sd structDef, bk string, threads, ops int, keyRange uint64, seed int64) error {
-			return exploreOne(sd, threads, ops, keyRange, seed, mode, execs)
+		run = func(e sets.Entry, bk string, threads, ops int, keyRange uint64, seed int64) error {
+			return exploreOne(e, threads, ops, keyRange, seed, mode, execs)
 		}
 	}
 
 	failures := 0
-	for _, sd := range structs() {
-		if len(selected) > 0 && !selected[sd.name] {
+	for _, e := range sets.All() {
+		if len(selected) > 0 && !selected[e.Name] {
 			continue
 		}
 		for _, bk := range backends {
@@ -233,13 +158,13 @@ func main() {
 							err = fmt.Errorf("panic: %v", r)
 						}
 					}()
-					return run(sd, bk, *threads, *ops, *keyRange, *seed+int64(round))
+					return run(e, bk, *threads, *ops, *keyRange, *seed+int64(round))
 				}()
 				if err != nil {
-					fmt.Printf("FAIL %-14s %-8s round %d: %v\n", sd.name, bk, round, err)
+					fmt.Printf("FAIL %-14s %-8s round %d: %v\n", e.Name, bk, round, err)
 					failures++
 				} else {
-					fmt.Printf("ok   %-14s %-8s round %d\n", sd.name, bk, round)
+					fmt.Printf("ok   %-14s %-8s round %d\n", e.Name, bk, round)
 				}
 			}
 		}
@@ -264,23 +189,22 @@ func newBackend(kind string, threads int) core.Memory {
 // linearizeOne runs one recorded round under schedule fuzzing and checks
 // the operation history against the sequential set model, then the final
 // set's structure.
-func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint64, seed int64) error {
+func linearizeOne(e sets.Entry, backend string, threads, ops int, keyRange uint64, seed int64) error {
 	var dom *reclaim.Domain
 	var pool *reclaim.Pool
 	newMem := func(t int) core.Memory {
 		m := newBackend(backend, t)
-		if reclaimPolicy != policyOff && sd.reclaim != nil {
+		if reclaimPolicy != policyOff && e.Pool != nil {
 			dom = attachDomain(m)
 		}
 		return m
 	}
-	build := sd.build
-	if reclaimPolicy != policyOff && sd.reclaim != nil {
-		build = func(mem core.Memory) intset.Set {
-			s, p := sd.reclaim(mem, dom, reclaimPolicy)
-			pool = p
-			return s
+	build := func(mem core.Memory) intset.Set {
+		s := e.New(mem)
+		if dom != nil {
+			pool = e.Pool(s, dom, reclaimPolicy)
 		}
+		return s
 	}
 	fuzz := schedfuzz.Default(seed)
 	out, serr := intset.RunLinearize(
@@ -312,9 +236,9 @@ func linearizeOne(sd structDef, backend string, threads, ops int, keyRange uint6
 // targeted tag evictions, and checks every execution's history and final
 // set. The whole round is a pure function of the seed, so a reported
 // violation is reproduced exactly by re-running with the same flags.
-func exploreOne(sd structDef, threads, ops int, keyRange uint64, seed int64, mode schedexplore.Mode, execs int) error {
+func exploreOne(e sets.Entry, threads, ops int, keyRange uint64, seed int64, mode schedexplore.Mode, execs int) error {
 	newMachine := func(t int) *machine.Machine { return newBackend("machine", t).(*machine.Machine) }
-	res := intset.RunExplore(newMachine, sd.build, intset.ExploreConfig{
+	res := intset.RunExplore(newMachine, e.New, intset.ExploreConfig{
 		Threads:      threads,
 		OpsPerThread: ops,
 		KeyRange:     keyRange,
@@ -328,23 +252,23 @@ func exploreOne(sd structDef, threads, ops int, keyRange uint64, seed int64, mod
 		return fmt.Errorf("schedule explorer found a violation (replay with the same -seed %d):\n%s", seed, res.Failure)
 	}
 	fmt.Printf("     %-14s %-8s coverage: %d executions (%d truncated, %d sleep-blocked), %d interleaving classes, exhausted=%v\n",
-		sd.name, mode, res.Executions, res.Truncated, res.SleepBlocked, res.Classes(), res.Exhausted)
+		e.Name, mode, res.Executions, res.Truncated, res.SleepBlocked, res.Classes(), res.Exhausted)
 	return nil
 }
 
 // stressOne runs one concurrent mixed round as a core.RunPhase (on the
 // machine the workers interleave by simulated time, not by host scheduling)
 // and verifies per-key counts, snapshot order, and structural invariants.
-func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, seed int64) error {
+func stressOne(e sets.Entry, backend string, threads, ops int, keyRange uint64, seed int64) error {
 	mem := newBackend(backend, threads)
 	var dom *reclaim.Domain
 	var pool *reclaim.Pool
-	var s intset.Set
-	if reclaimPolicy != policyOff && sd.reclaim != nil {
+	if reclaimPolicy != policyOff && e.Pool != nil {
 		dom = attachDomain(mem)
-		s, pool = sd.reclaim(mem, dom, reclaimPolicy)
-	} else {
-		s = sd.build(mem)
+	}
+	s := e.New(mem)
+	if dom != nil {
+		pool = e.Pool(s, dom, reclaimPolicy)
 	}
 
 	// Observability hooks, enabled by -telemetry / -trace-out. Both
@@ -415,7 +339,7 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 			retries = float64(agg.OpRetries.Sum()) / float64(n)
 		}
 		fmt.Printf("     %-14s %-8s telemetry: op latency p50=%.0f p99=%.0f max=%d, retries/op=%.3f, windows=%d\n",
-			sd.name, backend, agg.OpLatency.Quantile(0.5), agg.OpLatency.Quantile(0.99),
+			e.Name, backend, agg.OpLatency.Quantile(0.5), agg.OpLatency.Quantile(0.99),
 			agg.OpLatency.Max(), retries, len(sampler.Windows()))
 	}
 	if tcol != nil {
@@ -433,7 +357,7 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 		if cerr := f.Close(); cerr != nil {
 			return cerr
 		}
-		fmt.Printf("     %-14s %-8s trace: wrote %s (%d events)\n", sd.name, backend, traceOutPath, tcol.Events())
+		fmt.Printf("     %-14s %-8s trace: wrote %s (%d events)\n", e.Name, backend, traceOutPath, tcol.Events())
 	}
 	if pool != nil {
 		if verr := dom.Violation(); verr != nil {
@@ -441,7 +365,7 @@ func stressOne(sd structDef, backend string, threads, ops int, keyRange uint64, 
 		}
 		st := pool.Stats()
 		line := fmt.Sprintf("     %-14s %-8s reclaim: retired %d freed %d reused %d, peak %d lines, free-list %d",
-			sd.name, backend, st.Retired, st.Freed, st.ReusedAllocs, st.HighWaterLines, st.FreeLines)
+			e.Name, backend, st.Retired, st.Freed, st.ReusedAllocs, st.HighWaterLines, st.FreeLines)
 		if tset != nil {
 			if agg := tset.Merge(); agg.RetireToFree.Count() > 0 {
 				line += fmt.Sprintf(", retire-free p50=%.0f p99=%.0f",

@@ -9,9 +9,10 @@ import (
 
 	"repro/internal/reclaim"
 	"repro/internal/schedexplore"
+	"repro/internal/sets"
 )
 
-// TestEveryStructEveryRound drives every table entry through the stress
+// TestEveryStructEveryRound drives every catalogue entry through the stress
 // and -linearize rounds on both backends and through -explore on the
 // machine, at tiny sizes; entries with retire hooks also run their stress
 // and -linearize rounds under -reclaim immediate.
@@ -21,8 +22,8 @@ func TestEveryStructEveryRound(t *testing.T) {
 		ops = 4
 	}
 	const threads, keyRange, seed = 2, 8, 1
-	for _, sd := range structs() {
-		t.Run(sd.name, func(t *testing.T) {
+	for _, e := range sets.All() {
+		t.Run(e.Name, func(t *testing.T) {
 			type round struct {
 				name string
 				run  func() error
@@ -30,26 +31,26 @@ func TestEveryStructEveryRound(t *testing.T) {
 			var rounds []round
 			for _, bk := range []string{"vtags", "machine"} {
 				rounds = append(rounds,
-					round{"stress/" + bk, func() error { return stressOne(sd, bk, threads, ops, keyRange, seed) }},
-					round{"linearize/" + bk, func() error { return linearizeOne(sd, bk, threads, ops, keyRange, seed) }})
+					round{"stress/" + bk, func() error { return stressOne(e, bk, threads, ops, keyRange, seed) }},
+					round{"linearize/" + bk, func() error { return linearizeOne(e, bk, threads, ops, keyRange, seed) }})
 			}
 			rounds = append(rounds, round{"explore/machine", func() error {
-				return exploreOne(sd, threads, ops, keyRange, seed, schedexplore.RandomWalk, 1)
+				return exploreOne(e, threads, ops, keyRange, seed, schedexplore.RandomWalk, 1)
 			}})
 			for _, r := range rounds {
 				if err := r.run(); err != nil {
 					t.Errorf("%s: %v", r.name, err)
 				}
 			}
-			if sd.reclaim == nil {
+			if e.Pool == nil {
 				return
 			}
 			reclaimPolicy = reclaim.PolicyImmediate
 			defer func() { reclaimPolicy = policyOff }()
-			if err := stressOne(sd, "vtags", threads, ops, keyRange, seed); err != nil {
+			if err := stressOne(e, "vtags", threads, ops, keyRange, seed); err != nil {
 				t.Errorf("stress/vtags -reclaim immediate: %v", err)
 			}
-			if err := linearizeOne(sd, "machine", threads, ops, keyRange, seed); err != nil {
+			if err := linearizeOne(e, "machine", threads, ops, keyRange, seed); err != nil {
 				t.Errorf("linearize/machine -reclaim immediate: %v", err)
 			}
 		})
@@ -57,15 +58,15 @@ func TestEveryStructEveryRound(t *testing.T) {
 }
 
 // TestWorkflowStructsExist requires every -structs name a CI workflow
-// passes to be in the table (an unknown name makes the command exit 2).
+// passes to be in the catalogue (an unknown name makes the command exit 2).
 func TestWorkflowStructsExist(t *testing.T) {
 	files, err := filepath.Glob("../../.github/workflows/*.yml")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no workflow files found (%v)", err)
 	}
 	known := map[string]bool{}
-	for _, sd := range structs() {
-		known[sd.name] = true
+	for _, e := range sets.All() {
+		known[e.Name] = true
 	}
 	flagRE := regexp.MustCompile(`-structs[ =]+([A-Za-z0-9,-]+)`)
 	seen := 0
@@ -78,7 +79,7 @@ func TestWorkflowStructsExist(t *testing.T) {
 			for _, name := range strings.Split(m[1], ",") {
 				seen++
 				if !known[name] {
-					t.Errorf("%s: -structs %s is not in the table", filepath.Base(f), name)
+					t.Errorf("%s: -structs %s is not in the catalogue", filepath.Base(f), name)
 				}
 			}
 		}

@@ -4,34 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/intset"
 	"repro/internal/machine"
 	"repro/internal/treeupdate"
 	"repro/internal/vtags"
 )
-
-func TestElidedTreeSequential(t *testing.T) {
-	mem := vtags.New(64<<20, 1)
-	s := NewElided(mem, 2, 4, 0)
-	intset.CheckSequential(t, mem, s, 2500, 128, 31)
-}
-
-func TestElidedTreeConcurrent(t *testing.T) {
-	mem := vtags.New(128<<20, 4)
-	s := NewElided(mem, 2, 4, 0)
-	intset.CheckMixedConcurrent(t, mem, s, 4, 250, 48)
-}
-
-func TestElidedTreeOnMachine(t *testing.T) {
-	cfg := machine.DefaultConfig(4)
-	cfg.MemBytes = 128 << 20
-	m := machine.New(cfg)
-	s := NewElided(m, 2, 4, 0)
-	intset.CheckMixedConcurrent(t, m, s, 4, 150, 24)
-	if s.FastCommits.Load() == 0 {
-		t.Fatal("no update committed on the tagged fast path")
-	}
-}
 
 // TestElidedTreeFallsBackUnderSpuriousFailure: with a pathologically small
 // L1, tagged windows are spuriously evicted constantly; the LLX/SCX slow
@@ -98,20 +74,4 @@ func TestElidedTreeSlowEntryAbortsFastCommit(t *testing.T) {
 		t.Fatal("a failed commit left tags behind")
 	}
 	s.fb.ExitSlow(t0)
-}
-
-// TestElidedTreeBothPathsInterleaved drives a workload that forces a mix
-// of fast and slow commits on the machine backend and verifies the final
-// structure agrees with a reference, proving path compatibility.
-func TestElidedTreeBothPathsInterleaved(t *testing.T) {
-	cfg := machine.DefaultConfig(4)
-	cfg.MemBytes = 128 << 20
-	cfg.L1Bytes = 16 * core.LineSize // tight: frequent spurious failures
-	cfg.L1Ways = 2
-	m := machine.New(cfg)
-	s := NewElided(m, 2, 4, 2)
-	intset.CheckMixedConcurrent(t, m, s, 4, 120, 16)
-	if s.FastCommits.Load() == 0 || s.SlowCommits.Load() == 0 {
-		t.Skipf("want both paths; fast=%d slow=%d", s.FastCommits.Load(), s.SlowCommits.Load())
-	}
 }

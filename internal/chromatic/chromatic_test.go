@@ -20,178 +20,12 @@ var chromVariants = []struct {
 	{"HoH", func(m core.Memory) intset.Set { return NewHoH(m) }},
 }
 
-var chromBackends = []struct {
-	name string
-	mk   func(int) core.Memory
-}{
-	{"vtags", func(n int) core.Memory { return vtags.New(64<<20, n) }},
-	{"machine", func(n int) core.Memory {
-		cfg := machine.DefaultConfig(n)
-		cfg.MemBytes = 64 << 20
-		return machine.New(cfg)
-	}},
-}
-
-// forAllChrom runs f on every variant and backend, then checks the
-// structural invariants of the tree f left behind (every test ends
-// quiescent).
-func forAllChrom(t *testing.T, threads int, f func(t *testing.T, mem core.Memory, s intset.Set)) {
-	for _, b := range chromBackends {
-		for _, v := range chromVariants {
-			t.Run(fmt.Sprintf("%s/%s", b.name, v.name), func(t *testing.T) {
-				mem := b.mk(threads)
-				s := v.mk(mem)
-				f(t, mem, s)
-				if err := s.(intset.Checker).CheckInvariants(mem.Thread(0)); err != nil {
-					t.Fatalf("invariants: %v", err)
-				}
-			})
-		}
-	}
-}
-
 // setOf returns the set either variant wraps.
 func setOf(s intset.Set) *set {
 	if l, ok := s.(*LLX); ok {
 		return &l.set
 	}
 	return &s.(*HoH).set
-}
-
-func TestChromaticBasic(t *testing.T) {
-	forAllChrom(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		if s.Contains(th, 5) || s.Delete(th, 5) {
-			t.Fatal("empty tree misbehaves")
-		}
-		if !s.Insert(th, 5) || s.Insert(th, 5) {
-			t.Fatal("insert semantics")
-		}
-		if !s.Contains(th, 5) {
-			t.Fatal("key missing")
-		}
-		if !s.Delete(th, 5) || s.Delete(th, 5) || s.Contains(th, 5) {
-			t.Fatal("delete semantics")
-		}
-	})
-}
-
-func TestChromaticAscending(t *testing.T) {
-	forAllChrom(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		const n = 300
-		for k := uint64(1); k <= n; k++ {
-			if !s.Insert(th, k) {
-				t.Fatalf("insert %d failed", k)
-			}
-		}
-		for k := uint64(1); k <= n; k++ {
-			if !s.Contains(th, k) {
-				t.Fatalf("key %d lost", k)
-			}
-		}
-	})
-}
-
-func TestChromaticDescendingThenDrain(t *testing.T) {
-	forAllChrom(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		for k := uint64(300); k >= 1; k-- {
-			s.Insert(th, k)
-		}
-		if err := setOf(s).CheckInvariants(th); err != nil {
-			t.Fatalf("before the drain: %v", err)
-		}
-		for k := uint64(1); k <= 300; k++ {
-			if !s.Delete(th, k) {
-				t.Fatalf("delete %d failed", k)
-			}
-		}
-		if got := s.(intset.Snapshotter).Keys(th); len(got) != 0 {
-			t.Fatalf("residue: %v", got)
-		}
-	})
-}
-
-func TestChromaticSequentialEquivalence(t *testing.T) {
-	forAllChrom(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckSequential(t, mem, s, 3000, 128, 11)
-	})
-}
-
-func TestChromaticBalanceUnderChurn(t *testing.T) {
-	forAllChrom(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 4000; i++ {
-			k := uint64(rng.Intn(400) + 1)
-			if rng.Intn(2) == 0 {
-				s.Insert(th, k)
-			} else {
-				s.Delete(th, k)
-			}
-			if i%500 == 499 {
-				if err := setOf(s).CheckInvariants(th); err != nil {
-					t.Fatalf("after %d ops: %v", i+1, err)
-				}
-			}
-		}
-	})
-}
-
-func TestChromaticDisjointConcurrent(t *testing.T) {
-	forAllChrom(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckDisjointConcurrent(t, mem, s, 4, 250)
-	})
-}
-
-func TestChromaticMixedConcurrent(t *testing.T) {
-	forAllChrom(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckMixedConcurrent(t, mem, s, 4, 250, 48)
-	})
-}
-
-func TestChromaticHighContention(t *testing.T) {
-	forAllChrom(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckMixedConcurrent(t, mem, s, 4, 150, 6)
-	})
-}
-
-// TestChromaticInterVariantAgreement runs one op stream through both.
-func TestChromaticInterVariantAgreement(t *testing.T) {
-	memA := vtags.New(64<<20, 1)
-	memB := vtags.New(64<<20, 1)
-	llx := NewLLX(memA)
-	hoh := NewHoH(memB)
-	thA, thB := memA.Thread(0), memB.Thread(0)
-	ref := intset.Reference{}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 4000; i++ {
-		k := uint64(rng.Intn(96) + 1)
-		switch rng.Intn(3) {
-		case 0:
-			want := ref.Insert(k)
-			if llx.Insert(thA, k) != want || hoh.Insert(thB, k) != want {
-				t.Fatalf("op %d: Insert(%d) diverged", i, k)
-			}
-		case 1:
-			want := ref.Delete(k)
-			if llx.Delete(thA, k) != want || hoh.Delete(thB, k) != want {
-				t.Fatalf("op %d: Delete(%d) diverged", i, k)
-			}
-		default:
-			want := ref.Contains(k)
-			if llx.Contains(thA, k) != want || hoh.Contains(thB, k) != want {
-				t.Fatalf("op %d: Contains(%d) diverged", i, k)
-			}
-		}
-	}
-	if err := llx.CheckInvariants(thA); err != nil {
-		t.Fatalf("LLX: %v", err)
-	}
-	if err := hoh.CheckInvariants(thB); err != nil {
-		t.Fatalf("HoH: %v", err)
-	}
 }
 
 // TestChromaticHeightLogarithmic: after heavy random churn the tree height

@@ -9,6 +9,7 @@ import (
 	"repro/internal/intset"
 	"repro/internal/list"
 	"repro/internal/machine"
+	"repro/internal/sets"
 	"repro/internal/workload"
 )
 
@@ -79,7 +80,7 @@ func (e *ElisionExperiment) runOne(lines int, tree bool) ElisionPoint {
 	var fast, slow *atomic.Uint64
 	if tree {
 		// Elided (a,b)-tree (HoH fast / LLX-SCX slow).
-		t := abtree.NewElided(m, TreeA, TreeB, 0)
+		t := abtree.NewElided(m, sets.TreeA, sets.TreeB, 0)
 		p.Structure, s, fast, slow = "abtree", t, &t.FastCommits, &t.SlowCommits
 	} else {
 		// Elided list (VAS fast / Harris slow).

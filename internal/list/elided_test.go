@@ -4,33 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/intset"
 	"repro/internal/machine"
 	"repro/internal/vtags"
 )
-
-func TestElidedBasicOps(t *testing.T) {
-	mem := vtags.New(8<<20, 1)
-	s := NewElided(mem, 0)
-	intset.CheckSequential(t, mem, s, 1500, 64, 13)
-}
-
-func TestElidedConcurrent(t *testing.T) {
-	mem := vtags.New(16<<20, 4)
-	s := NewElided(mem, 0)
-	intset.CheckMixedConcurrent(t, mem, s, 4, 250, 24)
-}
-
-func TestElidedConcurrentOnMachine(t *testing.T) {
-	cfg := machine.DefaultConfig(4)
-	cfg.MemBytes = 16 << 20
-	m := machine.New(cfg)
-	s := NewElided(m, 0)
-	intset.CheckMixedConcurrent(t, m, s, 4, 150, 12)
-	if s.FastCommits.Load() == 0 {
-		t.Fatal("no update ever committed on the fast path")
-	}
-}
 
 // TestElidedFallsBackUnderSpuriousFailure is the progress guarantee the
 // paper's Mode-line protocol exists for: with a pathologically small L1,
@@ -89,21 +65,4 @@ func TestElidedModeSwitchAbortsFastPath(t *testing.T) {
 	}
 	t1.ClearTagSet()
 	s.fb.ExitSlow(t0)
-}
-
-// TestElidedMixedPathsAgree: operations completing on different paths
-// still form one linearizable set (fast VAS and slow CAS are compatible on
-// the shared marked-node layout).
-func TestElidedMixedPathsAgree(t *testing.T) {
-	cfg := machine.DefaultConfig(4)
-	cfg.MemBytes = 16 << 20
-	cfg.L1Bytes = 8 * core.LineSize // small L1: frequent fallbacks
-	cfg.L1Ways = 2
-	m := machine.New(cfg)
-	s := NewElided(m, 2)
-	intset.CheckMixedConcurrent(t, m, s, 4, 120, 10)
-	if s.SlowCommits.Load() == 0 || s.FastCommits.Load() == 0 {
-		t.Skipf("want both paths exercised; fast=%d slow=%d",
-			s.FastCommits.Load(), s.SlowCommits.Load())
-	}
 }

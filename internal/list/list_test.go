@@ -1,159 +1,13 @@
 package list
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/intset"
 	"repro/internal/machine"
 	"repro/internal/vtags"
 )
-
-// variants enumerates every list implementation under a constructor.
-var variants = []struct {
-	name string
-	mk   func(core.Memory) intset.Set
-}{
-	{"Harris", func(m core.Memory) intset.Set { return NewHarris(m) }},
-	{"VAS", func(m core.Memory) intset.Set { return NewVAS(m) }},
-	{"HoH", func(m core.Memory) intset.Set { return NewHoH(m) }},
-	{"Lock", func(m core.Memory) intset.Set { return NewLock(m) }},
-}
-
-// backends enumerates the two memory implementations.
-var backends = []struct {
-	name string
-	mk   func(threads int) core.Memory
-}{
-	{"vtags", func(threads int) core.Memory { return vtags.New(8<<20, threads) }},
-	{"machine", func(threads int) core.Memory {
-		cfg := machine.DefaultConfig(threads)
-		cfg.MemBytes = 8 << 20
-		return machine.New(cfg)
-	}},
-}
-
-func forAll(t *testing.T, threads int, f func(t *testing.T, mem core.Memory, s intset.Set)) {
-	for _, b := range backends {
-		for _, v := range variants {
-			t.Run(fmt.Sprintf("%s/%s", b.name, v.name), func(t *testing.T) {
-				mem := b.mk(threads)
-				f(t, mem, v.mk(mem))
-			})
-		}
-	}
-}
-
-func TestEmpty(t *testing.T) {
-	forAll(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		if s.Contains(th, 5) {
-			t.Fatal("empty set contains 5")
-		}
-		if s.Delete(th, 5) {
-			t.Fatal("delete from empty set succeeded")
-		}
-	})
-}
-
-func TestInsertDeleteContains(t *testing.T) {
-	forAll(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		if !s.Insert(th, 10) || !s.Insert(th, 5) || !s.Insert(th, 20) {
-			t.Fatal("fresh inserts failed")
-		}
-		if s.Insert(th, 10) {
-			t.Fatal("duplicate insert succeeded")
-		}
-		for _, k := range []uint64{5, 10, 20} {
-			if !s.Contains(th, k) {
-				t.Fatalf("missing key %d", k)
-			}
-		}
-		if s.Contains(th, 15) {
-			t.Fatal("contains absent key")
-		}
-		if !s.Delete(th, 10) {
-			t.Fatal("delete of present key failed")
-		}
-		if s.Delete(th, 10) {
-			t.Fatal("double delete succeeded")
-		}
-		if s.Contains(th, 10) {
-			t.Fatal("deleted key still present")
-		}
-		if !s.Contains(th, 5) || !s.Contains(th, 20) {
-			t.Fatal("neighbours lost by delete")
-		}
-	})
-}
-
-func TestBoundaryKeys(t *testing.T) {
-	forAll(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		for _, k := range []uint64{intset.KeyMin, intset.KeyMax} {
-			if !s.Insert(th, k) || !s.Contains(th, k) {
-				t.Fatalf("boundary key %d not inserted", k)
-			}
-			if !s.Delete(th, k) || s.Contains(th, k) {
-				t.Fatalf("boundary key %d not deleted", k)
-			}
-		}
-	})
-}
-
-func TestKeysSortedSnapshot(t *testing.T) {
-	forAll(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		for _, k := range []uint64{9, 3, 7, 1, 5} {
-			s.Insert(th, k)
-		}
-		s.Delete(th, 7)
-		keys := s.(intset.Snapshotter).Keys(th)
-		want := []uint64{1, 3, 5, 9}
-		if len(keys) != len(want) {
-			t.Fatalf("Keys = %v, want %v", keys, want)
-		}
-		for i := range want {
-			if keys[i] != want[i] {
-				t.Fatalf("Keys = %v, want %v", keys, want)
-			}
-		}
-	})
-}
-
-func TestSequentialEquivalence(t *testing.T) {
-	forAll(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckSequential(t, mem, s, 2000, 64, 42)
-	})
-}
-
-func TestSequentialEquivalenceWideRange(t *testing.T) {
-	forAll(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckSequential(t, mem, s, 1000, 1<<40, 7)
-	})
-}
-
-func TestDisjointConcurrent(t *testing.T) {
-	forAll(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckDisjointConcurrent(t, mem, s, 4, 400)
-	})
-}
-
-func TestMixedConcurrent(t *testing.T) {
-	forAll(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckMixedConcurrent(t, mem, s, 4, 300, 32)
-	})
-}
-
-func TestMixedConcurrentTiny(t *testing.T) {
-	// Maximum contention: 4 threads on 4 keys.
-	forAll(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckMixedConcurrent(t, mem, s, 4, 200, 4)
-	})
-}
 
 // TestHoHTagHygiene ensures HoH operations never leak tags.
 func TestHoHTagHygiene(t *testing.T) {
@@ -323,19 +177,5 @@ func TestLockListMutualExclusion(t *testing.T) {
 		if !s.Contains(th, uint64(i+1)) {
 			t.Fatalf("key %d lost", i+1)
 		}
-	}
-}
-
-// TestHoHOnSimulatorSmoke runs a short mixed workload of the HoH list on
-// the full machine backend with several cores.
-func TestHoHOnSimulatorSmoke(t *testing.T) {
-	cfg := machine.DefaultConfig(4)
-	cfg.MemBytes = 8 << 20
-	m := machine.New(cfg)
-	s := NewHoH(m)
-	intset.CheckMixedConcurrent(t, m, s, 4, 150, 16)
-	snap := m.Snapshot()
-	if snap.Validates == 0 || snap.TagAdds == 0 {
-		t.Fatal("HoH on machine produced no tag activity")
 	}
 }

@@ -120,9 +120,7 @@ func soakTxmap(t *testing.T, policy reclaim.Policy, k int64) {
 	m := vtags.New(256<<20, soakThreads)
 	d := reclaim.NewDomainFor(m)
 	m.SetReclaim(d)
-	tm := stm.NewTagged(m)
-	tm.SetReclaim(d)
-	s := txset.New(m, tm)
+	s := txset.New(m, stm.NewTagged(m))
 	p := reclaim.NewPool(d, txmap.NodeWords, policy)
 	s.SetReclaim(p)
 	st, agg := runSoak(t, s, m, p)

@@ -1,61 +1,10 @@
 package skiplist
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/intset"
 	"repro/internal/machine"
-	"repro/internal/vtags"
 )
-
-func forAllSkip(t *testing.T, threads int, f func(t *testing.T, mem core.Memory, s intset.Set)) {
-	backends := []struct {
-		name string
-		mk   func(int) core.Memory
-	}{
-		{"vtags", func(n int) core.Memory { return vtags.New(32<<20, n) }},
-		{"machine", func(n int) core.Memory {
-			cfg := machine.DefaultConfig(n)
-			cfg.MemBytes = 32 << 20
-			return machine.New(cfg)
-		}},
-	}
-	variants := []struct {
-		name string
-		mk   func(core.Memory) intset.Set
-	}{
-		{"CAS", func(m core.Memory) intset.Set { return New(m) }},
-		{"VAS", func(m core.Memory) intset.Set { return NewVAS(m) }},
-	}
-	for _, b := range backends {
-		for _, v := range variants {
-			t.Run(fmt.Sprintf("%s/%s", b.name, v.name), func(t *testing.T) {
-				mem := b.mk(threads)
-				f(t, mem, v.mk(mem))
-			})
-		}
-	}
-}
-
-func TestSkipBasic(t *testing.T) {
-	forAllSkip(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		th := mem.Thread(0)
-		if s.Contains(th, 5) || s.Delete(th, 5) {
-			t.Fatal("empty set misbehaves")
-		}
-		if !s.Insert(th, 5) || s.Insert(th, 5) {
-			t.Fatal("insert semantics")
-		}
-		if !s.Contains(th, 5) {
-			t.Fatal("inserted key missing")
-		}
-		if !s.Delete(th, 5) || s.Delete(th, 5) || s.Contains(th, 5) {
-			t.Fatal("delete semantics")
-		}
-	})
-}
 
 func TestSkipTowerHeights(t *testing.T) {
 	// heightForKey must be deterministic, in range, and roughly geometric.
@@ -76,50 +25,6 @@ func TestSkipTowerHeights(t *testing.T) {
 	if counts[2] < 700 || counts[2] > 1400 {
 		t.Fatalf("height-2 frequency %d implausible", counts[2])
 	}
-}
-
-func TestSkipSequentialEquivalence(t *testing.T) {
-	forAllSkip(t, 1, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckSequential(t, mem, s, 2500, 128, 21)
-	})
-}
-
-func TestSkipSortedEnumeration(t *testing.T) {
-	mem := vtags.New(32<<20, 1)
-	s := NewVAS(mem)
-	th := mem.Thread(0)
-	for _, k := range []uint64{50, 10, 30, 20, 40} {
-		s.Insert(th, k)
-	}
-	s.Delete(th, 30)
-	keys := s.Keys(th)
-	want := []uint64{10, 20, 40, 50}
-	if len(keys) != len(want) {
-		t.Fatalf("Keys = %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("Keys = %v, want %v", keys, want)
-		}
-	}
-}
-
-func TestSkipDisjointConcurrent(t *testing.T) {
-	forAllSkip(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckDisjointConcurrent(t, mem, s, 4, 300)
-	})
-}
-
-func TestSkipMixedConcurrent(t *testing.T) {
-	forAllSkip(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckMixedConcurrent(t, mem, s, 4, 250, 32)
-	})
-}
-
-func TestSkipHighContentionTinyRange(t *testing.T) {
-	forAllSkip(t, 4, func(t *testing.T, mem core.Memory, s intset.Set) {
-		intset.CheckMixedConcurrent(t, mem, s, 4, 150, 3)
-	})
 }
 
 func TestVASVariantUsesTags(t *testing.T) {

@@ -1,0 +1,34 @@
+package txset_test
+
+import (
+	"testing"
+
+	"repro/internal/sets"
+	"repro/internal/sets/settest"
+)
+
+// The generic set tests below keep their names: each runs cases of the set
+// contract (internal/sets/settest) on the catalogue's STM sets.
+
+var txsets = []sets.Entry{
+	settest.Catalogued("NOrec", "norec-set"),
+	settest.Catalogued("Tagged", "tagged-set"),
+}
+
+func TestTxSetSequential(t *testing.T) { settest.Each(t, "must/sequential-narrow", txsets...) }
+func TestTxSetConcurrentDisjoint(t *testing.T) {
+	settest.Each(t, "must/disjoint-concurrent", txsets...)
+}
+func TestTxSetConcurrentMixed(t *testing.T) { settest.Each(t, "must/mixed-concurrent-32", txsets...) }
+func TestTxSetKeysSorted(t *testing.T) {
+	settest.EachOn(t, settest.VTags, "must/keys-sorted", settest.Catalogued("norec", "norec-set"))
+}
+
+// TestLinearizableVTags checks the STM-backed set under both baseline
+// NOrec and tagged NOrec. Forced spurious evictions drive the tagged
+// variant through its tag-abort and value-based-validation fallback paths.
+func TestLinearizableVTags(t *testing.T) {
+	settest.EachOn(t, settest.VTags, "must/linearizable",
+		settest.Catalogued("norec", "norec-set"),
+		settest.Catalogued("tagged", "tagged-set"))
+}

@@ -24,8 +24,10 @@ type Set struct {
 
 var _ intset.Set = (*Set)(nil)
 
-// New creates an empty set over the given STM instance.
+// New creates an empty set over the given STM instance, with one reusable
+// transaction per thread of mem (stm.TM.Prepare).
 func New(mem core.Memory, tm *stm.TM) *Set {
+	tm.Prepare(mem.NumThreads())
 	return &Set{tm: tm, m: txmap.New(mem)}
 }
 
@@ -33,15 +35,18 @@ func New(mem core.Memory, tm *stm.TM) *Set {
 func (s *Set) TM() *stm.TM { return s.tm }
 
 // SetReclaim wires a reclamation pool (object size txmap.NodeWords) into
-// the underlying map. The STM must have the pool's domain attached
-// (stm.TM.SetReclaim) so every transaction attempt is bracketed. Only call
-// while quiescent, before operations.
-func (s *Set) SetReclaim(p *reclaim.Pool) { s.m.SetReclaim(p) }
+// the underlying map and attaches the pool's domain to the STM, so every
+// transaction attempt is bracketed. Only call while quiescent, before
+// operations.
+func (s *Set) SetReclaim(p *reclaim.Pool) {
+	s.tm.SetReclaim(p.Domain())
+	s.m.SetReclaim(p)
+}
 
 // Insert adds key, reporting whether it was absent.
 func (s *Set) Insert(th core.Thread, key uint64) bool {
 	var added bool
-	s.tm.Run(th, func(tx *stm.Tx) {
+	s.tm.RunCached(th, func(tx *stm.Tx) {
 		added = s.m.Put(tx, key, 1, th)
 	})
 	return added
@@ -50,7 +55,7 @@ func (s *Set) Insert(th core.Thread, key uint64) bool {
 // Delete removes key, reporting whether it was present.
 func (s *Set) Delete(th core.Thread, key uint64) bool {
 	var removed bool
-	s.tm.Run(th, func(tx *stm.Tx) {
+	s.tm.RunCached(th, func(tx *stm.Tx) {
 		removed = s.m.Delete(tx, key)
 	})
 	return removed
@@ -59,7 +64,7 @@ func (s *Set) Delete(th core.Thread, key uint64) bool {
 // Contains reports whether key is present.
 func (s *Set) Contains(th core.Thread, key uint64) bool {
 	var found bool
-	s.tm.Run(th, func(tx *stm.Tx) {
+	s.tm.RunCached(th, func(tx *stm.Tx) {
 		_, found = s.m.Get(tx, key)
 	})
 	return found
@@ -68,7 +73,7 @@ func (s *Set) Contains(th core.Thread, key uint64) bool {
 // Keys enumerates the set in order (one read-only transaction).
 func (s *Set) Keys(th core.Thread) []uint64 {
 	var keys []uint64
-	s.tm.Run(th, func(tx *stm.Tx) {
+	s.tm.RunCached(th, func(tx *stm.Tx) {
 		keys = keys[:0]
 		s.m.ForEach(tx, func(k, _ uint64) { keys = append(keys, k) })
 	})

@@ -8,22 +8,6 @@ import (
 	"repro/internal/mem"
 )
 
-func TestLoadStoreCAS(t *testing.T) {
-	m := New(1<<16, 2)
-	th := m.Thread(0)
-	a := m.Alloc(2)
-	th.Store(a, 11)
-	if th.Load(a) != 11 {
-		t.Fatal("load after store")
-	}
-	if th.CAS(a, 10, 12) || th.Load(a) != 11 {
-		t.Fatal("failed CAS semantics wrong")
-	}
-	if !th.CAS(a, 11, 12) || th.Load(a) != 12 {
-		t.Fatal("successful CAS semantics wrong")
-	}
-}
-
 func TestOwnWriteKeepsOwnTag(t *testing.T) {
 	m := New(1<<16, 1)
 	th := m.Thread(0)
@@ -32,34 +16,6 @@ func TestOwnWriteKeepsOwnTag(t *testing.T) {
 	th.Store(a, 3)
 	if !th.Validate() {
 		t.Fatal("own store invalidated own tag")
-	}
-}
-
-func TestVASIAS(t *testing.T) {
-	m := New(1<<16, 2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	node := m.Alloc(1)
-	target := m.Alloc(1)
-
-	t0.AddTag(node, 8)
-	t1.AddTag(node, 8)
-	if !t0.VAS(target, 5) {
-		t.Fatal("VAS failed")
-	}
-	if !t1.Validate() {
-		t.Fatal("VAS invalidated remote tag on non-target line")
-	}
-	if !t0.IAS(target, 6) {
-		t.Fatal("IAS failed")
-	}
-	if t1.Validate() {
-		t.Fatal("IAS did not invalidate remote tag")
-	}
-	if !t0.Validate() {
-		t.Fatal("IAS invalidated issuer's tags")
-	}
-	if t1.Load(target) != 6 {
-		t.Fatal("IAS value lost")
 	}
 }
 
@@ -136,62 +92,6 @@ func TestForceTagEvictionPerLine(t *testing.T) {
 	th.AddTag(b, 8)
 	if !th.Validate() {
 		t.Fatal("eviction latch survived ClearTagSet")
-	}
-}
-
-func TestConcurrentVASCounter(t *testing.T) {
-	const workers, per = 8, 500
-	m := New(1<<16, workers)
-	ctr := m.Alloc(1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(th core.Thread) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				for {
-					th.ClearTagSet()
-					th.AddTag(ctr, 8)
-					v := th.Load(ctr)
-					if th.VAS(ctr, v+1) {
-						break
-					}
-				}
-			}
-		}(m.Thread(w))
-	}
-	wg.Wait()
-	if got := m.Thread(0).Load(ctr); got != workers*per {
-		t.Fatalf("counter = %d, want %d", got, workers*per)
-	}
-}
-
-func TestConcurrentIASCounter(t *testing.T) {
-	const workers, per = 8, 300
-	m := New(1<<16, workers)
-	ctr := m.Alloc(1)
-	aux := m.Alloc(1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(th core.Thread) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				for {
-					th.ClearTagSet()
-					th.AddTag(ctr, 8)
-					th.AddTag(aux, 8)
-					v := th.Load(ctr)
-					if th.IAS(ctr, v+1) {
-						break
-					}
-				}
-			}
-		}(m.Thread(w))
-	}
-	wg.Wait()
-	if got := m.Thread(0).Load(ctr); got != workers*per {
-		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
 }
 
