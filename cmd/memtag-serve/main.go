@@ -1,8 +1,9 @@
 // Command memtag-serve exposes the tagged structures as a network service:
-// a KV plane (transactional red-black map), a set plane (skiplist on the
-// versioned-tag backend), and a STAMP-vacation reservation plane, all over
-// one ASCII line protocol. Streaming telemetry publishes time-resolved
-// ops/fails/latency windows at /metrics while traffic runs.
+// a KV plane (1024 transactional red-black maps, one per key-hash
+// partition), a set plane (skiplist on the versioned-tag backend), and a
+// STAMP-vacation reservation plane, all over one ASCII line protocol.
+// Streaming telemetry publishes time-resolved ops/fails/latency windows at
+// /metrics while traffic runs.
 //
 //	memtag-serve -addr :7070 -metrics :7071 -workers 8 -tm tagged
 //	memtag-serve -reclaim immediate -relations 4096

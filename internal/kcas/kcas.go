@@ -88,10 +88,6 @@ func New(mem core.Memory) *Manager { return &Manager{mem: mem} }
 // to k entries — the size to give the descriptor pool passed to SetReclaim.
 func DescriptorWords(k int) int { return kEntries + k*kEntryW }
 
-// RDCSSWords is the object size of an RDCSS descriptor — the size of the
-// first pool passed to SetReclaim.
-const RDCSSWords = rW
-
 // SetReclaim wires descriptor reclamation: rdcssPool serves RDCSS
 // descriptors (object size rW) and kcasPool serves KCAS descriptors (object
 // size DescriptorWords(maxK); operations beyond maxK entries panic). Both

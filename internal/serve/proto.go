@@ -1,8 +1,9 @@
 // Package serve is the network-facing layer over the tagged structures: a
 // line-oriented TCP protocol exposing a transactional key-value plane
-// (txmap over tagged NOrec), a set plane (VAS skiplist), and the STAMP
-// Vacation reservation engine (vacation.Manager), plus an HTTP endpoint
-// streaming mid-run telemetry windows (telemetry.Stream).
+// (1024 hash-chosen txmaps under one tagged NOrec TM), a set plane (VAS
+// skiplist), and the STAMP Vacation reservation engine (vacation.Manager),
+// plus an HTTP endpoint streaming mid-run telemetry windows
+// (telemetry.Stream).
 //
 // The protocol is deliberately minimal — one ASCII line per request, one
 // per response — so the hot path (decode → structure op → encode) stays

@@ -151,6 +151,9 @@ func TestServeRoundTrip(t *testing.T) {
 // server-side as history.OpTx footprints. The served history must be
 // linearizable at the wire (Wing-Gong over the KV and set models) and the
 // reservation history strictly serializable with intact table invariants.
+// The KV keys come from at most two partitions of the KV plane, and a
+// sampler checks that one of them held enough keys for its tree to
+// rebalance while the clients ran.
 func TestServeE2EWireHistory(t *testing.T) {
 	const (
 		clients    = 6
@@ -158,7 +161,9 @@ func TestServeE2EWireHistory(t *testing.T) {
 		workers    = 4
 		kvKeys     = 24
 		relations  = 64
+		deepTree   = 8 // keys one partition must hold at some sample
 	)
+	keys, parts := collidingKeys(kvKeys)
 	recTx := history.NewRecorder(workers+1, 4096)
 	srv := startServer(t, Config{
 		Engine: EngineConfig{
@@ -172,6 +177,27 @@ func TestServeE2EWireHistory(t *testing.T) {
 	})
 	recWire := history.NewRecorder(clients, clients*opsPerConn)
 
+	// Sample the two partitions' sizes through worker 0 while the clients
+	// run; peak is the most keys either held at a sample.
+	stopSampling := make(chan struct{})
+	peakCh := make(chan int)
+	go func() {
+		w, peak := srv.Engine().workers[0], 0
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			for _, p := range parts {
+				peak = max(peak, w.partLen(p))
+			}
+			select {
+			case <-stopSampling:
+				peakCh <- peak
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
 		wg.Add(1)
@@ -182,7 +208,7 @@ func TestServeE2EWireHistory(t *testing.T) {
 			sh := recWire.Shard(cl)
 			rng := rand.New(rand.NewSource(int64(cl)*997 + 13))
 			for i := 0; i < opsPerConn; i++ {
-				k := uint64(rng.Intn(kvKeys)) + 1
+				k := keys[rng.Intn(kvKeys)]
 				switch draw := rng.Intn(100); {
 				case draw < 20: // PUT
 					v := uint64(rng.Intn(999)) + 1
@@ -223,7 +249,12 @@ func TestServeE2EWireHistory(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
+	close(stopSampling)
+	peak := <-peakCh
 	shutdown(t, srv)
+	if peak < deepTree {
+		t.Fatalf("vacuous e2e: the KV keys' partitions held at most %d keys at any sample, want >= %d so that their trees rebalance", peak, deepTree)
+	}
 
 	// Split the wire history into its two planes and check each against
 	// its model, partitioned by key.
