@@ -28,6 +28,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,11 +49,11 @@ type opClass struct {
 	pct  int
 }
 
-var classTable = map[string]uint8{
-	"get": serve.CmdGet, "put": serve.CmdPut, "del": serve.CmdDel,
-	"sadd": serve.CmdSAdd, "srem": serve.CmdSRem, "shas": serve.CmdSHas,
-	"resv": serve.CmdResv, "bill": serve.CmdBill, "cancel": serve.CmdCancel,
-	"ping": serve.CmdPing,
+// mixOps are the wire ops the generator fills arguments for; a -mix entry
+// names one by its lowercase wire name.
+var mixOps = []uint8{
+	serve.CmdGet, serve.CmdPut, serve.CmdDel, serve.CmdSAdd, serve.CmdSRem,
+	serve.CmdSHas, serve.CmdResv, serve.CmdBill, serve.CmdCancel, serve.CmdPing,
 }
 
 func parseMix(s string) ([]opClass, error) {
@@ -63,15 +64,15 @@ func parseMix(s string) ([]opClass, error) {
 		if !ok {
 			return nil, fmt.Errorf("mix entry %q: want op:pct", part)
 		}
-		op, ok := classTable[name]
-		if !ok {
+		i := slices.IndexFunc(mixOps, func(op uint8) bool { return strings.ToLower(serve.CmdName(op)) == name })
+		if i < 0 {
 			return nil, fmt.Errorf("mix entry %q: unknown op", part)
 		}
 		pct, err := strconv.Atoi(pctStr)
 		if err != nil || pct <= 0 {
 			return nil, fmt.Errorf("mix entry %q: bad percentage", part)
 		}
-		mix = append(mix, opClass{name: name, op: op, pct: pct})
+		mix = append(mix, opClass{name: name, op: mixOps[i], pct: pct})
 		total += pct
 	}
 	if total != 100 {

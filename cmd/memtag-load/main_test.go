@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -140,5 +142,26 @@ func TestPromValueAndExemplar(t *testing.T) {
 	}
 	if id := lastExemplarID(text); id != "0000000010000002" {
 		t.Fatalf("lastExemplarID = %q", id)
+	}
+}
+
+// TestParseMixOps: -mix accepts exactly the ten ops the generator fills,
+// by their lowercase wire names, and refuses every other name as unknown.
+func TestParseMixOps(t *testing.T) {
+	mix, err := parseMix("get:10,put:10,del:10,sadd:10,srem:10,shas:10,resv:10,bill:10,cancel:10,ping:10")
+	if err != nil {
+		t.Fatalf("parseMix: %v", err)
+	}
+	want := []uint8{serve.CmdGet, serve.CmdPut, serve.CmdDel, serve.CmdSAdd, serve.CmdSRem,
+		serve.CmdSHas, serve.CmdResv, serve.CmdBill, serve.CmdCancel, serve.CmdPing}
+	for i, c := range mix {
+		if c.op != want[i] || c.pct != 10 {
+			t.Fatalf("entry %d = %+v, want op %d at 10%%", i, c, want[i])
+		}
+	}
+	for _, name := range []string{"addcust", "addres", "delres", "qprice", "GET", "Get", "nope", ""} {
+		if _, err := parseMix(name + ":100"); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("parseMix(%q:100) = %v, want an unknown op error", name, err)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/reclaim"
 )
 
 // Descriptor pointer marks.
@@ -57,7 +56,8 @@ const (
 func isKCAS(v uint64) bool  { return v&kcasMark != 0 }
 func isRDCSS(v uint64) bool { return v&rdcssMark != 0 }
 
-// Manager issues kCAS operations against one simulated memory.
+// Manager issues kCAS operations against one simulated memory. Every
+// operation allocates its descriptors from the memory and never frees them.
 type Manager struct {
 	mem core.Memory
 	// TagOverflowRetries counts TaggedKCAS calls whose target set exceeded
@@ -65,61 +65,10 @@ type Manager struct {
 	// advisory: overflow must degrade to the untagged kCAS, never to a
 	// spurious failure.
 	TagOverflowRetries atomic.Uint64
-
-	// Descriptor reclamation (optional, SetReclaim). Both descriptor kinds
-	// are retire-safe once their pointer has been removed from every shared
-	// word: any thread still dereferencing one obtained the pointer before
-	// that removal, hence was in flight at retire time, and the domain's
-	// reservations block the free until it exits. The one chain the era
-	// cannot order — a laggard helper installing an RDCSS descriptor that
-	// names an already-retired KCAS descriptor's status word, read by a
-	// later op — is effect-free: by free time the RDCSS pointer is gone
-	// from shared memory, so the reader's commit/rollback CAS always fails.
-	dom  *reclaim.Domain
-	rdp  *reclaim.Pool // RDCSS descriptors (rW words)
-	kdp  *reclaim.Pool // KCAS descriptors (DescriptorWords(maxK) words)
-	maxK int
 }
 
 // New creates a manager.
 func New(mem core.Memory) *Manager { return &Manager{mem: mem} }
-
-// DescriptorWords returns the object size of a KCAS descriptor holding up
-// to k entries — the size to give the descriptor pool passed to SetReclaim.
-func DescriptorWords(k int) int { return kEntries + k*kEntryW }
-
-// SetReclaim wires descriptor reclamation: rdcssPool serves RDCSS
-// descriptors (object size rW) and kcasPool serves KCAS descriptors (object
-// size DescriptorWords(maxK); operations beyond maxK entries panic). Both
-// pools must share one domain, attached to the backend so operations
-// announce. Only call while quiescent, before operations.
-func (g *Manager) SetReclaim(rdcssPool, kcasPool *reclaim.Pool) {
-	if rdcssPool.Words() != rW {
-		panic("kcas: RDCSS pool object size must be rW words")
-	}
-	k := (kcasPool.Words() - kEntries) / kEntryW
-	if k < 1 {
-		panic("kcas: KCAS pool too small for one entry (size with DescriptorWords)")
-	}
-	if rdcssPool.Domain() != kcasPool.Domain() {
-		panic("kcas: descriptor pools must share one domain")
-	}
-	g.dom, g.rdp, g.kdp, g.maxK = rdcssPool.Domain(), rdcssPool, kcasPool, k
-}
-
-// enter / exit bracket an operation that may dereference descriptors, so
-// retired descriptors outlive every helper that could still reach them.
-func (g *Manager) enter(th core.Thread) {
-	if g.dom != nil {
-		g.dom.Handle(th.ID()).Enter()
-	}
-}
-
-func (g *Manager) exit(th core.Thread) {
-	if g.dom != nil {
-		g.dom.Handle(th.ID()).Exit()
-	}
-}
 
 // Entry is one word of a multi-word CAS.
 type Entry struct {
@@ -131,8 +80,6 @@ type Entry struct {
 // Read returns the logical value of a kCAS-managed word, helping any
 // operation found in progress there.
 func (g *Manager) Read(th core.Thread, a core.Addr) uint64 {
-	g.enter(th)
-	defer g.exit(th)
 	for {
 		v := th.Load(a)
 		switch {
@@ -163,17 +110,7 @@ func (g *Manager) KCAS(th core.Thread, entries []Entry) bool {
 			panic("kcas: duplicate address")
 		}
 	}
-	g.enter(th)
-	defer g.exit(th)
-	var d core.Addr
-	if g.kdp != nil {
-		if len(es) > g.maxK {
-			panic("kcas: entry count exceeds the reclaim pool's descriptor size")
-		}
-		d = g.kdp.Alloc(th)
-	} else {
-		d = th.Alloc(kEntries + len(es)*kEntryW)
-	}
+	d := th.Alloc(kEntries + len(es)*kEntryW)
 	th.Store(d.Plus(kStatus), stUndecided)
 	th.Store(d.Plus(kCount), uint64(len(es)))
 	for i, e := range es {
@@ -182,16 +119,7 @@ func (g *Manager) KCAS(th core.Thread, entries []Entry) bool {
 		th.Store(d.Plus(base+1), e.Old)
 		th.Store(d.Plus(base+2), e.New)
 	}
-	ok := g.helpKCAS(th, d)
-	if g.kdp != nil {
-		// Phase 2 removed the descriptor pointer from every entry word
-		// before helpKCAS returned, so only helpers already in flight can
-		// still reach d — exactly what the era condition waits out. The
-		// status word is stable (decided) by now, so Retire's same-value
-		// stores race with nothing.
-		g.kdp.Retire(th, d)
-	}
-	return ok
+	return g.helpKCAS(th, d)
 }
 
 // helpKCAS drives the operation at descriptor d to completion. Any thread
@@ -249,12 +177,7 @@ func (g *Manager) helpKCAS(th core.Thread, d core.Addr) bool {
 // a2 iff a2 holds o2 AND the word at a1 holds o1. It returns the value
 // found at a2 (o2 on success; callers compare against dptr/old to decide).
 func (g *Manager) rdcss(th core.Thread, a1 core.Addr, o1 uint64, a2 core.Addr, o2, n2 uint64) uint64 {
-	var rd core.Addr
-	if g.rdp != nil {
-		rd = g.rdp.Alloc(th)
-	} else {
-		rd = th.Alloc(rW)
-	}
+	rd := th.Alloc(rW)
 	th.Store(rd.Plus(rA1), uint64(a1))
 	th.Store(rd.Plus(rO1), o1)
 	th.Store(rd.Plus(rA2), uint64(a2))
@@ -264,10 +187,6 @@ func (g *Manager) rdcss(th core.Thread, a1 core.Addr, o1 uint64, a2 core.Addr, o
 	for {
 		if th.CAS(a2, o2, rptr) {
 			g.completeRDCSS(th, rd)
-			// completeRDCSS guarantees a2 no longer holds rptr; helpers
-			// that read it earlier are in flight, so the retire pipeline
-			// holds rd until they exit.
-			g.retireRDCSS(th, rd)
 			return o2
 		}
 		v := th.Load(a2)
@@ -285,16 +204,7 @@ func (g *Manager) rdcss(th core.Thread, a1 core.Addr, o1 uint64, a2 core.Addr, o
 			// so a returned value always differs from o2.
 			continue
 		}
-		if g.rdp != nil {
-			g.rdp.FreePrivate(th, rd) // never installed: no thread saw rptr
-		}
 		return v
-	}
-}
-
-func (g *Manager) retireRDCSS(th core.Thread, rd core.Addr) {
-	if g.rdp != nil {
-		g.rdp.Retire(th, rd)
 	}
 }
 

@@ -241,7 +241,7 @@ func TestSnapshotHelpDoesNotHideWrite(t *testing.T) {
 
 			// The writer's phase 1, already decided: both words hold its
 			// descriptor.
-			d := w.Alloc(DescriptorWords(2))
+			d := w.Alloc(kEntries + 2*kEntryW)
 			w.Store(d.Plus(kStatus), stSucceeded)
 			w.Store(d.Plus(kCount), 2)
 			for i, e := range []Entry{{a, 5, 6}, {b, 5, 6}} {

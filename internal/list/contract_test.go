@@ -47,14 +47,6 @@ func TestLinearizableVTags(t *testing.T) {
 		sets.Entry{Name: "elided", New: func(m core.Memory) intset.Set { return list.NewElided(m, 4) }})
 }
 
-func TestElidedBasicOps(t *testing.T) {
-	settest.EachOn(t, settest.VTags, "must/sequential-narrow", settest.Catalogued("elided", "elided-list"))
-}
-
-func TestElidedConcurrent(t *testing.T) {
-	settest.EachOn(t, settest.VTags, "must/mixed-concurrent-32", settest.Catalogued("elided", "elided-list"))
-}
-
 func TestElidedConcurrentOnMachine(t *testing.T) {
 	var s *list.Elided
 	settest.EachOn(t, settest.Machine, "must/mixed-concurrent-32", sets.Entry{Name: "elided",

@@ -97,7 +97,7 @@ type Machine struct {
 	// to them through its tagobs.Observer.
 	tagobs.Hooks
 	// issuing counts in-flight memory/tag operations when the memtagcheck
-	// build tag enables the quiescence guard (see guard_on.go); Snapshot
+	// build tag arms the quiescence guard (core.Checked); Snapshot
 	// panics when it is non-zero. In default builds the counter is never
 	// touched.
 	issuing atomic.Int64

@@ -9,7 +9,7 @@ import (
 // Load reads the word at a, performing the MESI read transaction for its
 // line.
 func (t *Thread) Load(a core.Addr) uint64 {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -29,7 +29,7 @@ func (t *Thread) Load(a core.Addr) uint64 {
 // Store writes v at a, invalidating all remote copies of the line (which
 // evicts remote tags on it).
 func (t *Thread) Store(a core.Addr, v uint64) {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -48,7 +48,7 @@ func (t *Thread) Store(a core.Addr, v uint64) {
 // CAS atomically compares-and-swaps the word at a. Like hardware CAS, it
 // acquires the line exclusively whether or not the comparison succeeds.
 func (t *Thread) CAS(a core.Addr, old, new uint64) bool {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -86,7 +86,7 @@ func (t *Thread) hasTag(l core.Line) bool {
 // directory tagger mask. Exceeding MaxTags sets the overflow condition and
 // reports false; all validations then fail until ClearTagSet.
 func (t *Thread) AddTag(a core.Addr, size int) bool {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -140,7 +140,7 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 // access and its tag release is where a remote write decides whether the
 // eviction latch is set).
 func (t *Thread) RemoveTag(a core.Addr, size int) {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -178,7 +178,7 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 // coherence traffic is generated (the key property of MemTags). The tag set
 // is retained so hand-over-hand traversals can validate repeatedly.
 func (t *Thread) Validate() bool {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -199,7 +199,7 @@ func (t *Thread) TagCount() int { return len(t.tags) }
 
 // ClearTagSet empties the tag set and resets eviction/overflow state.
 func (t *Thread) ClearTagSet() {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -223,7 +223,7 @@ func (t *Thread) ClearTagSet() {
 // a line another core marks panics (core.Thread.MarkWrite's one-marker
 // rule); otherwise the mark is taken over.
 func (t *Thread) MarkWrite(a core.Addr, size int) {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -239,7 +239,7 @@ func (t *Thread) MarkWrite(a core.Addr, size int) {
 		d := t.m.dirAt(l)
 		d.mu.Lock()
 		if int(d.marked) != t.id {
-			if debugGuard && d.marked >= 0 {
+			if core.Checked && d.marked >= 0 {
 				d.mu.Unlock()
 				panic(fmt.Sprintf("machine: core %d marks line %d, which core %d already marks", t.id, l, d.marked))
 			}
@@ -255,7 +255,7 @@ func (t *Thread) MarkWrite(a core.Addr, size int) {
 // UnmarkWrites clears every mark this core holds. It is directory
 // bookkeeping on lines the core just wrote and is not charged.
 func (t *Thread) UnmarkWrites() {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -305,7 +305,7 @@ func insertionSortLines(s []core.Line) {
 // plus the target while checking and committing, the software analogue of
 // the paper's "pause coherence requests during validation".
 func (t *Thread) VAS(a core.Addr, v uint64) bool {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}
@@ -318,7 +318,7 @@ func (t *Thread) VAS(a core.Addr, v uint64) bool {
 // cores (transient marking: their future validations on those lines fail),
 // and stores v at a — atomically.
 func (t *Thread) IAS(a core.Addr, v uint64) bool {
-	if debugGuard {
+	if core.Checked {
 		t.m.issuing.Add(1)
 		defer t.m.issuing.Add(-1)
 	}

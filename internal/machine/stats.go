@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // CoreStats accumulates per-core event counts, cycles, and energy. Plain
@@ -93,7 +95,7 @@ func (s Stats) SimSeconds(clockHz float64) float64 {
 // Snapshot aggregates per-core stats. Only call while no core is issuing
 // operations; under the memtagcheck build tag a non-quiescent call panics.
 func (m *Machine) Snapshot() Stats {
-	if debugGuard {
+	if core.Checked {
 		if n := m.issuing.Load(); n != 0 {
 			panic(fmt.Sprintf("machine: Snapshot while %d operation(s) in flight", n))
 		}

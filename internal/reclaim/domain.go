@@ -77,7 +77,7 @@ const (
 // NewDomain creates a domain for a memory with the given thread count and
 // per-thread tag budget (core.Memory's NumThreads and MaxTags).
 func NewDomain(threads, maxTags int) *Domain {
-	d := &Domain{maxTags: maxTags, onViolation: defaultViolation, checked: memtagcheckEnabled}
+	d := &Domain{maxTags: maxTags, onViolation: defaultViolation, checked: core.Checked}
 	d.era.Store(1)
 	d.handles = make([]Handle, threads)
 	for i := range d.handles {

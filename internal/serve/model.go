@@ -38,14 +38,14 @@ func KVWireModel() linearizability.Model {
 			return s, false
 		},
 		Format: func(e *history.Event) string {
+			args, out := fmt.Sprint(e.Key), fmt.Sprint(e.OK)
 			switch e.Op {
 			case CmdPut:
-				return fmt.Sprintf("w%d PUT(%d,%d) = %v [inv %d, ret %d]", e.Worker, e.Key, e.Arg, e.OK, e.Inv, e.Ret)
+				args = fmt.Sprintf("%d,%d", e.Key, e.Arg)
 			case CmdGet:
-				return fmt.Sprintf("w%d GET(%d) = (%v,%d) [inv %d, ret %d]", e.Worker, e.Key, e.OK, e.Out, e.Inv, e.Ret)
-			default:
-				return fmt.Sprintf("w%d DEL(%d) = %v [inv %d, ret %d]", e.Worker, e.Key, e.OK, e.Inv, e.Ret)
+				out = fmt.Sprintf("(%v,%d)", e.OK, e.Out)
 			}
+			return fmt.Sprintf("w%d %s(%s) = %s [inv %d, ret %d]", e.Worker, CmdName(e.Op), args, out, e.Inv, e.Ret)
 		},
 	}
 }
@@ -68,8 +68,7 @@ func SetWireModel() linearizability.Model {
 			return s, false
 		},
 		Format: func(e *history.Event) string {
-			name := map[uint8]string{CmdSAdd: "SADD", CmdSRem: "SREM", CmdSHas: "SHAS"}[e.Op]
-			return fmt.Sprintf("w%d %s(%d) = %v [inv %d, ret %d]", e.Worker, name, e.Key, e.OK, e.Inv, e.Ret)
+			return fmt.Sprintf("w%d %s(%d) = %v [inv %d, ret %d]", e.Worker, CmdName(e.Op), e.Key, e.OK, e.Inv, e.Ret)
 		},
 	}
 }

@@ -86,57 +86,36 @@ var (
 	errZeroVal  = fmt.Errorf("serve: PUT value must be > 0")
 )
 
+// cmds is the protocol's vocabulary, indexed by op - CmdGet: each
+// command's wire name and its positional argument count. Parse, encode and
+// CmdName all read it; nothing else spells a command.
+var cmds = [...]struct {
+	name  string
+	nArgs int
+}{
+	CmdGet - CmdGet:     {"GET", 1},
+	CmdPut - CmdGet:     {"PUT", 2},
+	CmdDel - CmdGet:     {"DEL", 1},
+	CmdSAdd - CmdGet:    {"SADD", 1},
+	CmdSRem - CmdGet:    {"SREM", 1},
+	CmdSHas - CmdGet:    {"SHAS", 1},
+	CmdResv - CmdGet:    {"RESV", 3},
+	CmdBill - CmdGet:    {"BILL", 1},
+	CmdCancel - CmdGet:  {"CANCEL", 1},
+	CmdAddCust - CmdGet: {"ADDCUST", 1},
+	CmdAddRes - CmdGet:  {"ADDRES", 4},
+	CmdDelRes - CmdGet:  {"DELRES", 3},
+	CmdQPrice - CmdGet:  {"QPRICE", 2},
+	CmdPing - CmdGet:    {"PING", 0},
+}
+
 // CmdName renders a wire op code for traces and logs ("?" for an unknown
 // code, including 0 — the span op of a request that failed to parse).
 func CmdName(op uint8) string {
-	switch op {
-	case CmdGet:
-		return "GET"
-	case CmdPut:
-		return "PUT"
-	case CmdDel:
-		return "DEL"
-	case CmdSAdd:
-		return "SADD"
-	case CmdSRem:
-		return "SREM"
-	case CmdSHas:
-		return "SHAS"
-	case CmdResv:
-		return "RESV"
-	case CmdBill:
-		return "BILL"
-	case CmdCancel:
-		return "CANCEL"
-	case CmdAddCust:
-		return "ADDCUST"
-	case CmdAddRes:
-		return "ADDRES"
-	case CmdDelRes:
-		return "DELRES"
-	case CmdQPrice:
-		return "QPRICE"
-	case CmdPing:
-		return "PING"
+	if i := int(op - CmdGet); i < len(cmds) {
+		return cmds[i].name
 	}
 	return "?"
-}
-
-// nArgs is the positional argument count per command.
-func nArgs(op uint8) int {
-	switch op {
-	case CmdPing:
-		return 0
-	case CmdGet, CmdDel, CmdSAdd, CmdSRem, CmdSHas, CmdBill, CmdCancel, CmdAddCust:
-		return 1
-	case CmdPut, CmdQPrice:
-		return 2
-	case CmdResv, CmdDelRes:
-		return 3
-	case CmdAddRes:
-		return 4
-	}
-	return -1
 }
 
 // parseUint is strconv.ParseUint(string(b), 10, 64) without the string
@@ -162,47 +141,12 @@ func parseUint(b []byte) (uint64, bool) {
 }
 
 // matchCmd maps a command token to its op code (allocation-free; commands
-// are uppercase ASCII).
+// are uppercase ASCII). The table is in op order, so the KV commands that
+// dominate served traffic match first.
 func matchCmd(tok []byte) (uint8, bool) {
-	switch len(tok) {
-	case 3:
-		switch {
-		case tok[0] == 'G' && tok[1] == 'E' && tok[2] == 'T':
-			return CmdGet, true
-		case tok[0] == 'P' && tok[1] == 'U' && tok[2] == 'T':
-			return CmdPut, true
-		case tok[0] == 'D' && tok[1] == 'E' && tok[2] == 'L':
-			return CmdDel, true
-		}
-	case 4:
-		switch {
-		case tok[0] == 'S' && tok[1] == 'A' && tok[2] == 'D' && tok[3] == 'D':
-			return CmdSAdd, true
-		case tok[0] == 'S' && tok[1] == 'R' && tok[2] == 'E' && tok[3] == 'M':
-			return CmdSRem, true
-		case tok[0] == 'S' && tok[1] == 'H' && tok[2] == 'A' && tok[3] == 'S':
-			return CmdSHas, true
-		case tok[0] == 'R' && tok[1] == 'E' && tok[2] == 'S' && tok[3] == 'V':
-			return CmdResv, true
-		case tok[0] == 'B' && tok[1] == 'I' && tok[2] == 'L' && tok[3] == 'L':
-			return CmdBill, true
-		case tok[0] == 'P' && tok[1] == 'I' && tok[2] == 'N' && tok[3] == 'G':
-			return CmdPing, true
-		}
-	case 6:
-		switch {
-		case tok[0] == 'C' && string(tok) == "CANCEL":
-			return CmdCancel, true
-		case tok[0] == 'A' && string(tok) == "ADDRES":
-			return CmdAddRes, true
-		case tok[0] == 'D' && string(tok) == "DELRES":
-			return CmdDelRes, true
-		case tok[0] == 'Q' && string(tok) == "QPRICE":
-			return CmdQPrice, true
-		}
-	case 7:
-		if tok[0] == 'A' && string(tok) == "ADDCUST" {
-			return CmdAddCust, true
+	for i := range cmds {
+		if string(tok) == cmds[i].name {
+			return CmdGet + uint8(i), true
 		}
 	}
 	return 0, false
@@ -238,7 +182,7 @@ func ParseRequest(line []byte) (Request, error) {
 	}
 	var req Request
 	req.Op = op
-	want := nArgs(op)
+	want := cmds[op-CmdGet].nArgs
 	args := [...]*uint64{&req.A, &req.B, &req.C, &req.D}
 	got := 0
 	for len(rest) > 0 {
@@ -322,44 +266,16 @@ func appendUint(b []byte, v uint64) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// AppendRequest encodes req as a wire line (client side).
+// AppendRequest encodes req as a wire line (client side). An op code
+// outside the protocol encodes as an empty line.
 func AppendRequest(b []byte, req *Request) []byte {
-	switch req.Op {
-	case CmdGet:
-		b = append(b, "GET "...)
-	case CmdPut:
-		b = append(b, "PUT "...)
-	case CmdDel:
-		b = append(b, "DEL "...)
-	case CmdSAdd:
-		b = append(b, "SADD "...)
-	case CmdSRem:
-		b = append(b, "SREM "...)
-	case CmdSHas:
-		b = append(b, "SHAS "...)
-	case CmdResv:
-		b = append(b, "RESV "...)
-	case CmdBill:
-		b = append(b, "BILL "...)
-	case CmdCancel:
-		b = append(b, "CANCEL "...)
-	case CmdAddCust:
-		b = append(b, "ADDCUST "...)
-	case CmdAddRes:
-		b = append(b, "ADDRES "...)
-	case CmdDelRes:
-		b = append(b, "DELRES "...)
-	case CmdQPrice:
-		b = append(b, "QPRICE "...)
-	case CmdPing:
-		return append(b, "PING\n"...)
-	}
-	args := [...]uint64{req.A, req.B, req.C, req.D}
-	for i := 0; i < nArgs(req.Op); i++ {
-		if i > 0 {
+	if i := int(req.Op - CmdGet); i < len(cmds) {
+		b = append(b, cmds[i].name...)
+		args := [...]uint64{req.A, req.B, req.C, req.D}
+		for _, v := range args[:cmds[i].nArgs] {
 			b = append(b, ' ')
+			b = appendUint(b, v)
 		}
-		b = appendUint(b, args[i])
 	}
 	return append(b, '\n')
 }

@@ -538,7 +538,7 @@ func (t *Thread) MarkWrite(a core.Addr, size int) {
 		if ls.word.Load()&markBit == 0 {
 			t.bumpLocked(ls, t.tagIndex(l), markBit)
 			t.marks = append(t.marks, ls)
-		} else if debugGuard && !t.marking(ls) {
+		} else if core.Checked && !t.marking(ls) {
 			ls.mu.Unlock()
 			panic(fmt.Sprintf("vtags: thread %d marks line %d, which another thread already marks", t.id, l))
 		}
