@@ -1,6 +1,7 @@
 // Command memtag-serve exposes the tagged structures as a network service:
-// a KV plane (1024 transactional red-black maps, one per key-hash
-// partition), a set plane (skiplist on the versioned-tag backend), and a
+// a KV plane (one transactional map of 32 768 red-black trees, a key's
+// tree chosen by its hash), a set plane (skiplist on the versioned-tag
+// backend), and a
 // STAMP-vacation reservation plane, all over one ASCII line protocol.
 // Streaming telemetry publishes time-resolved ops/fails/latency windows at
 // /metrics while traffic runs.

@@ -26,7 +26,7 @@ type Engine struct {
 
 	kvTM  *stm.TM
 	resTM *stm.TM
-	kv    []*txmap.Map // kvParts partitions under kvTM; a key's is kvPart(key)
+	kv    *txmap.Map // 1<<kvTreeBits hashed trees under kvTM
 	set   *skiplist.List
 	res   *vacation.Manager
 
@@ -37,22 +37,14 @@ type Engine struct {
 	workers []*Worker
 }
 
-// kvPartBits sizes the KV plane's partition: kvParts red-black trees under
-// the one kvTM. KV commands are point operations, so the plane needs no
-// order across keys, and a tagged NOrec read costs one AddTag, Load and
-// Validate per word it reads: splitting 32 768 keys over 1024 trees cuts a
-// GET's descent from about 15 levels to about 5. Each tree adds a root and
-// a sentinel line, which is why the count stops at 1024 (DESIGN.md,
-// "Transactional red-black map").
-const (
-	kvPartBits = 10
-	kvParts    = 1 << kvPartBits
-)
-
-// kvPart returns the partition that holds key: the top kvPartBits bits of
-// its Fibonacci hash, so runs of keys with equal low bits (the benchmark's
-// even keys, say) still spread over every partition.
-func kvPart(key uint64) int { return int((key * 0x9e3779b97f4a7c15) >> (64 - kvPartBits)) }
+// kvTreeBits sizes the KV plane: one txmap of 1<<kvTreeBits hashed trees
+// under kvTM. KV commands are point operations, so the plane needs no order
+// across keys, and a tagged NOrec read costs one AddTag, Load and Validate
+// per word it reads: spreading 32 768 keys over 32 768 trees leaves each
+// tree about one key deep, so a GET reads its root word and one node. A
+// tree costs one root word; 2^16 would add about twice the root lines' heap
+// for little more depth (DESIGN.md, "Transactional red-black map").
+const kvTreeBits = 15
 
 // Worker is one engine lane: a backend thread plus everything needed to
 // execute requests on it without allocating — argument slots written
@@ -148,16 +140,11 @@ func newEngine(cfg EngineConfig) (*Engine, error) {
 		e.resTM.SetReclaim(e.dom)
 	}
 
-	e.kv = make([]*txmap.Map, kvParts)
-	for i := range e.kv {
-		e.kv[i] = txmap.New(e.mem)
-	}
+	e.kv = txmap.NewHashed(e.mem, kvTreeBits)
 	e.set = skiplist.NewVAS(e.mem)
 	if cfg.Reclaim {
 		e.kvPool = reclaim.NewPool(e.dom, txmap.NodeWords, cfg.ReclaimPolicy)
-		for _, m := range e.kv {
-			m.SetReclaim(e.kvPool)
-		}
+		e.kv.SetReclaim(e.kvPool)
 		e.setPool = reclaim.NewPool(e.dom, skiplist.NodeWords, cfg.ReclaimPolicy)
 		e.set.SetReclaim(e.setPool)
 	}
@@ -242,9 +229,9 @@ func (e *Engine) Stats() EngineStats {
 // nothing.
 func (w *Worker) bindClosures() {
 	e := w.eng
-	w.getFn = func(tx *stm.Tx) { w.out, w.ok = e.kv[kvPart(w.key)].Get(tx, w.key) }
-	w.putFn = func(tx *stm.Tx) { w.ok = e.kv[kvPart(w.key)].Put(tx, w.key, w.val, w.th) }
-	w.delFn = func(tx *stm.Tx) { w.ok = e.kv[kvPart(w.key)].Delete(tx, w.key) }
+	w.getFn = func(tx *stm.Tx) { w.out, w.ok = e.kv.Get(tx, w.key) }
+	w.putFn = func(tx *stm.Tx) { w.ok = e.kv.Put(tx, w.key, w.val, w.th) }
+	w.delFn = func(tx *stm.Tx) { w.ok = e.kv.Delete(tx, w.key) }
 	w.resvFn = func(tx *stm.Tx) {
 		// STAMP's makeReservation adds the customer in the same
 		// transaction; RESV mirrors that so a fresh customer can reserve.

@@ -5,35 +5,36 @@ import (
 	"testing"
 
 	"repro/internal/stm"
+	"repro/internal/txmap"
 )
 
 // kvPlaneKeys is the served benchmarks' key range: keys are drawn from
 // [1, kvPlaneKeys], and the prefill PUTs the even ones.
 const kvPlaneKeys = 65536
 
-// partLen returns the number of keys in KV partition p, read in one
+// treeLen returns the number of keys in KV tree i, read in one
 // transaction on w's thread. It takes w.mu as a request does, so it may
 // run while the server is taking traffic.
-func (w *Worker) partLen(p int) int {
+func (w *Worker) treeLen(i int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	n := 0
-	w.eng.kvTM.Run(w.th, func(tx *stm.Tx) { n = w.eng.kv[p].Size(tx) })
+	w.eng.kvTM.Run(w.th, func(tx *stm.Tx) { n = w.eng.kv.TreeSize(tx, i) })
 	return n
 }
 
 // collidingKeys returns the first n keys, counting up from 1, that fall in
-// the KV partitions of keys 1 and 2. Traffic over them grows two trees deep
+// the KV trees of keys 1 and 2. Traffic over them grows two trees deep
 // enough to rotate, transplant and fix up after deletes, where keys spread
-// over every partition would leave nearly each tree holding one key.
-func collidingKeys(n int) (keys []uint64, parts []int) {
-	parts = []int{kvPart(1), kvPart(2)}
+// over every tree would leave nearly each tree holding one key.
+func collidingKeys(kv *txmap.Map, n int) (keys []uint64, trees []int) {
+	trees = []int{kv.TreeOf(1), kv.TreeOf(2)}
 	for k := uint64(1); len(keys) < n; k++ {
-		if p := kvPart(k); p == parts[0] || p == parts[1] {
+		if i := kv.TreeOf(k); i == trees[0] || i == trees[1] {
 			keys = append(keys, k)
 		}
 	}
-	return keys, parts
+	return keys, trees
 }
 
 // prefilledEngine builds a tagged engine with the served benchmarks' worker
@@ -58,10 +59,13 @@ func prefilledEngine(t *testing.T, step uint64) *Engine {
 }
 
 // TestKVPlaneSpread checks that the hash spreads the benchmarks' prefill
-// (the even keys) and as many sequential keys over every partition, the
-// largest holding at most twice the mean. The even keys fail a hash that
-// keeps the low bits (key & mask fills only half the partitions).
+// (the even keys) and as many sequential keys over the trees so evenly that
+// none holds more than maxTreeKeys: a GET then descends at most three
+// levels. With 32 768 keys over 32 768 trees, a uniformly random choice of
+// tree would leave its fullest tree holding about seven; the Fibonacci hash
+// leaves none holding more than two.
 func TestKVPlaneSpread(t *testing.T) {
+	const maxTreeKeys = 4
 	for _, tc := range []struct {
 		name string
 		step uint64
@@ -70,70 +74,68 @@ func TestKVPlaneSpread(t *testing.T) {
 			eng := prefilledEngine(t, tc.step)
 			w := eng.workers[0]
 			total, largest := 0, 0
-			for p := range eng.kv {
-				n := w.partLen(p)
-				if n == 0 {
-					t.Fatalf("partition %d is empty", p)
-				}
+			for i := 0; i < 1<<kvTreeBits; i++ {
+				n := w.treeLen(i)
 				total += n
 				largest = max(largest, n)
 			}
 			if total != kvPlaneKeys/2 {
-				t.Fatalf("partitions hold %d keys, want %d", total, kvPlaneKeys/2)
+				t.Fatalf("trees hold %d keys, want %d", total, kvPlaneKeys/2)
 			}
-			mean := float64(total) / float64(len(eng.kv))
-			if float64(largest) > 2*mean {
-				t.Fatalf("largest partition holds %d keys, more than twice the mean %.1f", largest, mean)
+			if largest > maxTreeKeys {
+				t.Fatalf("largest tree holds %d keys, want at most %d", largest, maxTreeKeys)
 			}
 		})
 	}
 }
 
 // TestKVPlaneGetCost runs a seeded GET 80 / PUT 10 / DEL 10 mix, uniform
-// over [1, 65536], on the benchmarks' prefill and checks what the partition
-// buys: no KV transaction, prefill included, overflows the default 32 tags,
-// and a GET makes at most half the vtags operations (the worker's OpClock
-// ticks) it made over one tree. With this seed the engine's one tree of
-// 32 768 keys (the commit before the partition) made 91.74 vtags ops per GET
-// over 16 007 GETs, and its PUTs and DELs overflowed the tag set 1 111 times
-// (876 in the prefill, 235 in the mix; no GET did); 1024 partitions make
-// 34.10 and 0.
+// over [1, 65536], on the benchmarks' prefill and checks what the hashed
+// trees buy: no KV transaction, prefill included, overflows the default 32
+// tags, and a GET makes at most maxGetTicks vtags operations (the worker's
+// OpClock ticks). With this seed the engine's one tree of 32 768 keys made
+// 91.74 vtags ops per GET over 16 007 GETs, and its PUTs and DELs
+// overflowed the tag set 1 111 times (876 in the prefill, 235 in the mix;
+// no GET did); 1024 trees of about 32 keys made 34.10 per GET, 53.3 per PUT
+// and 94.9 per DEL, with no overflow; 32 768 trees of at most two keys make
+// 9.95 per GET, 26.3 per PUT and 20.3 per DEL, with no overflow.
 func TestKVPlaneGetCost(t *testing.T) {
 	const (
-		requests         = 20000
-		oneTreeGetTicks  = 91.74 // vtags ops per GET on one tree, measured as above
-		maxGetTicksRatio = 0.5
+		requests    = 20000
+		maxGetTicks = 12
 	)
 	eng := prefilledEngine(t, 2)
 	w := eng.workers[0]
 	rng := rand.New(rand.NewSource(42))
 	out := make([]byte, 0, 64)
-	gets, getTicks := 0, uint64(0)
+	var count, ticks [3]uint64 // GET, PUT, DEL
 	for i := 0; i < requests; i++ {
 		req := Request{A: uint64(rng.Int63n(kvPlaneKeys)) + 1}
+		var op int
 		switch draw := rng.Intn(100); {
 		case draw < 80:
 			req.Op = CmdGet
 		case draw < 90:
-			req.Op, req.B = CmdPut, uint64(rng.Int63n(1<<20))+1
+			req.Op, req.B, op = CmdPut, uint64(rng.Int63n(1<<20))+1, 1
 		default:
-			req.Op = CmdDel
+			req.Op, op = CmdDel, 2
 		}
 		t0, _ := w.oc.OpClock()
 		out = w.Exec(&req, out[:0])
-		if req.Op == CmdGet {
-			t1, _ := w.oc.OpClock()
-			gets++
-			getTicks += t1 - t0
-		}
+		t1, _ := w.oc.OpClock()
+		count[op]++
+		ticks[op] += t1 - t0
 	}
 	st := eng.Stats()
-	perGet := float64(getTicks) / float64(gets)
-	t.Logf("%d GETs: %.2f vtags ops per GET; %d tag overflows", gets, perGet, st.TagOverflows)
+	var per [3]float64
+	for op := range per {
+		per[op] = float64(ticks[op]) / float64(count[op])
+	}
+	t.Logf("%d GETs: %.2f vtags ops per GET; %.2f per PUT, %.2f per DEL; %d tag overflows", count[0], per[0], per[1], per[2], st.TagOverflows)
 	if st.TagOverflows != 0 {
 		t.Fatalf("%d tag overflows: a KV transaction's read set no longer fits the default tag budget", st.TagOverflows)
 	}
-	if perGet > maxGetTicksRatio*oneTreeGetTicks {
-		t.Fatalf("%.2f vtags ops per GET, want at most %.2f (half of one tree's %.2f)", perGet, maxGetTicksRatio*oneTreeGetTicks, float64(oneTreeGetTicks))
+	if per[0] > maxGetTicks {
+		t.Fatalf("%.2f vtags ops per GET, want at most %d", per[0], maxGetTicks)
 	}
 }

@@ -1,9 +1,9 @@
 // Package serve is the network-facing layer over the tagged structures: a
-// line-oriented TCP protocol exposing a transactional key-value plane
-// (1024 hash-chosen txmaps under one tagged NOrec TM), a set plane (VAS
-// skiplist), and the STAMP Vacation reservation engine (vacation.Manager),
-// plus an HTTP endpoint streaming mid-run telemetry windows
-// (telemetry.Stream).
+// line-oriented TCP protocol exposing a transactional key-value plane (one
+// txmap of 32 768 hash-chosen trees under one tagged NOrec TM), a set plane
+// (VAS skiplist), and the STAMP Vacation reservation engine
+// (vacation.Manager), plus an HTTP endpoint streaming mid-run telemetry
+// windows (telemetry.Stream).
 //
 // The protocol is deliberately minimal — one ASCII line per request, one
 // per response — so the hot path (decode → structure op → encode) stays
@@ -25,6 +25,15 @@
 //	DELRES kind id n → T | F              remove n unreserved units
 //	QPRICE kind id   → OK price | NF      price if free capacity remains
 //	PING             → PONG
+//
+// Any \r and \n bytes at the end of a request line are dropped. Its
+// tokens are separated by exactly one space (0x20); no other byte is a
+// separator, and the command name is matched case-sensitively. One space
+// after the last token is accepted ("GET 1 " is GET 1, "PING " is
+// PING). Any other space makes an empty token: where the command still
+// wants an argument it is a malformed number ("GET  1", "PUT 1  2"), after
+// the last argument it is one argument too many ("GET 1  ", "PING  "), and
+// before the command name it is an unknown command (" GET 1").
 //
 // Malformed requests get "ERR <reason>" and the connection stays open.
 package serve

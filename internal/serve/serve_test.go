@@ -151,9 +151,8 @@ func TestServeRoundTrip(t *testing.T) {
 // server-side as history.OpTx footprints. The served history must be
 // linearizable at the wire (Wing-Gong over the KV and set models) and the
 // reservation history strictly serializable with intact table invariants.
-// The KV keys come from at most two partitions of the KV plane, and a
-// sampler checks that one of them held enough keys for its tree to
-// rebalance while the clients ran.
+// The KV keys come from two trees of the KV plane, and a sampler checks
+// that one of them held enough keys to rebalance while the clients ran.
 func TestServeE2EWireHistory(t *testing.T) {
 	const (
 		clients    = 6
@@ -161,9 +160,8 @@ func TestServeE2EWireHistory(t *testing.T) {
 		workers    = 4
 		kvKeys     = 24
 		relations  = 64
-		deepTree   = 8 // keys one partition must hold at some sample
+		deepTree   = 8 // keys one tree must hold at some sample
 	)
-	keys, parts := collidingKeys(kvKeys)
 	recTx := history.NewRecorder(workers+1, 4096)
 	srv := startServer(t, Config{
 		Engine: EngineConfig{
@@ -176,8 +174,9 @@ func TestServeE2EWireHistory(t *testing.T) {
 		StreamEvery: 5 * time.Millisecond,
 	})
 	recWire := history.NewRecorder(clients, clients*opsPerConn)
+	keys, trees := collidingKeys(srv.Engine().kv, kvKeys)
 
-	// Sample the two partitions' sizes through worker 0 while the clients
+	// Sample the two trees' sizes through worker 0 while the clients
 	// run; peak is the most keys either held at a sample.
 	stopSampling := make(chan struct{})
 	peakCh := make(chan int)
@@ -186,8 +185,8 @@ func TestServeE2EWireHistory(t *testing.T) {
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
-			for _, p := range parts {
-				peak = max(peak, w.partLen(p))
+			for _, i := range trees {
+				peak = max(peak, w.treeLen(i))
 			}
 			select {
 			case <-stopSampling:
@@ -253,7 +252,7 @@ func TestServeE2EWireHistory(t *testing.T) {
 	peak := <-peakCh
 	shutdown(t, srv)
 	if peak < deepTree {
-		t.Fatalf("vacuous e2e: the KV keys' partitions held at most %d keys at any sample, want >= %d so that their trees rebalance", peak, deepTree)
+		t.Fatalf("vacuous e2e: the KV keys' trees held at most %d keys at any sample, want >= %d so that their trees rebalance", peak, deepTree)
 	}
 
 	// Split the wire history into its two planes and check each against

@@ -7,6 +7,13 @@
 // shared NIL sentinel. Under NOrec this is faithful to STAMP: writers are
 // serialized by the global sequence lock anyway, so sentinel writes during
 // delete fixup cost no more than any other write.
+//
+// A map made by NewHashed holds 2^bits such trees and sends each key to one
+// of them by a hash. The trees' root words are packed eight to a line in
+// one allocation and every tree shares the one sentinel, so a tree costs
+// one word. A point operation reads only its own tree, so its read set
+// shrinks with the trees' depth; ForEach visits the trees one after
+// another, so the map is ordered only at bits 0, which New makes.
 package txmap
 
 import (
@@ -36,12 +43,13 @@ const (
 	black uint64 = 1
 )
 
-// Map is a transactional ordered map from uint64 keys to uint64 values.
+// Map is a transactional map from uint64 keys to uint64 values, ordered
+// when it holds one tree.
 type Map struct {
-	mem  core.Memory
-	root core.Addr // one word holding the root node address
-	nil_ core.Addr // shared NIL sentinel (black)
-	pool *reclaim.Pool
+	roots core.Addr // 1<<bits words, one per tree, each holding its root node address
+	bits  uint      // log2 of the tree count
+	nil_  core.Addr // NIL sentinel shared by every tree (black)
+	pool  *reclaim.Pool
 }
 
 // SetReclaim wires a reclamation pool (object size nWords): Put allocates
@@ -51,16 +59,29 @@ type Map struct {
 // Only call while quiescent, before operations.
 func (m *Map) SetReclaim(p *reclaim.Pool) { m.pool = p }
 
-// New creates an empty map. The creating thread performs the (non-
-// transactional) initialization.
-func New(mem core.Memory) *Map {
+// New creates an empty ordered map: one tree.
+func New(mem core.Memory) *Map { return NewHashed(mem, 0) }
+
+// NewHashed creates an empty map of 1<<bits trees; a key lives in tree
+// TreeOf(key). Thread 0 performs the (non-transactional) initialization.
+func NewHashed(mem core.Memory, bits uint) *Map {
 	th := mem.Thread(0)
-	m := &Map{mem: mem, root: mem.Alloc(1)}
+	m := &Map{roots: mem.Alloc(1 << bits), bits: bits}
 	m.nil_ = th.Alloc(nWords)
 	th.Store(m.nil_.Plus(nColor), black)
-	th.Store(m.root, uint64(m.nil_))
+	for i := 0; i < 1<<bits; i++ {
+		th.Store(m.roots.Plus(i), uint64(m.nil_))
+	}
 	return m
 }
+
+// TreeOf returns the tree that holds key: the top bits of its Fibonacci
+// hash, so runs of keys with equal low bits (even keys, say) still spread
+// over every tree. At bits 0 it is 0. (A Go shift by 64 yields 0.)
+func (m *Map) TreeOf(key uint64) int { return int((key * 0x9e3779b97f4a7c15) >> (64 - m.bits)) }
+
+// root returns the address of the root word of key's tree.
+func (m *Map) root(key uint64) core.Addr { return m.roots.Plus(m.TreeOf(key)) }
 
 func (m *Map) node(tx *stm.Tx, n core.Addr, f int) uint64   { return tx.Read(n.Plus(f)) }
 func (m *Map) set(tx *stm.Tx, n core.Addr, f int, v uint64) { tx.Write(n.Plus(f), v) }
@@ -69,7 +90,7 @@ func (m *Map) kid(tx *stm.Tx, n core.Addr, d int) core.Addr       { return core.
 func (m *Map) setKid(tx *stm.Tx, n core.Addr, d int, c core.Addr) { m.set(tx, n, nLeft+d, uint64(c)) }
 func (m *Map) parent(tx *stm.Tx, n core.Addr) core.Addr           { return core.Addr(m.node(tx, n, nParent)) }
 func (m *Map) color(tx *stm.Tx, n core.Addr) uint64               { return m.node(tx, n, nColor) }
-func (m *Map) rootNode(tx *stm.Tx) core.Addr                      { return core.Addr(tx.Read(m.root)) }
+func (m *Map) rootNode(tx *stm.Tx, r core.Addr) core.Addr         { return core.Addr(tx.Read(r)) }
 
 // dir is the side of a node keyed k that a search for key takes.
 func dir(key, k uint64) int {
@@ -88,10 +109,11 @@ func (m *Map) side(tx *stm.Tx, p, n core.Addr, first int) int {
 	return 1 - first
 }
 
-// find descends from the root toward key. It returns the node holding key
-// (nil_ if there is none) and the last node above it (nil_ at the root).
-func (m *Map) find(tx *stm.Tx, key uint64) (n, parent core.Addr) {
-	n, parent = m.rootNode(tx), m.nil_
+// find descends from the root of the tree whose root word is r toward key.
+// It returns the node holding key (nil_ if there is none) and the last node
+// above it (nil_ at the root).
+func (m *Map) find(tx *stm.Tx, r core.Addr, key uint64) (n, parent core.Addr) {
+	n, parent = m.rootNode(tx, r), m.nil_
 	for n != m.nil_ {
 		k := m.node(tx, n, nKey)
 		if key == k {
@@ -104,7 +126,7 @@ func (m *Map) find(tx *stm.Tx, key uint64) (n, parent core.Addr) {
 
 // Get returns the value for key and whether it is present.
 func (m *Map) Get(tx *stm.Tx, key uint64) (uint64, bool) {
-	n, _ := m.find(tx, key)
+	n, _ := m.find(tx, m.root(key), key)
 	if n == m.nil_ {
 		return 0, false
 	}
@@ -114,7 +136,8 @@ func (m *Map) Get(tx *stm.Tx, key uint64) (uint64, bool) {
 // Put inserts key with value, or updates the value if present. It reports
 // whether the key was newly inserted.
 func (m *Map) Put(tx *stm.Tx, key, val uint64, th core.Thread) bool {
-	x, y := m.find(tx, key)
+	r := m.root(key)
+	x, y := m.find(tx, r, key)
 	if x != m.nil_ {
 		m.set(tx, x, nVal, val)
 		return false
@@ -129,11 +152,11 @@ func (m *Map) Put(tx *stm.Tx, key, val uint64, th core.Thread) bool {
 	m.set(tx, z, nParent, uint64(y))
 	m.set(tx, z, nColor, red)
 	if y == m.nil_ {
-		tx.Write(m.root, uint64(z))
+		tx.Write(r, uint64(z))
 	} else {
 		m.setKid(tx, y, dir(key, m.node(tx, y, nKey)), z)
 	}
-	m.insertFixup(tx, z)
+	m.insertFixup(tx, r, z)
 	return true
 }
 
@@ -151,11 +174,11 @@ func (m *Map) alloc(tx *stm.Tx, th core.Thread) core.Addr {
 	return z
 }
 
-// relink points up (or the root word, when up is nil_) at v in place of
+// relink points up (or the root word r, when up is nil_) at v in place of
 // its child u, reading up's child on side first to find u.
-func (m *Map) relink(tx *stm.Tx, up, u, v core.Addr, first int) {
+func (m *Map) relink(tx *stm.Tx, r, up, u, v core.Addr, first int) {
 	if up == m.nil_ {
-		tx.Write(m.root, uint64(v))
+		tx.Write(r, uint64(v))
 		return
 	}
 	m.setKid(tx, up, m.side(tx, up, u, first), v)
@@ -163,7 +186,7 @@ func (m *Map) relink(tx *stm.Tx, up, u, v core.Addr, first int) {
 
 // rotate turns x down to side d: x's child on the other side, y, takes
 // x's place, and x becomes y's child on side d (d = 0 is a left rotation).
-func (m *Map) rotate(tx *stm.Tx, x core.Addr, d int) {
+func (m *Map) rotate(tx *stm.Tx, r, x core.Addr, d int) {
 	y := m.kid(tx, x, 1-d)
 	yd := m.kid(tx, y, d)
 	m.setKid(tx, x, 1-d, yd)
@@ -172,14 +195,14 @@ func (m *Map) rotate(tx *stm.Tx, x core.Addr, d int) {
 	}
 	xp := m.parent(tx, x)
 	m.set(tx, y, nParent, uint64(xp))
-	m.relink(tx, xp, x, y, d)
+	m.relink(tx, r, xp, x, y, d)
 	m.setKid(tx, y, d, x)
 	m.set(tx, x, nParent, uint64(y))
 }
 
 // insertFixup restores the red-black rules after z is linked in red. d is
 // the side of zp in zpp; the uncle y is on the other side.
-func (m *Map) insertFixup(tx *stm.Tx, z core.Addr) {
+func (m *Map) insertFixup(tx *stm.Tx, r, z core.Addr) {
 	for m.color(tx, m.parent(tx, z)) == red {
 		zp := m.parent(tx, z)
 		zpp := m.parent(tx, zp)
@@ -194,24 +217,25 @@ func (m *Map) insertFixup(tx *stm.Tx, z core.Addr) {
 		}
 		if z == m.kid(tx, zp, 1-d) {
 			z = zp
-			m.rotate(tx, z, d)
+			m.rotate(tx, r, z, d)
 			zp = m.parent(tx, z)
 			zpp = m.parent(tx, zp)
 		}
 		m.set(tx, zp, nColor, black)
 		m.set(tx, zpp, nColor, red)
-		m.rotate(tx, zpp, 1-d)
+		m.rotate(tx, r, zpp, 1-d)
 	}
-	m.set(tx, m.rootNode(tx), nColor, black)
+	m.set(tx, m.rootNode(tx, r), nColor, black)
 }
 
 // Delete removes key, reporting whether it was present.
 func (m *Map) Delete(tx *stm.Tx, key uint64) bool {
-	z, _ := m.find(tx, key)
+	r := m.root(key)
+	z, _ := m.find(tx, r, key)
 	if z == m.nil_ {
 		return false
 	}
-	m.deleteNode(tx, z)
+	m.deleteNode(tx, r, z)
 	if m.pool != nil {
 		// The commit's writeBack unlinks z atomically under the global
 		// sequence lock, making the committing deleter the unique
@@ -223,9 +247,9 @@ func (m *Map) Delete(tx *stm.Tx, key uint64) bool {
 	return true
 }
 
-func (m *Map) transplant(tx *stm.Tx, u, v core.Addr) {
+func (m *Map) transplant(tx *stm.Tx, r, u, v core.Addr) {
 	up := m.parent(tx, u)
-	m.relink(tx, up, u, v, 0)
+	m.relink(tx, r, up, u, v, 0)
 	m.set(tx, v, nParent, uint64(up))
 }
 
@@ -239,16 +263,16 @@ func (m *Map) minimum(tx *stm.Tx, n core.Addr) core.Addr {
 	}
 }
 
-func (m *Map) deleteNode(tx *stm.Tx, z core.Addr) {
+func (m *Map) deleteNode(tx *stm.Tx, r, z core.Addr) {
 	y := z
 	yColor := m.color(tx, y)
 	var x core.Addr
 	if m.kid(tx, z, 0) == m.nil_ {
 		x = m.kid(tx, z, 1)
-		m.transplant(tx, z, x)
+		m.transplant(tx, r, z, x)
 	} else if m.kid(tx, z, 1) == m.nil_ {
 		x = m.kid(tx, z, 0)
-		m.transplant(tx, z, x)
+		m.transplant(tx, r, z, x)
 	} else {
 		y = m.minimum(tx, m.kid(tx, z, 1))
 		yColor = m.color(tx, y)
@@ -256,33 +280,33 @@ func (m *Map) deleteNode(tx *stm.Tx, z core.Addr) {
 		if m.parent(tx, y) == z {
 			m.set(tx, x, nParent, uint64(y))
 		} else {
-			m.transplant(tx, y, x)
+			m.transplant(tx, r, y, x)
 			zr := m.kid(tx, z, 1)
 			m.setKid(tx, y, 1, zr)
 			m.set(tx, zr, nParent, uint64(y))
 		}
-		m.transplant(tx, z, y)
+		m.transplant(tx, r, z, y)
 		zl := m.kid(tx, z, 0)
 		m.setKid(tx, y, 0, zl)
 		m.set(tx, zl, nParent, uint64(y))
 		m.set(tx, y, nColor, m.color(tx, z))
 	}
 	if yColor == black {
-		m.deleteFixup(tx, x)
+		m.deleteFixup(tx, r, x)
 	}
 }
 
 // deleteFixup removes the extra black at x. d is the side of x in xp; the
 // sibling w is on the other side.
-func (m *Map) deleteFixup(tx *stm.Tx, x core.Addr) {
-	for x != m.rootNode(tx) && m.color(tx, x) == black {
+func (m *Map) deleteFixup(tx *stm.Tx, r, x core.Addr) {
+	for x != m.rootNode(tx, r) && m.color(tx, x) == black {
 		xp := m.parent(tx, x)
 		d := m.side(tx, xp, x, 0)
 		w := m.kid(tx, xp, 1-d)
 		if m.color(tx, w) == red {
 			m.set(tx, w, nColor, black)
 			m.set(tx, xp, nColor, red)
-			m.rotate(tx, xp, d)
+			m.rotate(tx, r, xp, d)
 			xp = m.parent(tx, x)
 			w = m.kid(tx, xp, 1-d)
 		}
@@ -294,22 +318,30 @@ func (m *Map) deleteFixup(tx *stm.Tx, x core.Addr) {
 		if m.color(tx, m.kid(tx, w, 1-d)) == black {
 			m.set(tx, m.kid(tx, w, d), nColor, black)
 			m.set(tx, w, nColor, red)
-			m.rotate(tx, w, 1-d)
+			m.rotate(tx, r, w, 1-d)
 			xp = m.parent(tx, x)
 			w = m.kid(tx, xp, 1-d)
 		}
 		m.set(tx, w, nColor, m.color(tx, xp))
 		m.set(tx, xp, nColor, black)
 		m.set(tx, m.kid(tx, w, 1-d), nColor, black)
-		m.rotate(tx, xp, d)
-		x = m.rootNode(tx)
+		m.rotate(tx, r, xp, d)
+		x = m.rootNode(tx, r)
 	}
 	m.set(tx, x, nColor, black)
 }
 
-// ForEach calls fn for every key/value pair in ascending order within the
-// transaction.
+// ForEach calls fn for every key/value pair within the transaction: tree by
+// tree in slot order, and each tree in ascending key order, so the whole
+// walk is ascending at bits 0.
 func (m *Map) ForEach(tx *stm.Tx, fn func(key, val uint64)) {
+	for i := 0; i < 1<<m.bits; i++ {
+		m.forTree(tx, i, fn)
+	}
+}
+
+// forTree calls fn for every pair in tree i in ascending key order.
+func (m *Map) forTree(tx *stm.Tx, i int, fn func(key, val uint64)) {
 	var walk func(n core.Addr)
 	walk = func(n core.Addr) {
 		if n == m.nil_ {
@@ -319,12 +351,19 @@ func (m *Map) ForEach(tx *stm.Tx, fn func(key, val uint64)) {
 		fn(m.node(tx, n, nKey), m.node(tx, n, nVal))
 		walk(m.kid(tx, n, 1))
 	}
-	walk(m.rootNode(tx))
+	walk(m.rootNode(tx, m.roots.Plus(i)))
 }
 
 // Size counts the entries within the transaction.
 func (m *Map) Size(tx *stm.Tx) int {
 	n := 0
 	m.ForEach(tx, func(_, _ uint64) { n++ })
+	return n
+}
+
+// TreeSize counts the entries of tree i within the transaction.
+func (m *Map) TreeSize(tx *stm.Tx, i int) int {
+	n := 0
+	m.forTree(tx, i, func(_, _ uint64) { n++ })
 	return n
 }
