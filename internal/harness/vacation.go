@@ -47,7 +47,7 @@ func (e *VacationExperiment) VerifySerializable() error {
 		cfg.MemBytes = 16 << 20
 		cfg.MaxTags = 256
 		m := machine.New(cfg)
-		rep := vacation.RunSerializeSuite(m, v.mk(m), p, workers, 1)
+		rep := vacation.RunSerializeSuite(m, v.mk(m), 0, 0, p, workers, 1)
 		if err := rep.Err(); err != nil {
 			return fmt.Errorf("vacation/%s: %w", v.name, err)
 		}

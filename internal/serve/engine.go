@@ -46,6 +46,22 @@ type Engine struct {
 // for little more depth (DESIGN.md, "Transactional red-black map").
 const kvTreeBits = 15
 
+// resCustomerBits and resKindBits size the reservation plane: customers over
+// 1<<resCustomerBits hashed trees and each resource kind over 1<<resKindBits
+// (vacation.NewHashedManager). Customer ids are named by clients and the
+// table grows under traffic (3 079 customers after the benchmarks'
+// mixed-write set-up, about 31 000 after six seconds of its traffic);
+// every served workload populates 1024 relations per kind. RESV, BILL and
+// CANCEL then read a root word and a node or two per table they touch: a
+// RESV makes about 68 vtags operations, against 370 over one tree per table
+// (TestResPlaneCost). This shape leaves the served heap unchanged; 2^15
+// customer trees, or 2^14 per kind, would not (DESIGN.md, "Transactional
+// red-black map").
+const (
+	resCustomerBits = 14
+	resKindBits     = 10
+)
+
 // Worker is one engine lane: a backend thread plus everything needed to
 // execute requests on it without allocating — argument slots written
 // before entering the STM and closures bound to those slots once at
@@ -150,9 +166,9 @@ func newEngine(cfg EngineConfig) (*Engine, error) {
 	}
 
 	if cfg.RecordTx != nil {
-		e.res = vacation.NewRecordedManager(e.mem, e.resTM, cfg.RecordTx.Shard(cfg.Workers))
+		e.res = vacation.NewRecordedManager(e.mem, e.resTM, resCustomerBits, resKindBits, cfg.RecordTx.Shard(cfg.Workers))
 	} else {
-		e.res = vacation.NewManager(e.mem, e.resTM)
+		e.res = vacation.NewHashedManager(e.mem, e.resTM, resCustomerBits, resKindBits)
 	}
 	if cfg.Relations > 0 {
 		p := vacation.Params{Relations: cfg.Relations}

@@ -2,35 +2,39 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stm"
 	"repro/internal/txmap"
+	"repro/internal/vacation"
 )
 
 // kvPlaneKeys is the served benchmarks' key range: keys are drawn from
 // [1, kvPlaneKeys], and the prefill PUTs the even ones.
 const kvPlaneKeys = 65536
 
-// treeLen returns the number of keys in KV tree i, read in one
-// transaction on w's thread. It takes w.mu as a request does, so it may
-// run while the server is taking traffic.
-func (w *Worker) treeLen(i int) int {
+// treeLen returns the number of keys in tree i of m, read in one
+// transaction of tm on w's thread. It takes w.mu as a request does, so it
+// may run while the server is taking traffic.
+func (w *Worker) treeLen(tm *stm.TM, m *txmap.Map, i int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	n := 0
-	w.eng.kvTM.Run(w.th, func(tx *stm.Tx) { n = w.eng.kv.TreeSize(tx, i) })
+	tm.Run(w.th, func(tx *stm.Tx) { n = m.TreeSize(tx, i) })
 	return n
 }
 
 // collidingKeys returns the first n keys, counting up from 1, that fall in
-// the KV trees of keys 1 and 2. Traffic over them grows two trees deep
-// enough to rotate, transplant and fix up after deletes, where keys spread
-// over every tree would leave nearly each tree holding one key.
-func collidingKeys(kv *txmap.Map, n int) (keys []uint64, trees []int) {
-	trees = []int{kv.TreeOf(1), kv.TreeOf(2)}
+// the trees of m holding the keys of. Traffic over them grows those trees
+// deep enough to rotate, transplant and fix up after deletes, where keys
+// spread over every tree would leave nearly each tree holding one key.
+func collidingKeys(m *txmap.Map, n int, of ...uint64) (keys []uint64, trees []int) {
+	for _, k := range of {
+		trees = append(trees, m.TreeOf(k))
+	}
 	for k := uint64(1); len(keys) < n; k++ {
-		if i := kv.TreeOf(k); i == trees[0] || i == trees[1] {
+		if slices.Contains(trees, m.TreeOf(k)) {
 			keys = append(keys, k)
 		}
 	}
@@ -75,7 +79,7 @@ func TestKVPlaneSpread(t *testing.T) {
 			w := eng.workers[0]
 			total, largest := 0, 0
 			for i := 0; i < 1<<kvTreeBits; i++ {
-				n := w.treeLen(i)
+				n := w.treeLen(eng.kvTM, eng.kv, i)
 				total += n
 				largest = max(largest, n)
 			}
@@ -137,5 +141,64 @@ func TestKVPlaneGetCost(t *testing.T) {
 	}
 	if per[0] > maxGetTicks {
 		t.Fatalf("%.2f vtags ops per GET, want at most %d", per[0], maxGetTicks)
+	}
+}
+
+// TestResPlaneCost runs a seeded RESV 70 / BILL 20 / CANCEL 10 mix on the
+// served workloads' 1024 relations per kind, customers uniform over
+// [1, 32768] and resources over [1, 1024], and checks what the hashed
+// reservation tables buy: no transaction, populate included, overflows the
+// default 32 tags, and a RESV makes at most maxResvTicks vtags operations
+// (the worker's OpClock ticks) over the second half of the run. With this
+// seed the engine's one tree per table made 370.5 vtags ops per RESV, 94.5
+// per BILL and 159.4 per CANCEL over that half, and its reservation
+// transactions overflowed the tag set 824 times (none in the populate);
+// customers over 16 384 trees and each kind over 1024 make 68.1, 10.1 and
+// 27.3, with no overflow.
+func TestResPlaneCost(t *testing.T) {
+	const (
+		requests     = 20000
+		customers    = 32768
+		relations    = 1024
+		maxResvTicks = 80
+	)
+	eng, err := newEngine(EngineConfig{Workers: 2, MemBytes: 64 << 20, Tagged: true, Relations: relations, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := eng.workers[0]
+	rng := rand.New(rand.NewSource(42))
+	out := make([]byte, 0, 64)
+	var count, ticks [3]uint64 // RESV, BILL, CANCEL
+	for i := 0; i < requests; i++ {
+		req := Request{A: uint64(rng.Int63n(customers)) + 1}
+		var op int
+		switch draw := rng.Intn(100); {
+		case draw < 70:
+			req.Op, req.B, req.C = CmdResv, uint64(rng.Intn(vacation.NumKinds)), uint64(rng.Int63n(relations))+1
+		case draw < 90:
+			req.Op, op = CmdBill, 1
+		default:
+			req.Op, op = CmdCancel, 2
+		}
+		t0, _ := w.oc.OpClock()
+		out = w.Exec(&req, out[:0])
+		t1, _ := w.oc.OpClock()
+		if i >= requests/2 {
+			count[op]++
+			ticks[op] += t1 - t0
+		}
+	}
+	st := eng.Stats()
+	var per [3]float64
+	for op := range per {
+		per[op] = float64(ticks[op]) / float64(count[op])
+	}
+	t.Logf("%d RESVs: %.1f vtags ops per RESV; %.1f per BILL, %.1f per CANCEL; %d tag overflows", count[0], per[0], per[1], per[2], st.TagOverflows)
+	if st.TagOverflows != 0 {
+		t.Fatalf("%d tag overflows: a reservation transaction's read set no longer fits the default tag budget", st.TagOverflows)
+	}
+	if per[0] > maxResvTicks {
+		t.Fatalf("%.1f vtags ops per RESV, want at most %d", per[0], maxResvTicks)
 	}
 }

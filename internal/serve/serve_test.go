@@ -151,16 +151,19 @@ func TestServeRoundTrip(t *testing.T) {
 // server-side as history.OpTx footprints. The served history must be
 // linearizable at the wire (Wing-Gong over the KV and set models) and the
 // reservation history strictly serializable with intact table invariants.
-// The KV keys come from two trees of the KV plane, and a sampler checks
-// that one of them held enough keys to rebalance while the clients ran.
+// The KV keys come from two trees of the KV plane and the RESV, BILL and
+// CANCEL customers from one customer tree, and a sampler checks that those
+// trees held enough keys to rebalance while the clients ran.
 func TestServeE2EWireHistory(t *testing.T) {
 	const (
 		clients    = 6
 		opsPerConn = 400
 		workers    = 4
 		kvKeys     = 24
+		customers  = 8
 		relations  = 64
-		deepTree   = 8 // keys one tree must hold at some sample
+		deepTree   = 8 // keys one KV tree must hold at some sample
+		deepCust   = 4 // customers their tree must hold at some sample
 	)
 	recTx := history.NewRecorder(workers+1, 4096)
 	srv := startServer(t, Config{
@@ -174,23 +177,27 @@ func TestServeE2EWireHistory(t *testing.T) {
 		StreamEvery: 5 * time.Millisecond,
 	})
 	recWire := history.NewRecorder(clients, clients*opsPerConn)
-	keys, trees := collidingKeys(srv.Engine().kv, kvKeys)
+	eng := srv.Engine()
+	keys, trees := collidingKeys(eng.kv, kvKeys, 1, 2)
+	custs, custTree := collidingKeys(eng.res.Customers(), customers, 1)
 
-	// Sample the two trees' sizes through worker 0 while the clients
-	// run; peak is the most keys either held at a sample.
+	// Sample the trees' sizes through worker 0 while the clients run;
+	// peak is the most keys either KV tree held at a sample, custPeak the
+	// most customers their tree held.
 	stopSampling := make(chan struct{})
-	peakCh := make(chan int)
+	peakCh := make(chan [2]int)
 	go func() {
-		w, peak := srv.Engine().workers[0], 0
+		w, peak, custPeak := eng.workers[0], 0, 0
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
 			for _, i := range trees {
-				peak = max(peak, w.treeLen(i))
+				peak = max(peak, w.treeLen(eng.kvTM, eng.kv, i))
 			}
+			custPeak = max(custPeak, w.treeLen(eng.resTM, eng.res.Customers(), custTree[0]))
 			select {
 			case <-stopSampling:
-				peakCh <- peak
+				peakCh <- [2]int{peak, custPeak}
 				return
 			case <-tick.C:
 			}
@@ -235,25 +242,29 @@ func TestServeE2EWireHistory(t *testing.T) {
 					r := c.do(Request{Op: CmdSHas, A: k})
 					sh.End(idx, r.Kind == RespTrue, 0)
 				case draw < 90: // RESV (recorded server-side as OpTx)
-					cust := uint64(rng.Intn(8)) + 1
+					cust := custs[rng.Intn(customers)]
 					kind := uint64(rng.Intn(3))
 					id := uint64(rng.Intn(relations)) + 1
 					c.do(Request{Op: CmdResv, A: cust, B: kind, C: id})
 				case draw < 95: // BILL
-					c.do(Request{Op: CmdBill, A: uint64(rng.Intn(8)) + 1})
+					c.do(Request{Op: CmdBill, A: custs[rng.Intn(customers)]})
 				default: // CANCEL
-					c.do(Request{Op: CmdCancel, A: uint64(rng.Intn(8)) + 1})
+					c.do(Request{Op: CmdCancel, A: custs[rng.Intn(customers)]})
 				}
 			}
 		}(cl)
 	}
 	wg.Wait()
 	close(stopSampling)
-	peak := <-peakCh
+	peaks := <-peakCh
 	shutdown(t, srv)
-	if peak < deepTree {
-		t.Fatalf("vacuous e2e: the KV keys' trees held at most %d keys at any sample, want >= %d so that their trees rebalance", peak, deepTree)
+	if peaks[0] < deepTree {
+		t.Fatalf("vacuous e2e: the KV keys' trees held at most %d keys at any sample, want >= %d so that their trees rebalance", peaks[0], deepTree)
 	}
+	if peaks[1] < deepCust {
+		t.Fatalf("vacuous e2e: the customers' tree held at most %d customers at any sample, want >= %d", peaks[1], deepCust)
+	}
+	t.Logf("peak tree sizes: KV %d, customers %d", peaks[0], peaks[1])
 
 	// Split the wire history into its two planes and check each against
 	// its model, partitioned by key.
@@ -290,7 +301,7 @@ func TestServeE2EWireHistory(t *testing.T) {
 	if out := linearizability.CheckSerializable(recTx); !out.OK {
 		t.Fatalf("served reservation history not strictly serializable:\n%s", out.Explain())
 	}
-	if ok, detail := srv.Engine().CheckTables(); !ok {
+	if ok, detail := eng.CheckTables(); !ok {
 		t.Fatalf("reservation tables corrupt after served traffic: %s", detail)
 	}
 }

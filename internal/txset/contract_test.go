@@ -23,12 +23,3 @@ func TestTxSetConcurrentMixed(t *testing.T) { settest.Each(t, "must/mixed-concur
 func TestTxSetKeysSorted(t *testing.T) {
 	settest.EachOn(t, settest.VTags, "must/keys-sorted", settest.Catalogued("norec", "norec-set"))
 }
-
-// TestLinearizableVTags checks the STM-backed set under both baseline
-// NOrec and tagged NOrec. Forced spurious evictions drive the tagged
-// variant through its tag-abort and value-based-validation fallback paths.
-func TestLinearizableVTags(t *testing.T) {
-	settest.EachOn(t, settest.VTags, "must/linearizable",
-		settest.Catalogued("norec", "norec-set"),
-		settest.Catalogued("tagged", "tagged-set"))
-}

@@ -73,8 +73,8 @@ func (r *SerializeReport) Err() error {
 }
 
 // initRecorder wraps a Memory during Manager construction so the tables'
-// non-transactional initialization (txmap.New stores its NIL sentinel and
-// root pointer with plain Stores) is captured and can be replayed as a
+// non-transactional initialization (txmap.NewHashed stores its NIL sentinel
+// and root words with plain Stores) is captured and can be replayed as a
 // synthetic first transaction — without it, the zero-initialized checker
 // model would reject the very first root-pointer read.
 type initRecorder struct {
@@ -96,18 +96,19 @@ func (t *initThread) Store(a core.Addr, v uint64) {
 	t.Thread.Store(a, v)
 }
 
-// NewRecordedManager builds a Manager whose construction-time plain
-// stores (txmap.New writes NIL sentinels and root pointers outside any
-// transaction) are captured and emitted into s as a synthetic first
-// committed transaction. Any serializability check over transactions run
-// against the returned manager needs that initial transaction — without
-// it the checker's zero-initialized word map rejects the first root read.
+// NewRecordedManager builds NewHashedManager(mem, tm, customerBits,
+// resourceBits), capturing its construction-time plain stores
+// (txmap.NewHashed writes NIL sentinels and root words outside any
+// transaction) and emitting them into s as a synthetic first committed
+// transaction. Any serializability check over transactions run against the
+// returned manager needs that initial transaction — without it the
+// checker's zero-initialized word map rejects the first root read.
 // The given shard must real-time-precede all recorded client work (i.e.
 // call this before any client starts, which construction order gives you
 // for free).
-func NewRecordedManager(mem core.Memory, tm *stm.TM, s *history.Shard) *Manager {
+func NewRecordedManager(mem core.Memory, tm *stm.TM, customerBits, resourceBits uint, s *history.Shard) *Manager {
 	ir := &initRecorder{Memory: mem}
-	m := NewManager(ir, tm)
+	m := NewHashedManager(ir, tm, customerBits, resourceBits)
 	idx := s.BeginTx()
 	for _, w := range ir.writes {
 		s.TxWrite(idx, w.Addr, w.Val)
@@ -118,16 +119,17 @@ func NewRecordedManager(mem core.Memory, tm *stm.TM, s *history.Shard) *Manager 
 
 // RunSerializeSuite runs a recorded Vacation workload — a sequential
 // populate followed by `workers` concurrent recorded clients — on the
-// given memory and STM, then checks strict serializability of the
-// transaction history and the table conservation invariants. It works on
-// any core.Memory backend; the clients run as one core.RunPhase.
-func RunSerializeSuite(mem core.Memory, tm *stm.TM, p Params, workers int, seed int64) SerializeReport {
+// given memory and STM, over tables of the given shape (NewHashedManager;
+// 0, 0 is STAMP's), then checks strict serializability of the transaction
+// history and the table conservation invariants. It works on any
+// core.Memory backend; the clients run as one core.RunPhase.
+func RunSerializeSuite(mem core.Memory, tm *stm.TM, customerBits, resourceBits uint, p Params, workers int, seed int64) SerializeReport {
 	// Shard w records client w; the extra shard records the init tx and
 	// populate (they run alone before the clients start, so their events
 	// real-time-precede all client transactions and pin the initial table
 	// state).
 	rec := history.NewRecorder(workers+1, p.Relations*(numKinds+1)+p.Transactions)
-	m := NewRecordedManager(mem, tm, rec.Shard(workers))
+	m := NewRecordedManager(mem, tm, customerBits, resourceBits, rec.Shard(workers))
 	RecordedPopulate(m, mem.Thread(0), rec.Shard(workers), p, seed)
 
 	core.RunPhase(mem, workers, func(w int, th core.Thread) {

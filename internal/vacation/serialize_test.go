@@ -24,7 +24,20 @@ func suiteParams() Params {
 // TestSerializeSuiteBackends is the satellite acceptance test: the
 // recorded Vacation workload is strictly serializable on both memory
 // backends under both STM variants.
-func TestSerializeSuiteBackends(t *testing.T) {
+func TestSerializeSuiteBackends(t *testing.T) { serializeSuite(t, 0, 0, suiteParams()) }
+
+// TestSerializeSuiteHashed runs the suite over hashed tables: customers
+// over 8 trees and each resource kind over 4. With 32 relations every
+// tree still holds several keys, so inserts and deletes rotate and fix up
+// inside one tree, while transactions on different trees meet on the packed
+// root lines and the shared sentinel.
+func TestSerializeSuiteHashed(t *testing.T) {
+	p := suiteParams()
+	p.Relations, p.Transactions = 32, 16
+	serializeSuite(t, 3, 2, p)
+}
+
+func serializeSuite(t *testing.T, customerBits, resourceBits uint, p Params) {
 	const workers = 3
 	backends := []struct {
 		name string
@@ -51,11 +64,11 @@ func TestSerializeSuiteBackends(t *testing.T) {
 		for _, v := range variants {
 			t.Run(b.name+"/"+v.name, func(t *testing.T) {
 				mem := b.mk()
-				rep := RunSerializeSuite(mem, v.mk(mem), suiteParams(), workers, 7)
+				rep := RunSerializeSuite(mem, v.mk(mem), customerBits, resourceBits, p, workers, 7)
 				if err := rep.Err(); err != nil {
 					t.Fatal(err)
 				}
-				if rep.Outcome.Ops < workers*suiteParams().Transactions {
+				if rep.Outcome.Ops < workers*p.Transactions {
 					t.Fatalf("only %d committed txs recorded", rep.Outcome.Ops)
 				}
 			})

@@ -10,6 +10,14 @@
 // resource capacity). All table and reservation-list accesses happen inside
 // one STM transaction per client action, reproducing STAMP's transactional
 // footprint.
+//
+// NewManager builds STAMP's tables, one red-black tree each, and is what
+// the simulated Figure 8 runs. NewHashedManager spreads the customer table
+// over 1<<customerBits hashed trees and each resource table over
+// 1<<resourceBits (txmap.NewHashed): every access is a point lookup by id,
+// so the tables need no order across ids, and a tagged NOrec read set then
+// holds a root word and a node or two per table rather than a descent of
+// the whole table. Only CheckTables walks whole tables, tree by tree.
 package vacation
 
 import (
@@ -64,22 +72,32 @@ type Manager struct {
 	customers *txmap.Map
 }
 
-// NewManager creates an empty reservation system using the given STM, and
-// prepares the STM's per-thread cached transactions for every thread of mem:
-// Populate, Client and RunTx go through RunCached, so steady-state
-// transactions allocate nothing. (CheckTables reads every table in one
-// transaction and keeps to Run, so that read set is not retained.)
-func NewManager(mem core.Memory, tm *stm.TM) *Manager {
+// NewManager creates an empty reservation system with STAMP's tables: one
+// red-black tree per table. It is NewHashedManager(mem, tm, 0, 0).
+func NewManager(mem core.Memory, tm *stm.TM) *Manager { return NewHashedManager(mem, tm, 0, 0) }
+
+// NewHashedManager creates an empty reservation system whose customer table
+// holds 1<<customerBits hashed trees and each resource table 1<<resourceBits
+// (txmap.NewHashed), and prepares the STM's per-thread cached transactions
+// for every thread of mem: Populate, Client and RunTx go through RunCached,
+// so steady-state transactions allocate nothing. (CheckTables reads every
+// table in one transaction and keeps to Run, so that read set is not
+// retained.)
+func NewHashedManager(mem core.Memory, tm *stm.TM, customerBits, resourceBits uint) *Manager {
 	tm.Prepare(mem.NumThreads())
-	m := &Manager{mem: mem, tm: tm, customers: txmap.New(mem)}
+	m := &Manager{mem: mem, tm: tm, customers: txmap.NewHashed(mem, customerBits)}
 	for k := 0; k < numKinds; k++ {
-		m.resources[k] = txmap.New(mem)
+		m.resources[k] = txmap.NewHashed(mem, resourceBits)
 	}
 	return m
 }
 
 // TM returns the manager's STM instance.
 func (m *Manager) TM() *stm.TM { return m.tm }
+
+// Customers returns the customer table, for callers that inspect its
+// shape (TreeOf, TreeSize); reservations go through the Manager.
+func (m *Manager) Customers() *txmap.Map { return m.customers }
 
 // AddResource adds num units of kind/id at the given price, creating the
 // record if needed (manager_add{Car,Flight,Room}).

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stm"
+	"repro/internal/txmap"
 	"repro/internal/vtags"
 )
 
@@ -61,6 +62,51 @@ func TestManagerBasics(t *testing.T) {
 	})
 	if ok, detail := m.CheckTables(th); !ok {
 		t.Fatalf("invariants: %s", detail)
+	}
+}
+
+// TestCheckTablesReadsEveryTree holds CheckTables to every tree of hashed
+// tables. A customer in the last customer tree reserves a car from resource
+// tree 0, so the used unit balances only if the customer's list is counted;
+// then a unit leaks from a car in the last resource tree, which must be
+// caught. A walk that stopped after tree 0 would count the unit but not the
+// reservation, and miss the leak.
+func TestCheckTablesReadsEveryTree(t *testing.T) {
+	const customerBits, resourceBits = 3, 2
+	mem := vtags.New(32<<20, 1)
+	tm := stm.NewNOrec(mem)
+	m := NewHashedManager(mem, tm, customerBits, resourceBits)
+	th := mem.Thread(0)
+	firstIn := func(tbl *txmap.Map, tree int) uint64 {
+		id := uint64(1)
+		for tbl.TreeOf(id) != tree {
+			id++
+		}
+		return id
+	}
+	cust := firstIn(m.customers, 1<<customerBits-1)
+	car := firstIn(m.resources[KindCar], 0)
+	lastCar := firstIn(m.resources[KindCar], 1<<resourceBits-1)
+
+	tm.Run(th, func(tx *stm.Tx) {
+		m.AddResource(tx, th, KindCar, car, 2, 75)
+		m.AddResource(tx, th, KindCar, lastCar, 2, 75)
+		m.AddCustomer(tx, th, cust)
+		if !m.Reserve(tx, th, cust, KindCar, car) {
+			t.Error("reserve failed")
+		}
+	})
+	if ok, detail := m.CheckTables(th); !ok {
+		t.Fatalf("a reservation in customer tree %d: %s", 1<<customerBits-1, detail)
+	}
+
+	tm.Run(th, func(tx *stm.Tx) {
+		rec, _ := m.resources[KindCar].Get(tx, lastCar)
+		r := core.Addr(rec)
+		tx.Write(r.Plus(rNumFree), tx.Read(r.Plus(rNumFree))-1)
+	})
+	if ok, _ := m.CheckTables(th); ok {
+		t.Fatalf("CheckTables missed a capacity leak in resource tree %d", 1<<resourceBits-1)
 	}
 }
 
