@@ -20,6 +20,3 @@ func TestTxSetConcurrentDisjoint(t *testing.T) {
 	settest.Each(t, "must/disjoint-concurrent", txsets...)
 }
 func TestTxSetConcurrentMixed(t *testing.T) { settest.Each(t, "must/mixed-concurrent-32", txsets...) }
-func TestTxSetKeysSorted(t *testing.T) {
-	settest.EachOn(t, settest.VTags, "must/keys-sorted", settest.Catalogued("norec", "norec-set"))
-}
