@@ -62,17 +62,6 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	}
 }
 
-func TestOwnWriteDoesNotEvictOwnTag(t *testing.T) {
-	m := testMachine(2)
-	t0 := m.Thread(0)
-	a := m.Alloc(1)
-	t0.AddTag(a, 8)
-	t0.Store(a, 7)
-	if !t0.Validate() {
-		t.Fatal("own store evicted own tag")
-	}
-}
-
 func TestRemoveTagStopsTracking(t *testing.T) {
 	m := testMachine(2)
 	t0, t1 := m.Thread(0), m.Thread(1)
@@ -88,24 +77,6 @@ func TestRemoveTagStopsTracking(t *testing.T) {
 	t0.Store(b, 1)
 	if t1.Validate() {
 		t.Fatal("validate succeeded though tagged line was written")
-	}
-}
-
-func TestVASOnTaggedTarget(t *testing.T) {
-	m := testMachine(1)
-	th := m.Thread(0)
-	a := m.Alloc(1)
-	th.Store(a, 1)
-	th.AddTag(a, 8)
-	if !th.VAS(a, 2) {
-		t.Fatal("VAS on own tagged target failed")
-	}
-	if th.Load(a) != 2 {
-		t.Fatal("VAS write lost")
-	}
-	// Our own VAS write must not evict our own tag.
-	if !th.Validate() {
-		t.Fatal("own VAS evicted own tag")
 	}
 }
 

@@ -91,9 +91,8 @@ func TestServeHotPathAllocFree(t *testing.T) {
 }
 
 // TestServeHotPathAllocFreeWithStreaming repeats the pin with the full
-// telemetry spine the server loop runs — Stream.Tick per request and the
-// worker latency histogram — while a concurrent reader snapshots the
-// stream the whole time.
+// telemetry spine the server loop runs — Stream.Tick per request — while a
+// concurrent reader snapshots the stream the whole time.
 func TestServeHotPathAllocFreeWithStreaming(t *testing.T) {
 	eng, err := newEngine(EngineConfig{Workers: 1, MemBytes: 64 << 20, Tagged: true})
 	if err != nil {
@@ -111,7 +110,7 @@ func TestServeHotPathAllocFreeWithStreaming(t *testing.T) {
 		buf := make([]telemetry.StreamWindow, 0, stream.Depth())
 		for !stop.Load() {
 			buf, _ = stream.ReadCore(0, buf)
-			stream.Totals()
+			stream.Cumulative()
 		}
 	}()
 
@@ -132,15 +131,14 @@ func TestServeHotPathAllocFreeWithStreaming(t *testing.T) {
 			fails = f1 - f0
 		}
 		clock += 130 // crosses a window boundary every ~8 requests
-		w.lat.Observe(130)
 		stream.Tick(0, clock, 130, fails)
 	}
 	serveOne() // warm
 	assertZeroAllocs(t, "serve+stream with reader attached", serveOne)
 	stop.Store(true)
 	<-readerDone
-	if ops, _ := stream.Totals(); ops < 200 {
-		t.Fatalf("streamed ops = %d, pin was vacuous", ops)
+	if h, _ := stream.Cumulative(); h.Count() < 200 {
+		t.Fatalf("streamed ops = %d, pin was vacuous", h.Count())
 	}
 }
 
@@ -233,7 +231,6 @@ func TestServeHotPathAllocFreeWithSpans(t *testing.T) {
 		}
 		clock += 130
 		w.sr.End(clock, false)
-		w.lat.Observe(130)
 		stream.Tick(0, clock, 130, fails)
 	}
 	serveOne() // warm

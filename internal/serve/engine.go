@@ -92,13 +92,8 @@ type Worker struct {
 	// ops are recorded at the wire by the client).
 	txShard *history.Shard
 
-	// lat collects this worker's service-time histogram (host ns), read
-	// at quiescence for the final summary; the Stream carries the mid-run
-	// view.
-	lat telemetry.Histogram
-
 	// sr, when spans are armed, records this worker's request spans.
-	// Single-writer under mu, like lat.
+	// Single-writer under mu.
 	sr *telemetry.SpanRecorder
 }
 

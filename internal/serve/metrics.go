@@ -16,8 +16,10 @@ import (
 // rendering — /metrics JSON, the Prometheus exposition, a dump's stats.json
 // and the final Summary — is built from. Every source is an atomic or a
 // seqRing read, so it is valid at any instant; nothing here touches the
-// quiescence-only telemetry.Set. The exported fields are the JSON the
-// documents share; the rest each document names its own way.
+// quiescence-only telemetry.Set. Ops, Fails and the latency histogram are
+// one Stream.Cumulative read. A line read is refused (Errors) or executed
+// and ticked (Ops) before its reply, so Requests is their sum. The exported
+// fields are the JSON the documents share; the rest each names its own way.
 type counters struct {
 	UptimeNS      int64  `json:"uptime_ns"`
 	Workers       int    `json:"workers"`
@@ -33,20 +35,22 @@ type counters struct {
 	dumps       uint64
 	engine      EngineStats
 	exemplars   []DumpExemplar // each worker's most recent tail-sampled span
+	lat         telemetry.Histogram
 }
 
 func (s *Server) counters() counters {
 	c := counters{
 		UptimeNS:      int64(time.Since(s.start)),
 		Workers:       len(s.eng.workers),
-		Requests:      s.requests.Load(),
 		Errors:        s.errors.Load(),
 		ConnsAccepted: s.accepted.Load(),
 		connsActive:   s.active.Load(),
 		dumps:         s.dumps.Load(),
 		engine:        s.eng.Stats(),
 	}
-	c.Ops, c.Fails = s.stream.Totals()
+	c.lat, c.Fails = s.stream.Cumulative()
+	c.Ops = c.lat.Count()
+	c.Requests = c.Ops + c.Errors
 	if s.flight != nil {
 		c.SpansRecorded, c.SpansKept = s.flight.Totals()
 		for i := 0; i < s.flight.NumCores(); i++ {
@@ -151,9 +155,9 @@ var promTable = []promSeries{
 		func(c *counters) float64 { return time.Duration(c.UptimeNS).Seconds() }),
 	series("memtag_workers", "Engine worker count.", "gauge",
 		func(c *counters) float64 { return float64(c.Workers) }),
-	series("memtag_requests_total", "Requests decoded (including errored ones).", "counter",
+	series("memtag_requests_total", "Request lines read: ops executed plus lines refused at decode.", "counter",
 		func(c *counters) float64 { return float64(c.Requests) }),
-	series("memtag_errors_total", "Requests answered with a protocol error.", "counter",
+	series("memtag_errors_total", "Request lines refused at decode; ERR replies of executed ops are not counted.", "counter",
 		func(c *counters) float64 { return float64(c.Errors) }),
 	series("memtag_conns_accepted_total", "Connections accepted.", "counter",
 		func(c *counters) float64 { return float64(c.ConnsAccepted) }),
@@ -202,8 +206,8 @@ var promHistBuckets = func() (le [telemetry.NumBuckets]string) {
 
 // servePrometheus writes the Prometheus text exposition: cumulative
 // counters (every source monotonic atomics, so successive scrapes never
-// regress), the request-latency histogram from the stream's monotonic
-// per-core atomics, and — when the flight recorder is armed —
+// regress), the request-latency histogram from the same Stream.Cumulative
+// read as memtag_ops_total, and — when the flight recorder is armed —
 // OpenMetrics-style exemplars on the buckets holding each worker's most
 // recent tail-sampled span, carrying that request's trace ID. That ID is
 // the join key into a flight-recorder dump's trace.json.
@@ -222,8 +226,6 @@ func (s *Server) servePrometheus(w http.ResponseWriter) {
 		}
 	}
 
-	var buckets [telemetry.NumBuckets]uint64
-	count, sum := s.stream.CumulativeLatency(&buckets)
 	// One exemplar per bucket: when several workers' exemplars share a
 	// bucket the slowest wins.
 	var ex [telemetry.NumBuckets]*DumpExemplar
@@ -235,17 +237,17 @@ func (s *Server) servePrometheus(w http.ResponseWriter) {
 	}
 	b = append(b, promHistHead...)
 	var cum uint64
-	for i, n := range buckets {
-		cum += n
+	for i := range promHistBuckets {
+		cum += c.lat.Bucket(i)
 		b = strconv.AppendUint(append(b, promHistBuckets[i]...), cum, 10)
 		if e := ex[i]; e != nil {
 			b = strconv.AppendUint(append(b, ` # {trace_id="`+e.TraceID+`"} `...), e.LatencyNS, 10)
 		}
 		b = append(b, '\n')
 	}
-	b = strconv.AppendUint(append(b, promHist+`_bucket{le="+Inf"} `...), count, 10)
-	b = strconv.AppendUint(append(b, "\n"+promHist+"_sum "...), sum, 10)
-	b = strconv.AppendUint(append(b, "\n"+promHist+"_count "...), count, 10)
+	b = strconv.AppendUint(append(b, promHist+`_bucket{le="+Inf"} `...), c.lat.Count(), 10)
+	b = strconv.AppendUint(append(b, "\n"+promHist+"_sum "...), c.lat.Sum(), 10)
+	b = strconv.AppendUint(append(b, "\n"+promHist+"_count "...), c.lat.Count(), 10)
 	b = append(b, '\n')
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -416,6 +416,72 @@ func TestServePipelinedBatch(t *testing.T) {
 	}
 }
 
+// TestServeSummaryTiesViews sends good requests and malformed lines over
+// two connections (one per worker) and ties the views of one run together:
+// the Summary counts every line once (requests = ops + errors, an executed
+// op's ERR reply counted as an op), its max is the largest merged window's
+// max, and the windows' ops sum to its ops. Summarize runs once mid-run, so
+// under -race it is checked against the writers too.
+func TestServeSummaryTiesViews(t *testing.T) {
+	const conns, good, bad = 2, 300, 30
+	srv := startServer(t, Config{StreamDepth: 600, Engine: EngineConfig{Workers: conns, Tagged: true}})
+	malformed := []string{"NOPE 1\n", "GET\n", "PUT 1 x\n", "GET 18446744073709551616\n"}
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var out []byte
+		for i := 0; i < good; i++ {
+			if i%(good/bad) == 0 {
+				out = append(out, malformed[i/(good/bad)%len(malformed)]...)
+			}
+			req := Request{Op: CmdPut, A: uint64(c<<20 + i), B: uint64(i % 3)} // B 0: Exec's ERR
+			out = AppendRequest(out, &req)
+		}
+		if _, err := conn.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			br := bufio.NewReader(conn)
+			for i := 0; i < good+bad; i++ {
+				if _, err := br.ReadBytes('\n'); err != nil {
+					t.Errorf("response %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	mid := srv.Summarize()
+	wg.Wait()
+	if mid.Requests != mid.Ops+mid.Errors || mid.Requests > conns*(good+bad) {
+		t.Errorf("mid-run summary %+v", mid)
+	}
+
+	sum := srv.Summarize()
+	if sum.Requests != conns*(good+bad) || sum.Errors != conns*bad || sum.Ops != conns*good {
+		t.Fatalf("summary requests/errors/ops = %d/%d/%d, want %d/%d/%d",
+			sum.Requests, sum.Errors, sum.Ops, conns*(good+bad), conns*bad, conns*good)
+	}
+	shutdown(t, srv)
+	windows, _ := srv.Stream().ReadMergedWindows()
+	var ops, maxNS uint64
+	for _, w := range windows {
+		ops += w.Ops
+		maxNS = max(maxNS, w.Max)
+	}
+	if sum = srv.Summarize(); ops != sum.Ops || maxNS != sum.MaxNS {
+		t.Fatalf("windows' ops %d, max %d; summary ops %d, max %d", ops, maxNS, sum.Ops, sum.MaxNS)
+	}
+	if !(0 < sum.P50NS && sum.P50NS <= sum.P99NS && sum.P99NS <= float64(sum.MaxNS)) {
+		t.Fatalf("summary quantiles p50 %v, p99 %v, max %d", sum.P50NS, sum.P99NS, sum.MaxNS)
+	}
+}
+
 func TestServeShutdownRejectsNewConns(t *testing.T) {
 	srv := startServer(t, Config{Engine: EngineConfig{Workers: 1, Tagged: true}})
 	c := dialClient(t, srv.Addr().String())

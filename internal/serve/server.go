@@ -57,8 +57,7 @@ type Server struct {
 	wg       sync.WaitGroup
 	nextConn atomic.Uint64
 
-	requests atomic.Uint64 // requests decoded (including errored ones)
-	errors   atomic.Uint64 // protocol errors answered with ERR
+	errors   atomic.Uint64 // lines refused at decode (answered with ERR)
 	accepted atomic.Uint64
 	active   atomic.Int64
 
@@ -234,7 +233,6 @@ func (s *Server) handleConn(conn net.Conn, w *Worker, connID uint64) {
 			}
 			return
 		}
-		s.requests.Add(1)
 		var tRead, tParse uint64
 		if armed {
 			tRead = uint64(time.Since(s.start))
@@ -280,7 +278,6 @@ func (s *Server) handleConn(conn net.Conn, w *Worker, connID uint64) {
 				errResp := len(out) > errStart && out[errStart] == 'E'
 				w.sr.End(uint64(t1), errResp)
 			}
-			w.lat.Observe(d)
 			s.stream.Tick(w.id, uint64(t1), d, fails)
 			w.mu.Unlock()
 		}
@@ -325,7 +322,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Summary is the quiescent end-of-run report.
+// Summary is the end-of-run report memtag-serve prints at exit.
 type Summary struct {
 	Requests uint64  `json:"requests"`
 	Errors   uint64  `json:"errors"`
@@ -337,13 +334,9 @@ type Summary struct {
 	MaxNS    uint64  `json:"max_ns"`
 }
 
-// Summarize merges the per-worker service-time histograms. Quiescent only
-// (call after Shutdown).
+// Summarize reports the counters and the service-time quantiles of the
+// stream's cumulative histogram, from one read of it. Safe at any time.
 func (s *Server) Summarize() Summary {
-	var h telemetry.Histogram
-	for _, w := range s.eng.workers {
-		h.Merge(&w.lat)
-	}
 	c := s.counters()
 	return Summary{
 		Requests: c.Requests,
@@ -351,8 +344,8 @@ func (s *Server) Summarize() Summary {
 		Accepted: c.ConnsAccepted,
 		Ops:      c.Ops,
 		Fails:    c.Fails,
-		P50NS:    h.Quantile(0.50),
-		P99NS:    h.Quantile(0.99),
-		MaxNS:    h.Max(),
+		P50NS:    c.lat.Quantile(0.50),
+		P99NS:    c.lat.Quantile(0.99),
+		MaxNS:    c.lat.Max(),
 	}
 }

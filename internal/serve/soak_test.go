@@ -187,8 +187,8 @@ func runServeSoak(t *testing.T, total int) {
 
 	// Every request ticks the stream exactly once; Shutdown flushes the
 	// live windows, so the cumulative totals must account for all of them.
-	if ops, _ := srv.Stream().Totals(); int(ops) != total {
-		t.Errorf("streamed ops = %d, want %d", ops, total)
+	if h, _ := srv.Stream().Cumulative(); int(h.Count()) != total {
+		t.Errorf("streamed ops = %d, want %d", h.Count(), total)
 	}
 	sum := srv.Summarize()
 	if int(sum.Requests) != total {

@@ -74,6 +74,9 @@ func BucketUpper(b int) uint64 {
 	return uint64(1)<<b - 1
 }
 
+// Bucket returns bucket b's count (see BucketIndex).
+func (h *Histogram) Bucket(b int) uint64 { return h.buckets[b] }
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 

@@ -17,15 +17,16 @@ import (
 // anyone else); when the clock crosses a window boundary the writer
 // publishes it as one seqRing record, and readers copy records out of the
 // ring, so every escaped snapshot is a window the writer committed whole.
-// The per-op cost stays a histogram observe plus two uncontended atomic
-// adds for the cumulative totals.
+// The per-op cost stays a histogram observe plus uncontended single-writer
+// atomics for the cumulative record.
 //
 // Operations are counted once: an op is one latency observation, so the
 // cumulative op total, the cumulative histogram's count and a window's
 // Ops/Count are all the sum of the respective buckets. A reader therefore
 // never sees a count that disagrees with its own buckets, mid-run included.
 // The cumulative per-core counters are plain monotonic atomics readable at
-// any instant, which the soak tests assert across scrapes. The quiescent
+// any instant, which the soak tests assert across scrapes; Cumulative is
+// the one reader of them. The quiescent
 // Core/Sampler contract is untouched: a Stream is an additional sink, not a
 // replacement, and attaching one keeps the hot path at 0 allocs/op (pinned
 // by budget tests here and in internal/serve).
@@ -72,11 +73,12 @@ type streamCore struct {
 	// Shared with readers.
 	ring seqRing // published windows
 
-	// Cumulative, monotonic: failures, and the latency histogram (sum and
-	// power-of-two buckets) the Prometheus le-bucket exposition reads
-	// mid-run, where the quiescence-only plain histograms would race.
-	fails, cumSum atomic.Uint64
-	cumBuckets    [NumBuckets]atomic.Uint64
+	// Cumulative: failures and the latency histogram, which Cumulative
+	// reads mid-run. Only the owning writer stores them, so min and max
+	// take a load and a compare, no CAS, and Tick stores them before the
+	// bucket add.
+	fails, cumSum, cumMin, cumMax atomic.Uint64
+	cumBuckets                    [NumBuckets]atomic.Uint64
 
 	_ [64]byte // keep adjacent cores' hot atomics off one line
 }
@@ -94,6 +96,7 @@ func NewStream(n int, every uint64, depth int) *Stream {
 	s := &Stream{every: every, depth: depth, cores: make([]streamCore, n)}
 	for i := range s.cores {
 		s.cores[i].ring = newSeqRing(depth, windowWords)
+		s.cores[i].cumMin.Store(^uint64(0))
 	}
 	return s
 }
@@ -132,6 +135,12 @@ func (s *Stream) Tick(i int, clock, latency, fails uint64) {
 	c.live.Observe(latency)
 	if fails != 0 {
 		c.fails.Add(fails)
+	}
+	if latency < c.cumMin.Load() {
+		c.cumMin.Store(latency)
+	}
+	if latency > c.cumMax.Load() {
+		c.cumMax.Store(latency)
 	}
 	c.cumSum.Add(latency)
 	c.cumBuckets[BucketIndex(latency)].Add(1)
@@ -222,38 +231,34 @@ func (s *Stream) ReadCore(i int, buf []StreamWindow) ([]StreamWindow, int) {
 	return buf, retries
 }
 
-// CumulativeLatency sums the cores' cumulative latency histograms into
-// buckets (power-of-two, index = bits.Len64(latency)) and returns the total
-// count and sum. The count is the sum of the buckets as read, so it always
-// equals the last cumulative bucket; every counter read is an atomic load
-// of a monotonic counter, so repeated scrapes never see a bucket, the
-// count, or the sum regress — exactly the contract a Prometheus counter
-// histogram needs. Safe at any time; buckets must have NumBuckets entries.
-func (s *Stream) CumulativeLatency(buckets *[NumBuckets]uint64) (count, sum uint64) {
+// Cumulative returns all cores' cumulative latency histogram and failures
+// in one walk. Each core's buckets are loaded before its min and max, so
+// the count is the bucket total and min <= max; every counter is monotonic,
+// so repeated reads never regress. At quiescence it equals one Histogram
+// fed every op. Safe at any time; allocation-free.
+func (s *Stream) Cumulative() (h Histogram, fails uint64) {
 	for i := range s.cores {
 		c := &s.cores[i]
-		sum += c.cumSum.Load()
-		for b := range buckets {
-			n := c.cumBuckets[b].Load()
-			buckets[b] += n
-			count += n
+		var ch Histogram
+		for b := range ch.buckets {
+			ch.buckets[b] = c.cumBuckets[b].Load()
+			ch.count += ch.buckets[b]
 		}
-	}
-	return count, sum
-}
-
-// Totals returns the cumulative operation and failure counts over all
-// cores. Each per-core counter is monotonic, so so is the sum — the soak
-// tests assert it never regresses across scrapes. Safe at any time.
-func (s *Stream) Totals() (ops, fails uint64) {
-	for i := range s.cores {
-		c := &s.cores[i]
-		for b := range c.cumBuckets {
-			ops += c.cumBuckets[b].Load()
-		}
+		ch.sum, ch.min, ch.max = c.cumSum.Load(), c.cumMin.Load(), c.cumMax.Load()
+		h.Merge(&ch)
 		fails += c.fails.Load()
 	}
-	return ops, fails
+	return h, fails
+}
+
+// CumulativeLatency adds Cumulative's power-of-two buckets into buckets
+// and returns its count and sum: the Prometheus counter-histogram view.
+func (s *Stream) CumulativeLatency(buckets *[NumBuckets]uint64) (count, sum uint64) {
+	h, _ := s.Cumulative()
+	for b, n := range h.buckets {
+		buckets[b] += n
+	}
+	return h.count, h.sum
 }
 
 // ReadMergedWindows snapshots every core's ring and folds windows with the

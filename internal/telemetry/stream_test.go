@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -73,9 +74,9 @@ func TestStreamWindows(t *testing.T) {
 		t.Fatalf("after flush, windows = %d, want 3", len(wins))
 	}
 	checkWindowPattern(t, every, wins[2])
-	ops, fails := s.Totals()
-	if ops != 30 {
-		t.Fatalf("total ops = %d, want 30", ops)
+	h, fails := s.Cumulative()
+	if h.Count() != 30 {
+		t.Fatalf("total ops = %d, want 30", h.Count())
 	}
 	wantFails := uint64(10 * (patFails(0) + patFails(1) + patFails(2)))
 	if fails != wantFails {
@@ -120,8 +121,8 @@ func TestStreamIdleFastForward(t *testing.T) {
 	// The op from window 0 must have been published before the gap was
 	// skipped — the ring may since have overwritten it, but the totals
 	// must not lose it.
-	if ops, _ := s.Totals(); ops != 2 {
-		t.Fatalf("totals ops = %d, want 2", ops)
+	if h, _ := s.Cumulative(); h.Count() != 2 {
+		t.Fatalf("totals ops = %d, want 2", h.Count())
 	}
 	// Newest published window precedes the live window 100.
 	last := wins[len(wins)-1]
@@ -245,11 +246,11 @@ func TestStreamConcurrentReaders(t *testing.T) {
 						t.Errorf("merged windows unsorted: %d then %d", merged[i-1].Start, merged[i].Start)
 					}
 				}
-				ops, _ := s.Totals()
-				if ops < lastOps {
-					t.Errorf("totals regressed: %d after %d", ops, lastOps)
+				h, _ := s.Cumulative()
+				if h.Count() < lastOps {
+					t.Errorf("totals regressed: %d after %d", h.Count(), lastOps)
 				}
-				lastOps = ops
+				lastOps = h.Count()
 			}
 		}(r)
 	}
@@ -270,7 +271,7 @@ func TestStreamConcurrentReaders(t *testing.T) {
 	// the readers and wait everyone out.
 	want := uint64(cores * windows * opsPerW)
 	for {
-		if ops, _ := s.Totals(); ops >= want {
+		if h, _ := s.Cumulative(); h.Count() >= want {
 			break
 		}
 		runtime.Gosched()
@@ -285,9 +286,9 @@ func TestStreamConcurrentReaders(t *testing.T) {
 	if windowsSeen == 0 {
 		t.Fatal("readers never observed a published window (vacuous stress)")
 	}
-	ops, fails := s.Totals()
-	if want := uint64(cores * windows * opsPerW); ops != want {
-		t.Fatalf("total ops = %d, want %d", ops, want)
+	h, fails := s.Cumulative()
+	if want := uint64(cores * windows * opsPerW); h.Count() != want {
+		t.Fatalf("total ops = %d, want %d", h.Count(), want)
 	}
 	var wantFails uint64
 	for w := uint64(0); w < windows; w++ {
@@ -301,42 +302,88 @@ func TestStreamConcurrentReaders(t *testing.T) {
 		windowsSeen, sawRetries[0], sawRetries[1], sawRetries[2], sawRetries[3])
 }
 
-// TestStreamCumulativeCountMatchesBuckets pins the mid-run shape of the
-// cumulative histogram: on every read, with the writer ticking flat out,
-// the count is exactly the bucket total — what makes the Prometheus
-// exposition's _count, +Inf bucket and last finite bucket agree under load,
-// not just at quiescence.
+// TestStreamCumulativeCountMatchesBuckets pins the shape of the cumulative
+// histogram. On every read, with two writers ticking flat out and a third
+// core idle, the count is exactly the bucket total — what makes the
+// Prometheus exposition's _count, +Inf bucket and last finite bucket agree
+// under load, not just at quiescence — min <= max, and neither the count
+// nor the fails regress. Once the writers stop, the histogram equals a
+// plain Histogram fed the same latencies, field for field and bucket for
+// bucket, so Summary's quantiles and max are exact. The latencies include
+// 0 and values past 2^40, and each writer jumps an idle gap longer than
+// the ring.
 func TestStreamCumulativeCountMatchesBuckets(t *testing.T) {
-	s := NewStream(1, 1000, 4)
+	const every, depth, writers, minOps = 1000, 4, 2, 10000
+	s := NewStream(writers+1, every, depth)
 	var done atomic.Bool
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := uint64(0); !done.Load(); c++ {
-			s.Tick(0, c, c%4096, 0)
-		}
-	}()
-	var last uint64
+	var refs [writers]Histogram
+	var refFails [writers]uint64
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			clock := uint64(w)
+			for i := uint64(0); i < minOps || !done.Load(); i++ {
+				lat := (i*7 + uint64(w)) % 4096
+				switch {
+				case i%1000 == 0:
+					lat = 0
+				case i%997 == 0:
+					lat = 1<<40 + i<<w
+				case i == minOps/2:
+					lat = math.MaxUint64 - uint64(w)
+				}
+				if i == minOps/3 {
+					clock += 10 * depth * every
+				}
+				clock++
+				s.Tick(w, clock, lat, i%3)
+				refs[w].Observe(lat)
+				refFails[w] += i % 3
+			}
+		}(w)
+	}
+	var last, lastFails uint64
 	for n := 0; n < 20000; n++ {
-		var buckets [NumBuckets]uint64
-		count, _ := s.CumulativeLatency(&buckets)
+		h, fails := s.Cumulative()
 		var total uint64
-		for _, b := range buckets {
-			total += b
+		for b := 0; b < NumBuckets; b++ {
+			total += h.Bucket(b)
 		}
-		if count != total {
-			t.Fatalf("read %d: count %d != bucket total %d", n, count, total)
+		if h.Count() != total {
+			t.Fatalf("read %d: count %d != bucket total %d", n, h.Count(), total)
 		}
-		if count < last {
-			t.Fatalf("read %d: count regressed: %d after %d", n, count, last)
+		if h.Count() > 0 && h.Min() > h.Max() {
+			t.Fatalf("read %d: min %d > max %d", n, h.Min(), h.Max())
 		}
-		last = count
+		if h.Count() < last || fails < lastFails {
+			t.Fatalf("read %d: count/fails regressed: %d/%d after %d/%d", n, h.Count(), fails, last, lastFails)
+		}
+		last, lastFails = h.Count(), fails
 	}
 	done.Store(true)
 	wg.Wait()
-	if ops, _ := s.Totals(); ops < last {
-		t.Fatalf("quiescent total ops %d below a mid-run count %d", ops, last)
+
+	var ref Histogram
+	for w := range refs {
+		ref.Merge(&refs[w])
+	}
+	got, fails := s.Cumulative()
+	if got != ref {
+		t.Fatalf("quiescent cumulative %s (sum %d, min %d) != plain histogram %s (sum %d, min %d)",
+			got.String(), got.Sum(), got.Min(), ref.String(), ref.Sum(), ref.Min())
+	}
+	for _, q := range []float64{0.50, 0.99} {
+		if g, r := got.Quantile(q), ref.Quantile(q); g != r {
+			t.Fatalf("p%.0f = %v, plain histogram %v", q*100, g, r)
+		}
+	}
+	if want := refFails[0] + refFails[1]; fails != want {
+		t.Fatalf("fails = %d, want %d", fails, want)
+	}
+	if got.Count() < last {
+		t.Fatalf("quiescent count %d below a mid-run count %d", got.Count(), last)
 	}
 }
 
@@ -358,8 +405,8 @@ func TestStreamAllocFree(t *testing.T) {
 		t.Fatalf("Stream.ReadCore allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		_, _ = s.Totals()
+		_, _ = s.Cumulative()
 	}); n != 0 {
-		t.Fatalf("Stream.Totals allocates %.1f/op, want 0", n)
+		t.Fatalf("Stream.Cumulative allocates %.1f/op, want 0", n)
 	}
 }

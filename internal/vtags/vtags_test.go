@@ -8,17 +8,6 @@ import (
 	"repro/internal/mem"
 )
 
-func TestOwnWriteKeepsOwnTag(t *testing.T) {
-	m := New(1<<16, 1)
-	th := m.Thread(0)
-	a := m.Alloc(1)
-	th.AddTag(a, 8)
-	th.Store(a, 3)
-	if !th.Validate() {
-		t.Fatal("own store invalidated own tag")
-	}
-}
-
 func TestVASFailsAfterConflict(t *testing.T) {
 	m := New(1<<16, 2)
 	t0, t1 := m.Thread(0), m.Thread(1)
