@@ -217,15 +217,21 @@ func ownWritesKeepOwnTags(t *testing.T, newMem Factory) {
 		t.Run(w.name, func(t *testing.T) {
 			mem := newMem(2, 8)
 			t0, t1 := mem.Thread(0), mem.Thread(1)
-			a := mem.Alloc(1)
+			a, c := mem.Alloc(1), mem.Alloc(1)
 			t0.Store(a, 1)
 			t1.Load(a) // a remote copy for the write to invalidate
+			t0.AddTag(c, core.WordSize)
+			t0.RemoveTag(c, core.WordSize) // released: no longer a conflict
 			t0.AddTag(a, core.WordSize)
 			want(t, "own "+w.name+" to the tagged line", w.write(t0, a, 1, 2), true)
 			want(t, "Validate after the own write", t0.Validate(), true)
 			want(t, "TagCount after the own write", t0.TagCount(), 1)
 			want(t, "the word, read by the writer", t0.Load(a), 2)
 			want(t, "the word, read remotely", t1.Load(a), 2)
+			// A remote write to the released line may make the backend look
+			// at the tags again; the own write must still hold up then.
+			t1.Store(c, 3)
+			want(t, "Validate after a remote write to a released line", t0.Validate(), true)
 		})
 	}
 }
