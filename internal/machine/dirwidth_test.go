@@ -118,9 +118,9 @@ func TestDirectoryWidths(t *testing.T) {
 }
 
 // TestDirectoryFootprint touches 64 Ki lines and charges the heap growth
-// to them: at 8 cores a line costs at most 100 B (64 of them data), and
-// the directory's share grows by one sharer and one tagger word per 64
-// cores, no faster.
+// to them: at 8 cores a line costs at most 88 B (64 of them data), and
+// the directory's share is one 4-byte state word plus slack, growing by
+// one sharer and one tagger word per 64 cores, no faster.
 func TestDirectoryFootprint(t *testing.T) {
 	const lines = 16 * mem.ChunkLines
 	for _, cores := range dirWidths {
@@ -138,11 +138,11 @@ func TestDirectoryFootprint(t *testing.T) {
 		words := (cores + 63) / 64
 		dirPerLine := perLine - core.LineSize
 		t.Logf("%3d cores (%d-word sets): %.1f B/line, %.1f of them directory", cores, words, perLine, dirPerLine)
-		if cores == 8 && perLine > 100 {
-			t.Errorf("8 cores: %.1f B per touched line, want <= 100", perLine)
+		if cores == 8 && perLine > 88 {
+			t.Errorf("8 cores: %.1f B per touched line, want <= 88", perLine)
 		}
-		if limit := float64(20 + 16*words); dirPerLine > limit {
-			t.Errorf("%d cores: %.1f directory B per line, want <= %.0f (20 + 16 per set word)", cores, dirPerLine, limit)
+		if limit := float64(8 + 16*words); dirPerLine > limit {
+			t.Errorf("%d cores: %.1f directory B per line, want <= %.0f (8 + 16 per set word)", cores, dirPerLine, limit)
 		}
 	}
 }

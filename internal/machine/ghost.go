@@ -43,9 +43,9 @@ func (g *ghost) Alloc(words int) core.Addr { return g.m.space.Alloc(words) }
 // core writes; no sharer bit is taken because nothing is cached.
 func (g *ghost) Load(a core.Addr) uint64 {
 	d := g.m.dirAt(a.Line())
-	d.mu.Lock()
+	d.lock()
 	v := g.m.space.Read(a)
-	d.mu.Unlock()
+	d.unlock()
 	return v
 }
 
@@ -53,10 +53,10 @@ func (g *ghost) Load(a core.Addr) uint64 {
 func (g *ghost) Store(a core.Addr, v uint64) {
 	l := a.Line()
 	d := g.m.dirAt(l)
-	d.mu.Lock()
+	d.lock()
 	g.invalidateAllLocked(d, l)
 	g.m.space.Write(a, v)
-	d.mu.Unlock()
+	d.release(-1, d.marked())
 }
 
 // CAS compares-and-swaps the word at a. Like hardware CAS it acquires the
@@ -65,20 +65,20 @@ func (g *ghost) Store(a core.Addr, v uint64) {
 func (g *ghost) CAS(a core.Addr, old, new uint64) bool {
 	l := a.Line()
 	d := g.m.dirAt(l)
-	d.mu.Lock()
+	d.lock()
 	g.invalidateAllLocked(d, l)
 	ok := g.m.space.Read(a) == old
 	if ok {
 		g.m.space.Write(a, new)
 	}
-	d.mu.Unlock()
+	d.release(-1, d.marked())
 	return ok
 }
 
 // invalidateAllLocked removes every core from the line's sharers, evicting
-// their tags on it. The caller holds d.mu. Messages are attributed to core
-// -1 in the trace; no core is charged (the agent is outside the cost
-// model).
+// their tags on it. The caller holds d's lock and releases it unowned.
+// Messages are attributed to core -1 in the trace; no core is charged (the
+// agent is outside the cost model).
 func (g *ghost) invalidateAllLocked(d dirEntry, l core.Line) {
 	sharers, taggers := d.sharers(), d.taggers()
 	for c := sharers.next(0); c >= 0; c = sharers.next(c + 1) {
@@ -93,7 +93,6 @@ func (g *ghost) invalidateAllLocked(d dirEntry, l core.Line) {
 		g.obs.Emit(core.EvInvalidation, c, l)
 	}
 	clear(sharers)
-	d.owner = -1
 }
 
 // AddTag is unsupported: the ghost has no L1 for tags to live in.

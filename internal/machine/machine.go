@@ -4,12 +4,12 @@
 // invalidate-and-swap (IAS).
 //
 // The simulator is functionally concurrent and timing-sampled: one real
-// goroutine drives each simulated core, a per-line directory entry (with a
-// mutex) is the coherence authority, and every event is priced by the
-// Config cost model into per-core cycle and energy counters. The atomicity
-// the paper obtains by "temporarily pausing the serving of new coherence
-// requests" during validation is obtained here by locking the directory
-// entries of all tagged lines (plus the VAS/IAS target) in address order.
+// goroutine drives each simulated core, a per-line directory entry is the
+// coherence authority, and every event is priced by the Config cost model
+// into per-core cycle and energy counters. The atomicity the paper obtains
+// by "temporarily pausing the serving of new coherence requests" during
+// validation is obtained here by locking the directory entries of all
+// tagged lines (plus the VAS/IAS target) in address order.
 //
 // Presence in a core's cache hierarchy is authoritative in the directory's
 // sharer mask; the per-core L1/L2 set-associative models decide only at
@@ -22,7 +22,7 @@ package machine
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -31,13 +31,14 @@ import (
 )
 
 // dirEntry is the coherence authority for one cache line: a view of the
-// line's slot in its directory chunk. The lock and owner live in the
-// chunk's record array; the two core sets share a window of the chunk's
-// mask array, each as wide as the machine's core count needs. The view is
-// a pointer and a slice, 32 bytes: the compiler keeps a struct that size
-// in registers, and copies a larger one through the stack on every access.
+// line's slot in its directory chunk. The lock, owner and write mark share
+// one word in the chunk's state array; the two core sets share a window of
+// the chunk's mask array, each as wide as the machine's core count needs.
+// The view is a pointer and a slice, 32 bytes: the compiler keeps a struct
+// that size in registers, and copies a larger one through the stack on
+// every access.
 type dirEntry struct {
-	*dirRecord
+	*dirState
 	masks []uint64 // sharers, then taggers
 }
 
@@ -51,16 +52,83 @@ func (d dirEntry) sharers() coreBits {
 // taggers is the set of cores currently tagging the line.
 func (d dirEntry) taggers() coreBits { return d.masks[len(d.masks)/2:] }
 
-// dirRecord is the fixed-size part of a line's directory state.
-type dirRecord struct {
-	mu sync.Mutex
-	// owner is the core holding the line in Modified/Exclusive state, or
-	// -1. Invariant: owner >= 0 implies sharers == {owner}.
-	owner int16
-	// marked is the core holding a write mark on the line (MarkWrite), or
-	// -1. Another core's AddTag of a marked line records a failed tag.
-	marked int16
+// dirState is the fixed-size part of a line's directory state, one word:
+// the line lock in bit 0, then owner+1 and marked+1 in dirFieldBits each,
+// so the zero word is an unlocked line with no owner and no mark.
+//
+//   - owner is the core holding the line in Modified/Exclusive state, or
+//     -1. Invariant: owner >= 0 implies sharers == {owner}.
+//   - marked is the core holding a write mark on the line (MarkWrite), or
+//     -1. Another core's AddTag of a marked line records a failed tag.
+//
+// Only the lock holder changes the owner and mark fields, and only in the
+// atomic store that releases the lock (release), so a change costs no
+// atomic beyond the unlock itself. Every access goes through sync/atomic's
+// functions: the atomic.Uint32 methods would cost lock's fast path 8 more
+// units of inlining budget, past Go's 80. The struct must stay 4 bytes: it
+// exists once per touched line.
+type dirState struct {
+	word uint32
 }
+
+const (
+	dirLockBit   = 1
+	dirFieldBits = 10
+	dirFieldMask = 1<<dirFieldBits - 1
+	dirOwnerAt   = 1
+	dirMarkedAt  = dirOwnerAt + dirFieldBits
+	// dirLockSpins is how many times a waiter retries a held lock before
+	// it yields the processor to let the holder run.
+	dirLockSpins = 8
+)
+
+// Every core id, plus one, fits a field; the constant overflows otherwise.
+const _ uint = dirFieldMask - core.MaxCores
+
+// lock takes the line lock: one load and one CAS that expects the loaded
+// word with the lock bit clear, so it fails on a held lock and lockSlow
+// takes over. The fast path inlines, as sync.Mutex's does.
+func (s *dirState) lock() {
+	if w := atomic.LoadUint32(&s.word) &^ dirLockBit; !atomic.CompareAndSwapUint32(&s.word, w, w|dirLockBit) {
+		s.lockSlow()
+	}
+}
+
+// lockSlow retries the lock, yielding after dirLockSpins tries so that a
+// descheduled holder (on one P, say) gets to run and release.
+//
+//go:noinline
+func (s *dirState) lockSlow() {
+	for spins := 0; ; {
+		w := atomic.LoadUint32(&s.word)
+		if w&dirLockBit == 0 {
+			if atomic.CompareAndSwapUint32(&s.word, w, w|dirLockBit) {
+				return
+			}
+			continue
+		}
+		if spins++; spins > dirLockSpins {
+			runtime.Gosched()
+		}
+	}
+}
+
+// unlock releases the line lock, leaving the owner and mark as they were:
+// the holder's bit 0 is set, so subtracting one clears it and nothing
+// else, in a single atomic add.
+func (s *dirState) unlock() { atomic.AddUint32(&s.word, ^uint32(0)) }
+
+// release releases the line lock and writes the line's owner and mark in
+// the same atomic store. Nobody else writes the word while the lock is
+// held, so the holder's section reads the values it found at lock time.
+func (s *dirState) release(owner, marked int) {
+	atomic.StoreUint32(&s.word, uint32(owner+1)<<dirOwnerAt|uint32(marked+1)<<dirMarkedAt)
+}
+
+func (s *dirState) owner() int  { return s.field(dirOwnerAt) }
+func (s *dirState) marked() int { return s.field(dirMarkedAt) }
+
+func (s *dirState) field(at uint) int { return int(atomic.LoadUint32(&s.word)>>at&dirFieldMask) - 1 }
 
 // dirChunk mirrors one mem.Space chunk's worth of directory state.
 // Directory chunks are installed on first touch, like the space's word
@@ -70,8 +138,8 @@ type dirRecord struct {
 type dirChunk struct {
 	// masks holds 2*w words per line, w = Machine.setWords: the line's
 	// sharer set, then its tagger set.
-	masks   []uint64
-	records [mem.ChunkLines]dirRecord
+	masks  []uint64
+	states [mem.ChunkLines]dirState
 }
 
 // Machine is a simulated multicore with memory tagging.
@@ -177,17 +245,14 @@ func (m *Machine) dirAt(l core.Line) dirEntry {
 	}
 	i := int(uint64(l) % mem.ChunkLines)
 	w := m.setWords
-	return dirEntry{dirRecord: &c.records[i], masks: c.masks[2*w*i : 2*w*(i+1)]}
+	return dirEntry{dirState: &c.states[i], masks: c.masks[2*w*i : 2*w*(i+1)]}
 }
 
 // installDirChunk materializes directory chunk ci with every entry
-// unowned, losing the race gracefully if another core installs it first.
+// unowned (the zero state), losing the race gracefully if another core
+// installs it first.
 func (m *Machine) installDirChunk(ci uint64) *dirChunk {
 	fresh := &dirChunk{masks: make([]uint64, 2*m.setWords*mem.ChunkLines)}
-	for i := range fresh.records {
-		fresh.records[i].owner = -1
-		fresh.records[i].marked = -1
-	}
 	if m.dir[ci].CompareAndSwap(nil, fresh) {
 		return fresh
 	}
@@ -199,15 +264,15 @@ func (m *Machine) installDirChunk(ci uint64) *dirChunk {
 // ascending order.
 func (m *Machine) DebugLine(l core.Line) (sharers []int, owner int, taggers []int) {
 	d := m.dirAt(l)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sharers().members(), int(d.owner), d.taggers().members()
+	d.lock()
+	defer d.unlock()
+	return d.sharers().members(), d.owner(), d.taggers().members()
 }
 
 // coreBits is a set of core ids in w = ceil(Cores/64) words: one line's
 // sharer or tagger mask in a directory chunk, or one socket's membership.
 // It is a view, so assigning one shares the words; directory sets are
-// mutated only under their line's mutex.
+// mutated only under their line's lock.
 type coreBits []uint64
 
 func (s coreBits) has(c int) bool { return s[c>>6]&(1<<(c&63)) != 0 }

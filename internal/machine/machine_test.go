@@ -62,72 +62,6 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	}
 }
 
-func TestRemoveTagStopsTracking(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	a := m.Alloc(1)
-	b := m.Alloc(1)
-	t1.AddTag(a, 8)
-	t1.AddTag(b, 8)
-	t1.RemoveTag(a, 8)
-	t0.Store(a, 1) // write to the untagged line
-	if !t1.Validate() {
-		t.Fatal("validate failed though conflicting line was untagged")
-	}
-	t0.Store(b, 1)
-	if t1.Validate() {
-		t.Fatal("validate succeeded though tagged line was written")
-	}
-}
-
-func TestIASInvalidatesRemoteTags(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	node := m.Alloc(1)
-	target := m.Alloc(1)
-	t0.Store(node, 1)
-
-	// Both threads tag the same node.
-	t0.AddTag(node, 8)
-	t1.AddTag(node, 8)
-	if !t0.Validate() || !t1.Validate() {
-		t.Fatal("initial validations failed")
-	}
-
-	// t0 IASes: its own tags stay valid, t1's tag on node is invalidated.
-	if !t0.IAS(target, 7) {
-		t.Fatal("IAS failed")
-	}
-	if !t0.Validate() {
-		t.Fatal("IAS evicted issuer's own tags")
-	}
-	if t1.Validate() {
-		t.Fatal("IAS did not invalidate remote tag")
-	}
-	if t1.Load(target) != 7 {
-		t.Fatal("IAS write not visible")
-	}
-}
-
-func TestVASDoesNotInvalidateRemoteTagsOnOtherLines(t *testing.T) {
-	m := testMachine(2)
-	t0, t1 := m.Thread(0), m.Thread(1)
-	node := m.Alloc(1)
-	target := m.Alloc(1)
-	t0.Store(node, 1)
-	t1.Load(node)
-
-	t0.AddTag(node, 8)
-	t1.AddTag(node, 8)
-	if !t0.VAS(target, 7) {
-		t.Fatal("VAS failed")
-	}
-	// Unlike IAS, VAS only writes the target: t1's tag on node survives.
-	if !t1.Validate() {
-		t.Fatal("VAS invalidated a remote tag on a non-target line")
-	}
-}
-
 func TestSpuriousEvictionByCapacity(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.MemBytes = 4 << 20

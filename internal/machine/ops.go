@@ -18,10 +18,10 @@ func (t *Thread) Load(a core.Addr) uint64 {
 	t.charge(t.m.cfg.ComputeCycles, 0)
 	l := a.Line()
 	d := t.m.dirAt(l)
-	d.mu.Lock()
-	t.touchLineLocked(l, d, false)
+	d.lock()
+	o := t.touchLineLocked(l, d, false)
 	v := t.m.space.Read(a)
-	d.mu.Unlock()
+	d.release(o, d.marked())
 	t.drainEvictions()
 	return v
 }
@@ -38,10 +38,10 @@ func (t *Thread) Store(a core.Addr, v uint64) {
 	t.charge(t.m.cfg.ComputeCycles, 0)
 	l := a.Line()
 	d := t.m.dirAt(l)
-	d.mu.Lock()
-	t.touchLineLocked(l, d, true)
+	d.lock()
+	o := t.touchLineLocked(l, d, true)
 	t.m.space.Write(a, v)
-	d.mu.Unlock()
+	d.release(o, d.marked())
 	t.drainEvictions()
 }
 
@@ -58,14 +58,14 @@ func (t *Thread) CAS(a core.Addr, old, new uint64) bool {
 	t.charge(cfg.ComputeCycles, 0)
 	l := a.Line()
 	d := t.m.dirAt(l)
-	d.mu.Lock()
-	t.touchLineLocked(l, d, true)
+	d.lock()
+	o := t.touchLineLocked(l, d, true)
 	t.charge(cfg.CASExtraCycles, 0)
 	ok := t.m.space.Read(a) == old
 	if ok {
 		t.m.space.Write(a, new)
 	}
-	d.mu.Unlock()
+	d.release(o, d.marked())
 	t.drainEvictions()
 	return ok
 }
@@ -112,15 +112,16 @@ func (t *Thread) AddTag(a core.Addr, size int) bool {
 			return false
 		}
 		d := t.m.dirAt(l)
-		d.mu.Lock()
-		t.touchForTagLocked(l, d)
+		d.lock()
+		o := t.touchForTagLocked(l, d)
 		d.taggers().add(t.id)
-		if d.marked >= 0 && int(d.marked) != t.id {
+		mk := d.marked()
+		if mk >= 0 && mk != t.id {
 			// Another core is mid-write on the line: the tag is born evicted.
 			t.evicted.Store(true)
 			t.stats.RemoteTagEvictions.Add(1)
 		}
-		d.mu.Unlock()
+		d.release(o, mk)
 		t.tags = append(t.tags, l)
 		t.stats.TagAdds++
 		t.obs.Tagged(l, len(t.tags))
@@ -163,9 +164,9 @@ func (t *Thread) RemoveTag(a core.Addr, size int) {
 		}
 		t.recAccess(l, false)
 		d := t.m.dirAt(l)
-		d.mu.Lock()
+		d.lock()
 		d.taggers().remove(t.id)
-		d.mu.Unlock()
+		d.unlock()
 		t.tags = append(t.tags[:idx], t.tags[idx+1:]...)
 		t.stats.TagRemoves++
 		t.charge(cfg.TagOpCycles, 0)
@@ -205,9 +206,9 @@ func (t *Thread) ClearTagSet() {
 	}
 	for _, l := range t.tags {
 		d := t.m.dirAt(l)
-		d.mu.Lock()
+		d.lock()
 		d.taggers().remove(t.id)
-		d.mu.Unlock()
+		d.unlock()
 	}
 	t.tags = t.tags[:0]
 	t.overflow = false
@@ -237,17 +238,18 @@ func (t *Thread) MarkWrite(a core.Addr, size int) {
 			t.gateInternal()
 		}
 		d := t.m.dirAt(l)
-		d.mu.Lock()
-		if int(d.marked) != t.id {
-			if core.Checked && d.marked >= 0 {
-				d.mu.Unlock()
-				panic(fmt.Sprintf("machine: core %d marks line %d, which core %d already marks", t.id, l, d.marked))
+		d.lock()
+		if mk := d.marked(); mk == t.id {
+			d.unlock()
+		} else {
+			if core.Checked && mk >= 0 {
+				d.unlock()
+				panic(fmt.Sprintf("machine: core %d marks line %d, which core %d already marks", t.id, l, mk))
 			}
-			t.touchLineLocked(l, d, true)
-			d.marked = int16(t.id)
+			o := t.touchLineLocked(l, d, true)
 			t.marks = append(t.marks, l)
+			d.release(o, t.id)
 		}
-		d.mu.Unlock()
 		t.drainEvictions()
 	}
 }
@@ -266,9 +268,8 @@ func (t *Thread) UnmarkWrites() {
 	for _, l := range t.marks {
 		t.recAccess(l, true)
 		d := t.m.dirAt(l)
-		d.mu.Lock()
-		d.marked = -1
-		d.mu.Unlock()
+		d.lock()
+		d.release(d.owner(), -1)
 	}
 	t.marks = t.marks[:0]
 }
@@ -339,12 +340,12 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	// tagged line (they set the eviction latch the validation reads).
 	t.recTagSetReads()
 	for _, l := range t.lockSet {
-		t.m.dirAt(l).mu.Lock()
+		t.m.dirAt(l).lock()
 	}
 	t.charge(cfg.ValidateCycles, 0)
 	if t.overflow || t.evicted.Load() {
 		for i := len(t.lockSet) - 1; i >= 0; i-- {
-			t.m.dirAt(t.lockSet[i]).mu.Unlock()
+			t.m.dirAt(t.lockSet[i]).unlock()
 		}
 		if invalidateTags {
 			t.stats.IASFails++
@@ -371,8 +372,15 @@ func (t *Thread) commit(a core.Addr, v uint64, invalidateTags bool) bool {
 	d := t.m.dirAt(target)
 	t.touchLineLocked(target, d, true)
 	t.m.space.Write(a, v)
+	// This core now owns the target and, after an IAS, every tagged line.
 	for i := len(t.lockSet) - 1; i >= 0; i-- {
-		t.m.dirAt(t.lockSet[i]).mu.Unlock()
+		l := t.lockSet[i]
+		ld := t.m.dirAt(l)
+		if invalidateTags || l == target {
+			ld.release(t.id, ld.marked())
+		} else {
+			ld.unlock()
+		}
 	}
 	t.drainEvictions()
 	t.obs.Committed(invalidateTags, true, target)

@@ -109,14 +109,12 @@ func (t *Thread) charge(cycles uint64, energy float64) {
 }
 
 // sendInvalidationLocked removes core c from the line's sharers, evicting
-// any tag c holds on it. The caller holds d.mu and charges message costs.
-// Under a two-level topology a message to a core on another socket pays
-// the socket hop on top of the per-sharer fan-out cost.
+// any tag c holds on it. The caller holds d's lock, charges message costs
+// and makes itself the owner. Under a two-level topology a message to a
+// core on another socket pays the socket hop on top of the per-sharer
+// fan-out cost.
 func (t *Thread) sendInvalidationLocked(d dirEntry, c int, l core.Line) {
 	d.sharers().remove(c)
-	if int(d.owner) == c {
-		d.owner = -1
-	}
 	other := t.m.threads[c]
 	if d.taggers().has(c) {
 		d.taggers().remove(c)
@@ -178,8 +176,9 @@ func (t *Thread) chargeInvRound(hadSharers bool) {
 	}
 }
 
-// invalidateOthersLocked makes this core the exclusive owner of the line,
-// invalidating every other sharer. The caller holds d.mu.
+// invalidateOthersLocked makes this core the exclusive holder of the line,
+// invalidating every other sharer. The caller holds d's lock and releases
+// it with this core as the owner.
 func (t *Thread) invalidateOthersLocked(d dirEntry, l core.Line) {
 	sharers := d.sharers()
 	t.chargeInvRound(sharers.anyOther(t.id, nil))
@@ -189,7 +188,6 @@ func (t *Thread) invalidateOthersLocked(d dirEntry, l core.Line) {
 		}
 	}
 	sharers.only(t.id)
-	d.owner = int16(t.id)
 }
 
 // fillLocal inserts line l into the private hierarchy models, recording L2
@@ -256,32 +254,35 @@ func (t *Thread) drainEvictions() {
 		l := t.pendingEvicts[len(t.pendingEvicts)-1]
 		t.pendingEvicts = t.pendingEvicts[:len(t.pendingEvicts)-1]
 		d := t.m.dirAt(l)
-		d.mu.Lock()
+		d.lock()
+		o := d.owner()
 		if d.sharers().has(t.id) {
 			d.sharers().remove(t.id)
-			if int(d.owner) == t.id {
-				d.owner = -1
+			if o == t.id {
+				o = -1
 				t.stats.Writebacks++
 			}
 		}
 		// A tag here already failed the local check; just keep the
 		// directory consistent.
 		d.taggers().remove(t.id)
-		d.mu.Unlock()
+		d.release(o, d.marked())
 	}
 }
 
 // touchLineLocked performs the coherence transaction for one access to line
-// l and charges its cost. The caller holds d.mu.
-func (t *Thread) touchLineLocked(l core.Line, d dirEntry, write bool) {
+// l and charges its cost. The caller holds d's lock and releases it with
+// the owner this returns.
+func (t *Thread) touchLineLocked(l core.Line, d dirEntry, write bool) (owner int) {
 	t.recAccess(l, write)
 	cfg := &t.m.cfg
 	present := d.sharers().has(t.id)
+	owner = d.owner()
 
 	if write {
-		if int(d.owner) == t.id {
+		if owner == t.id {
 			t.chargeLocalHit(l)
-			return
+			return owner
 		}
 		// Need exclusivity: invalidate every other sharer. Whether the fill
 		// (if any) can be served on-socket is decided by the pre-invalidation
@@ -303,21 +304,20 @@ func (t *Thread) touchLineLocked(l core.Line, d dirEntry, write bool) {
 			t.obs.Emit(core.EvMemFill, -1, l)
 			t.fillLocal(l)
 		}
-		return
+		return t.id
 	}
 
 	// Read.
 	if present {
 		t.chargeLocalHit(l)
-		return
+		return owner
 	}
-	if d.owner >= 0 {
+	if owner >= 0 {
 		// The modified/exclusive owner forwards the line and downgrades.
 		// Under MESI/MESIF the downgrade writes the dirty data back; under
 		// MOESI the owner moves to Owned and the writeback is deferred to
 		// eviction (modeled as: no downgrade writeback).
-		sameSocket := t.m.sockets == 1 || t.m.threads[d.owner].socket == t.socket
-		d.owner = -1
+		sameSocket := t.m.sockets == 1 || t.m.threads[owner].socket == t.socket
 		t.chargeRemoteFill(sameSocket)
 		if cfg.Protocol != MOESI {
 			t.stats.Writebacks++
@@ -334,6 +334,7 @@ func (t *Thread) touchLineLocked(l core.Line, d dirEntry, write bool) {
 	}
 	d.sharers().add(t.id)
 	t.fillLocal(l)
+	return -1
 }
 
 // touchForTagLocked performs the coherence transaction for AddTag: the tag
@@ -341,24 +342,25 @@ func (t *Thread) touchLineLocked(l core.Line, d dirEntry, write bool) {
 // already in L1 is free (the paper implements tags "by adding extra state
 // to each core's load buffer"). A line that is not resident is fetched like
 // a normal read (the transition-to-tagged state serves the miss), and that
-// fill is charged.
-func (t *Thread) touchForTagLocked(l core.Line, d dirEntry) {
+// fill is charged. Like touchLineLocked, it returns the owner for the
+// caller's release.
+func (t *Thread) touchForTagLocked(l core.Line, d dirEntry) (owner int) {
 	t.recAccess(l, false)
 	cfg := &t.m.cfg
+	owner = d.owner()
 	if d.sharers().has(t.id) {
 		if t.l1.Lookup(l) {
-			return // resident in L1: tagging is free
+			return owner // resident in L1: tagging is free
 		}
 		// Present only in L2: the tagging access promotes it.
 		t.l2.Lookup(l)
 		t.stats.L2Hits++
 		t.charge(cfg.L2HitCycles, cfg.EnergyL2)
 		t.fillLocal(l)
-		return
+		return owner
 	}
-	if d.owner >= 0 {
-		sameSocket := t.m.sockets == 1 || t.m.threads[d.owner].socket == t.socket
-		d.owner = -1
+	if owner >= 0 {
+		sameSocket := t.m.sockets == 1 || t.m.threads[owner].socket == t.socket
 		t.chargeRemoteFill(sameSocket)
 		if cfg.Protocol != MOESI {
 			t.stats.Writebacks++
@@ -371,6 +373,7 @@ func (t *Thread) touchForTagLocked(l core.Line, d dirEntry) {
 	}
 	d.sharers().add(t.id)
 	t.fillLocal(l)
+	return -1
 }
 
 // chargeLocalHit prices an access whose data is already somewhere in the
