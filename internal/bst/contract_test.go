@@ -24,10 +24,6 @@ func TestBSTDisjointConcurrent(t *testing.T) { settest.Each(t, "must/disjoint-co
 func TestBSTMixedConcurrent(t *testing.T)    { settest.Each(t, "must/mixed-concurrent-32", trees...) }
 func TestBSTHighContention(t *testing.T)     { settest.Each(t, "must/mixed-concurrent-4", trees...) }
 
-// TestBSTSentinelsSurvive: draining the tree completely must leave the
-// sentinel structure intact and reusable.
-func TestBSTSentinelsSurvive(t *testing.T) { settest.Each(t, "must/grow-drain-", trees...) }
-
 func TestBSTInterVariantAgreement(t *testing.T) {
 	settest.EachOn(t, settest.VTags, "must/sequential-", trees...)
 }

@@ -84,14 +84,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses()) / float64(s.Accesses())
 }
 
-// SimSeconds converts the slowest core's cycles to simulated seconds.
-func (s Stats) SimSeconds(clockHz float64) float64 {
-	if clockHz <= 0 {
-		return 0
-	}
-	return float64(s.MaxCycles) / clockHz
-}
-
 // Snapshot aggregates per-core stats. Only call while no core is issuing
 // operations; under the memtagcheck build tag a non-quiescent call panics.
 func (m *Machine) Snapshot() Stats {

@@ -13,25 +13,6 @@ func timeAfter(seconds int) <-chan time.Time {
 	return time.After(time.Duration(seconds) * time.Second)
 }
 
-func TestBeginEpochAlignsClocks(t *testing.T) {
-	m := testMachine(4)
-	th := m.threads[0]
-	a := m.Alloc(1)
-	for i := 0; i < 50; i++ {
-		th.Store(a, uint64(i))
-	}
-	if m.threads[1].stats.Cycles != 0 {
-		t.Fatal("idle core accumulated cycles")
-	}
-	m.BeginEpoch()
-	want := m.threads[0].stats.Cycles
-	for i, tt := range m.threads {
-		if tt.stats.Cycles != want {
-			t.Fatalf("core %d cycles %d, want %d", i, tt.stats.Cycles, want)
-		}
-	}
-}
-
 // TestThrottleBoundsSkew checks the central property: two active cores
 // doing very different amounts of work per op stay within the window while
 // both run.

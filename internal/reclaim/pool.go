@@ -109,9 +109,6 @@ func NewPool(d *Domain, words int, policy Policy) *Pool {
 // Domain returns the reader registry this pool scans.
 func (p *Pool) Domain() *Domain { return p.d }
 
-// Words returns the object size this pool serves.
-func (p *Pool) Words() int { return p.words }
-
 // Policy returns the pool's reclamation policy.
 func (p *Pool) Policy() Policy { return p.policy }
 

@@ -12,7 +12,8 @@
 //
 // Every event method is small enough to inline: it tests its sinks and
 // makes at most one call, so a run with nothing attached pays a branch per
-// event. The compiler's inlining report keeps that true (CI greps it).
+// event. The compiler's inlining report keeps that true (internal/archtest
+// checks it).
 package tagobs
 
 import (
