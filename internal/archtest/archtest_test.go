@@ -8,6 +8,7 @@
 //	vtags does not import machine             TestVtagsDoesNotImportMachine        vtags-machine  none
 //	kcas does not import reclaim              TestKcasDoesNotImportReclaim         kcas-reclaim   none
 //	tag-event observer methods inline         TestObserverEventMethodsInline       inline         none
+//	machine per-access helpers inline         TestMachineAccessHelpersInline       inline-machine none
 //	hooks are defined once                    TestHooksAreDefinedOnce              hooks          none
 //	sets are listed once                      TestSetsAreListedOnce                sets           none
 //	one definition per tree rule              TestOneDefinitionPerTreeRule         trees          none
@@ -98,6 +99,13 @@ func TestObserverEventMethodsInline(t *testing.T) {
 	check(t, "inline", 1, eventMethodsInline)
 }
 
+func TestMachineAccessHelpersInline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the compiler")
+	}
+	check(t, "inline-machine", 3, machineHelpersInline)
+}
+
 func TestHooksAreDefinedOnce(t *testing.T)      { check(t, "hooks", 2, hooksDefinedOnce) }
 func TestSetsAreListedOnce(t *testing.T)        { check(t, "sets", 3, setsListedOnce) }
 func TestOneDefinitionPerTreeRule(t *testing.T) { check(t, "trees", 5, oneDefinitionPerTreeRule) }
@@ -138,25 +146,43 @@ func importChain(root, from, to string) []string {
 	return []string{pos + ": " + chain}
 }
 
-// eventMethodsInline reads the compiler's inlining report. Every tag-event
-// method of tagobs.Observer is documented as small enough to inline, so a
+// eventMethodsInline: every tag-event method of tagobs.Observer is
+// documented as small enough to inline, so a
 // run with nothing attached pays one branch per event (emitSlow is
 // go:noinline for this: inlined into Emit it pushed Emit, and every method
 // that calls it, over the budget).
-func eventMethodsInline(root string) (vs []string) {
-	cmd := exec.Command("go", "build", "-gcflags=-m", "./internal/tagobs")
+func eventMethodsInline(root string) []string {
+	return inline(root, "internal/tagobs", "(*Observer).Tagged (*Observer).Untagged (*Observer).Cleared "+
+		"(*Observer).Valid (*Observer).Validated (*Observer).Committed (*Observer).Emit")
+}
+
+// machineHelpersInline: the machine takes a directory line's lock and reads
+// or writes its core sets on every simulated access. Each helper is a few
+// instructions that a call would double (lock's fast path sits at 77 of
+// Go's budget of 80), and nothing but this rule notices one growing past
+// the budget (DESIGN.md, "Machine host layout").
+func machineHelpersInline(root string) []string {
+	return inline(root, "internal/machine", "(*dirState).lock (*dirState).unlock (*dirState).release "+
+		"coreBits.has coreBits.add coreBits.remove dirEntry.sharers dirEntry.taggers")
+}
+
+// inline reads the compiler's inlining report for module package pkg and
+// names each of funcs (space-separated, as the report spells them) that it
+// does not report as inlinable.
+func inline(root, pkg, funcs string) (vs []string) {
+	cmd := exec.Command("go", "build", "-gcflags=-m", "./"+pkg)
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return []string{fmt.Sprintf("internal/tagobs: go build: %v\n%s", err, out)}
+		return []string{fmt.Sprintf("%s: go build: %v\n%s", pkg, err, out)}
 	}
 	can := map[string]bool{}
-	for _, m := range regexp.MustCompile(`can inline \(\*Observer\)\.(\w+)`).FindAllStringSubmatch(string(out), -1) {
+	for _, m := range regexp.MustCompile(`(?m): can inline (\S+)$`).FindAllStringSubmatch(string(out), -1) {
 		can[m[1]] = true
 	}
-	for _, m := range strings.Fields("Tagged Untagged Cleared Valid Validated Committed Emit") {
-		if !can[m] {
-			vs = append(vs, "internal/tagobs: (*Observer)."+m+" no longer inlines")
+	for _, f := range strings.Fields(funcs) {
+		if !can[f] {
+			vs = append(vs, pkg+": "+f+" no longer inlines")
 		}
 	}
 	return vs

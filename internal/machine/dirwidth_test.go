@@ -9,15 +9,18 @@ import (
 	"repro/internal/mem"
 )
 
-// dirWidths are machine sizes on both sides of each 64-core word boundary
-// of the directory's core sets.
-var dirWidths = []int{8, 64, 65, 128, 512}
+// dirWidths are machine sizes on both sides of the directory's set-byte
+// edges: 9, 17 and 65 cores each start a new byte (65 makes a set that is
+// one word and one byte), and 512 is the widest machine.
+var dirWidths = []int{8, 9, 16, 17, 64, 65, 128, 512}
 
-// edgeCores returns the cores 0, 63, 64, 127, 511 and cores-1 that exist on
-// a machine of the given size: the first and last bit of each mask word.
+// edgeCores returns the cores on either side of each kind of byte edge of a
+// core set (0, 7, 8, 15, 16, 63, 64, 127, 128, 255, 256, 511) that exist on
+// a machine of the given size, and cores-1: the first and last bit of the
+// first two bytes, of a word and of the wider sets.
 func edgeCores(cores int) []int {
 	var out []int
-	for _, c := range []int{0, 63, 64, 127, 511} {
+	for _, c := range []int{0, 7, 8, 15, 16, 63, 64, 127, 128, 255, 256, 511} {
 		if c < cores {
 			out = append(out, c)
 		}
@@ -37,7 +40,7 @@ func setOf(cs ...int) []int {
 
 // wantLine fails unless the directory holds exactly the given state for
 // line a; comparing whole member lists also catches a stray bit in another
-// mask word.
+// mask byte.
 func wantLine(t *testing.T, m *Machine, a core.Addr, step string, sharers []int, owner int, taggers []int) {
 	t.Helper()
 	gs, gotOwner, gt := m.DebugLine(a.Line())
@@ -47,9 +50,9 @@ func wantLine(t *testing.T, m *Machine, a core.Addr, step string, sharers []int,
 	}
 }
 
-// TestDirectoryWidths drives each word-boundary core through the sharer,
-// owner, tagger, invalidation and IAS transitions on machines whose core
-// sets are one to eight words wide, checking every state via DebugLine.
+// TestDirectoryWidths drives each byte-edge core through the sharer, owner,
+// tagger, invalidation and IAS transitions on machines whose core sets are
+// one to 64 bytes wide, checking every state via DebugLine.
 func TestDirectoryWidths(t *testing.T) {
 	for _, cores := range dirWidths {
 		cfg := DefaultConfig(cores)
@@ -118,9 +121,9 @@ func TestDirectoryWidths(t *testing.T) {
 }
 
 // TestDirectoryFootprint touches 64 Ki lines and charges the heap growth
-// to them: at 8 cores a line costs at most 88 B (64 of them data), and
-// the directory's share is one 4-byte state word plus slack, growing by
-// one sharer and one tagger word per 64 cores, no faster.
+// to them: at 8 cores a line costs at most 72 B (64 of them data), and
+// the directory's share is one 4-byte state word plus 2 B of slack,
+// growing by one sharer and one tagger byte per 8 cores, no faster.
 func TestDirectoryFootprint(t *testing.T) {
 	const lines = 16 * mem.ChunkLines
 	for _, cores := range dirWidths {
@@ -135,14 +138,14 @@ func TestDirectoryFootprint(t *testing.T) {
 		perLine := float64(heapAlloc()-before) / lines
 		runtime.KeepAlive(m)
 
-		words := (cores + 63) / 64
+		setBytes := (cores + 7) / 8
 		dirPerLine := perLine - core.LineSize
-		t.Logf("%3d cores (%d-word sets): %.1f B/line, %.1f of them directory", cores, words, perLine, dirPerLine)
-		if cores == 8 && perLine > 88 {
-			t.Errorf("8 cores: %.1f B per touched line, want <= 88", perLine)
+		t.Logf("%3d cores (%d-byte sets): %.1f B/line, %.1f of them directory", cores, setBytes, perLine, dirPerLine)
+		if cores == 8 && perLine > 72 {
+			t.Errorf("8 cores: %.1f B per touched line, want <= 72", perLine)
 		}
-		if limit := float64(8 + 16*words); dirPerLine > limit {
-			t.Errorf("%d cores: %.1f directory B per line, want <= %.0f (8 + 16 per set word)", cores, dirPerLine, limit)
+		if limit := float64(6 + 2*setBytes); dirPerLine > limit {
+			t.Errorf("%d cores: %.1f directory B per line, want <= %.0f (6 + 2 per set byte)", cores, dirPerLine, limit)
 		}
 	}
 }

@@ -33,13 +33,12 @@ import (
 // dirEntry is the coherence authority for one cache line: a view of the
 // line's slot in its directory chunk. The lock, owner and write mark share
 // one word in the chunk's state array; the two core sets share a window of
-// the chunk's mask array, each as wide as the machine's core count needs.
-// The view is a pointer and a slice, 32 bytes: the compiler keeps a struct
-// that size in registers, and copies a larger one through the stack on
-// every access.
+// the chunk's mask array, each ceil(Cores/8) bytes. The view is a pointer
+// and a slice, 32 bytes: the compiler keeps a struct that size in
+// registers, and copies a larger one through the stack on every access.
 type dirEntry struct {
 	*dirState
-	masks []uint64 // sharers, then taggers
+	masks []byte // sharers, then taggers
 }
 
 // sharers is the set of cores holding the line anywhere in their private
@@ -136,9 +135,10 @@ func (s *dirState) field(at uint) int { return int(atomic.LoadUint32(&s.word)>>a
 // and zeroing one directory entry per possible line dominated Machine
 // construction cost.
 type dirChunk struct {
-	// masks holds 2*w words per line, w = Machine.setWords: the line's
-	// sharer set, then its tagger set.
-	masks  []uint64
+	// masks holds 2*Machine.setBytes bytes per line, packed with no
+	// padding: the line's sharer set, then its tagger set. The states stay
+	// a separate array, so a lock word never shares a host word with a set.
+	masks  []byte
 	states [mem.ChunkLines]dirState
 }
 
@@ -147,13 +147,13 @@ type Machine struct {
 	cfg   Config
 	space *mem.Space
 	dir   []atomic.Pointer[dirChunk]
-	// setWords is w = ceil(Cores/64), the width in words of every core set
-	// the machine keeps: the directory's sharer and tagger masks cost 16*w
-	// bytes per touched line.
-	setWords int
+	// setBytes is ceil(Cores/8), the width of every core set the machine
+	// keeps: the directory's sharer and tagger masks cost 2*setBytes bytes
+	// per touched line.
+	setBytes int
 	// sockets/coresPerSocket realize Config.Sockets (1 when flat); sockMask
 	// holds each socket's core membership, precomputed so the coherence
-	// pricing can test "any sharer on my socket?" with a word-wise AND.
+	// pricing can test "any sharer on my socket?" with a byte-wise AND.
 	sockets        int
 	coresPerSocket int
 	sockMask       []coreBits
@@ -184,7 +184,7 @@ func New(cfg Config) *Machine {
 		cfg:      cfg,
 		space:    space,
 		dir:      make([]atomic.Pointer[dirChunk], (space.NumLines()+mem.ChunkLines-1)/mem.ChunkLines),
-		setWords: (cfg.Cores + 63) / 64,
+		setBytes: (cfg.Cores + 7) / 8,
 	}
 	m.sockets = cfg.Sockets
 	if m.sockets < 1 {
@@ -193,7 +193,7 @@ func New(cfg Config) *Machine {
 	m.coresPerSocket = cfg.Cores / m.sockets
 	m.sockMask = make([]coreBits, m.sockets)
 	for s := range m.sockMask {
-		m.sockMask[s] = make(coreBits, m.setWords)
+		m.sockMask[s] = make(coreBits, m.setBytes)
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		m.sockMask[c/m.coresPerSocket].add(c)
@@ -244,7 +244,7 @@ func (m *Machine) dirAt(l core.Line) dirEntry {
 		c = m.installDirChunk(ci)
 	}
 	i := int(uint64(l) % mem.ChunkLines)
-	w := m.setWords
+	w := m.setBytes
 	return dirEntry{dirState: &c.states[i], masks: c.masks[2*w*i : 2*w*(i+1)]}
 }
 
@@ -252,7 +252,7 @@ func (m *Machine) dirAt(l core.Line) dirEntry {
 // unowned (the zero state), losing the race gracefully if another core
 // installs it first.
 func (m *Machine) installDirChunk(ci uint64) *dirChunk {
-	fresh := &dirChunk{masks: make([]uint64, 2*m.setWords*mem.ChunkLines)}
+	fresh := &dirChunk{masks: make([]byte, 2*m.setBytes*mem.ChunkLines)}
 	if m.dir[ci].CompareAndSwap(nil, fresh) {
 		return fresh
 	}
@@ -269,15 +269,22 @@ func (m *Machine) DebugLine(l core.Line) (sharers []int, owner int, taggers []in
 	return d.sharers().members(), d.owner(), d.taggers().members()
 }
 
-// coreBits is a set of core ids in w = ceil(Cores/64) words: one line's
-// sharer or tagger mask in a directory chunk, or one socket's membership.
-// It is a view, so assigning one shares the words; directory sets are
-// mutated only under their line's lock.
-type coreBits []uint64
+// coreBits is a set of core ids in ceil(Cores/8) bytes, core c at bit c&7
+// of byte c>>3: one line's sharer or tagger mask in a directory chunk, or
+// one socket's membership. It is a view, so assigning one shares the bytes;
+// directory sets are mutated only under their line's lock.
+//
+// Neighbouring lines' sets share host words in the chunk's mask array, and
+// each line's bytes are written under that line's lock alone. A byte is its
+// own memory location, so that is race-free only while every write stays
+// byte-wide: never widen a set write to a word-wide read-modify-write (a
+// uint64 view of the array, or a clear rounded up to whole words), which
+// would rewrite a neighbour's bytes outside the neighbour's lock.
+type coreBits []byte
 
-func (s coreBits) has(c int) bool { return s[c>>6]&(1<<(c&63)) != 0 }
-func (s coreBits) add(c int)      { s[c>>6] |= 1 << (c & 63) }
-func (s coreBits) remove(c int)   { s[c>>6] &^= 1 << (c & 63) }
+func (s coreBits) has(c int) bool { return s[c>>3]&(1<<(c&7)) != 0 }
+func (s coreBits) add(c int)      { s[c>>3] |= 1 << (c & 7) }
+func (s coreBits) remove(c int)   { s[c>>3] &^= 1 << (c & 7) }
 
 // only resets the set to exactly {c} (exclusive ownership).
 func (s coreBits) only(c int) {
@@ -286,8 +293,8 @@ func (s coreBits) only(c int) {
 }
 
 func (s coreBits) empty() bool {
-	for _, w := range s {
-		if w != 0 {
+	for _, b := range s {
+		if b != 0 {
 			return false
 		}
 	}
@@ -297,14 +304,14 @@ func (s coreBits) empty() bool {
 // anyOther reports whether s holds a core other than self, restricted to
 // the cores of within when within is non-nil.
 func (s coreBits) anyOther(self int, within coreBits) bool {
-	for i, w := range s {
-		if i == self>>6 {
-			w &^= 1 << (self & 63)
+	for i, b := range s {
+		if i == self>>3 {
+			b &^= 1 << (self & 7)
 		}
 		if within != nil {
-			w &= within[i]
+			b &= within[i]
 		}
-		if w != 0 {
+		if b != 0 {
 			return true
 		}
 	}
@@ -316,16 +323,16 @@ func (s coreBits) anyOther(self int, within coreBits) bool {
 //
 //	for c := s.next(0); c >= 0; c = s.next(c + 1)
 func (s coreBits) next(from int) int {
-	wi := from >> 6
-	if wi >= len(s) {
+	i := from >> 3
+	if i >= len(s) {
 		return -1
 	}
-	if w := s[wi] >> (from & 63); w != 0 {
-		return from + bits.TrailingZeros64(w)
+	if b := s[i] >> (from & 7); b != 0 {
+		return from + bits.TrailingZeros8(b)
 	}
-	for wi++; wi < len(s); wi++ {
-		if s[wi] != 0 {
-			return wi<<6 + bits.TrailingZeros64(s[wi])
+	for i++; i < len(s); i++ {
+		if s[i] != 0 {
+			return i<<3 + bits.TrailingZeros8(s[i])
 		}
 	}
 	return -1
